@@ -30,6 +30,7 @@ from .inference import (
     BiasBound,
     ExchangeabilityTest,
     InferenceResult,
+    SharedFit,
     bias_bound,
     bootstrap_variance,
     if_variance,

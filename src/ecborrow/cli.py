@@ -33,12 +33,14 @@ from .estimators import (
     METHOD_FULL,
     METHOD_TREATED_ONLY,
     METHOD_TRIAL,
+    Estimate,
     estimate,
     influence_values,
 )
 from .inference import (
     VARIANCE_BOOTSTRAP,
     VARIANCE_IF,
+    SharedFit,
     bias_bound,
     bootstrap_variance,
     if_variance,
@@ -151,6 +153,9 @@ class RunConfig:
             raise ConfigError("treated-only mode excludes the trial-based method")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        # checked before any work: the report is printed before it is written
+        if self.out is not None and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
+            raise ConfigError(f"--out must name a file in an existing directory, got {self.out}")
 
     @property
     def sidedness(self) -> str:
@@ -231,21 +236,19 @@ def _resolve_ratio(ds: CompositeDataset, cfg: RunConfig) -> str:
 
 
 @dataclass
-class EstimatorPlan:
-    """Everything needed to recompute one estimate from raw data.
+class NuisancePlan:
+    """How to fit the working models every requested estimator reads.
 
-    Used both for the primary analysis and inside bootstrap replicates,
-    which refit every working model on each resample.
+    Fit once for the primary analysis and once per bootstrap resample; one
+    fit is shared by every requested (estimand, method) pair.
     """
 
-    estimand: str
-    method: str
     specs: dict
     ratio_mode: str
+    treated_only: bool = False
 
     def fit_sets(self, ds: CompositeDataset) -> dict:
-        sets: dict = {}
-        if self.method == METHOD_TREATED_ONLY:
+        if self.treated_only:
             # outcome model on all controls; no treated-arm models needed, and
             # the variance ratio cancels from the estimator, so it stays at one
             controls = ds.t == 0
@@ -254,16 +257,29 @@ class EstimatorPlan:
             m0 = fit_model(ds.x[controls], ds.y[controls], self.specs["m0"], ds.covariate_names)
             pi = fit_selection_ps(ds, self.specs["pi"])
             r = fit_variance_ratio(ds, m0, RATIO_KNOWN_ONE)
-            sets["treated_only"] = NuisanceSet(m0=m0, r=r, m0_pooled=True, pi=pi)
-            return sets
+            return {"treated_only": NuisanceSet(m0=m0, r=r, m0_pooled=True, pi=pi)}
         m1, m0_pooled = fit_outcome_models(ds, self.specs["m1"], self.specs["m0"], True)
         p = fit_treatment_ps(ds, self.specs["p"])
         pi = fit_selection_ps(ds, self.specs["pi"]) if ds.n2 > 0 else None
         r = fit_variance_ratio(ds, m0_pooled, self.ratio_mode, self.specs["variance"])
-        sets["pooled"] = NuisanceSet(m0=m0_pooled, r=r, m0_pooled=True, m1=m1, p=p, pi=pi)
-        _, m0_trial = fit_outcome_models(ds, self.specs["m1"], self.specs["m0"], False)
-        sets["unpooled"] = NuisanceSet(m0=m0_trial, r=r, m0_pooled=False, m1=m1, p=p, pi=pi)
-        return sets
+        trial_controls = (ds.d == 1) & (ds.t == 0)
+        if not trial_controls.any():
+            raise EmptyCell("no control rows to fit the control outcome model")
+        m0_trial = fit_model(
+            ds.x[trial_controls], ds.y[trial_controls], self.specs["m0"], ds.covariate_names
+        )
+        return {
+            "pooled": NuisanceSet(m0=m0_pooled, r=r, m0_pooled=True, m1=m1, p=p, pi=pi),
+            "unpooled": NuisanceSet(m0=m0_trial, r=r, m0_pooled=False, m1=m1, p=p, pi=pi),
+        }
+
+
+@dataclass(frozen=True)
+class EstimatorPlan:
+    """One requested (estimand, method) pair and the nuisance set it reads."""
+
+    estimand: str
+    method: str
 
     def nuisances_for(self, sets: dict) -> NuisanceSet:
         if self.method == METHOD_TREATED_ONLY:
@@ -272,9 +288,11 @@ class EstimatorPlan:
             return sets["unpooled"]
         return sets["pooled"]
 
-    def __call__(self, ds: CompositeDataset) -> float:
-        sets = self.fit_sets(ds)
-        return estimate(ds, self.nuisances_for(sets), self.estimand, self.method).point
+    def evaluate(self, ds: CompositeDataset, sets: dict) -> Estimate:
+        return estimate(ds, self.nuisances_for(sets), self.estimand, self.method)
+
+    def point(self, ds: CompositeDataset, sets: dict) -> float:
+        return self.evaluate(ds, sets).point
 
 
 def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[tuple[str, str]]:
@@ -315,28 +333,34 @@ def cmd_estimate(cfg: RunConfig) -> dict:
     level = float(cfg.level)
     null_value = float(cfg.null)
 
-    results = []
-    plans = [EstimatorPlan(est, meth, specs, ratio_mode) for est, meth in pairs]
-    shared_sets: dict = {}
-    for plan in plans:
-        key = plan.method == METHOD_TREATED_ONLY
-        if key not in shared_sets:
-            shared_sets[key] = plan.fit_sets(ds)
-        sets = shared_sets[key]
-        nuis = plan.nuisances_for(sets)
-        est = estimate(ds, nuis, plan.estimand, plan.method)
-        if cfg.variance == "if":
-            ifv = influence_values(ds, nuis, plan.estimand, plan.method, est.point)
-            var = if_variance(ifv)
-            method_label = VARIANCE_IF
-            extra = {}
-        else:
-            boot = bootstrap_variance(
-                ds, plan, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
+    plans = [EstimatorPlan(est, meth) for est, meth in pairs]
+    nuisances = NuisancePlan(
+        specs, ratio_mode, treated_only=any(p.method == METHOD_TREATED_ONLY for p in plans)
+    )
+    sets = nuisances.fit_sets(ds) if plans else {}
+    estimates = [plan.evaluate(ds, sets) for plan in plans]
+    if cfg.variance == "if":
+        method_label = VARIANCE_IF
+        variances = [
+            if_variance(
+                influence_values(ds, plan.nuisances_for(sets), plan.estimand, plan.method, est.point)
             )
-            var = boot.variance
-            method_label = VARIANCE_BOOTSTRAP
-            extra = {"bootstrap": boot.to_dict()}
+            for plan, est in zip(plans, estimates)
+        ]
+        extras = [{} for _ in plans]
+    else:
+        method_label = VARIANCE_BOOTSTRAP
+        boots = []
+        if plans:
+            shared = SharedFit(nuisances.fit_sets, tuple(plan.point for plan in plans))
+            boots = bootstrap_variance(
+                ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
+            )
+        variances = [boot.variance for boot in boots]
+        extras = [{"bootstrap": boot.to_dict()} for boot in boots]
+
+    results = []
+    for est, var, extra in zip(estimates, variances, extras):
         inference = test(
             est,
             var,
@@ -378,9 +402,7 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     }
     exchange = test_mean_exchangeability(ds)
     report["exchangeability"] = exchange.to_dict()
-    plan = EstimatorPlan(ESTIMAND_TAU, METHOD_FULL, specs, ratio_mode)
-    sets = plan.fit_sets(ds)
-    nuis = sets["pooled"]
+    nuis = NuisancePlan(specs, ratio_mode).fit_sets(ds)["pooled"]
     report["overlap"] = overlap_diagnostics(ds, nuis).to_dict()
     if cfg.bias_bound is not None:
         report["bias_bound"] = bias_bound(ds, nuis, bound=float(cfg.bias_bound)).to_dict()
@@ -425,7 +447,10 @@ def cmd_report(cfg: RunConfig) -> dict:
     path = Path(cfg.results)
     if not path.exists():
         raise ConfigError(f"results file not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"results file is not valid JSON: {exc}") from None
     lines = render_report(payload)
     print("\n".join(lines))
     return {"command": "report", "lines": lines}
@@ -433,7 +458,7 @@ def cmd_report(cfg: RunConfig) -> dict:
 
 def render_report(payload: dict) -> list[str]:
     """Text tables for estimate and simulate JSON payloads."""
-    command = payload.get("command")
+    command = payload.get("command") if isinstance(payload, dict) else None
     if command == "estimate" and "estimates" in payload:
         return render_estimates(payload)
     if command == "simulate" and "scenarios" in payload:

@@ -197,6 +197,10 @@ def load_csv(path: str | Path, schema: ColumnSchema | dict | None = None) -> Com
         except StopIteration:
             raise InvariantViolation(f"empty CSV: {path}") from None
         header = [h.strip() for h in header]
+        for name in header:
+            if header.count(name) > 1:
+                # row -1 is the header line; data rows count from 0
+                raise ParseError(f"duplicate column {name!r} in header", row=-1, column=name)
         for role, name in (("d", schema.d), ("t", schema.t), ("y", schema.y)):
             if name not in header:
                 raise MissingColumn(f"column {name!r} (role {role}) not in header", column=name)

@@ -2,9 +2,11 @@
 
 Influence-function variances and normal-approximation intervals are the
 default; a nonparametric bootstrap that refits all working models per
-resample is available as a cross-check. Also here: the specification test
-for equal control-outcome means across data sources, overlap diagnostics,
-and the bias bound under a source-specific control-mean shift.
+resample is available as a cross-check. Each resample is drawn once and its
+working models are fit once; every requested estimator is evaluated on that
+one set of fits. Also here: the specification test for equal control-outcome
+means across data sources, overlap diagnostics, and the bias bound under a
+source-specific control-mean shift.
 """
 
 from __future__ import annotations
@@ -146,8 +148,43 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
     return np.lexsort(tuple(keys))
 
 
+@dataclass(frozen=True)
+class SharedFit:
+    """Several estimators that read one set of fitted working models.
+
+    Per resample, ``fit(resample)`` runs once and each ``point(resample,
+    fitted)`` in ``points`` turns its result into one estimate. With
+    ``jobs > 1`` every function must be picklable.
+    """
+
+    fit: Callable[[CompositeDataset], object]
+    points: tuple[Callable[[CompositeDataset, object], float], ...]
+
+
+class BootstrapResults(list):
+    """One BootstrapResult per estimator of a SharedFit, in ``points`` order."""
+
+    @property
+    def failures(self) -> int:
+        return sum(result.failures for result in self)
+
+
+def _fitted_value(resample: CompositeDataset, value: object) -> object:
+    return value
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _bootstrap_one(args):
-    ds, estimator_fn, seed, rep, stratified = args
+    """Draw resample ``rep``, fit it once and evaluate every estimator.
+
+    Returns one ``(point, None)`` or ``(None, message)`` per estimator. A
+    failure to build or fit the resample counts against every estimator; a
+    failing point counts against its own estimator only.
+    """
+    ds, shared, seed, rep, stratified = args
     rng = np.random.default_rng([seed, rep])
     n = ds.n
     if stratified:
@@ -159,37 +196,22 @@ def _bootstrap_one(args):
     else:
         idx = rng.integers(0, n, n)
     try:
-        return float(estimator_fn(ds.take(idx))), None
+        resample = ds.take(idx)
+        fitted = shared.fit(resample)
     except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
-        return None, f"{type(exc).__name__}: {exc}"
+        return [(None, _describe(exc))] * len(shared.points)
+    outcomes = []
+    for point in shared.points:
+        try:
+            outcomes.append((float(point(resample, fitted)), None))
+        except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
+            outcomes.append((None, _describe(exc)))
+    return outcomes
 
 
-def bootstrap_variance(
-    ds: CompositeDataset,
-    estimator_fn: Callable[[CompositeDataset], float],
-    n_replicates: int = 500,
-    seed: int = 0,
-    level: float = 0.95,
-    stratified: bool = False,
-    jobs: int = 1,
-    max_failure_rate: float = 0.05,
-) -> BootstrapResult:
-    """Nonparametric bootstrap that refits everything per resample.
-
-    Rows are resampled i.i.d. from a canonical ordering of the dataset, so
-    the result depends only on the data values and the seed, never on row
-    order or on the number of worker processes. Replicate r uses the RNG
-    stream (seed, r). At least 100 replicates are recommended.
-    """
-    if n_replicates < 2:
-        raise ConfigError("bootstrap needs at least 2 replicates; 100+ recommended")
-    base = ds.take(_canonical_order(ds))
-    tasks = [(base, estimator_fn, seed, rep, stratified) for rep in range(n_replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_bootstrap_one, tasks, chunksize=16))
-    else:
-        outcomes = [_bootstrap_one(task) for task in tasks]
+def _summarize(outcomes: list, level: float, max_failure_rate: float) -> BootstrapResult:
+    """One estimator's replicates, in replicate order, as a BootstrapResult."""
+    n_replicates = len(outcomes)
     points = np.array([p for p, _ in outcomes if p is not None], dtype=float)
     failures = n_replicates - points.size
     if failures > max_failure_rate * n_replicates:
@@ -208,6 +230,48 @@ def bootstrap_variance(
         failures=int(failures),
         points=points,
     )
+
+
+def bootstrap_variance(
+    ds: CompositeDataset,
+    estimator_fn: Callable[[CompositeDataset], float] | SharedFit,
+    n_replicates: int = 500,
+    seed: int = 0,
+    level: float = 0.95,
+    stratified: bool = False,
+    jobs: int = 1,
+    max_failure_rate: float = 0.05,
+) -> BootstrapResult | BootstrapResults:
+    """Nonparametric bootstrap that refits everything per resample.
+
+    ``estimator_fn`` maps a resample to one estimate and gives one
+    BootstrapResult. A SharedFit fits its working models once per resample
+    and evaluates each of its estimators on that fit; it gives a
+    BootstrapResults list equal to running each estimator on its own.
+
+    Rows are resampled i.i.d. from a canonical ordering of the dataset, so
+    the result depends only on the data values and the seed, never on row
+    order or on the number of worker processes. Replicate r uses the RNG
+    stream (seed, r). At least 100 replicates are recommended. The first
+    estimator, in order, with more than ``max_failure_rate`` failed
+    replicates raises ReplicateFailure.
+    """
+    if n_replicates < 2:
+        raise ConfigError("bootstrap needs at least 2 replicates; 100+ recommended")
+    single = not isinstance(estimator_fn, SharedFit)
+    shared = SharedFit(estimator_fn, (_fitted_value,)) if single else estimator_fn
+    base = ds.take(_canonical_order(ds))
+    tasks = [(base, shared, seed, rep, stratified) for rep in range(n_replicates)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_bootstrap_one, tasks, chunksize=16))
+    else:
+        outcomes = [_bootstrap_one(task) for task in tasks]
+    results = BootstrapResults(
+        _summarize([outcome[k] for outcome in outcomes], level, max_failure_rate)
+        for k in range(len(shared.points))
+    )
+    return results[0] if single else results
 
 
 # ----------------------- exchangeability test -------------------------

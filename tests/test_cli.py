@@ -147,6 +147,68 @@ def test_estimate_bootstrap_variance(tmp_path, capsys):
     jsonschema.validate(payload, SCHEMA)
 
 
+def _bootstrap_estimates(path, capsys, *extra):
+    code, out = run_cli(
+        ["estimate", "--input", str(path), "--variance", "bootstrap", "--B", "100",
+         "--seed", "6", *extra],
+        capsys,
+    )
+    assert code == 0
+    return json.loads(out)["estimates"]
+
+
+def test_bootstrap_pairs_match_each_pair_run_alone(tmp_path, capsys):
+    path = make_input(tmp_path, n=250)
+    together = _bootstrap_estimates(path, capsys)
+    assert len(together) == 6
+    for est in together:
+        method = "full" if est["method"] == "full_data" else "trial"
+        alone = _bootstrap_estimates(path, capsys, "--estimand", est["estimand"], "--method", method)
+        assert alone == [est]
+
+
+def test_bootstrap_fits_working_models_once_per_resample(tmp_path, capsys, monkeypatch):
+    import ecborrow.nuisance as nuisance
+
+    calls = []
+    fit_glm = nuisance.fit_glm
+
+    def counting_fit_glm(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["family"])
+        return fit_glm(*args, **kwargs)
+
+    monkeypatch.setattr(nuisance, "fit_glm", counting_fit_glm)
+    path = make_input(tmp_path, n=250)
+    assert len(_bootstrap_estimates(path, capsys, "--jobs", "1")) == 6
+    # m1, pooled m0, trial m0, p, pi and two variance-ratio fits, per resample
+    # and once on the data
+    assert len(calls) == 7 * 100 + 7
+
+
+def test_bootstrap_all_pairs_identical_across_jobs(tmp_path, capsys):
+    path = make_input(tmp_path, n=250)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"boot_{jobs}.json"
+        _bootstrap_estimates(path, capsys, "--jobs", jobs, "--out", str(out))
+        outputs.append(out.read_bytes())
+    assert len(json.loads(outputs[0])["estimates"]) == 6
+    assert outputs[0] == outputs[1]
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
+    path = make_input(tmp_path, n=200)
+    code = main(
+        ["estimate", "--input", str(path), "--out", str(tmp_path / "missing" / "r.json")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(captured.out)
+    assert payload["error"]["code"] == "CONFIG"
+    jsonschema.validate(payload, SCHEMA)
+    assert "Traceback" not in captured.err
+
+
 def test_estimate_treated_only_mode(tmp_path, capsys):
     rng = np.random.default_rng(8)
     n = 240
@@ -341,6 +403,15 @@ def test_report_rejects_wrong_payload(tmp_path, capsys):
     bad.write_text(json.dumps({"command": "diagnose"}))
     code, out = run_cli(["report", "--results", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["not json {", "[1, 2]"])
+def test_report_non_object_json_is_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = run_cli(["report", "--results", str(bad)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "CONFIG"
 
 
 def test_report_renders_simulation_table(tmp_path, capsys):

@@ -74,6 +74,17 @@ def test_load_csv_parse_error_locates(tmp_path):
     assert err.value.column == "y"
 
 
+def test_load_csv_duplicate_header_rejected(tmp_path):
+    # both x1 columns used to map to the first one, losing the second's values
+    path = tmp_path / "dup.csv"
+    write_lines(path, ["d,t,y,x1,x1", "1,1,2.0,0.3,5.0", "0,0,1.0,0.1,6.0"])
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert err.value.column == "x1"
+    assert err.value.exit_code == 3
+    assert "duplicate" in err.value.message
+
+
 def test_load_csv_indicator_must_be_binary(tmp_path):
     path = tmp_path / "i.csv"
     write_lines(path, ["d,t,y,x1", "2,0,1.0,0.3"])

@@ -17,6 +17,7 @@ from ecborrow.inference import (
     LESS,
     TWO_SIDED,
     BiasBound,
+    SharedFit,
     bias_bound,
     bootstrap_variance,
     if_variance,
@@ -200,6 +201,60 @@ def test_bootstrap_stratified_keeps_group_sizes(random_dataset):
 
     bootstrap_variance(random_dataset, spy, 5, seed=3, stratified=True)
     assert all(pair == (random_dataset.n1, random_dataset.n2) for pair in captured)
+
+
+def _shared_fit_case(ds: CompositeDataset):
+    """A shared fit failing on ~2% of resamples and a point failing on ~20% more."""
+    fit_cut = np.quantile(ds.y, 0.98)
+    point_cut = np.quantile(ds.y, 0.8)
+
+    def fit(resample: CompositeDataset) -> float:
+        if resample.y[0] > fit_cut:
+            raise ValueError("fit failed")
+        return float(resample.y.mean())
+
+    def steady(resample: CompositeDataset, mean: float) -> float:
+        return mean
+
+    def flaky(resample: CompositeDataset, mean: float) -> float:
+        if resample.y[1] > point_cut:
+            raise ValueError("point failed")
+        return mean - float(resample.y[1])
+
+    return fit, (steady, flaky)
+
+
+def _alone(fit, point):
+    return lambda resample: point(resample, fit(resample))
+
+
+def test_bootstrap_shared_fit_failure_accounting(random_dataset):
+    fit, points = _shared_fit_case(random_dataset)
+    together = bootstrap_variance(
+        random_dataset, SharedFit(fit, points), 100, seed=4, max_failure_rate=1.0
+    )
+    steady, flaky = together
+    # a failed shared fit counts against both estimators, a failed point only its own
+    assert 0 < steady.failures < flaky.failures
+    assert together.failures == steady.failures + flaky.failures
+    for result, point in zip(together, points):
+        alone = bootstrap_variance(
+            random_dataset, _alone(fit, point), 100, seed=4, max_failure_rate=1.0
+        )
+        assert result.failures == alone.failures
+        assert result.variance == alone.variance
+        assert result.ci == alone.ci
+        np.testing.assert_array_equal(result.points, alone.points)
+
+
+def test_bootstrap_shared_fit_raises_for_first_failing_estimator(random_dataset):
+    fit, (steady, flaky) = _shared_fit_case(random_dataset)
+    with pytest.raises(ReplicateFailure) as together:
+        bootstrap_variance(random_dataset, SharedFit(fit, (steady, flaky, flaky)), 100, seed=4)
+    with pytest.raises(ReplicateFailure) as alone:
+        bootstrap_variance(random_dataset, _alone(fit, flaky), 100, seed=4)
+    # the steady estimator passes; the first flaky one raises, as it would alone
+    assert together.value.to_dict() == alone.value.to_dict()
 
 
 # ----------------------- exchangeability test --------------------------
