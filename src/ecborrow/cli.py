@@ -24,7 +24,7 @@ from .dataset import (
     summarize,
     validate,
 )
-from .errors import ConfigError, EcborrowError, EmptyCell, OverlapNoExternal
+from .errors import ConfigError, EcborrowError, EmptyCell, NonFiniteResult, OverlapNoExternal
 from .estimators import (
     ESTIMAND_PSI,
     ESTIMAND_TAU,
@@ -97,11 +97,11 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -194,12 +194,15 @@ def _parse_schema(raw) -> ColumnSchema | None:
         return ColumnSchema.from_mapping(raw)
     text = str(raw)
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8")
-    elif text.endswith(".json") and Path(text).exists():
+        path = Path(text[1:])
+        if not path.is_file():
+            raise ConfigError(f"schema file not found: {path}")
+        text = path.read_text(encoding="utf-8")
+    elif text.endswith(".json") and Path(text).is_file():
         text = Path(text).read_text(encoding="utf-8")
     try:
         return ColumnSchema.from_mapping(json.loads(text))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"schema is not valid JSON: {exc}") from None
 
 
@@ -445,7 +448,7 @@ def cmd_report(cfg: RunConfig) -> dict:
     if not cfg.results:
         raise ConfigError("report needs --results pointing at an estimate JSON")
     path = Path(cfg.results)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"results file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -557,6 +560,16 @@ _COMMANDS = {
 }
 
 
+def _dumps(payload: dict) -> str:
+    """Strict JSON: a NaN or infinity becomes a typed error, never bare text."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult(
+            "result holds a NaN or infinite number, which JSON cannot represent"
+        ) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
@@ -564,12 +577,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_options(args)
         payload = _COMMANDS[args.command](cfg)
+        text = None if args.command == "report" else _dumps(payload)
     except EcborrowError as exc:
-        error_payload = {"error": exc.to_dict()}
-        print(json.dumps(error_payload, indent=2, sort_keys=True))
+        error = exc.to_dict()
+        try:
+            text = _dumps({"error": error})
+        except NonFiniteResult:
+            # details JSON cannot hold are dropped; the code and message stay
+            error.pop("details")
+            text = _dumps({"error": error})
+        print(text)
         return exc.exit_code
-    if args.command != "report":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    if text is not None:
         print(text)
         if cfg.out:
             Path(cfg.out).write_text(text + "\n", encoding="utf-8")

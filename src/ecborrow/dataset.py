@@ -188,7 +188,7 @@ def load_csv(path: str | Path, schema: ColumnSchema | dict | None = None) -> Com
     elif isinstance(schema, dict):
         schema = ColumnSchema.from_mapping(schema)
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingColumn(f"input file not found: {path}", path=str(path))
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -115,3 +115,8 @@ class MismatchedPoint(EcborrowError):
 class ReplicateFailure(EcborrowError):
     code = "REPLICATE_FAILURE"
     exit_code = 4
+
+
+class NonFiniteResult(EcborrowError):
+    code = "NON_FINITE"
+    exit_code = 4

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import CompositeDataset
 from .errors import (
@@ -196,6 +195,13 @@ def _check_rank(design: np.ndarray, column_names: list[str] | None) -> None:
         raise RankDeficient(
             f"{n} rows cannot identify {p} coefficients", columns=column_names or []
         )
+    # The SVD tolerance is at least the pivoted-QR one and the smallest
+    # singular value is at most every |r_ii|, so a full SVD rank implies a
+    # full QR rank; only a suspect design pays for scipy.linalg and the QR.
+    if np.linalg.matrix_rank(design) == p:
+        return
+    import scipy.linalg  # noqa: PLC0415 - kept off the import path of the CLI
+
     _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(design.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
@@ -490,19 +496,29 @@ class NuisanceSet:
     m1: FittedGLM | None = None
     p: FittedGLM | None = None
     pi: FittedGLM | None = None
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        # a model swapped in after construction must not keep a stale fingerprint
+        if name != "_fingerprint":
+            object.__setattr__(self, "_fingerprint", None)
+        object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for model in (self.m1, self.m0, self.p, self.pi):
-            if model is None:
-                h.update(b"absent")
-            else:
-                h.update(model.family.encode())
-                h.update(np.ascontiguousarray(model.coef, dtype=float).tobytes())
-        h.update(self.r.mode.encode())
-        h.update(np.ascontiguousarray(self.r.params, dtype=float).tobytes())
-        h.update(b"pooled" if self.m0_pooled else b"unpooled")
-        return h.hexdigest()[:16]
+        """Short SHA-256 of every model; hashed on the first call only."""
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            for model in (self.m1, self.m0, self.p, self.pi):
+                if model is None:
+                    h.update(b"absent")
+                else:
+                    h.update(model.family.encode())
+                    h.update(np.ascontiguousarray(model.coef, dtype=float).tobytes())
+            h.update(self.r.mode.encode())
+            h.update(np.ascontiguousarray(self.r.params, dtype=float).tobytes())
+            h.update(b"pooled" if self.m0_pooled else b"unpooled")
+            self._fingerprint = h.hexdigest()[:16]
+        return self._fingerprint
 
 
 def trimmed_propensity(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .dataset import OUTCOME_CONTINUOUS, CompositeDataset
 from .errors import ConfigError, EcborrowError, ReplicateFailure
@@ -460,7 +460,7 @@ def run_monte_carlo(
         )
     records = [item["record"] for item in raw if item["ok"]]
     n_ok = len(records)
-    crit = float(stats.norm.ppf(0.5 + level / 2.0))
+    crit = float(ndtri(0.5 + level / 2.0))
     truths = truth.by_estimand()
     summaries: dict = {}
     draws: dict = {} if keep_draws else None

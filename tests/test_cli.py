@@ -414,6 +414,78 @@ def test_report_non_object_json_is_config_error(tmp_path, capsys, text):
     assert json.loads(out)["error"]["code"] == "CONFIG"
 
 
+@pytest.mark.parametrize(
+    "flags, exit_code, code",
+    [
+        (["estimate", "--input", "{dir}"], 3, "MISSING_COLUMN"),
+        (["estimate", "--input", "{csv}", "--config", "{dir}"], 2, "CONFIG"),
+        (["estimate", "--input", "{csv}", "--schema", "{dir}"], 2, "CONFIG"),
+        (["estimate", "--input", "{csv}", "--schema", "@{dir}"], 2, "CONFIG"),
+        (["report", "--results", "{dir}"], 2, "CONFIG"),
+    ],
+    ids=["input", "config", "schema", "schema_at", "results"],
+)
+def test_directory_in_place_of_a_file_is_typed_error(tmp_path, capsys, flags, exit_code, code):
+    directory = tmp_path / "dir.json"  # the suffix also tempts the schema's file branch
+    directory.mkdir()
+    csv = make_input(tmp_path, n=200)
+    args = [f.format(dir=directory, csv=csv) for f in flags]
+    code_out = main(args)
+    captured = capsys.readouterr()
+    assert code_out == exit_code
+    payload = json.loads(captured.out)
+    assert payload["error"]["code"] == code
+    jsonschema.validate(payload, SCHEMA)
+
+
+def test_nan_in_result_is_numeric_error_before_output(tmp_path, capsys, monkeypatch):
+    import ecborrow.cli as cli
+
+    out_path = tmp_path / "r.json"
+    monkeypatch.setitem(
+        cli._COMMANDS, "estimate", lambda cfg: {"command": "estimate", "point": float("nan")}
+    )
+    code = main(["estimate", "--out", str(out_path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"]["code"] == "NON_FINITE"
+    jsonschema.validate(payload, SCHEMA)
+    assert not out_path.exists()
+
+
+def test_error_details_that_json_cannot_hold_are_dropped(capsys, monkeypatch):
+    import ecborrow.cli as cli
+    from ecborrow.errors import DegenerateVariance
+
+    def failing(cfg):
+        raise DegenerateVariance("degenerate", level=float("inf"))
+
+    monkeypatch.setitem(cli._COMMANDS, "estimate", failing)
+    code = main(["estimate"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload == {"error": {"code": "DEGENERATE_VARIANCE", "message": "degenerate"}}
+    jsonschema.validate(payload, SCHEMA)
+
+
+def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, ecborrow.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.linalg'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_report_renders_simulation_table(tmp_path, capsys):
     out_path = tmp_path / "sim.json"
     main(

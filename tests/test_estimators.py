@@ -465,3 +465,52 @@ def test_fit_nuisances_treated_only_path():
     assert nuis.m1 is None and nuis.p is None
     est = dispatch(ds, nuis, "tau", "treated_only")
     assert est.point == pytest.approx(1.5, abs=0.5)
+
+
+def _reference_fingerprint(nuis: NuisanceSet) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for model in (nuis.m1, nuis.m0, nuis.p, nuis.pi):
+        if model is None:
+            h.update(b"absent")
+        else:
+            h.update(model.family.encode())
+            h.update(np.ascontiguousarray(model.coef, dtype=float).tobytes())
+    h.update(nuis.r.mode.encode())
+    h.update(np.ascontiguousarray(nuis.r.params, dtype=float).tobytes())
+    h.update(b"pooled" if nuis.m0_pooled else b"unpooled")
+    return h.hexdigest()[:16]
+
+
+def test_fingerprint_hashed_once_per_set(random_dataset, monkeypatch):
+    import hashlib
+    from types import SimpleNamespace
+
+    import ecborrow.nuisance as nuisance
+    from ecborrow.estimators import estimate as dispatch
+
+    sets = fit_sets(random_dataset)
+    hashed = []
+
+    def counting_sha256(*args):
+        hashed.append(1)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(nuisance, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    pairs = [("tau", METHOD_FULL), ("tau", METHOD_TRIAL), ("psi", METHOD_FULL),
+             ("psi", METHOD_BASELINE), ("xi", METHOD_FULL), ("xi", METHOD_BASELINE)]
+    for estimand, method in pairs:
+        nuis = sets["unpooled" if method in (METHOD_TRIAL, METHOD_BASELINE) else "pooled"]
+        est = dispatch(random_dataset, nuis, estimand, method)
+        assert est.nuisance_fingerprint == _reference_fingerprint(nuis)
+    assert len(hashed) == 2
+
+
+def test_fingerprint_follows_a_swapped_model(random_dataset):
+    nuis = fit_sets(random_dataset)["pooled"]
+    before = nuis.fingerprint()
+    nuis.pi = constant_propensity_model(0.4)
+    assert nuis.fingerprint() != before
+    assert nuis.fingerprint() == _reference_fingerprint(nuis)
+    assert "_fingerprint" not in repr(nuis)

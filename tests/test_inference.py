@@ -88,6 +88,61 @@ def test_reference_one_sided_p_values():
         assert res.p_value == pytest.approx(expected, abs=1e-3)
 
 
+def test_z_test_equals_scipy_stats_exactly():
+    from scipy import stats
+
+    points = [-np.inf, -1e300, -60.0, -8.5, -1.3, -1e-300, 0.0, 1e-300, 0.7, 8.5, 60.0,
+              1e300, np.inf]
+    variances = [0.0, 1e-300, 1e-12, 0.04, 1.0, 1e6]
+    levels = [0.5, 0.8, 0.9, 0.95, 0.99, 1 - 1e-12]
+    for point in points:
+        for variance in variances:
+            for level in levels:
+                for side in (GREATER, LESS, TWO_SIDED):
+                    res = z_test(_estimate(point), variance, sidedness=side, level=level)
+                    se = np.sqrt(variance)
+                    if se == 0:
+                        z = np.sign(point) * np.inf if point else 0.0
+                    else:
+                        with np.errstate(over="ignore"):
+                            z = point / se
+                    expected = {
+                        GREATER: stats.norm.sf(z),
+                        LESS: stats.norm.cdf(z),
+                        TWO_SIDED: 2.0 * stats.norm.sf(abs(z)),
+                    }[side]
+                    crit = stats.norm.ppf(0.5 + level / 2.0)
+                    assert np.array_equal(res.p_value, expected, equal_nan=True)
+                    assert np.array_equal(
+                        res.ci, (point - crit * se, point + crit * se), equal_nan=True
+                    )
+
+
+def test_chi2_p_value_equals_scipy_stats_exactly():
+    from scipy import stats
+
+    from ecborrow.inference import _chi2_sf
+
+    grid = [-np.inf, -1.0, -1e-17, -0.0, 0.0, 1e-300, 1e-12, 0.1, 1.0, 3.84, 12.6, 50.0,
+            300.0, 1500.0, 1e5, 1e300, np.inf]
+    for df in range(1, 7):
+        for statistic in grid:
+            assert _chi2_sf(statistic, df) == stats.chi2.sf(statistic, df)
+    # the test's own p-value, one degree of freedom per covariate
+    for k in range(1, 7):
+        rng = np.random.default_rng(k)
+        n = 300
+        x = rng.standard_normal((n, k))
+        d = (rng.random(n) < 0.5).astype(int)
+        t = ((d == 1) & (rng.random(n) < 0.5)).astype(int)
+        y = x.sum(axis=1) + 0.4 * k * (1 - d) * x[:, 0] + rng.standard_normal(n)
+        res = run_exchangeability_test(CompositeDataset(y, x, t, d))
+        assert res.df == k
+        assert res.p_value == stats.chi2.sf(res.statistic, k)
+        main = res.source_main_effect
+        assert main["p_value"] == 2.0 * stats.norm.sf(abs(main["estimate"]) / main["se"])
+
+
 def test_bad_inputs_rejected():
     with pytest.raises(ConfigError):
         z_test(_estimate(0.0), 0.01, sidedness="sideways")

@@ -129,7 +129,56 @@ def test_rank_deficient_names_columns():
     with pytest.raises(RankDeficient) as err:
         fit_glm(design, rng.standard_normal(30), IDENTITY,
                 column_names=["intercept", "a", "b"])
-    assert err.value.columns
+    assert err.value.columns == ["a"]
+
+
+def _pivoted_qr_verdict(design):
+    """The rank rule of the pivoted QR: |r_ii| above max(n, p) eps |r_11|."""
+    import scipy.linalg
+
+    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > max(design.shape) * np.finfo(float).eps * diag[0]).sum())
+    return rank, [f"c{piv[i]}" for i in range(rank, design.shape[1])]
+
+
+def _rank_designs():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for n, p in ((30, 3), (200, 5), (1000, 4)):
+            scale = (1e-3, 1.0, 1e3)[seed % 3]
+            base = np.column_stack([np.ones(n), scale * rng.standard_normal((n, p - 1))])
+            j = 1 + seed % (p - 1)
+            mix = base[:, 0] * rng.uniform(-3, 3) + base[:, 1 + (j % (p - 1))] * 0.5
+            for k in range(4, 29):  # eps from 1e-2 down to 1e-14
+                eps = 10.0 ** (-k / 2)
+                design = base.copy()
+                design[:, j] = mix + eps * np.abs(mix).max() * rng.standard_normal(n)
+                yield design
+            design = base.copy()
+            design[:, j] = mix  # exactly collinear
+            yield design
+
+
+def test_rank_check_matches_pivoted_qr_verdict():
+    from ecborrow.nuisance import _check_rank
+
+    verdicts = {True: 0, False: 0}
+    for design in _rank_designs():
+        p = design.shape[1]
+        names = [f"c{i}" for i in range(p)]
+        rank, collinear = _pivoted_qr_verdict(design)
+        # the numpy fast path may only pass designs the QR also passes
+        if np.linalg.matrix_rank(design) == p:
+            assert rank == p
+        if rank == p:
+            _check_rank(design, names)
+        else:
+            with pytest.raises(RankDeficient) as err:
+                _check_rank(design, names)
+            assert err.value.columns == collinear
+        verdicts[rank == p] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 # ----------------------------- transforms ------------------------------
