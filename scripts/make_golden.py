@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI fixture under tests/data/.
+"""Regenerate the golden CLI fixtures under tests/data/.
 
 Run from the repository root after any intentional change to the output
 format, then review the diff:
@@ -45,7 +45,25 @@ def run() -> None:
     )
     if code != 0:
         raise SystemExit(f"estimate failed with exit code {code}")
-    print(f"wrote {csv_path} and {out_path}")
+    sim_path = DATA / "golden_simulate.json"
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            "all",
+            "--reps",
+            "8",
+            "--n",
+            "200",
+            "--seed",
+            "3",
+            "--out",
+            str(sim_path),
+        ]
+    )
+    if code != 0:
+        raise SystemExit(f"simulate failed with exit code {code}")
+    print(f"wrote {csv_path}, {out_path} and {sim_path}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from .errors import EcborrowError
 from .estimators import (
     Estimate,
     IFVector,
+    RowTable,
     control_weight,
     efficiency_bound_plugin,
     efficiency_gain_analytic,
@@ -58,6 +59,7 @@ from .simlab import (
     TrueEffects,
     export_boxplot_data,
     generate,
+    oracle_truths,
     run_monte_carlo,
     true_effects,
 )

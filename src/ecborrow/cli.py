@@ -24,7 +24,7 @@ from .dataset import (
     summarize,
     validate,
 )
-from .errors import ConfigError, EcborrowError, EmptyCell, NonFiniteResult, OverlapNoExternal
+from .errors import ConfigError, EcborrowError, NonFiniteResult, OverlapNoExternal
 from .estimators import (
     ESTIMAND_PSI,
     ESTIMAND_TAU,
@@ -34,6 +34,7 @@ from .estimators import (
     METHOD_TREATED_ONLY,
     METHOD_TRIAL,
     Estimate,
+    RowTable,
     estimate,
     influence_values,
 )
@@ -55,7 +56,7 @@ from .nuisance import (
     RATIO_MODES,
     ModelSpec,
     NuisanceSet,
-    fit_model,
+    fit_control_model,
     fit_outcome_models,
     fit_selection_ps,
     fit_treatment_ps,
@@ -193,14 +194,16 @@ def _parse_schema(raw) -> ColumnSchema | None:
     if isinstance(raw, dict):
         return ColumnSchema.from_mapping(raw)
     text = str(raw)
+    path = None  # "@path" or a value ending in ".json" names a file, else inline JSON
     if text.startswith("@"):
         path = Path(text[1:])
-        if not path.is_file():
-            raise ConfigError(f"schema file not found: {path}")
-        text = path.read_text(encoding="utf-8")
-    elif text.endswith(".json") and Path(text).is_file():
-        text = Path(text).read_text(encoding="utf-8")
+    elif text.endswith(".json"):
+        path = Path(text)
+    if path is not None and not path.is_file():
+        raise ConfigError(f"schema file not found: {path}")
     try:
+        if path is not None:
+            text = path.read_text(encoding="utf-8")
         return ColumnSchema.from_mapping(json.loads(text))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"schema is not valid JSON: {exc}") from None
@@ -243,7 +246,8 @@ class NuisancePlan:
     """How to fit the working models every requested estimator reads.
 
     Fit once for the primary analysis and once per bootstrap resample; one
-    fit is shared by every requested (estimand, method) pair.
+    fit, and one row table of its predictions, is shared by every requested
+    (estimand, method) pair.
     """
 
     specs: dict
@@ -254,10 +258,7 @@ class NuisancePlan:
         if self.treated_only:
             # outcome model on all controls; no treated-arm models needed, and
             # the variance ratio cancels from the estimator, so it stays at one
-            controls = ds.t == 0
-            if not controls.any():
-                raise EmptyCell("no control rows to fit the control outcome model")
-            m0 = fit_model(ds.x[controls], ds.y[controls], self.specs["m0"], ds.covariate_names)
+            m0 = fit_control_model(ds, self.specs["m0"], pool_controls=True)
             pi = fit_selection_ps(ds, self.specs["pi"])
             r = fit_variance_ratio(ds, m0, RATIO_KNOWN_ONE)
             return {"treated_only": NuisanceSet(m0=m0, r=r, m0_pooled=True, pi=pi)}
@@ -265,16 +266,14 @@ class NuisancePlan:
         p = fit_treatment_ps(ds, self.specs["p"])
         pi = fit_selection_ps(ds, self.specs["pi"]) if ds.n2 > 0 else None
         r = fit_variance_ratio(ds, m0_pooled, self.ratio_mode, self.specs["variance"])
-        trial_controls = (ds.d == 1) & (ds.t == 0)
-        if not trial_controls.any():
-            raise EmptyCell("no control rows to fit the control outcome model")
-        m0_trial = fit_model(
-            ds.x[trial_controls], ds.y[trial_controls], self.specs["m0"], ds.covariate_names
-        )
+        m0_trial = fit_control_model(ds, self.specs["m0"], pool_controls=False)
         return {
             "pooled": NuisanceSet(m0=m0_pooled, r=r, m0_pooled=True, m1=m1, p=p, pi=pi),
             "unpooled": NuisanceSet(m0=m0_trial, r=r, m0_pooled=False, m1=m1, p=p, pi=pi),
         }
+
+    def fit(self, ds: CompositeDataset) -> tuple[dict, RowTable]:
+        return self.fit_sets(ds), RowTable(ds)
 
 
 @dataclass(frozen=True)
@@ -291,11 +290,12 @@ class EstimatorPlan:
             return sets["unpooled"]
         return sets["pooled"]
 
-    def evaluate(self, ds: CompositeDataset, sets: dict) -> Estimate:
-        return estimate(ds, self.nuisances_for(sets), self.estimand, self.method)
+    def evaluate(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]) -> Estimate:
+        sets, table = fitted
+        return estimate(ds, self.nuisances_for(sets), self.estimand, self.method, table=table)
 
-    def point(self, ds: CompositeDataset, sets: dict) -> float:
-        return self.evaluate(ds, sets).point
+    def point(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]) -> float:
+        return self.evaluate(ds, fitted).point
 
 
 def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[tuple[str, str]]:
@@ -340,13 +340,17 @@ def cmd_estimate(cfg: RunConfig) -> dict:
     nuisances = NuisancePlan(
         specs, ratio_mode, treated_only=any(p.method == METHOD_TREATED_ONLY for p in plans)
     )
-    sets = nuisances.fit_sets(ds) if plans else {}
-    estimates = [plan.evaluate(ds, sets) for plan in plans]
+    fitted = nuisances.fit(ds) if plans else ({}, None)
+    sets, table = fitted
+    estimates = [plan.evaluate(ds, fitted) for plan in plans]
     if cfg.variance == "if":
         method_label = VARIANCE_IF
         variances = [
             if_variance(
-                influence_values(ds, plan.nuisances_for(sets), plan.estimand, plan.method, est.point)
+                influence_values(
+                    ds, plan.nuisances_for(sets), plan.estimand, plan.method, est.point,
+                    table=table,
+                )
             )
             for plan, est in zip(plans, estimates)
         ]
@@ -355,7 +359,7 @@ def cmd_estimate(cfg: RunConfig) -> dict:
         method_label = VARIANCE_BOOTSTRAP
         boots = []
         if plans:
-            shared = SharedFit(nuisances.fit_sets, tuple(plan.point for plan in plans))
+            shared = SharedFit(nuisances.fit, tuple(plan.point for plan in plans))
             boots = bootstrap_variance(
                 ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
             )
@@ -419,19 +423,21 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     if not isinstance(dgp, dict):
         raise ConfigError("config key 'dgp' must be an object of ScenarioConfig fields")
     dgp = {key: tuple(val) if isinstance(val, list) else val for key, val in dgp.items()}
+    try:
+        scenario_cfgs = [simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp) for sc in scenarios]
+    except TypeError as exc:
+        raise ConfigError(f"bad 'dgp' config: {exc}") from None
+    # one oracle pass for every scenario; each run below finds its truth cached
+    simlab.oracle_truths(scenario_cfgs)
     runs = {}
     results = []
-    for sc in scenarios:
-        try:
-            scenario_cfg = simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp)
-        except TypeError as exc:
-            raise ConfigError(f"bad 'dgp' config: {exc}") from None
+    for scenario_cfg in scenario_cfgs:
         result = simlab.run_monte_carlo(
             scenario_cfg, int(cfg.reps), master_seed=cfg.seed, jobs=cfg.jobs,
             keep_draws=keep,
         )
         results.append(result)
-        runs[sc] = result.to_dict()
+        runs[scenario_cfg.scenario] = result.to_dict()
     if keep:
         rows = simlab.export_boxplot_data(results, cfg.boxplot_csv)
         log.info("wrote %d boxplot rows to %s", rows, cfg.boxplot_csv)

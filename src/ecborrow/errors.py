@@ -76,10 +76,6 @@ class NonConvergence(EcborrowError):
     code = "NON_CONVERGENCE"
     exit_code = 4
 
-    def __init__(self, message: str, trace: list | None = None, **details: Any):
-        super().__init__(message, **details)
-        self.trace = trace or []
-
 
 class RankDeficient(EcborrowError):
     code = "RANK_DEFICIENT"

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateVariance,
     EmptyCell,
     NonConvergence,
+    NonFiniteResult,
     RankDeficient,
     SeparationDetected,
 )
@@ -172,21 +173,21 @@ class FittedGLM:
             return expit(eta)
         return eta
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        """Predictions at ``x``; ``design`` may pass ``spec.design(x)`` built beforehand."""
         if self.spec is None:
             raise ConfigError("model was fit on a raw design; use predict_design")
-        return self.predict_design(self.spec.design(x))
+        return self.predict_design(self.spec.design(x) if design is None else design)
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
     """Numerically stable inverse logit."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|eta|) is exp(-eta) where eta >= 0 and exp(eta) elsewhere, so both
+    # branches see the same bits as a masked split, without the gather/scatter
+    e = np.exp(-np.abs(eta))
+    denom = 1.0 + e
+    return np.where(eta >= 0, 1.0 / denom, e / denom)
 
 
 def _check_rank(design: np.ndarray, column_names: list[str] | None) -> None:
@@ -240,6 +241,11 @@ def fit_glm(
         raise ConfigError(f"design has {n} rows, response has {response.shape[0]}")
     if n == 0:
         raise EmptyCell("cannot fit a model on zero rows")
+    finite = np.isfinite(design).all(axis=0)
+    if not finite.all():
+        names = column_names or [f"col{i}" for i in range(p)]
+        bad = [names[i] for i in np.flatnonzero(~finite)]
+        raise NonFiniteResult(f"design columns hold NaN or infinite values: {bad}", columns=bad)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     _check_rank(design * np.sqrt(w)[:, None], column_names)
 
@@ -257,12 +263,10 @@ def fit_glm(
 
     coef = np.zeros(p)
     loglik = _logit_loglik(design, response, coef, w)
-    trace: list[dict] = []
     for iteration in range(1, MAX_ITER + 1):
         mu = expit(design @ coef)
         score = design.T @ (w * (response - mu))
         score_norm = float(np.max(np.abs(score)))
-        trace.append({"iteration": iteration, "loglik": loglik, "score_norm": score_norm})
         if score_norm <= GLM_TOL:
             return FittedGLM(LOGIT, coef, True, iteration, loglik, n, spec, column_names or [])
         info_w = w * mu * (1.0 - mu)
@@ -288,9 +292,7 @@ def fit_glm(
                 "coefficients diverging on the logit scale; data likely separated",
                 max_coef=float(np.max(np.abs(coef))),
             )
-    raise NonConvergence(
-        f"IRLS did not converge in {MAX_ITER} iterations", trace=trace
-    )
+    raise NonConvergence(f"IRLS did not converge in {MAX_ITER} iterations")
 
 
 def fit_model(ds_x: np.ndarray, response: np.ndarray, spec: ModelSpec,
@@ -324,17 +326,25 @@ def fit_outcome_models(
     trial controls only.
     """
     treated = (ds.d == 1) & (ds.t == 1)
-    if pool_controls:
-        controls = ds.t == 0
-    else:
-        controls = (ds.d == 1) & (ds.t == 0)
     if not treated.any():
         raise EmptyCell("no treated trial rows to fit the treated outcome model")
-    if not controls.any():
-        raise EmptyCell("no control rows to fit the control outcome model")
+    controls = _control_rows(ds, pool_controls)
     m1 = fit_model(ds.x[treated], ds.y[treated], spec1, ds.covariate_names)
     m0 = fit_model(ds.x[controls], ds.y[controls], spec0, ds.covariate_names)
     return m1, m0
+
+
+def _control_rows(ds: CompositeDataset, pool_controls: bool) -> np.ndarray:
+    controls = ds.t == 0 if pool_controls else (ds.d == 1) & (ds.t == 0)
+    if not controls.any():
+        raise EmptyCell("no control rows to fit the control outcome model")
+    return controls
+
+
+def fit_control_model(ds: CompositeDataset, spec0: ModelSpec, pool_controls: bool) -> FittedGLM:
+    """Fit only the control outcome mean, on the rows ``fit_outcome_models`` uses."""
+    controls = _control_rows(ds, pool_controls)
+    return fit_model(ds.x[controls], ds.y[controls], spec0, ds.covariate_names)
 
 
 def fit_treatment_ps(ds: CompositeDataset, spec: ModelSpec) -> FittedGLM:
@@ -395,17 +405,18 @@ class VarianceRatioModel:
             ]
         )
 
-    def predict_r(self, x: np.ndarray) -> np.ndarray:
+    def predict_r(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        """Ratio at ``x``; ``design`` may pass ``spec.design(x)`` built beforehand."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
         if self.mode == RATIO_KNOWN_ONE:
             return np.ones(n)
         if self.mode == RATIO_CONSTANT:
             return np.full(n, self.const_ratio)
-        design = self.spec.design(x)
+        design = self.spec.design(x) if design is None else design
         return np.exp(design @ self.coef_trial - design @ self.coef_external)
 
-    def predict_var_trial(self, x: np.ndarray) -> np.ndarray:
+    def predict_var_trial(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
         """Smoothed var(Y | X, trial controls); unavailable for known_one."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
@@ -415,7 +426,7 @@ class VarianceRatioModel:
             )
         if self.mode == RATIO_CONSTANT:
             return np.full(n, self.const_var_trial)
-        design = self.spec.design(x)
+        design = self.spec.design(x) if design is None else design
         return np.exp(design @ self.coef_trial + self.log_scale_trial)
 
 
@@ -546,10 +557,7 @@ def fit_nuisances(
     if treated_only:
         if not trial_treated.any():
             raise EmptyCell("treated-only mode requires treated trial rows")
-        controls = ds.t == 0 if pool_controls else (ds.d == 1) & (ds.t == 0)
-        if not controls.any():
-            raise EmptyCell("no control rows to fit the control outcome model")
-        m0 = fit_model(ds.x[controls], ds.y[controls], outcome_spec0, ds.covariate_names)
+        m0 = fit_control_model(ds, outcome_spec0, pool_controls)
         m1, p = None, None
     else:
         m1, m0 = fit_outcome_models(ds, outcome_spec1, outcome_spec0, pool_controls)

@@ -33,11 +33,9 @@ from .estimators import (
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
+    RowTable,
     efficiency_gain_analytic,
-    estimate_psi,
-    estimate_tau_full,
-    estimate_tau_trial,
-    estimate_xi,
+    estimate,
     influence_values,
 )
 from .inference import if_variance
@@ -49,6 +47,7 @@ from .nuisance import (
     ModelSpec,
     NuisanceSet,
     expit,
+    fit_control_model,
     fit_outcome_models,
     fit_selection_ps,
     fit_treatment_ps,
@@ -84,14 +83,15 @@ ALL_ESTIMATORS = (
     "xi_base",
 )
 
+# name -> (estimand, method, ratio mode, nuisance set it reads)
 _ESTIMATOR_META = {
-    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR),
-    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT),
-    "tau_trial": ("tau", METHOD_TRIAL, None),
-    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR),
-    "psi_base": ("psi", METHOD_BASELINE, None),
-    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR),
-    "xi_base": ("xi", METHOD_BASELINE, None),
+    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR, "full_loglin"),
+    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT, "full_const"),
+    "tau_trial": ("tau", METHOD_TRIAL, None, "base"),
+    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR, "full_loglin"),
+    "psi_base": ("psi", METHOD_BASELINE, None, "base"),
+    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR, "full_loglin"),
+    "xi_base": ("xi", METHOD_BASELINE, None, "base"),
 }
 
 
@@ -246,48 +246,88 @@ def true_effects(cfg: ScenarioConfig, draws: int = ORACLE_DRAWS) -> TrueEffects:
     selection probability rather than drawing source labels, which removes
     the Bernoulli noise. Results are cached per scenario truth.
     """
-    key = _truth_key(cfg) + (draws,)
-    if key in _TRUTH_CACHE:
-        return _TRUTH_CACHE[key]
+    return oracle_truths((cfg,), draws)[0]
+
+
+def oracle_truths(cfgs, draws: int = ORACLE_DRAWS) -> tuple[TrueEffects, ...]:
+    """``true_effects`` of several scenarios from one pass over the draws.
+
+    Each scenario's sums are accumulated exactly as a pass of its own would,
+    so the results equal one-at-a-time ``true_effects`` calls bit for bit;
+    the pass only shares the draws, the distortion and each distinct
+    selection propensity and effect between scenarios.
+    """
+    keys = [_truth_key(cfg) + (draws,) for cfg in cfgs]
+    missing = {}
+    for key, cfg in zip(keys, cfgs):
+        if key not in _TRUTH_CACHE:
+            missing.setdefault(key, cfg)
+    results = _oracle_pass(list(missing.values()), draws) if missing else []
+    for key, result in zip(missing, results):
+        worst = max(result.se_tau, result.se_psi, result.se_xi)
+        if worst >= 1e-3:
+            raise EcborrowError(f"oracle truth too noisy (max se {worst:.2e}); increase draws")
+        _TRUTH_CACHE[key] = result
+    return tuple(_TRUTH_CACHE[key] for key in keys)
+
+
+def _oracle_pass(cfgs: list[ScenarioConfig], draws: int) -> list[TrueEffects]:
     chunks = ORACLE_CHUNKS
     size = draws // chunks
-    sums = np.zeros(4)  # pi*g, (1-pi)*g, g, pi
-    per_chunk = np.zeros((chunks, 3))
+    sums = np.zeros((len(cfgs), 4))  # pi*g, (1-pi)*g, g, pi
+    per_chunk = np.zeros((len(cfgs), chunks, 3))
     for c in range(chunks):
-        rng = np.random.default_rng([ORACLE_SEED, c])
-        x = rng.standard_normal((size, 2))
-        z_ps = distort(x) if cfg.propensity_distorted else x
-        z_out = distort(x) if cfg.outcome_distorted else x
-        pi = expit(_linear(cfg.selection_coefs, z_ps))
-        g = _linear(cfg.effect_coefs, z_out)
-        sums += [np.sum(pi * g), np.sum((1 - pi) * g), np.sum(g), np.sum(pi)]
-        per_chunk[c] = [
-            np.sum(pi * g) / np.sum(pi),
-            np.sum((1 - pi) * g) / np.sum(1 - pi),
-            np.mean(g),
-        ]
+        for k, chunk_sums in enumerate(_oracle_chunk(cfgs, c, size)):
+            pi_g, rest_g, sum_g, sum_pi, sum_rest, mean_g = chunk_sums
+            sums[k] += [pi_g, rest_g, sum_g, sum_pi]
+            per_chunk[k, c] = [pi_g / sum_pi, rest_g / sum_rest, mean_g]
     total = chunks * size
-    q = sums[3] / total
-    tau = sums[0] / sums[3]
-    xi = sums[1] / (total - sums[3])
-    psi = sums[2] / total
-    ses = per_chunk.std(axis=0, ddof=1) / np.sqrt(chunks)
-    result = TrueEffects(
-        tau=float(tau),
-        psi=float(psi),
-        xi=float(xi),
-        q=float(q),
-        se_tau=float(ses[0]),
-        se_psi=float(ses[2]),
-        se_xi=float(ses[1]),
-        draws=total,
-    )
-    if max(result.se_tau, result.se_psi, result.se_xi) >= 1e-3:
-        raise EcborrowError(
-            f"oracle truth too noisy (max se {max(ses):.2e}); increase draws"
+    results = []
+    for (sum_pi_g, sum_rest_g, sum_g, sum_pi), chunk_means in zip(sums, per_chunk):
+        ses = chunk_means.std(axis=0, ddof=1) / np.sqrt(chunks)
+        results.append(
+            TrueEffects(
+                tau=float(sum_pi_g / sum_pi),
+                psi=float(sum_g / total),
+                xi=float(sum_rest_g / (total - sum_pi)),
+                q=float(sum_pi / total),
+                se_tau=float(ses[0]),
+                se_psi=float(ses[2]),
+                se_xi=float(ses[1]),
+                draws=total,
+            )
         )
-    _TRUTH_CACHE[key] = result
-    return result
+    return results
+
+
+def _oracle_chunk(cfgs: list[ScenarioConfig], c: int, size: int) -> list[tuple]:
+    """Each scenario's sums over oracle chunk ``c``.
+
+    The draws, their distortion and each distinct selection propensity and
+    effect are computed once for all scenarios. A function of its own, so
+    the chunk's arrays are freed before the next chunk is drawn.
+    """
+    x = np.random.default_rng([ORACLE_SEED, c]).standard_normal((size, 2))
+    any_distorted = any(cfg.propensity_distorted or cfg.outcome_distorted for cfg in cfgs)
+    z = {False: x, True: distort(x) if any_distorted else None}
+    selections: dict = {}  # (distorted?, coefs) -> (pi, sum pi, sum 1-pi)
+    effects: dict = {}  # (distorted?, coefs) -> (g, sum g, mean g)
+    for cfg in cfgs:
+        key = (cfg.propensity_distorted, cfg.selection_coefs)
+        if key not in selections:
+            pi = expit(_linear(cfg.selection_coefs, z[cfg.propensity_distorted]))
+            selections[key] = (pi, np.sum(pi), np.sum(1 - pi))
+        key = (cfg.outcome_distorted, cfg.effect_coefs)
+        if key not in effects:
+            g = _linear(cfg.effect_coefs, z[cfg.outcome_distorted])
+            effects[key] = (g, np.sum(g), np.mean(g))
+    del x, z
+    out = []
+    for cfg in cfgs:
+        pi, sum_pi, sum_rest = selections[(cfg.propensity_distorted, cfg.selection_coefs)]
+        g, sum_g, mean_g = effects[(cfg.outcome_distorted, cfg.effect_coefs)]
+        out.append((np.sum(pi * g), np.sum((1 - pi) * g), sum_g, sum_pi, sum_rest, mean_g))
+    return out
 
 
 # --------------------------- analyst models ----------------------------
@@ -310,7 +350,7 @@ def analyst_specs(k: int = 2) -> dict:
 def _fit_replicate_nuisances(ds: CompositeDataset) -> dict:
     specs = analyst_specs(ds.k)
     m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
-    _, m0_trial = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=False)
+    m0_trial = fit_control_model(ds, specs["m0"], pool_controls=False)
     p = fit_treatment_ps(ds, specs["p"])
     pi = fit_selection_ps(ds, specs["pi"])
     r_loglin = fit_variance_ratio(ds, m0_pooled, RATIO_LOGLINEAR, specs["variance"])
@@ -322,43 +362,21 @@ def _fit_replicate_nuisances(ds: CompositeDataset) -> dict:
     }
 
 
-def _point_and_variance(ds, nuis, estimand, method, fn) -> tuple[float, float]:
-    est = fn(ds, nuis)
-    ifv = influence_values(ds, nuis, estimand, method, est.point)
-    return est.point, if_variance(ifv)
-
-
 def _mc_replicate(args) -> dict:
     cfg, master_seed, rep, estimators = args
     try:
         ds, _ = generate(cfg, [master_seed, rep])
         sets = _fit_replicate_nuisances(ds)
+        # one table: every estimator below shares its predictions and pieces
+        table = RowTable(ds)
         record: dict = {}
         for name in estimators:
-            estimand, method, ratio = _ESTIMATOR_META[name]
-            if name in ("tau_full", "tau_full_const"):
-                nuis = sets["full_loglin" if ratio == RATIO_LOGLINEAR else "full_const"]
-                point, var = _point_and_variance(
-                    ds, nuis, estimand, method, estimate_tau_full
-                )
-            elif name == "tau_trial":
-                point, var = _point_and_variance(
-                    ds, sets["base"], estimand, method, estimate_tau_trial
-                )
-            elif name in ("psi_full", "psi_base"):
-                nuis = sets["full_loglin"] if method == METHOD_FULL else sets["base"]
-                point, var = _point_and_variance(
-                    ds, nuis, estimand, method,
-                    lambda d_, n_: estimate_psi(d_, n_, method),
-                )
-            else:
-                nuis = sets["full_loglin"] if method == METHOD_FULL else sets["base"]
-                point, var = _point_and_variance(
-                    ds, nuis, estimand, method,
-                    lambda d_, n_: estimate_xi(d_, n_, method),
-                )
-            record[name] = (point, var)
-        record["analytic_gain"] = efficiency_gain_analytic(ds, sets["full_loglin"])
+            estimand, method, _, set_name = _ESTIMATOR_META[name]
+            nuis = sets[set_name]
+            point = estimate(ds, nuis, estimand, method, table=table).point
+            ifv = influence_values(ds, nuis, estimand, method, point, table=table)
+            record[name] = (point, if_variance(ifv))
+        record["analytic_gain"] = efficiency_gain_analytic(ds, sets["full_loglin"], table=table)
         return {"rep": rep, "ok": True, "record": record}
     except EcborrowError as exc:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -465,7 +483,7 @@ def run_monte_carlo(
     summaries: dict = {}
     draws: dict = {} if keep_draws else None
     for name in estimators:
-        estimand, method, ratio = _ESTIMATOR_META[name]
+        estimand, method, ratio, _ = _ESTIMATOR_META[name]
         points = np.array([rec[name][0] for rec in records])
         variances = np.array([rec[name][1] for rec in records])
         target = truths[estimand]

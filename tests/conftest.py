@@ -14,6 +14,7 @@ from ecborrow.nuisance import (
     NuisanceSet,
     Term,
     expit,
+    fit_control_model,
     fit_outcome_models,
     fit_selection_ps,
     fit_treatment_ps,
@@ -120,7 +121,7 @@ def fit_sets(ds: CompositeDataset, ratio_mode: str = RATIO_LOGLINEAR,
         spec_ps = ModelSpec.linear_in(ds.k, LOGIT)
         spec_var = ModelSpec.linear_in(ds.k, IDENTITY)
     m1, m0_pooled = fit_outcome_models(ds, spec_m, spec_m, pool_controls=True)
-    _, m0_trial = fit_outcome_models(ds, spec_m, spec_m, pool_controls=False)
+    m0_trial = fit_control_model(ds, spec_m, pool_controls=False)
     p = fit_treatment_ps(ds, spec_ps)
     pi = fit_selection_ps(ds, spec_ps)
     if ratio_mode == RATIO_LOGLINEAR:

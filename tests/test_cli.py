@@ -79,6 +79,29 @@ def test_estimate_golden_bytes(tmp_path, capsys, monkeypatch):
     assert out_path.read_bytes() == golden
 
 
+def test_simulate_golden_bytes(tmp_path, capsys):
+    out_path = tmp_path / "fresh.json"
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            "all",
+            "--reps",
+            "8",
+            "--n",
+            "200",
+            "--seed",
+            "3",
+            "--out",
+            str(out_path),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    golden = (ROOT / "tests" / "data" / "golden_simulate.json").read_bytes()
+    assert out_path.read_bytes() == golden
+
+
 def test_estimate_binary_forces_ratio_one(tmp_path, capsys):
     path = make_binary_input(tmp_path)
     code, out = run_cli(
@@ -436,6 +459,33 @@ def test_directory_in_place_of_a_file_is_typed_error(tmp_path, capsys, flags, ex
     payload = json.loads(captured.out)
     assert payload["error"]["code"] == code
     jsonschema.validate(payload, SCHEMA)
+
+
+def test_non_finite_design_column_is_numeric_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(
+        {"models": {"m0": {"family": "identity", "terms": ["raw(0)", "pow(1,3000)"]}}}
+    ))
+    with np.errstate(over="ignore"):
+        code = main(["estimate", "--input", "tests/data/golden_input.csv", "--config", str(cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"]["code"] == "NON_FINITE"
+    assert payload["error"]["details"]["columns"] == ["pow(x2,3000)"]
+    jsonschema.validate(payload, SCHEMA)
+
+
+def test_missing_schema_file_is_named(tmp_path, capsys):
+    csv = make_input(tmp_path, n=200)
+    missing = tmp_path / "missing.json"
+    for value in (str(missing), f"@{missing}"):
+        code = main(["estimate", "--input", str(csv), "--schema", value])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload["error"] == {
+            "code": "CONFIG", "message": f"schema file not found: {missing}"
+        }
 
 
 def test_nan_in_result_is_numeric_error_before_output(tmp_path, capsys, monkeypatch):

@@ -13,9 +13,11 @@ from ecborrow.estimators import (
     METHOD_FULL,
     METHOD_TRIAL,
     Estimate,
+    RowTable,
     control_weight,
     efficiency_bound_plugin,
     efficiency_gain_analytic,
+    estimate,
     estimate_psi,
     estimate_tau_full,
     estimate_tau_treated_only,
@@ -30,6 +32,7 @@ from ecborrow.nuisance import (
     LOGIT,
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
+    FittedGLM,
     ModelSpec,
     NuisanceSet,
     VarianceRatioModel,
@@ -46,6 +49,45 @@ from conftest import (
     make_random_dataset,
 )
 from oracles import CellOracle, PopulationGapOracle
+
+
+# ------------------------------ row table ------------------------------
+
+
+def test_shared_row_table_gives_the_values_of_separate_calls(random_dataset, monkeypatch):
+    ds = random_dataset
+    sets = fit_sets(ds)
+    pairs = [("tau", METHOD_FULL, "pooled"), ("tau", METHOD_TRIAL, "unpooled"),
+             ("psi", METHOD_FULL, "pooled"), ("psi", METHOD_BASELINE, "unpooled"),
+             ("xi", METHOD_FULL, "pooled"), ("xi", METHOD_BASELINE, "unpooled")]
+    alone = [estimate(ds, sets[name], estimand, method) for estimand, method, name in pairs]
+    alone_ifs = [influence_values(ds, sets[name], estimand, method, est.point).values
+                 for (estimand, method, name), est in zip(pairs, alone)]
+    alone_gain = efficiency_gain_analytic(ds, sets["pooled"])
+
+    predicted = []
+    predict = FittedGLM.predict
+
+    def counting_predict(model, *args, **kwargs):
+        predicted.append(model)
+        return predict(model, *args, **kwargs)
+
+    monkeypatch.setattr(FittedGLM, "predict", counting_predict)
+    table = RowTable(ds)
+    for (estimand, method, name), est, ifv in zip(pairs, alone, alone_ifs):
+        assert estimate(ds, sets[name], estimand, method, table=table) == est
+        shared_if = influence_values(ds, sets[name], estimand, method, est.point, table=table)
+        assert np.array_equal(shared_if.values, ifv)
+    assert efficiency_gain_analytic(ds, sets["pooled"], table=table) == alone_gain
+    # m1, pooled m0, trial m0, p and pi: each predicted once for all six pairs
+    assert len(predicted) == len({id(m) for m in predicted}) == 5
+
+
+def test_row_table_of_another_dataset_is_rejected(random_dataset):
+    nuis = fit_sets(random_dataset)["pooled"]
+    other = RowTable(make_random_dataset(8))
+    with pytest.raises(ConfigError):
+        estimate_tau_full(random_dataset, nuis, table=other)
 
 
 # ---------------------------- control weight ---------------------------

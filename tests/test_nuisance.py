@@ -8,6 +8,7 @@ from ecborrow.errors import (
     ConfigError,
     DegenerateVariance,
     EmptyCell,
+    NonFiniteResult,
     RankDeficient,
     SeparationDetected,
 )
@@ -130,6 +131,46 @@ def test_rank_deficient_names_columns():
         fit_glm(design, rng.standard_normal(30), IDENTITY,
                 column_names=["intercept", "a", "b"])
     assert err.value.columns == ["a"]
+
+
+def test_non_finite_design_column_is_typed_error():
+    rng = np.random.default_rng(4)
+    design = np.column_stack([np.ones(30), rng.standard_normal(30), rng.standard_normal(30)])
+    design[5, 2] = np.inf
+    design[7, 1] = np.nan
+    for family in (IDENTITY, LOGIT):
+        with pytest.raises(NonFiniteResult) as err:
+            fit_glm(design, (rng.random(30) < 0.5).astype(float), family,
+                    column_names=["intercept", "a", "b"])
+        assert err.value.details["columns"] == ["a", "b"]
+        assert err.value.exit_code == 4
+
+
+def _masked_expit(eta):
+    """The boolean-mask form of the stable inverse logit."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_expit_equals_masked_form_bit_for_bit():
+    special = np.array([-np.inf, -746.0, -745.2, -745.0, -744.0, -709.8, -40.0, -1e-300,
+                        -5e-324, -0.0, 0.0, 5e-324, 1e-300, 40.0, 709.8, 744.0, 745.0,
+                        745.2, 746.0, np.inf, np.nan])
+    rng = np.random.default_rng(12)
+    eta = np.concatenate([special, np.linspace(-60.0, 60.0, 120_001),
+                          rng.standard_normal(200_000) * 8.0])
+    got, want = expit(eta), _masked_expit(eta)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+    assert np.isnan(expit(np.nan))
+    assert expit(-0.0) == 0.5
+    assert expit(np.inf) == 1.0 and expit(-np.inf) == 0.0
 
 
 def _pivoted_qr_verdict(design):

@@ -114,6 +114,54 @@ def test_true_effects_cached():
     assert a is b  # same truth regardless of sample size
 
 
+def _truth_alone(cfg, draws):
+    """Reference: one scenario's own pass over the oracle draws."""
+    chunks = sl.ORACLE_CHUNKS
+    size = draws // chunks
+    sums = np.zeros(4)
+    per_chunk = np.zeros((chunks, 3))
+    for c in range(chunks):
+        x = np.random.default_rng([sl.ORACLE_SEED, c]).standard_normal((size, 2))
+        z_ps = sl.distort(x) if cfg.propensity_distorted else x
+        z_out = sl.distort(x) if cfg.outcome_distorted else x
+        pi = sl.expit(sl._linear(cfg.selection_coefs, z_ps))
+        g = sl._linear(cfg.effect_coefs, z_out)
+        sums += [np.sum(pi * g), np.sum((1 - pi) * g), np.sum(g), np.sum(pi)]
+        per_chunk[c] = [np.sum(pi * g) / np.sum(pi),
+                        np.sum((1 - pi) * g) / np.sum(1 - pi), np.mean(g)]
+    total = chunks * size
+    ses = per_chunk.std(axis=0, ddof=1) / np.sqrt(chunks)
+    return sl.TrueEffects(
+        tau=float(sums[0] / sums[3]), psi=float(sums[2] / total),
+        xi=float(sums[1] / (total - sums[3])), q=float(sums[3] / total),
+        se_tau=float(ses[0]), se_psi=float(ses[2]), se_xi=float(ses[1]), draws=total,
+    )
+
+
+def test_shared_oracle_pass_equals_one_scenario_at_a_time(monkeypatch):
+    draws = 2_000_000
+    cfgs = [ScenarioConfig(scenario=s, n=100) for s in sl.SCENARIOS]
+    cfgs += [
+        zero_effect_variant(ScenarioConfig(scenario="iii", n=100)),
+        ScenarioConfig(scenario="ii", n=100, selection_coefs=(0.1, 0.9, -0.2)),
+        ScenarioConfig(scenario="i", n=50),  # same truth as the first: computed once
+    ]
+    monkeypatch.setattr(sl, "_TRUTH_CACHE", {})
+    shared = sl.oracle_truths(cfgs, draws=draws)
+    assert shared[-1] is shared[0]
+
+    def no_pass(cfgs, draws):
+        raise AssertionError("cached truths must not run the oracle again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sl, "_oracle_pass", no_pass)
+        assert sl.oracle_truths(cfgs, draws=draws) == shared
+    for cfg, truth in zip(cfgs, shared):
+        monkeypatch.setattr(sl, "_TRUTH_CACHE", {})
+        assert true_effects(cfg, draws=draws) == truth
+        assert _truth_alone(cfg, draws) == truth
+
+
 def test_zero_effect_variant_has_zero_truth():
     te = true_effects(zero_effect_variant(ScenarioConfig(scenario="i", n=100)),
                       draws=2_000_000)
@@ -188,6 +236,32 @@ def test_monte_carlo_failures_abort(monkeypatch):
     with pytest.raises(ReplicateFailure):
         run_monte_carlo(cfg, reps=10, master_seed=2)
     monkeypatch.setattr(sl, "_fit_replicate_nuisances", real)
+
+
+def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
+    import ecborrow.nuisance as nuisance
+
+    fits, full_designs = [], []
+    fit_glm, design = nuisance.fit_glm, nuisance.ModelSpec.design
+    cfg = ScenarioConfig(scenario="iv", n=300)
+
+    def counting_fit_glm(*args, **kwargs):
+        fits.append(args[2])
+        return fit_glm(*args, **kwargs)
+
+    def counting_design(spec, x):
+        if len(x) == cfg.n:
+            full_designs.append(spec)
+        return design(spec, x)
+
+    monkeypatch.setattr(nuisance, "fit_glm", counting_fit_glm)
+    monkeypatch.setattr(nuisance.ModelSpec, "design", counting_design)
+    result = sl._mc_replicate((cfg, 5, 0, sl.ALL_ESTIMATORS))
+    assert result["ok"]
+    # m1, pooled m0, trial m0, p, pi and the two log-variance fits
+    assert fits == ["identity"] * 3 + ["logit"] * 2 + ["identity"] * 2
+    # the selection fit builds one all-row design; every estimator shares one more
+    assert len(full_designs) == 2
 
 
 def test_constant_ratio_variant_wrapper():
