@@ -65,7 +65,8 @@ class CompositeDataset:
     """Immutable pooled sample of trial and external-control rows.
 
     Stored column-wise as read-only numpy arrays; ``rows`` materialises the
-    row view on demand.
+    row view on demand. ``x`` is (n, k), one row per unit; a 1-D ``x`` is
+    one covariate.
     """
 
     def __init__(
@@ -78,21 +79,21 @@ class CompositeDataset:
         outcome_kind: str | None = None,
     ):
         y = np.asarray(y, dtype=float)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != y.shape[0] and x.shape[1] == y.shape[0]:
-            x = x.T
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = x[:, None]
         t = np.asarray(t, dtype=int)
         d = np.asarray(d, dtype=int)
         n = y.shape[0]
         if n == 0:
             raise InvariantViolation("dataset is empty")
-        if x.shape[0] != n or t.shape[0] != n or d.shape[0] != n:
+        if x.ndim != 2 or x.shape[0] != n or t.shape[0] != n or d.shape[0] != n:
             raise InvariantViolation(
-                f"column lengths disagree: y={n}, x={x.shape[0]}, t={t.shape[0]}, d={d.shape[0]}"
+                f"column shapes disagree: y={y.shape}, x={x.shape}, t={t.shape}, d={d.shape}"
             )
-        if not np.isin(t, (0, 1)).all():
+        if not ((t == 0) | (t == 1)).all():
             raise InvariantViolation("t must be coded 0/1")
-        if not np.isin(d, (0, 1)).all():
+        if not ((d == 0) | (d == 1)).all():
             raise InvariantViolation("d must be coded 0/1")
         n1 = int(d.sum())
         if n1 < 1:

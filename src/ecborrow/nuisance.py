@@ -190,7 +190,8 @@ def expit(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0 / denom, e / denom)
 
 
-def _check_rank(design: np.ndarray, column_names: list[str] | None) -> None:
+def _check_rank(design: np.ndarray, column_names: list[str] | None, rank=None) -> None:
+    # ``rank`` may pass the SVD rank of ``design`` when the caller has it already
     n, p = design.shape
     if n < p:
         raise RankDeficient(
@@ -199,7 +200,7 @@ def _check_rank(design: np.ndarray, column_names: list[str] | None) -> None:
     # The SVD tolerance is at least the pivoted-QR one and the smallest
     # singular value is at most every |r_ii|, so a full SVD rank implies a
     # full QR rank; only a suspect design pays for scipy.linalg and the QR.
-    if np.linalg.matrix_rank(design) == p:
+    if (np.linalg.matrix_rank(design) if rank is None else rank) == p:
         return
     import scipy.linalg  # noqa: PLC0415 - kept off the import path of the CLI
 
@@ -215,9 +216,9 @@ def _check_rank(design: np.ndarray, column_names: list[str] | None) -> None:
         )
 
 
-def _logit_loglik(design, response, coef, weights) -> float:
-    eta = design @ coef
-    return float(np.sum(weights * (response * eta - np.logaddexp(0.0, eta))))
+def _logit_loglik(eta, response, weights) -> float:
+    terms = response * eta - np.logaddexp(0.0, eta)
+    return float(np.sum(terms if weights is None else weights * terms))
 
 
 def fit_glm(
@@ -230,9 +231,11 @@ def fit_glm(
 ) -> FittedGLM:
     """Maximum-likelihood fit of one GLM.
 
-    Identity family solves the weighted least-squares problem directly;
-    logit family runs IRLS with step-halving until the score sup-norm is
-    below GLM_TOL or MAX_ITER is hit.
+    Identity family solves the weighted least-squares problem with one SVD
+    (``np.linalg.lstsq``), whose rank is also the rank check; logit family
+    runs IRLS with step-halving until the score sup-norm is below GLM_TOL or
+    MAX_ITER is hit. No weights means unit weights at no cost: the weighted
+    arithmetic is skipped, which gives the same bits because x * 1.0 == x.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     response = np.asarray(response, dtype=float)
@@ -246,30 +249,36 @@ def fit_glm(
         names = column_names or [f"col{i}" for i in range(p)]
         bad = [names[i] for i in np.flatnonzero(~finite)]
         raise NonFiniteResult(f"design columns hold NaN or infinite values: {bad}", columns=bad)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    _check_rank(design * np.sqrt(w)[:, None], column_names)
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    sw = None if w is None else np.sqrt(w)
+    scaled = design if w is None else design * sw[:, None]
 
     if family == IDENTITY:
-        sw = np.sqrt(w)
-        coef, *_ = np.linalg.lstsq(design * sw[:, None], response * sw, rcond=None)
-        resid = response - design @ coef
-        wsum = w.sum()
-        sigma2 = max(float(np.sum(w * resid**2) / wsum), 1e-300)
+        rhs = response if w is None else response * sw
+        # lstsq's rank follows matrix_rank's rule (eps * max(n, p) * s_max)
+        coef, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
+        _check_rank(scaled, column_names, rank)
+        resid2 = (response - design @ coef) ** 2
+        wsum = float(n) if w is None else w.sum()
+        sigma2 = max(float(np.sum(resid2 if w is None else w * resid2) / wsum), 1e-300)
         loglik = -0.5 * wsum * (np.log(2.0 * np.pi * sigma2) + 1.0)
         return FittedGLM(IDENTITY, coef, True, 1, loglik, n, spec, column_names or [])
 
+    _check_rank(scaled, column_names)
     if family != LOGIT:
         raise ConfigError(f"unknown family {family!r}")
 
     coef = np.zeros(p)
-    loglik = _logit_loglik(design, response, coef, w)
+    eta = design @ coef
+    loglik = _logit_loglik(eta, response, w)
     for iteration in range(1, MAX_ITER + 1):
-        mu = expit(design @ coef)
-        score = design.T @ (w * (response - mu))
+        mu = expit(eta)
+        resid = response - mu
+        score = design.T @ (resid if w is None else w * resid)
         score_norm = float(np.max(np.abs(score)))
         if score_norm <= GLM_TOL:
             return FittedGLM(LOGIT, coef, True, iteration, loglik, n, spec, column_names or [])
-        info_w = w * mu * (1.0 - mu)
+        info_w = mu * (1.0 - mu) if w is None else w * mu * (1.0 - mu)
         hessian = design.T @ (design * info_w[:, None])
         try:
             step = np.linalg.solve(hessian, score)
@@ -278,15 +287,16 @@ def fit_glm(
                 "singular information matrix; fitted probabilities degenerate",
             ) from None
         candidate = coef + step
-        new_loglik = _logit_loglik(design, response, candidate, w)
+        candidate_eta = design @ candidate
+        new_loglik = _logit_loglik(candidate_eta, response, w)
         halvings = 0
         while new_loglik < loglik - 1e-12 and halvings < MAX_HALVINGS:
             step *= 0.5
             candidate = coef + step
-            new_loglik = _logit_loglik(design, response, candidate, w)
+            candidate_eta = design @ candidate
+            new_loglik = _logit_loglik(candidate_eta, response, w)
             halvings += 1
-        coef = candidate
-        loglik = new_loglik
+        coef, eta, loglik = candidate, candidate_eta, new_loglik
         if float(np.max(np.abs(coef))) > SEPARATION_BOUND:
             raise SeparationDetected(
                 "coefficients diverging on the logit scale; data likely separated",
@@ -378,7 +388,8 @@ class VarianceRatioModel:
     constant: ratio of mean squared control residuals.
     loglinear: identity GLM of log(residual^2 + floor) in each source group;
     the per-group fits also provide smoothed conditional variances, rescaled
-    so group means match the raw mean squared residuals.
+    so group means match the raw mean squared residuals. A loglinear model
+    carries the constant model of the same residuals as ``constant``.
     """
 
     mode: str
@@ -390,6 +401,7 @@ class VarianceRatioModel:
     const_ratio: float = 1.0
     const_var_trial: float | None = None
     const_var_external: float | None = None
+    constant: VarianceRatioModel | None = None
 
     @property
     def params(self) -> np.ndarray:
@@ -441,52 +453,51 @@ def fit_variance_ratio(
         raise ConfigError(f"unknown ratio mode {mode!r}")
     if mode == RATIO_KNOWN_ONE:
         return VarianceRatioModel(RATIO_KNOWN_ONE)
-    trial_controls = (ds.d == 1) & (ds.t == 0)
-    external = ds.d == 0
-    if int(trial_controls.sum()) < 2 or int(external.sum()) < 2:
+    groups = ((ds.d == 1) & (ds.t == 0), ds.d == 0)  # trial controls, external rows
+    if any(int(rows.sum()) < 2 for rows in groups):
         raise EmptyCell(
             "variance-ratio estimation needs at least two control rows per source"
         )
-    resid2_trial = (ds.y[trial_controls] - m0.predict(ds.x[trial_controls])) ** 2
-    resid2_external = (ds.y[external] - m0.predict(ds.x[external])) ** 2
-    if np.all(resid2_trial < VAR_FLOOR) or np.all(resid2_external < VAR_FLOOR):
+    if m0.spec is None:
+        raise ConfigError("model was fit on a raw design; use predict_design")
+    xs = [ds.x[rows] for rows in groups]
+    # one design per group serves the m0 residuals and, when the variance spec
+    # has m0's terms, the log-variance fit and its calibration
+    m0_designs = [m0.spec.design(x) for x in xs]
+    resid2 = [(ds.y[rows] - m0.predict(x, design=design)) ** 2
+              for rows, x, design in zip(groups, xs, m0_designs)]
+    if any(np.all(r2 < VAR_FLOOR) for r2 in resid2):
         raise DegenerateVariance(
             "all squared residuals below the variance floor in one source group"
         )
+    v1, v0 = (float(np.mean(r2)) for r2 in resid2)
+    constant = VarianceRatioModel(
+        RATIO_CONSTANT, const_ratio=v1 / v0, const_var_trial=v1, const_var_external=v0
+    )
     if mode == RATIO_CONSTANT:
-        v1 = float(np.mean(resid2_trial))
-        v0 = float(np.mean(resid2_external))
-        return VarianceRatioModel(
-            RATIO_CONSTANT,
-            const_ratio=v1 / v0,
-            const_var_trial=v1,
-            const_var_external=v0,
-        )
+        return constant
     if spec is None:
         spec = ModelSpec.linear_in(ds.k, IDENTITY)
     if spec.family != IDENTITY:
         raise ConfigError("loglinear variance regression must use the identity family")
-    fit_trial = fit_model(
-        ds.x[trial_controls], np.log(resid2_trial + VAR_FLOOR), spec, ds.covariate_names
-    )
-    fit_external = fit_model(
-        ds.x[external], np.log(resid2_external + VAR_FLOOR), spec, ds.covariate_names
-    )
-    # Calibrate the level so each group's smoothed variance averages to its
-    # raw mean squared residual (log-scale fits are biased low otherwise).
-    scale_trial = float(
-        np.log(np.mean(resid2_trial) / np.mean(np.exp(fit_trial.predict(ds.x[trial_controls]))))
-    )
-    scale_external = float(
-        np.log(np.mean(resid2_external) / np.mean(np.exp(fit_external.predict(ds.x[external]))))
-    )
+    shared = (spec.terms, spec.include_intercept) == (m0.spec.terms, m0.spec.include_intercept)
+    names = spec.column_names(ds.covariate_names)
+    coefs, scales = [], []
+    for x, design, r2, v in zip(xs, m0_designs, resid2, (v1, v0)):
+        design = design if shared else spec.design(x)
+        fit = fit_glm(design, np.log(r2 + VAR_FLOOR), IDENTITY, spec=spec, column_names=names)
+        coefs.append(fit.coef)
+        # Calibrate the level so the group's smoothed variance averages to its
+        # raw mean squared residual (log-scale fits are biased low otherwise).
+        scales.append(float(np.log(v / np.mean(np.exp(fit.predict(x, design=design))))))
     return VarianceRatioModel(
         RATIO_LOGLINEAR,
         spec=spec,
-        coef_trial=fit_trial.coef,
-        coef_external=fit_external.coef,
-        log_scale_trial=scale_trial,
-        log_scale_external=scale_external,
+        coef_trial=coefs[0],
+        coef_external=coefs[1],
+        log_scale_trial=scales[0],
+        log_scale_external=scales[1],
+        constant=constant,
     )
 
 

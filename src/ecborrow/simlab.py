@@ -354,7 +354,7 @@ def _fit_replicate_nuisances(ds: CompositeDataset) -> dict:
     p = fit_treatment_ps(ds, specs["p"])
     pi = fit_selection_ps(ds, specs["pi"])
     r_loglin = fit_variance_ratio(ds, m0_pooled, RATIO_LOGLINEAR, specs["variance"])
-    r_const = fit_variance_ratio(ds, m0_pooled, RATIO_CONSTANT)
+    r_const = r_loglin.constant
     return {
         "full_loglin": NuisanceSet(m0=m0_pooled, r=r_loglin, m0_pooled=True, m1=m1, p=p, pi=pi),
         "full_const": NuisanceSet(m0=m0_pooled, r=r_const, m0_pooled=True, m1=m1, p=p, pi=pi),

@@ -36,6 +36,16 @@ def test_load_csv_external_treated_rejected(tmp_path):
         load_csv(path)
 
 
+def test_covariates_must_have_one_row_per_unit():
+    rng = np.random.default_rng(4)
+    y, t, d = rng.standard_normal(5), np.array([1, 0, 1, 0, 0]), np.array([1, 1, 1, 0, 0])
+    one = CompositeDataset(y, rng.standard_normal(5), t, d)
+    assert one.x.shape == (5, 1)
+    with pytest.raises(InvariantViolation) as err:
+        CompositeDataset(y, rng.standard_normal((3, 5)), t, d)
+    assert "(3, 5)" in str(err.value) and "(5,)" in str(err.value)
+
+
 def test_load_csv_trial_shape_counts(tmp_path):
     # 362 trial rows (182 treated, 180 control) plus 110 external rows
     rng = np.random.default_rng(0)

@@ -201,6 +201,17 @@ def _rank_designs():
             yield design
 
 
+def _assert_verdict(check, design):
+    rank, collinear = _pivoted_qr_verdict(design)
+    if rank == design.shape[1]:
+        check()
+    else:
+        with pytest.raises(RankDeficient) as err:
+            check()
+        assert err.value.columns == collinear
+    return rank == design.shape[1]
+
+
 def test_rank_check_matches_pivoted_qr_verdict():
     from ecborrow.nuisance import _check_rank
 
@@ -208,18 +219,61 @@ def test_rank_check_matches_pivoted_qr_verdict():
     for design in _rank_designs():
         p = design.shape[1]
         names = [f"c{i}" for i in range(p)]
-        rank, collinear = _pivoted_qr_verdict(design)
         # the numpy fast path may only pass designs the QR also passes
         if np.linalg.matrix_rank(design) == p:
-            assert rank == p
-        if rank == p:
-            _check_rank(design, names)
-        else:
-            with pytest.raises(RankDeficient) as err:
-                _check_rank(design, names)
-            assert err.value.columns == collinear
-        verdicts[rank == p] += 1
+            assert _pivoted_qr_verdict(design)[0] == p
+        full = _assert_verdict(lambda: _check_rank(design, names), design)
+        verdicts[full] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_identity_fit_rank_verdict_matches_pivoted_qr():
+    # the identity fit takes its rank from lstsq; the verdict on the
+    # sqrt(w)-scaled design and the named columns must stay the QR's
+    verdicts = {True: 0, False: 0}
+    for i, design in enumerate(_rank_designs()):
+        n, p = design.shape
+        names = [f"c{j}" for j in range(p)]
+        rng = np.random.default_rng(i)
+        response = rng.standard_normal(n)
+        weights = rng.integers(0, 3, n).astype(float)
+        for w in (None, weights):
+            scaled = design if w is None else design * np.sqrt(w)[:, None]
+            full = _assert_verdict(
+                lambda: fit_glm(design, response, IDENTITY, weights=w, column_names=names), scaled
+            )
+            verdicts[full] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_identity_coef_equals_lstsq_on_scaled_design_bit_for_bit():
+    rng = np.random.default_rng(12)
+    n = 300
+    design = np.column_stack([np.ones(n), rng.standard_normal((n, 3)) * [1e-3, 1.0, 1e3]])
+    response = design @ [0.5, 2.0, -1.0, 3e-3] + rng.standard_normal(n)
+    for w in (None, np.ones(n), rng.integers(0, 3, n).astype(float), rng.uniform(0.1, 4.0, n)):
+        sw = np.ones(n) if w is None else np.sqrt(w)
+        expected, *_ = np.linalg.lstsq(design * sw[:, None], response * sw, rcond=None)
+        fit = fit_glm(design, response, IDENTITY, weights=w)
+        assert fit.coef.tobytes() == expected.tobytes()
+    unweighted = fit_glm(design, response, IDENTITY)
+    unit = fit_glm(design, response, IDENTITY, weights=np.ones(n))
+    assert unweighted.loglik == unit.loglik
+
+
+def test_logit_without_weights_equals_unit_weights_bit_for_bit():
+    rng = np.random.default_rng(21)
+    n = 400
+    design = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    response = (rng.random(n) < expit(design @ [0.3, 1.2, -0.7])).astype(float)
+    fit = fit_glm(design, response, LOGIT)
+    unit = fit_glm(design, response, LOGIT, weights=np.ones(n))
+    assert fit.coef.tobytes() == unit.coef.tobytes()
+    assert (fit.iterations, fit.loglik) == (unit.iterations, unit.loglik)
+    separated = (design[:, 1] > 0).astype(float)
+    for w in (None, np.ones(n)):
+        with pytest.raises(SeparationDetected):
+            fit_glm(design, separated, LOGIT, weights=w)
 
 
 # ----------------------------- transforms ------------------------------
@@ -393,6 +447,29 @@ def test_degenerate_variance_detected():
     _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
     with pytest.raises(DegenerateVariance):
         fit_variance_ratio(ds, m0, RATIO_CONSTANT)
+
+
+def test_variance_ratio_builds_one_design_per_group_and_carries_constant(monkeypatch):
+    ds, _ = generate(ScenarioConfig(scenario="ii", n=400), 5)
+    spec = ModelSpec.linear_in(2, IDENTITY)
+    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    designs = []
+    design = ModelSpec.design
+
+    def counting_design(self, x):
+        designs.append(len(x))
+        return design(self, x)
+
+    monkeypatch.setattr(ModelSpec, "design", counting_design)
+    ratio = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, spec)
+    # the variance spec has m0's terms: one design per source group serves all
+    assert sorted(designs) == sorted([ds.n1 - int(ds.t.sum()), ds.n2])
+    designs.clear()
+    other = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, ModelSpec(IDENTITY, (Term("raw", 0),)))
+    assert len(designs) == 4
+    monkeypatch.undo()
+    constant = fit_variance_ratio(ds, m0, RATIO_CONSTANT)
+    assert ratio.constant == constant and other.constant == constant
 
 
 def test_loglinear_smoothed_variance_calibrated():

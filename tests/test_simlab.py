@@ -241,8 +241,9 @@ def test_monte_carlo_failures_abort(monkeypatch):
 def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     import ecborrow.nuisance as nuisance
 
-    fits, full_designs = [], []
+    fits, designs, predicts = [], [], []
     fit_glm, design = nuisance.fit_glm, nuisance.ModelSpec.design
+    predict = nuisance.FittedGLM.predict
     cfg = ScenarioConfig(scenario="iv", n=300)
 
     def counting_fit_glm(*args, **kwargs):
@@ -250,18 +251,26 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
         return fit_glm(*args, **kwargs)
 
     def counting_design(spec, x):
-        if len(x) == cfg.n:
-            full_designs.append(spec)
+        designs.append(len(x))
         return design(spec, x)
+
+    def counting_predict(model, x, design=None):
+        predicts.append(len(x))
+        return predict(model, x, design=design)
 
     monkeypatch.setattr(nuisance, "fit_glm", counting_fit_glm)
     monkeypatch.setattr(nuisance.ModelSpec, "design", counting_design)
+    monkeypatch.setattr(nuisance.FittedGLM, "predict", counting_predict)
     result = sl._mc_replicate((cfg, 5, 0, sl.ALL_ESTIMATORS))
     assert result["ok"]
     # m1, pooled m0, trial m0, p, pi and the two log-variance fits
     assert fits == ["identity"] * 3 + ["logit"] * 2 + ["identity"] * 2
     # the selection fit builds one all-row design; every estimator shares one more
-    assert len(full_designs) == 2
+    assert designs.count(cfg.n) == 2
+    # 5 fits, one design per control source for both ratio modes, 1 table design
+    assert len(designs) == 8
+    # pooled m0 residuals and the two calibrations once, plus 5 table predictions
+    assert len(predicts) == 9
 
 
 def test_constant_ratio_variant_wrapper():
