@@ -3,7 +3,6 @@
 from .dataset import (
     ColumnSchema,
     CompositeDataset,
-    Observation,
     load_csv,
     summarize,
     validate,
@@ -13,7 +12,6 @@ from .errors import EcborrowError
 from .estimators import (
     Estimate,
     IFVector,
-    RowTable,
     control_weight,
     efficiency_bound_plugin,
     efficiency_gain_analytic,
@@ -43,10 +41,11 @@ from .nuisance import (
     FittedGLM,
     ModelSpec,
     NuisanceSet,
+    RowTable,
     Term,
     VarianceRatioModel,
+    fit_bundle,
     fit_glm,
-    fit_nuisances,
     fit_outcome_models,
     fit_selection_ps,
     fit_treatment_ps,

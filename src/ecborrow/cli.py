@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import simlab
@@ -34,7 +35,6 @@ from .estimators import (
     METHOD_TREATED_ONLY,
     METHOD_TRIAL,
     Estimate,
-    RowTable,
     estimate,
     influence_values,
 )
@@ -56,11 +56,8 @@ from .nuisance import (
     RATIO_MODES,
     ModelSpec,
     NuisanceSet,
-    fit_control_model,
-    fit_outcome_models,
-    fit_selection_ps,
-    fit_treatment_ps,
-    fit_variance_ratio,
+    RowTable,
+    fit_bundle,
 )
 
 log = logging.getLogger("ecborrow")
@@ -241,41 +238,6 @@ def _resolve_ratio(ds: CompositeDataset, cfg: RunConfig) -> str:
     return mode
 
 
-@dataclass
-class NuisancePlan:
-    """How to fit the working models every requested estimator reads.
-
-    Fit once for the primary analysis and once per bootstrap resample; one
-    fit, and one row table of its predictions, is shared by every requested
-    (estimand, method) pair.
-    """
-
-    specs: dict
-    ratio_mode: str
-    treated_only: bool = False
-
-    def fit_sets(self, ds: CompositeDataset) -> dict:
-        if self.treated_only:
-            # outcome model on all controls; no treated-arm models needed, and
-            # the variance ratio cancels from the estimator, so it stays at one
-            m0 = fit_control_model(ds, self.specs["m0"], pool_controls=True)
-            pi = fit_selection_ps(ds, self.specs["pi"])
-            r = fit_variance_ratio(ds, m0, RATIO_KNOWN_ONE)
-            return {"treated_only": NuisanceSet(m0=m0, r=r, m0_pooled=True, pi=pi)}
-        m1, m0_pooled = fit_outcome_models(ds, self.specs["m1"], self.specs["m0"], True)
-        p = fit_treatment_ps(ds, self.specs["p"])
-        pi = fit_selection_ps(ds, self.specs["pi"]) if ds.n2 > 0 else None
-        r = fit_variance_ratio(ds, m0_pooled, self.ratio_mode, self.specs["variance"])
-        m0_trial = fit_control_model(ds, self.specs["m0"], pool_controls=False)
-        return {
-            "pooled": NuisanceSet(m0=m0_pooled, r=r, m0_pooled=True, m1=m1, p=p, pi=pi),
-            "unpooled": NuisanceSet(m0=m0_trial, r=r, m0_pooled=False, m1=m1, p=p, pi=pi),
-        }
-
-    def fit(self, ds: CompositeDataset) -> tuple[dict, RowTable]:
-        return self.fit_sets(ds), RowTable(ds)
-
-
 @dataclass(frozen=True)
 class EstimatorPlan:
     """One requested (estimand, method) pair and the nuisance set it reads."""
@@ -337,10 +299,13 @@ def cmd_estimate(cfg: RunConfig) -> dict:
     null_value = float(cfg.null)
 
     plans = [EstimatorPlan(est, meth) for est, meth in pairs]
-    nuisances = NuisancePlan(
-        specs, ratio_mode, treated_only=any(p.method == METHOD_TREATED_ONLY for p in plans)
+    # one fit, and one row table of its predictions, serves every requested
+    # pair: once for the primary analysis and once per bootstrap resample
+    fit = partial(
+        fit_bundle, specs=specs, ratio_mode=ratio_mode,
+        treated_only=any(p.method == METHOD_TREATED_ONLY for p in plans),
     )
-    fitted = nuisances.fit(ds) if plans else ({}, None)
+    fitted = fit(ds) if plans else ({}, None)
     sets, table = fitted
     estimates = [plan.evaluate(ds, fitted) for plan in plans]
     if cfg.variance == "if":
@@ -359,7 +324,7 @@ def cmd_estimate(cfg: RunConfig) -> dict:
         method_label = VARIANCE_BOOTSTRAP
         boots = []
         if plans:
-            shared = SharedFit(nuisances.fit, tuple(plan.point for plan in plans))
+            shared = SharedFit(fit, tuple(plan.point for plan in plans))
             boots = bootstrap_variance(
                 ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
             )
@@ -409,10 +374,12 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     }
     exchange = test_mean_exchangeability(ds)
     report["exchangeability"] = exchange.to_dict()
-    nuis = NuisancePlan(specs, ratio_mode).fit_sets(ds)["pooled"]
-    report["overlap"] = overlap_diagnostics(ds, nuis).to_dict()
+    sets, table = fit_bundle(ds, specs, ratio_mode)
+    nuis = sets["pooled"]
+    report["overlap"] = overlap_diagnostics(ds, nuis, table=table).to_dict()
     if cfg.bias_bound is not None:
-        report["bias_bound"] = bias_bound(ds, nuis, bound=float(cfg.bias_bound)).to_dict()
+        bound = bias_bound(ds, nuis, bound=float(cfg.bias_bound), table=table)
+        report["bias_bound"] = bound.to_dict()
     return report
 
 

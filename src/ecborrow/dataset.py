@@ -22,16 +22,6 @@ OUTCOME_CONTINUOUS = "continuous"
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One row of the composite sample."""
-
-    y: float
-    x: tuple[float, ...]
-    t: int
-    d: int
-
-
-@dataclass(frozen=True)
 class ColumnSchema:
     """Maps dataset roles to CSV column names.
 
@@ -64,9 +54,8 @@ class ColumnSchema:
 class CompositeDataset:
     """Immutable pooled sample of trial and external-control rows.
 
-    Stored column-wise as read-only numpy arrays; ``rows`` materialises the
-    row view on demand. ``x`` is (n, k), one row per unit; a 1-D ``x`` is
-    one covariate.
+    Stored column-wise as read-only numpy arrays. ``x`` is (n, k), one row
+    per unit; a 1-D ``x`` is one covariate.
     """
 
     def __init__(
@@ -140,13 +129,6 @@ class CompositeDataset:
     @property
     def k(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def rows(self) -> list[Observation]:
-        return [
-            Observation(float(self.y[i]), tuple(self.x[i]), int(self.t[i]), int(self.d[i]))
-            for i in range(self.n)
-        ]
 
     def take(self, indices: np.ndarray) -> "CompositeDataset":
         """Row subset/resample preserving metadata."""

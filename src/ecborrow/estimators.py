@@ -25,11 +25,9 @@ from .errors import (
 )
 from .nuisance import (
     RATIO_KNOWN_ONE,
-    TRIM_EPS,
-    FittedGLM,
-    ModelSpec,
     NuisanceSet,
-    VarianceRatioModel,
+    RowTable,
+    row_table,
 )
 
 DENOM_EPS = 1e-6   # floor on the pooled-control weight denominator and on p
@@ -115,7 +113,7 @@ def control_weight(
     return numer / denom, floored
 
 
-# ----------------------------- row table ------------------------------
+# ----------------------------- moment pieces ----------------------------
 
 
 @dataclass
@@ -129,109 +127,43 @@ class _Pieces:
     q_hat: float
 
 
-class RowTable:
-    """Per-row predictions of one dataset, each computed once.
-
-    The table holds one design per distinct covariate transform, one
-    prediction per fitted model and one set of full-data moment pieces per
-    (m1, m0, p, pi, ratio) combination. Passing one table to every estimator
-    and influence-value call on ``ds`` shares that work between them; every
-    value is the one the call computes with a table of its own. Models must
-    not change after a table has read them.
-    """
-
-    def __init__(self, ds: CompositeDataset):
-        self.ds = ds
-        self._designs: dict = {}
-        self._values: dict = {}
-
-    def _once(self, key: tuple, owners, compute):
-        # ``owners`` stay referenced, so the ids in ``key`` cannot be reused
-        hit = self._values.get(key)
-        if hit is None:
-            hit = self._values[key] = (owners, compute())
-        return hit[1]
-
-    def design(self, spec: ModelSpec | None) -> np.ndarray | None:
-        """Design of ``spec`` on every row; the family does not enter it."""
-        if spec is None:
-            return None
-        key = (spec.terms, spec.include_intercept)
-        if key not in self._designs:
-            self._designs[key] = spec.design(self.ds.x)
-        return self._designs[key]
-
-    def predict(self, model: FittedGLM) -> np.ndarray:
-        return self._once(
-            ("predict", id(model)), model,
-            lambda: model.predict(self.ds.x, self.design(model.spec)),
+def _pieces(table: RowTable, nuis: NuisanceSet, zero_ratio: bool = False) -> _Pieces:
+    """Full-data moment pieces; ``zero_ratio`` replaces the ratio by zero."""
+    if table.ds.n2 == 0:
+        raise OverlapNoExternal(
+            "full-data estimation needs external rows; use the trial-based method"
         )
-
-    def propensity(self, model: FittedGLM) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions trimmed into [TRIM_EPS, 1-TRIM_EPS], and the rows trimmed."""
-
-        def compute():
-            raw = self.predict(model)
-            clipped = np.clip(raw, TRIM_EPS, 1.0 - TRIM_EPS)
-            return clipped, clipped != raw
-
-        return self._once(("propensity", id(model)), model, compute)
-
-    def ratio(self, r: VarianceRatioModel) -> np.ndarray:
-        return self._once(
-            ("ratio", id(r)), r, lambda: r.predict_r(self.ds.x, self.design(r.spec))
-        )
-
-    def var_trial(self, r: VarianceRatioModel) -> np.ndarray:
-        return self._once(
-            ("var_trial", id(r)), r,
-            lambda: r.predict_var_trial(self.ds.x, self.design(r.spec)),
-        )
-
-    def pieces(self, nuis: NuisanceSet, zero_ratio: bool = False) -> _Pieces:
-        """Full-data moment pieces; ``zero_ratio`` replaces the ratio by zero."""
-        if self.ds.n2 == 0:
-            raise OverlapNoExternal(
-                "full-data estimation needs external rows; use the trial-based method"
-            )
-        if nuis.m1 is None or nuis.p is None:
-            raise EmptyCell("full-data moments need fitted treated-arm models")
-        if nuis.pi is None:
-            raise EmptyCell("full-data moments need a fitted selection propensity")
-        models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
-        return self._once(
-            ("pieces", *map(id, models)), models, lambda: self._full_pieces(*models)
-        )
-
-    def _full_pieces(self, m1_model, m0_model, p_model, pi_model, r_model) -> _Pieces:
-        ds = self.ds
-        m1 = self.predict(m1_model)
-        m0 = self.predict(m0_model)
-        p, trimmed_p = self.propensity(p_model)
-        pi, trimmed_pi = self.propensity(pi_model)
-        floored_p = int(np.sum(p < DENOM_EPS))
-        p = np.maximum(p, DENOM_EPS)
-        r = np.zeros(ds.n) if r_model is None else self.ratio(r_model)
-        weight, floored_w = control_weight(pi, p, r, ds.d, ds.t)
-        resid0 = ds.y - m0
-        resid1 = ds.y - m1
-        core = ds.d * ds.t * resid1 / p - weight * resid0
-        trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
-        return _Pieces(
-            delta=m1 - m0,
-            pi=pi,
-            core=core,
-            trim_count=trims + floored_p + floored_w,
-            q_hat=ds.q_hat,
-        )
+    if nuis.m1 is None or nuis.p is None:
+        raise EmptyCell("full-data moments need fitted treated-arm models")
+    if nuis.pi is None:
+        raise EmptyCell("full-data moments need a fitted selection propensity")
+    models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
+    return table.cached(
+        ("pieces", *map(id, models)), models, lambda: _full_pieces(table, *models)
+    )
 
 
-def _table_for(ds: CompositeDataset, table: RowTable | None) -> RowTable:
-    if table is None:
-        return RowTable(ds)
-    if table.ds is not ds:
-        raise ConfigError("row table was built for a different dataset")
-    return table
+def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model) -> _Pieces:
+    ds = table.ds
+    m1 = table.predict(m1_model)
+    m0 = table.predict(m0_model)
+    p, trimmed_p = table.propensity(p_model)
+    pi, trimmed_pi = table.propensity(pi_model)
+    floored_p = int(np.sum(p < DENOM_EPS))
+    p = np.maximum(p, DENOM_EPS)
+    r = np.zeros(ds.n) if r_model is None else table.ratio(r_model)
+    weight, floored_w = control_weight(pi, p, r, ds.d, ds.t)
+    resid0 = ds.y - m0
+    resid1 = ds.y - m1
+    core = ds.d * ds.t * resid1 / p - weight * resid0
+    trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
+    return _Pieces(
+        delta=m1 - m0,
+        pi=pi,
+        core=core,
+        trim_count=trims + floored_p + floored_w,
+        q_hat=ds.q_hat,
+    )
 
 
 # ----------------------------- estimators -----------------------------
@@ -250,7 +182,7 @@ def estimate_tau_trial(
     t = ds.t[trial]
     if not (t == 1).any() or not (t == 0).any():
         raise EmptyCell("trial-based estimation needs both trial arms")
-    table = _table_for(ds, table)
+    table = row_table(ds, table)
     m1 = table.predict(nuis.m1)[trial]
     m0 = table.predict(nuis.m0)[trial]
     p, trimmed = table.propensity(nuis.p)
@@ -282,7 +214,7 @@ def estimate_tau_full(
     """
     if not zero_ratio and not nuis.m0_pooled:
         raise ConfigError("full-data estimation needs m0 fit on all controls")
-    pieces = _table_for(ds, table).pieces(nuis, zero_ratio=zero_ratio)
+    pieces = _pieces(row_table(ds, table), nuis, zero_ratio=zero_ratio)
     rows = ds.d * pieces.delta + pieces.core
     return Estimate(
         estimand=ESTIMAND_TAU,
@@ -306,7 +238,7 @@ def estimate_tau_treated_only(
         raise OverlapNoExternal("treated-only estimation needs external controls")
     if nuis.pi is None:
         raise EmptyCell("treated-only estimation needs a fitted selection propensity")
-    table = _table_for(ds, table)
+    table = row_table(ds, table)
     m0 = table.predict(nuis.m0)
     pi, trimmed = table.propensity(nuis.pi)
     resid0 = ds.y - m0
@@ -341,7 +273,7 @@ def estimate_psi(
 ) -> Estimate:
     """Treatment effect in the pooled population."""
     zero_ratio = _check_comparator_nuisances(nuis, method)
-    pieces = _table_for(ds, table).pieces(nuis, zero_ratio=zero_ratio)
+    pieces = _pieces(row_table(ds, table), nuis, zero_ratio=zero_ratio)
     rows = pieces.delta + pieces.core / pieces.pi
     return Estimate(
         estimand=ESTIMAND_PSI,
@@ -363,7 +295,7 @@ def estimate_xi(
     zero_ratio = _check_comparator_nuisances(nuis, method)
     if ds.q_hat >= 1.0:
         raise OverlapNoExternal("external-population effect needs external rows")
-    pieces = _table_for(ds, table).pieces(nuis, zero_ratio=zero_ratio)
+    pieces = _pieces(row_table(ds, table), nuis, zero_ratio=zero_ratio)
     rows = (1 - ds.d) * pieces.delta + pieces.core * (1.0 - pieces.pi) / pieces.pi
     return Estimate(
         estimand=ESTIMAND_XI,
@@ -417,7 +349,7 @@ def influence_values(
         raise ConfigError(
             f"no influence function for estimand {estimand!r} with method {method!r}"
         )
-    table = _table_for(ds, table)
+    table = row_table(ds, table)
     if estimand == ESTIMAND_TAU and method == METHOD_TRIAL:
         if nuis.m0_pooled:
             raise ConfigError("trial-based influence values need unpooled m0")
@@ -437,7 +369,7 @@ def influence_values(
             ds.d * (resid0 - point) - (1 - ds.d) * (pi / (1.0 - pi)) * resid0
         ) / ds.q_hat
     else:
-        pieces = table.pieces(nuis, zero_ratio=method == METHOD_BASELINE)
+        pieces = _pieces(table, nuis, zero_ratio=method == METHOD_BASELINE)
         if estimand == ESTIMAND_TAU:
             values = (ds.d * (pieces.delta - point) + pieces.core) / pieces.q_hat
         elif estimand == ESTIMAND_PSI:
@@ -492,7 +424,7 @@ def efficiency_gain_analytic(
     """
     if nuis.p is None or nuis.pi is None:
         raise EmptyCell("gain formula needs fitted treatment and selection propensities")
-    table = _table_for(ds, table)
+    table = row_table(ds, table)
     trial = ds.d == 1
     p = table.propensity(nuis.p)[0][trial]
     pi = table.propensity(nuis.pi)[0][trial]

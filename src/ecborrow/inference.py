@@ -26,9 +26,10 @@ from .nuisance import (
     LOGIT,
     ModelSpec,
     NuisanceSet,
+    RowTable,
     expit,
     fit_glm,
-    trimmed_propensity,
+    row_table,
 )
 
 TWO_SIDED = "two_sided"
@@ -391,6 +392,7 @@ def bias_bound(
     nuis: NuisanceSet,
     b: Callable[[np.ndarray], np.ndarray] | None = None,
     bound: float | None = None,
+    table: RowTable | None = None,
 ) -> BiasBound:
     """Asymptotic bias of the borrowing tau estimator under a control shift.
 
@@ -404,12 +406,10 @@ def bias_bound(
         raise ConfigError("bias_bound needs b(x), a bound, or both")
     if nuis.pi is None:
         raise EmptyCell("bias bound needs a fitted selection propensity")
-    pi, _ = trimmed_propensity(nuis.pi, ds.x)
-    if nuis.p is not None:
-        p, _ = trimmed_propensity(nuis.p, ds.x)
-    else:
-        p = np.ones(ds.n)
-    r = nuis.r.predict_r(ds.x)
+    table = row_table(ds, table)
+    pi = table.propensity(nuis.pi)[0]
+    p = np.ones(ds.n) if nuis.p is None else table.propensity(nuis.p)[0]
+    r = table.ratio(nuis.r)
     denom = np.maximum(pi * (1.0 - p) + (1.0 - pi) * r, DENOM_EPS)
     weight = (pi / ds.q_hat) * ((1.0 - pi) * r / denom)
     mean_weight = float(np.mean(weight))
@@ -457,12 +457,15 @@ def _five_numbers(values: np.ndarray) -> dict:
     }
 
 
-def overlap_diagnostics(ds: CompositeDataset, nuis: NuisanceSet) -> OverlapReport:
+def overlap_diagnostics(
+    ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None
+) -> OverlapReport:
     """Distribution of the fitted propensities and weight denominators.
 
     Flags rows where the product of the treatment and selection propensities
     approaches one, the edge of the relaxed overlap condition.
     """
+    table = row_table(ds, table)
     notes: list[str] = []
     summaries: dict = {}
     trim_counts: dict = {}
@@ -474,12 +477,12 @@ def overlap_diagnostics(ds: CompositeDataset, nuis: NuisanceSet) -> OverlapRepor
         pi = np.ones(ds.n)
         trim_counts["pi"] = 0
     else:
-        pi, trims_pi = trimmed_propensity(nuis.pi, ds.x)
+        pi, trimmed_pi = table.propensity(nuis.pi)
         summaries["selection_propensity"] = _five_numbers(pi)
-        trim_counts["pi"] = trims_pi
+        trim_counts["pi"] = int(trimmed_pi.sum())
     if nuis.p is not None:
-        p, trims_p = trimmed_propensity(nuis.p, ds.x)
-        trim_counts["p"] = trims_p
+        p, trimmed_p = table.propensity(nuis.p)
+        trim_counts["p"] = int(trimmed_p.sum())
     else:
         p = np.ones(ds.n)
         trim_counts["p"] = 0
@@ -487,7 +490,7 @@ def overlap_diagnostics(ds: CompositeDataset, nuis: NuisanceSet) -> OverlapRepor
     summaries["treatment_propensity"] = _five_numbers(p)
     product = pi * p
     summaries["propensity_product"] = _five_numbers(product)
-    r = nuis.r.predict_r(ds.x)
+    r = table.ratio(nuis.r)
     denom = pi * (1.0 - p) + (1.0 - pi) * r
     summaries["weight_denominator"] = _five_numbers(denom)
     trim_counts["denominator_floored"] = int(np.sum(denom < DENOM_EPS))

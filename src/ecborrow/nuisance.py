@@ -307,11 +307,11 @@ def fit_glm(
 
 def fit_model(ds_x: np.ndarray, response: np.ndarray, spec: ModelSpec,
               covariate_names: Sequence[str] | None = None,
-              weights: np.ndarray | None = None) -> FittedGLM:
-    """Fit ``spec`` on raw covariates, building the design from its terms."""
-    design = spec.design(ds_x)
+              weights: np.ndarray | None = None,
+              design: np.ndarray | None = None) -> FittedGLM:
+    """Fit ``spec`` on raw covariates; ``design`` may pass ``spec.design(ds_x)`` built beforehand."""
     return fit_glm(
-        design,
+        spec.design(ds_x) if design is None else design,
         response,
         spec.family,
         weights=weights,
@@ -368,13 +368,18 @@ def fit_treatment_ps(ds: CompositeDataset, spec: ModelSpec) -> FittedGLM:
     return fit_model(ds.x[trial], t, spec, ds.covariate_names)
 
 
-def fit_selection_ps(ds: CompositeDataset, spec: ModelSpec) -> FittedGLM:
-    """Logit model of trial membership on the pooled sample."""
+def fit_selection_ps(
+    ds: CompositeDataset, spec: ModelSpec, design: np.ndarray | None = None
+) -> FittedGLM:
+    """Logit model of trial membership on the pooled sample.
+
+    ``design`` may pass ``spec.design(ds.x)`` built beforehand.
+    """
     if spec.family != LOGIT:
         raise ConfigError("selection propensity model must use the logit family")
     if ds.n2 == 0:
         raise EmptyCell("no external rows; selection propensity is degenerate")
-    return fit_model(ds.x, ds.d, spec, ds.covariate_names)
+    return fit_model(ds.x, ds.d, spec, ds.covariate_names, design=design)
 
 
 # --------------------------- variance ratio ---------------------------
@@ -543,38 +548,113 @@ class NuisanceSet:
         return self._fingerprint
 
 
-def trimmed_propensity(
-    model: FittedGLM, x: np.ndarray, trim_eps: float = TRIM_EPS
-) -> tuple[np.ndarray, int]:
-    """Propensity predictions trimmed into [eps, 1-eps]; counts trims."""
-    raw = model.predict(x)
-    clipped = np.clip(raw, trim_eps, 1.0 - trim_eps)
-    return clipped, int(np.sum(clipped != raw))
+# ------------------------------ row table ------------------------------
 
 
-def fit_nuisances(
-    ds: CompositeDataset,
-    outcome_spec1: ModelSpec,
-    outcome_spec0: ModelSpec,
-    treatment_spec: ModelSpec | None,
-    selection_spec: ModelSpec | None,
-    ratio_mode: str = RATIO_KNOWN_ONE,
-    ratio_spec: ModelSpec | None = None,
-    pool_controls: bool = True,
-    treated_only: bool = False,
-) -> NuisanceSet:
-    """Fit the full working-model set for one estimator configuration."""
-    trial_treated = (ds.d == 1) & (ds.t == 1)
+class RowTable:
+    """Per-row values of one dataset, each computed once.
+
+    The table holds one design per distinct covariate transform, one
+    prediction per fitted model, and whatever the estimators keep in it
+    through ``cached``. Passing one table to every call on ``ds`` shares that
+    work between them; every value is the one the call computes with a table
+    of its own. Models must not change after a table has read them.
+    """
+
+    def __init__(self, ds: CompositeDataset):
+        self.ds = ds
+        self._designs: dict = {}
+        self._values: dict = {}
+
+    def cached(self, key: tuple, owners, compute):
+        """``compute()`` on the first call with ``key``, the stored value after.
+
+        ``owners`` stay referenced, so the ids in ``key`` cannot be reused.
+        """
+        hit = self._values.get(key)
+        if hit is None:
+            hit = self._values[key] = (owners, compute())
+        return hit[1]
+
+    def design(self, spec: ModelSpec | None) -> np.ndarray | None:
+        """Design of ``spec`` on every row; the family does not enter it."""
+        if spec is None:
+            return None
+        key = (spec.terms, spec.include_intercept)
+        if key not in self._designs:
+            self._designs[key] = spec.design(self.ds.x)
+        return self._designs[key]
+
+    def predict(self, model: FittedGLM) -> np.ndarray:
+        return self.cached(
+            ("predict", id(model)), model,
+            lambda: model.predict(self.ds.x, self.design(model.spec)),
+        )
+
+    def propensity(self, model: FittedGLM) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions trimmed into [TRIM_EPS, 1-TRIM_EPS], and the rows trimmed."""
+
+        def compute():
+            raw = self.predict(model)
+            clipped = np.clip(raw, TRIM_EPS, 1.0 - TRIM_EPS)
+            return clipped, clipped != raw
+
+        return self.cached(("propensity", id(model)), model, compute)
+
+    def ratio(self, r: VarianceRatioModel) -> np.ndarray:
+        return self.cached(
+            ("ratio", id(r)), r, lambda: r.predict_r(self.ds.x, self.design(r.spec))
+        )
+
+    def var_trial(self, r: VarianceRatioModel) -> np.ndarray:
+        return self.cached(
+            ("var_trial", id(r)), r,
+            lambda: r.predict_var_trial(self.ds.x, self.design(r.spec)),
+        )
+
+
+def row_table(ds: CompositeDataset, table: RowTable | None = None) -> RowTable:
+    """``table`` once checked to belong to ``ds``, or a new table of ``ds``."""
+    if table is None:
+        return RowTable(ds)
+    if table.ds is not ds:
+        raise ConfigError("row table was built for a different dataset")
+    return table
+
+
+# ------------------------------- bundle --------------------------------
+
+
+def fit_bundle(
+    ds: CompositeDataset, specs: dict, ratio_mode: str, treated_only: bool = False
+) -> tuple[dict, RowTable]:
+    """Fit every working model once: the nuisance sets and their row table.
+
+    ``specs`` maps "m1", "m0", "p", "pi" and "variance" to model specs. The
+    "pooled" set fits m0 on every control and the "unpooled" set on trial
+    controls only; they share m1, p, pi and the variance ratio, which is fit
+    on the pooled m0's residuals. pi is absent without external rows. With
+    ``treated_only`` (a trial without a control arm) there is one
+    "treated_only" set of the pooled m0 and pi; its ratio is known_one
+    because the ratio cancels from that estimator. The selection fit takes
+    its design from the returned table, so every prediction shares it.
+    """
+    table = RowTable(ds)
     if treated_only:
-        if not trial_treated.any():
-            raise EmptyCell("treated-only mode requires treated trial rows")
-        m0 = fit_control_model(ds, outcome_spec0, pool_controls)
-        m1, p = None, None
-    else:
-        m1, m0 = fit_outcome_models(ds, outcome_spec1, outcome_spec0, pool_controls)
-        p = fit_treatment_ps(ds, treatment_spec) if treatment_spec is not None else None
+        m0 = fit_control_model(ds, specs["m0"], pool_controls=True)
+        pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
+        nuis = NuisanceSet(m0=m0, r=VarianceRatioModel(RATIO_KNOWN_ONE), m0_pooled=True, pi=pi)
+        return {"treated_only": nuis}, table
+    m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
+    p = fit_treatment_ps(ds, specs["p"])
     pi = None
-    if selection_spec is not None and ds.n2 > 0:
-        pi = fit_selection_ps(ds, selection_spec)
-    r = fit_variance_ratio(ds, m0, ratio_mode, ratio_spec)
-    return NuisanceSet(m0=m0, r=r, m0_pooled=pool_controls, m1=m1, p=p, pi=pi)
+    if ds.n2 > 0:
+        pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
+    r = fit_variance_ratio(ds, m0_pooled, ratio_mode, specs["variance"])
+    m0_trial = fit_control_model(ds, specs["m0"], pool_controls=False)
+    shared = {"r": r, "m1": m1, "p": p, "pi": pi}
+    sets = {
+        "pooled": NuisanceSet(m0=m0_pooled, m0_pooled=True, **shared),
+        "unpooled": NuisanceSet(m0=m0_trial, m0_pooled=False, **shared),
+    }
+    return sets, table

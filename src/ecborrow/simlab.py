@@ -33,7 +33,6 @@ from .estimators import (
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
-    RowTable,
     efficiency_gain_analytic,
     estimate,
     influence_values,
@@ -45,13 +44,9 @@ from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
     ModelSpec,
-    NuisanceSet,
+    RowTable,
     expit,
-    fit_control_model,
-    fit_outcome_models,
-    fit_selection_ps,
-    fit_treatment_ps,
-    fit_variance_ratio,
+    fit_bundle,
 )
 
 SCENARIOS = ("i", "ii", "iii", "iv")
@@ -85,13 +80,13 @@ ALL_ESTIMATORS = (
 
 # name -> (estimand, method, ratio mode, nuisance set it reads)
 _ESTIMATOR_META = {
-    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR, "full_loglin"),
-    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT, "full_const"),
-    "tau_trial": ("tau", METHOD_TRIAL, None, "base"),
-    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR, "full_loglin"),
-    "psi_base": ("psi", METHOD_BASELINE, None, "base"),
-    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR, "full_loglin"),
-    "xi_base": ("xi", METHOD_BASELINE, None, "base"),
+    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR, "pooled"),
+    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT, "pooled_const"),
+    "tau_trial": ("tau", METHOD_TRIAL, None, "unpooled"),
+    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR, "pooled"),
+    "psi_base": ("psi", METHOD_BASELINE, None, "unpooled"),
+    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR, "pooled"),
+    "xi_base": ("xi", METHOD_BASELINE, None, "unpooled"),
 }
 
 
@@ -347,28 +342,20 @@ def analyst_specs(k: int = 2) -> dict:
 # --------------------------- Monte Carlo core --------------------------
 
 
-def _fit_replicate_nuisances(ds: CompositeDataset) -> dict:
-    specs = analyst_specs(ds.k)
-    m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
-    m0_trial = fit_control_model(ds, specs["m0"], pool_controls=False)
-    p = fit_treatment_ps(ds, specs["p"])
-    pi = fit_selection_ps(ds, specs["pi"])
-    r_loglin = fit_variance_ratio(ds, m0_pooled, RATIO_LOGLINEAR, specs["variance"])
-    r_const = r_loglin.constant
-    return {
-        "full_loglin": NuisanceSet(m0=m0_pooled, r=r_loglin, m0_pooled=True, m1=m1, p=p, pi=pi),
-        "full_const": NuisanceSet(m0=m0_pooled, r=r_const, m0_pooled=True, m1=m1, p=p, pi=pi),
-        "base": NuisanceSet(m0=m0_trial, r=r_loglin, m0_pooled=False, m1=m1, p=p, pi=pi),
-    }
+def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
+    """The bundle's sets plus "pooled_const", the pooled set with a constant ratio."""
+    sets, table = fit_bundle(ds, analyst_specs(ds.k), RATIO_LOGLINEAR)
+    pooled = sets["pooled"]
+    sets["pooled_const"] = replace(pooled, r=pooled.r.constant)
+    return sets, table
 
 
 def _mc_replicate(args) -> dict:
     cfg, master_seed, rep, estimators = args
     try:
         ds, _ = generate(cfg, [master_seed, rep])
-        sets = _fit_replicate_nuisances(ds)
         # one table: every estimator below shares its predictions and pieces
-        table = RowTable(ds)
+        sets, table = _fit_replicate_nuisances(ds)
         record: dict = {}
         for name in estimators:
             estimand, method, _, set_name = _ESTIMATOR_META[name]
@@ -376,7 +363,7 @@ def _mc_replicate(args) -> dict:
             point = estimate(ds, nuis, estimand, method, table=table).point
             ifv = influence_values(ds, nuis, estimand, method, point, table=table)
             record[name] = (point, if_variance(ifv))
-        record["analytic_gain"] = efficiency_gain_analytic(ds, sets["full_loglin"], table=table)
+        record["analytic_gain"] = efficiency_gain_analytic(ds, sets["pooled"], table=table)
         return {"rep": rep, "ok": True, "record": record}
     except EcborrowError as exc:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -521,16 +508,6 @@ def run_monte_carlo(
         mean_analytic_gain=float(np.mean(gains)),
         draws=draws,
     )
-
-
-def constant_ratio_variant(
-    cfg: ScenarioConfig, reps: int, master_seed: int = 0, jobs: int = 1
-) -> MCSummary:
-    """Borrowing tau estimator run with a constant variance ratio."""
-    result = run_monte_carlo(
-        cfg, reps, master_seed=master_seed, jobs=jobs, estimators=("tau_full_const",)
-    )
-    return result.summaries["tau_full_const"]
 
 
 def export_boxplot_data(results: list[MCResult], path: str | Path) -> int:

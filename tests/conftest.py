@@ -11,14 +11,9 @@ from ecborrow.nuisance import (
     LOGIT,
     RATIO_LOGLINEAR,
     ModelSpec,
-    NuisanceSet,
     Term,
     expit,
-    fit_control_model,
-    fit_outcome_models,
-    fit_selection_ps,
-    fit_treatment_ps,
-    fit_variance_ratio,
+    fit_bundle,
 )
 
 
@@ -113,25 +108,11 @@ def fit_sets(ds: CompositeDataset, ratio_mode: str = RATIO_LOGLINEAR,
              saturated: bool = False) -> dict:
     """Pooled and unpooled nuisance sets with shared propensity fits."""
     if saturated:
-        spec_m = saturated_spec(IDENTITY)
-        spec_ps = saturated_spec(LOGIT)
-        spec_var = saturated_spec(IDENTITY)
+        spec_m, spec_ps = saturated_spec(IDENTITY), saturated_spec(LOGIT)
     else:
-        spec_m = ModelSpec.linear_in(ds.k, IDENTITY)
-        spec_ps = ModelSpec.linear_in(ds.k, LOGIT)
-        spec_var = ModelSpec.linear_in(ds.k, IDENTITY)
-    m1, m0_pooled = fit_outcome_models(ds, spec_m, spec_m, pool_controls=True)
-    m0_trial = fit_control_model(ds, spec_m, pool_controls=False)
-    p = fit_treatment_ps(ds, spec_ps)
-    pi = fit_selection_ps(ds, spec_ps)
-    if ratio_mode == RATIO_LOGLINEAR:
-        r = fit_variance_ratio(ds, m0_pooled, ratio_mode, spec_var)
-    else:
-        r = fit_variance_ratio(ds, m0_pooled, ratio_mode)
-    return {
-        "pooled": NuisanceSet(m0=m0_pooled, r=r, m0_pooled=True, m1=m1, p=p, pi=pi),
-        "unpooled": NuisanceSet(m0=m0_trial, r=r, m0_pooled=False, m1=m1, p=p, pi=pi),
-    }
+        spec_m, spec_ps = ModelSpec.linear_in(ds.k, IDENTITY), ModelSpec.linear_in(ds.k, LOGIT)
+    specs = {"m1": spec_m, "m0": spec_m, "p": spec_ps, "pi": spec_ps, "variance": spec_m}
+    return fit_bundle(ds, specs, ratio_mode)[0]
 
 
 def constant_propensity_model(value: float, k: int = 2):

@@ -195,9 +195,9 @@ def test_criterion_08_exchangeability_test_and_bias_bound():
     errors, lams, ok_bound = [], [], True
     for rep in range(400):
         ds, _ = generate(power_cfg, [57, rep])
-        sets = _fit_replicate_nuisances(ds)
-        errors.append(estimate_tau_full(ds, sets["full_loglin"]).point - truth.tau)
-        bb = bias_bound(ds, sets["full_loglin"], b=lambda x: 0.5 * x[:, 0])
+        sets, table = _fit_replicate_nuisances(ds)
+        errors.append(estimate_tau_full(ds, sets["pooled"], table=table).point - truth.tau)
+        bb = bias_bound(ds, sets["pooled"], b=lambda x: 0.5 * x[:, 0], table=table)
         lams.append(bb.lambda_estimate)
         ok_bound = ok_bound and abs(bb.lambda_estimate) <= bb.lambda_abs_bound + 1e-12
     errors = np.array(errors)

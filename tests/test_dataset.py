@@ -221,10 +221,3 @@ def test_take_preserves_metadata(random_dataset):
     assert sub.n == 10
     assert sub.covariate_names == random_dataset.covariate_names
     assert sub.outcome_kind == random_dataset.outcome_kind
-
-
-def test_rows_view(random_dataset):
-    rows = random_dataset.rows
-    assert len(rows) == random_dataset.n
-    assert rows[3].y == random_dataset.y[3]
-    assert rows[3].x == tuple(random_dataset.x[3])

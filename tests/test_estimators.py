@@ -36,6 +36,7 @@ from ecborrow.nuisance import (
     ModelSpec,
     NuisanceSet,
     VarianceRatioModel,
+    fit_bundle,
     fit_model,
     fit_selection_ps,
 )
@@ -351,10 +352,8 @@ def test_gain_monotone_in_ratio_and_saturates(random_dataset):
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
     # saturation point: mean over trial rows of V1 / ((1 - p) * q)
-    from ecborrow.nuisance import trimmed_propensity
-
     trial = random_dataset.d == 1
-    p, _ = trimmed_propensity(base.p, random_dataset.x[trial])
+    p = RowTable(random_dataset).propensity(base.p)[0][trial]
     limit = np.mean(1.0 / (1.0 - p) / random_dataset.q_hat)
     assert values[-1] == pytest.approx(limit, rel=0.01)
 
@@ -470,42 +469,34 @@ def test_method_nuisance_consistency(random_dataset):
         estimate_psi(random_dataset, sets["pooled"], METHOD_BASELINE)
 
 
-def test_fit_nuisances_and_dispatch(random_dataset):
-    from ecborrow.estimators import estimate as dispatch
-    from ecborrow.nuisance import fit_nuisances
+def _linear_specs(k=2):
+    identity, logit = ModelSpec.linear_in(k, IDENTITY), ModelSpec.linear_in(k, LOGIT)
+    return {"m1": identity, "m0": identity, "p": logit, "pi": logit, "variance": identity}
 
-    nuis = fit_nuisances(
-        random_dataset,
-        outcome_spec1=ModelSpec.linear_in(2, IDENTITY),
-        outcome_spec0=ModelSpec.linear_in(2, IDENTITY),
-        treatment_spec=ModelSpec.linear_in(2, LOGIT),
-        selection_spec=ModelSpec.linear_in(2, LOGIT),
-        ratio_mode=RATIO_LOGLINEAR,
-    )
-    assert nuis.m0_pooled
-    est = dispatch(random_dataset, nuis, "tau", METHOD_FULL)
+
+def test_fit_bundle_and_dispatch(random_dataset):
+    from ecborrow.estimators import estimate as dispatch
+
+    sets, table = fit_bundle(random_dataset, _linear_specs(), RATIO_LOGLINEAR)
+    nuis = sets["pooled"]
+    assert nuis.m0_pooled and not sets["unpooled"].m0_pooled
+    assert table.ds is random_dataset
+    est = dispatch(random_dataset, nuis, "tau", METHOD_FULL, table=table)
     assert est.estimand == "tau"
     assert np.isfinite(est.point)
     with pytest.raises(ConfigError):
         dispatch(random_dataset, nuis, "tau", "baseline")
 
 
-def test_fit_nuisances_treated_only_path():
+def test_fit_bundle_treated_only_path():
     ds = _treated_only_dataset(21)
     from ecborrow.estimators import estimate as dispatch
-    from ecborrow.nuisance import fit_nuisances
 
-    nuis = fit_nuisances(
-        ds,
-        outcome_spec1=ModelSpec.linear_in(2, IDENTITY),
-        outcome_spec0=ModelSpec.linear_in(2, IDENTITY),
-        treatment_spec=None,
-        selection_spec=ModelSpec.linear_in(2, LOGIT),
-        ratio_mode="known_one",
-        treated_only=True,
-    )
+    sets, table = fit_bundle(ds, _linear_specs(), RATIO_LOGLINEAR, treated_only=True)
+    nuis = sets["treated_only"]
     assert nuis.m1 is None and nuis.p is None
-    est = dispatch(ds, nuis, "tau", "treated_only")
+    assert nuis.r.mode == "known_one"
+    est = dispatch(ds, nuis, "tau", "treated_only", table=table)
     assert est.point == pytest.approx(1.5, abs=0.5)
 
 

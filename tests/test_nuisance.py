@@ -21,6 +21,7 @@ from ecborrow.nuisance import (
     RATIO_LOGLINEAR,
     FittedGLM,
     ModelSpec,
+    RowTable,
     Term,
     expit,
     fit_glm,
@@ -29,7 +30,6 @@ from ecborrow.nuisance import (
     fit_selection_ps,
     fit_treatment_ps,
     fit_variance_ratio,
-    trimmed_propensity,
 )
 from ecborrow.simlab import ScenarioConfig, generate
 
@@ -499,9 +499,10 @@ def test_trimming_counts_and_clips():
     model = FittedGLM(
         LOGIT, np.array([np.log(raw / (1 - raw))]), True, 1, 0.0, 1, ModelSpec(LOGIT, ())
     )
-    values, trimmed = trimmed_propensity(model, np.zeros((3, 1)), trim_eps=1e-3)
+    ds = CompositeDataset(np.zeros(3), np.zeros((3, 1)), [0, 0, 0], [1, 1, 1])
+    values, trimmed = RowTable(ds).propensity(model)
     assert np.all(values == 0.999)
-    assert trimmed == 3
+    assert trimmed.sum() == 3
 
 
 def test_fingerprint_stable_and_sensitive(random_dataset):

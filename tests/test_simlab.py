@@ -263,21 +263,14 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     monkeypatch.setattr(nuisance.FittedGLM, "predict", counting_predict)
     result = sl._mc_replicate((cfg, 5, 0, sl.ALL_ESTIMATORS))
     assert result["ok"]
-    # m1, pooled m0, trial m0, p, pi and the two log-variance fits
-    assert fits == ["identity"] * 3 + ["logit"] * 2 + ["identity"] * 2
-    # the selection fit builds one all-row design; every estimator shares one more
-    assert designs.count(cfg.n) == 2
-    # 5 fits, one design per control source for both ratio modes, 1 table design
-    assert len(designs) == 8
+    # m1, pooled m0, p, pi, the two log-variance fits and trial m0
+    assert fits == ["identity"] * 2 + ["logit"] * 2 + ["identity"] * 3
+    # the selection fit builds the table's all-row design, which every estimator shares
+    assert designs.count(cfg.n) == 1
+    # 5 fits, one design per control source for both ratio modes
+    assert len(designs) == 7
     # pooled m0 residuals and the two calibrations once, plus 5 table predictions
     assert len(predicts) == 9
-
-
-def test_constant_ratio_variant_wrapper():
-    summary = sl.constant_ratio_variant(ScenarioConfig(scenario="i", n=250), reps=4,
-                                        master_seed=3)
-    assert summary.ratio_mode == "constant"
-    assert summary.reps == 4
 
 
 def test_draw_retention_cap():
