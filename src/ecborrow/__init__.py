@@ -50,6 +50,7 @@ from .nuisance import (
     fit_selection_ps,
     fit_treatment_ps,
     fit_variance_ratio,
+    linear_specs,
 )
 from .simlab import (
     MCResult,

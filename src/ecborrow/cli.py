@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -58,37 +58,13 @@ from .nuisance import (
     NuisanceSet,
     RowTable,
     fit_bundle,
+    linear_specs,
 )
 
 log = logging.getLogger("ecborrow")
 
 _RATIO_FLAGS = {"known1": "known_one", "constant": "constant", "loglinear": "loglinear"}
 _SIDE_FLAGS = {"greater": "greater", "less": "less", "two-sided": "two_sided"}
-
-DEFAULTS = {
-    "schema": None,
-    "estimand": "tau,psi,xi",
-    "method": "both",
-    "ratio": None,
-    "treated_only": False,
-    "variance": "if",
-    "B": None,
-    "null": 0.0,
-    "side": "greater",
-    "level": 0.95,
-    "seed": 0,
-    "jobs": 1,
-    "models": None,
-    "bias_bound": None,
-    "scenario": "i",
-    "reps": 200,
-    "n": 1000,
-    "dgp": None,
-    "boxplot_csv": None,
-    "out": None,
-    "input": None,
-    "results": None,
-}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -171,6 +147,10 @@ class RunConfig:
         return names
 
 
+# every option's default, as RunConfig declares it
+DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+
+
 def _merge_options(args: argparse.Namespace) -> RunConfig:
     """Precedence: explicit CLI flags > config file > defaults."""
     merged = dict(DEFAULTS)
@@ -207,14 +187,7 @@ def _parse_schema(raw) -> ColumnSchema | None:
 
 
 def _model_specs(ds: CompositeDataset, cfg: RunConfig) -> dict:
-    outcome_family = LOGIT if ds.outcome_kind == OUTCOME_BINARY else IDENTITY
-    specs = {
-        "m1": ModelSpec.linear_in(ds.k, outcome_family),
-        "m0": ModelSpec.linear_in(ds.k, outcome_family),
-        "p": ModelSpec.linear_in(ds.k, LOGIT),
-        "pi": ModelSpec.linear_in(ds.k, LOGIT),
-        "variance": ModelSpec.linear_in(ds.k, IDENTITY),
-    }
+    specs = linear_specs(ds.k, LOGIT if ds.outcome_kind == OUTCOME_BINARY else IDENTITY)
     for name, payload in (cfg.models or {}).items():
         if name not in specs:
             raise ConfigError(f"unknown model name {name!r} in config")

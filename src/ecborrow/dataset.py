@@ -54,8 +54,9 @@ class ColumnSchema:
 class CompositeDataset:
     """Immutable pooled sample of trial and external-control rows.
 
-    Stored column-wise as read-only numpy arrays. ``x`` is (n, k), one row
-    per unit; a 1-D ``x`` is one covariate.
+    Stored column-wise as read-only numpy arrays, with ``n1`` the number of
+    trial rows. ``x`` is (n, k), one row per unit; a 1-D ``x`` is one
+    covariate.
     """
 
     def __init__(
@@ -105,6 +106,7 @@ class CompositeDataset:
         self.x = x
         self.t = t
         self.d = d
+        self.n1 = n1
         self.covariate_names = covariate_names
         self.outcome_kind = outcome_kind
 
@@ -113,10 +115,6 @@ class CompositeDataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def n1(self) -> int:
-        return int(self.d.sum())
 
     @property
     def n2(self) -> int:

@@ -6,11 +6,19 @@ variant that borrows external controls through the selection propensity and
 the variance ratio, and a comparator that ignores external outcomes
 (trial-based for tau; baseline for psi/xi, obtained by zeroing the variance
 ratio and refitting the control mean on trial controls only).
+
+Every (estimand, method) is one ratio of means: per-row numerators N and
+denominators D give point = sum(N)/sum(D) and influence values
+(N - point*D)/mean(D). ``_moment`` writes each estimator's rows once, and
+the ``estimate_*`` functions, ``estimate`` and ``influence_values`` all read
+them, through the row table when one is passed. psi's rows are tau's plus
+xi's, so psi = q*tau + (1 - q)*xi holds row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,14 +76,7 @@ class Estimate:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "method": self.method,
-            "point": self.point,
-            "n_used": self.n_used,
-            "nuisance_fingerprint": self.nuisance_fingerprint,
-            "trim_count": self.trim_count,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -113,37 +114,43 @@ def control_weight(
     return numer / denom, floored
 
 
-# ----------------------------- moment pieces ----------------------------
+# ---------------------------- ratio moments ----------------------------
 
 
 @dataclass
 class _Pieces:
     """Per-row ingredients shared by every full-data moment."""
 
-    delta: np.ndarray
+    delta: np.ndarray  # m1 - m0
     pi: np.ndarray
     core: np.ndarray  # d*t*resid1/p - weight*resid0
     trim_count: int
-    q_hat: float
 
 
-def _pieces(table: RowTable, nuis: NuisanceSet, zero_ratio: bool = False) -> _Pieces:
-    """Full-data moment pieces; ``zero_ratio`` replaces the ratio by zero."""
-    if table.ds.n2 == 0:
-        raise OverlapNoExternal(
-            "full-data estimation needs external rows; use the trial-based method"
-        )
-    if nuis.m1 is None or nuis.p is None:
-        raise EmptyCell("full-data moments need fitted treated-arm models")
-    if nuis.pi is None:
-        raise EmptyCell("full-data moments need a fitted selection propensity")
-    models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
-    return table.cached(
-        ("pieces", *map(id, models)), models, lambda: _full_pieces(table, *models)
-    )
+@dataclass
+class _Moment:
+    """One estimator's rows: point = sum(N)/sum(D), IF = (N - point*D)/mean(D).
+
+    ``denom`` is D (1.0 when every row counts) and ``denom_sum`` its sum, the
+    row count n1, n2 or n of the dataset.
+    """
+
+    numer: np.ndarray
+    denom: np.ndarray | float
+    denom_sum: int
+    n_used: int
+    trim_count: int
+
+    @property
+    def point(self) -> float:
+        return float(np.sum(self.numer) / self.denom_sum)
+
+    def influence(self, point: float) -> np.ndarray:
+        return (self.numer - point * self.denom) / (self.denom_sum / self.numer.shape[0])
 
 
 def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model) -> _Pieces:
+    """Full-data moment pieces; without ``r_model`` the ratio is zero."""
     ds = table.ds
     m1 = table.predict(m1_model)
     m0 = table.predict(m0_model)
@@ -157,100 +164,38 @@ def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model
     resid1 = ds.y - m1
     core = ds.d * ds.t * resid1 / p - weight * resid0
     trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
-    return _Pieces(
-        delta=m1 - m0,
-        pi=pi,
-        core=core,
-        trim_count=trims + floored_p + floored_w,
-        q_hat=ds.q_hat,
-    )
+    return _Pieces(delta=m1 - m0, pi=pi, core=core, trim_count=trims + floored_p + floored_w)
 
 
-# ----------------------------- estimators -----------------------------
+def _full_moment(ds: CompositeDataset, pieces: _Pieces, estimand: str) -> _Moment:
+    if estimand == ESTIMAND_TAU:
+        numer, denom, denom_sum = ds.d * pieces.delta + pieces.core, ds.d, ds.n1
+    elif estimand == ESTIMAND_PSI:
+        numer, denom, denom_sum = pieces.delta + pieces.core / pieces.pi, 1.0, ds.n
+    else:
+        denom, denom_sum = 1 - ds.d, ds.n2
+        numer = denom * pieces.delta + pieces.core * (1.0 - pieces.pi) / pieces.pi
+    return _Moment(numer, denom, denom_sum, ds.n, pieces.trim_count)
 
 
-def estimate_tau_trial(
-    ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None
-) -> Estimate:
-    """Treatment effect in the trial, using trial rows only."""
-    if nuis.m0_pooled:
-        raise ConfigError("trial-based estimation needs m0 fit on trial controls only")
-    if nuis.m1 is None or nuis.p is None:
-        raise EmptyCell("trial-based estimation needs both trial arms")
+def _trial_moment(table: RowTable, m1_model, m0_model, p_model) -> _Moment:
+    ds = table.ds
     trial = ds.d == 1
-    y = ds.y[trial]
-    t = ds.t[trial]
-    if not (t == 1).any() or not (t == 0).any():
-        raise EmptyCell("trial-based estimation needs both trial arms")
-    table = row_table(ds, table)
-    m1 = table.predict(nuis.m1)[trial]
-    m0 = table.predict(nuis.m0)[trial]
-    p, trimmed = table.propensity(nuis.p)
-    p = p[trial]
-    floored = int(np.sum(p < DENOM_EPS))
+    m1 = table.predict(m1_model)
+    m0 = table.predict(m0_model)
+    p, trimmed = table.propensity(p_model)
+    floored = int(np.sum(p[trial] < DENOM_EPS))
     p = np.maximum(p, DENOM_EPS)
-    rows = (m1 - m0) + t * (y - m1) / p - (1 - t) * (y - m0) / (1.0 - p)
-    return Estimate(
-        estimand=ESTIMAND_TAU,
-        method=METHOD_TRIAL,
-        point=float(np.mean(rows)),
-        n_used=int(trial.sum()),
-        nuisance_fingerprint=nuis.fingerprint(),
-        trim_count=int(trimmed[trial].sum()) + floored,
-    )
+    row = (m1 - m0) + ds.t * (ds.y - m1) / p - (1 - ds.t) * (ds.y - m0) / (1.0 - p)
+    return _Moment(ds.d * row, ds.d, ds.n1, ds.n1, int(trimmed[trial].sum()) + floored)
 
 
-def estimate_tau_full(
-    ds: CompositeDataset,
-    nuis: NuisanceSet,
-    zero_ratio: bool = False,
-    table: RowTable | None = None,
-) -> Estimate:
-    """Treatment effect in the trial, borrowing external controls.
-
-    With ``zero_ratio`` the variance ratio is replaced by zero, which
-    removes the external contribution; combined with an unpooled m0 this
-    reproduces the trial-based estimator.
-    """
-    if not zero_ratio and not nuis.m0_pooled:
-        raise ConfigError("full-data estimation needs m0 fit on all controls")
-    pieces = _pieces(row_table(ds, table), nuis, zero_ratio=zero_ratio)
-    rows = ds.d * pieces.delta + pieces.core
-    return Estimate(
-        estimand=ESTIMAND_TAU,
-        method=METHOD_FULL,
-        point=float(np.mean(rows) / pieces.q_hat),
-        n_used=ds.n,
-        nuisance_fingerprint=nuis.fingerprint(),
-        trim_count=pieces.trim_count,
-    )
-
-
-def estimate_tau_treated_only(
-    ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None
-) -> Estimate:
-    """Treatment effect when the trial has no control arm (p set to 1)."""
-    if int(((ds.d == 1) & (ds.t == 0)).sum()) > 0:
-        raise InvariantViolation(
-            "treated-only estimation requested but the trial has control rows"
-        )
-    if ds.n2 == 0:
-        raise OverlapNoExternal("treated-only estimation needs external controls")
-    if nuis.pi is None:
-        raise EmptyCell("treated-only estimation needs a fitted selection propensity")
-    table = row_table(ds, table)
-    m0 = table.predict(nuis.m0)
-    pi, trimmed = table.propensity(nuis.pi)
-    resid0 = ds.y - m0
-    rows = ds.d * resid0 - (1 - ds.d) * (pi / (1.0 - pi)) * resid0
-    return Estimate(
-        estimand=ESTIMAND_TAU,
-        method=METHOD_TREATED_ONLY,
-        point=float(np.mean(rows) / ds.q_hat),
-        n_used=ds.n,
-        nuisance_fingerprint=nuis.fingerprint(),
-        trim_count=int(trimmed.sum()),
-    )
+def _treated_only_moment(table: RowTable, m0_model, pi_model) -> _Moment:
+    ds = table.ds
+    pi, trimmed = table.propensity(pi_model)
+    resid0 = ds.y - table.predict(m0_model)
+    numer = ds.d * resid0 - (1 - ds.d) * (pi / (1.0 - pi)) * resid0
+    return _Moment(numer, ds.d, ds.n1, ds.n, int(trimmed.sum()))
 
 
 def _check_comparator_nuisances(nuis: NuisanceSet, method: str) -> bool:
@@ -265,6 +210,115 @@ def _check_comparator_nuisances(nuis: NuisanceSet, method: str) -> bool:
     raise ConfigError(f"method {method!r} is not valid here")
 
 
+def _moment(
+    ds: CompositeDataset,
+    nuis: NuisanceSet,
+    estimand: str,
+    method: str,
+    table: RowTable | None = None,
+    zero_ratio: bool = False,
+) -> _Moment:
+    """The (N, D) rows of one (estimand, method), computed once per table.
+
+    With delta = m1 - m0 and core = d*t*(y - m1)/p - w*(y - m0), w the
+    control weight:
+
+    - tau full: N = d*delta + core, D = d
+    - psi: N = delta + core/pi, D = 1
+    - xi: N = (1 - d)*delta + core*(1 - pi)/pi, D = 1 - d
+    - baseline psi and xi, and tau with ``zero_ratio``: the same rows with r = 0
+    - tau trial-based: N = d times its AIPW row, D = d
+    - tau treated-only: N = d*resid0 - (1 - d)*pi/(1 - pi)*resid0, D = d
+    """
+    table = row_table(ds, table)
+    if estimand == ESTIMAND_TAU and method == METHOD_TRIAL:
+        if nuis.m0_pooled:
+            raise ConfigError("trial-based estimation needs m0 fit on trial controls only")
+        t = ds.t[ds.d == 1]
+        if nuis.m1 is None or nuis.p is None or not (t == 1).any() or not (t == 0).any():
+            raise EmptyCell("trial-based estimation needs both trial arms")
+        owners = (nuis.m1, nuis.m0, nuis.p)
+        compute = partial(_trial_moment, table, *owners)
+    elif estimand == ESTIMAND_TAU and method == METHOD_TREATED_ONLY:
+        if int(((ds.d == 1) & (ds.t == 0)).sum()) > 0:
+            raise InvariantViolation(
+                "treated-only estimation requested but the trial has control rows"
+            )
+        if ds.n2 == 0:
+            raise OverlapNoExternal("treated-only estimation needs external controls")
+        if nuis.pi is None:
+            raise EmptyCell("treated-only estimation needs a fitted selection propensity")
+        owners = (nuis.m0, nuis.pi)
+        compute = partial(_treated_only_moment, table, *owners)
+    else:
+        if estimand != ESTIMAND_TAU:
+            zero_ratio = _check_comparator_nuisances(nuis, method)
+        elif not zero_ratio and not nuis.m0_pooled:
+            raise ConfigError("full-data estimation needs m0 fit on all controls")
+        if estimand == ESTIMAND_XI and ds.q_hat >= 1.0:
+            raise OverlapNoExternal("external-population effect needs external rows")
+        if ds.n2 == 0:
+            raise OverlapNoExternal(
+                "full-data estimation needs external rows; use the trial-based method"
+            )
+        if nuis.m1 is None or nuis.p is None:
+            raise EmptyCell("full-data moments need fitted treated-arm models")
+        if nuis.pi is None:
+            raise EmptyCell("full-data moments need a fitted selection propensity")
+        models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
+        pieces = table.cached(
+            ("pieces", *map(id, models)), models, partial(_full_pieces, table, *models)
+        )
+        owners = (pieces,)
+        compute = partial(_full_moment, ds, pieces, estimand)
+    return table.cached((estimand, method, *map(id, owners)), owners, compute)
+
+
+# ----------------------------- estimators -----------------------------
+
+
+def _estimate(ds: CompositeDataset, nuis: NuisanceSet, estimand: str, method: str,
+              table: RowTable | None = None, zero_ratio: bool = False) -> Estimate:
+    moment = _moment(ds, nuis, estimand, method, table, zero_ratio)
+    return Estimate(
+        estimand=estimand,
+        method=method,
+        point=moment.point,
+        n_used=moment.n_used,
+        nuisance_fingerprint=nuis.fingerprint(),
+        trim_count=moment.trim_count,
+    )
+
+
+def estimate_tau_trial(
+    ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None
+) -> Estimate:
+    """Treatment effect in the trial, using trial rows only."""
+    return _estimate(ds, nuis, ESTIMAND_TAU, METHOD_TRIAL, table)
+
+
+def estimate_tau_full(
+    ds: CompositeDataset,
+    nuis: NuisanceSet,
+    zero_ratio: bool = False,
+    table: RowTable | None = None,
+) -> Estimate:
+    """Treatment effect in the trial, borrowing external controls.
+
+    With ``zero_ratio`` the variance ratio is replaced by zero, which
+    removes the external contribution; combined with an unpooled m0 this
+    reproduces the trial-based estimator.
+    """
+    return _estimate(ds, nuis, ESTIMAND_TAU, METHOD_FULL, table, zero_ratio)
+
+
+def estimate_tau_treated_only(
+    ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None
+) -> Estimate:
+    """Treatment effect when the trial has no control arm (p set to 1)."""
+    return _estimate(ds, nuis, ESTIMAND_TAU, METHOD_TREATED_ONLY, table)
+
+
 def estimate_psi(
     ds: CompositeDataset,
     nuis: NuisanceSet,
@@ -272,17 +326,7 @@ def estimate_psi(
     table: RowTable | None = None,
 ) -> Estimate:
     """Treatment effect in the pooled population."""
-    zero_ratio = _check_comparator_nuisances(nuis, method)
-    pieces = _pieces(row_table(ds, table), nuis, zero_ratio=zero_ratio)
-    rows = pieces.delta + pieces.core / pieces.pi
-    return Estimate(
-        estimand=ESTIMAND_PSI,
-        method=method,
-        point=float(np.mean(rows)),
-        n_used=ds.n,
-        nuisance_fingerprint=nuis.fingerprint(),
-        trim_count=pieces.trim_count,
-    )
+    return _estimate(ds, nuis, ESTIMAND_PSI, method, table)
 
 
 def estimate_xi(
@@ -292,19 +336,12 @@ def estimate_xi(
     table: RowTable | None = None,
 ) -> Estimate:
     """Treatment effect in the external population."""
-    zero_ratio = _check_comparator_nuisances(nuis, method)
-    if ds.q_hat >= 1.0:
-        raise OverlapNoExternal("external-population effect needs external rows")
-    pieces = _pieces(row_table(ds, table), nuis, zero_ratio=zero_ratio)
-    rows = (1 - ds.d) * pieces.delta + pieces.core * (1.0 - pieces.pi) / pieces.pi
-    return Estimate(
-        estimand=ESTIMAND_XI,
-        method=method,
-        point=float(np.mean(rows) / (1.0 - ds.q_hat)),
-        n_used=ds.n,
-        nuisance_fingerprint=nuis.fingerprint(),
-        trim_count=pieces.trim_count,
-    )
+    return _estimate(ds, nuis, ESTIMAND_XI, method, table)
+
+
+def _check_pair(estimand: str, method: str, what: str) -> None:
+    if estimand not in ESTIMANDS or method not in VALID_METHODS[estimand]:
+        raise ConfigError(f"no {what} for estimand {estimand!r} with method {method!r}")
 
 
 def estimate(
@@ -314,19 +351,9 @@ def estimate(
     method: str,
     table: RowTable | None = None,
 ) -> Estimate:
-    """Dispatch to the named estimator."""
-    if estimand == ESTIMAND_TAU:
-        if method == METHOD_TRIAL:
-            return estimate_tau_trial(ds, nuis, table=table)
-        if method == METHOD_FULL:
-            return estimate_tau_full(ds, nuis, table=table)
-        if method == METHOD_TREATED_ONLY:
-            return estimate_tau_treated_only(ds, nuis, table=table)
-    elif estimand == ESTIMAND_PSI and method in (METHOD_FULL, METHOD_BASELINE):
-        return estimate_psi(ds, nuis, method, table=table)
-    elif estimand == ESTIMAND_XI and method in (METHOD_FULL, METHOD_BASELINE):
-        return estimate_xi(ds, nuis, method, table=table)
-    raise ConfigError(f"no estimator for estimand {estimand!r} with method {method!r}")
+    """The named estimator."""
+    _check_pair(estimand, method, "estimator")
+    return _estimate(ds, nuis, estimand, method, table)
 
 
 # -------------------------- influence values --------------------------
@@ -345,40 +372,10 @@ def influence_values(
     The values average to zero (within IF_MEAN_TOL) when ``point`` is the
     matching estimator output; otherwise MismatchedPoint is raised.
     """
-    if estimand not in ESTIMANDS or method not in VALID_METHODS[estimand]:
-        raise ConfigError(
-            f"no influence function for estimand {estimand!r} with method {method!r}"
-        )
-    table = row_table(ds, table)
-    if estimand == ESTIMAND_TAU and method == METHOD_TRIAL:
-        if nuis.m0_pooled:
-            raise ConfigError("trial-based influence values need unpooled m0")
-        m1 = table.predict(nuis.m1)
-        m0 = table.predict(nuis.m0)
-        p = np.maximum(table.propensity(nuis.p)[0], DENOM_EPS)
-        resid1 = ds.y - m1
-        resid0 = ds.y - m0
-        values = (ds.d / ds.q_hat) * (
-            (m1 - m0) - point + ds.t * resid1 / p - (1 - ds.t) * resid0 / (1.0 - p)
-        )
-    elif estimand == ESTIMAND_TAU and method == METHOD_TREATED_ONLY:
-        m0 = table.predict(nuis.m0)
-        pi = table.propensity(nuis.pi)[0]
-        resid0 = ds.y - m0
-        values = (
-            ds.d * (resid0 - point) - (1 - ds.d) * (pi / (1.0 - pi)) * resid0
-        ) / ds.q_hat
-    else:
-        pieces = _pieces(table, nuis, zero_ratio=method == METHOD_BASELINE)
-        if estimand == ESTIMAND_TAU:
-            values = (ds.d * (pieces.delta - point) + pieces.core) / pieces.q_hat
-        elif estimand == ESTIMAND_PSI:
-            values = pieces.delta - point + pieces.core / pieces.pi
-        else:
-            values = (
-                (1 - ds.d) * (pieces.delta - point)
-                + pieces.core * (1.0 - pieces.pi) / pieces.pi
-            ) / (1.0 - pieces.q_hat)
+    _check_pair(estimand, method, "influence function")
+    if method == METHOD_TRIAL and nuis.m0_pooled:
+        raise ConfigError("trial-based influence values need unpooled m0")
+    values = _moment(ds, nuis, estimand, method, table).influence(point)
     mean = float(np.mean(values))
     if abs(mean) > IF_MEAN_TOL:
         raise MismatchedPoint(

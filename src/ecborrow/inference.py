@@ -12,7 +12,7 @@ source-specific control-mean shift.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -296,13 +296,7 @@ class ExchangeabilityTest:
     source_main_effect: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "coefficients_tested": self.coefficients_tested,
-            "source_main_effect": self.source_main_effect,
-        }
+        return asdict(self)
 
 
 def test_mean_exchangeability(ds: CompositeDataset, spec: ModelSpec | None = None) -> ExchangeabilityTest:
@@ -379,12 +373,7 @@ class BiasBound:
     mean_weight: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_estimate": self.lambda_estimate,
-            "lambda_abs_bound": self.lambda_abs_bound,
-            "b_bound": self.b_bound,
-            "mean_weight": self.mean_weight,
-        }
+        return asdict(self)
 
 
 def bias_bound(
@@ -438,12 +427,7 @@ class OverlapReport:
     notes: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "summaries": self.summaries,
-            "trim_counts": self.trim_counts,
-            "flagged_rows": self.flagged_rows,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _five_numbers(values: np.ndarray) -> dict:

@@ -4,7 +4,9 @@ All four nuisances are generalized linear models fit by maximum likelihood:
 identity-link Gaussian models solved in closed form, logit-link binomial
 models by iteratively reweighted least squares with step-halving. Covariate
 transforms are declared per model, so misspecification studies only swap
-the transform, never the fitting code.
+the transform, never the fitting code. ``fit_bundle`` fits every working
+model of one dataset once and hands back the nuisance sets with the
+``RowTable`` that holds each design and prediction once.
 """
 
 from __future__ import annotations
@@ -164,11 +166,8 @@ class FittedGLM:
     spec: ModelSpec | None = None
     column_names: list[str] = field(default_factory=list)
 
-    def linear_predictor(self, design: np.ndarray) -> np.ndarray:
-        return np.asarray(design, dtype=float) @ self.coef
-
     def predict_design(self, design: np.ndarray) -> np.ndarray:
-        eta = self.linear_predictor(design)
+        eta = np.asarray(design, dtype=float) @ self.coef
         if self.family == LOGIT:
             return expit(eta)
         return eta
@@ -623,6 +622,17 @@ def row_table(ds: CompositeDataset, table: RowTable | None = None) -> RowTable:
 
 
 # ------------------------------- bundle --------------------------------
+
+
+def linear_specs(k: int, outcome_family: str = IDENTITY) -> dict:
+    """``fit_bundle`` specs, each linear in x1..xk: the CLI's defaults."""
+    return {
+        "m1": ModelSpec.linear_in(k, outcome_family),
+        "m0": ModelSpec.linear_in(k, outcome_family),
+        "p": ModelSpec.linear_in(k, LOGIT),
+        "pi": ModelSpec.linear_in(k, LOGIT),
+        "variance": ModelSpec.linear_in(k, IDENTITY),
+    }
 
 
 def fit_bundle(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,12 @@ from .estimators import (
 )
 from .inference import if_variance
 from .nuisance import (
-    IDENTITY,
-    LOGIT,
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
-    ModelSpec,
     RowTable,
     expit,
     fit_bundle,
+    linear_specs,
 )
 
 SCENARIOS = ("i", "ii", "iii", "iv")
@@ -208,16 +206,7 @@ class TrueEffects:
         return {"tau": self.tau, "psi": self.psi, "xi": self.xi}
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "psi": self.psi,
-            "xi": self.xi,
-            "q": self.q,
-            "se_tau": self.se_tau,
-            "se_psi": self.se_psi,
-            "se_xi": self.se_xi,
-            "draws": self.draws,
-        }
+        return asdict(self)
 
 
 _TRUTH_CACHE: dict = {}
@@ -325,26 +314,16 @@ def _oracle_chunk(cfgs: list[ScenarioConfig], c: int, size: int) -> list[tuple]:
     return out
 
 
-# --------------------------- analyst models ----------------------------
-
-
-def analyst_specs(k: int = 2) -> dict:
-    """Raw-covariate working models: correct in the undistorted arms."""
-    return {
-        "m1": ModelSpec.linear_in(k, IDENTITY),
-        "m0": ModelSpec.linear_in(k, IDENTITY),
-        "p": ModelSpec.linear_in(k, LOGIT),
-        "pi": ModelSpec.linear_in(k, LOGIT),
-        "variance": ModelSpec.linear_in(k, IDENTITY),
-    }
-
-
 # --------------------------- Monte Carlo core --------------------------
 
 
 def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
-    """The bundle's sets plus "pooled_const", the pooled set with a constant ratio."""
-    sets, table = fit_bundle(ds, analyst_specs(ds.k), RATIO_LOGLINEAR)
+    """The bundle's sets plus "pooled_const", the pooled set with a constant ratio.
+
+    The analyst's working models are linear in the raw covariates, so they
+    are correct in the undistorted arms only.
+    """
+    sets, table = fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
     pooled = sets["pooled"]
     sets["pooled_const"] = replace(pooled, r=pooled.r.constant)
     return sets, table
@@ -384,19 +363,7 @@ class MCSummary:
     mean_variance_estimate: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimand": self.estimand,
-            "method": self.method,
-            "ratio_mode": self.ratio_mode,
-            "reps": self.reps,
-            "truth": self.truth,
-            "mean_bias": self.mean_bias,
-            "sd": self.sd,
-            "mse": self.mse,
-            "coverage": self.coverage,
-            "mean_variance_estimate": self.mean_variance_estimate,
-        }
+        return asdict(self)
 
 
 @dataclass

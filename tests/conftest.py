@@ -14,6 +14,7 @@ from ecborrow.nuisance import (
     Term,
     expit,
     fit_bundle,
+    linear_specs,
 )
 
 
@@ -107,11 +108,10 @@ def make_population_dataset():
 def fit_sets(ds: CompositeDataset, ratio_mode: str = RATIO_LOGLINEAR,
              saturated: bool = False) -> dict:
     """Pooled and unpooled nuisance sets with shared propensity fits."""
+    specs = linear_specs(ds.k)
     if saturated:
         spec_m, spec_ps = saturated_spec(IDENTITY), saturated_spec(LOGIT)
-    else:
-        spec_m, spec_ps = ModelSpec.linear_in(ds.k, IDENTITY), ModelSpec.linear_in(ds.k, LOGIT)
-    specs = {"m1": spec_m, "m0": spec_m, "p": spec_ps, "pi": spec_ps, "variance": spec_m}
+        specs = {"m1": spec_m, "m0": spec_m, "p": spec_ps, "pi": spec_ps, "variance": spec_m}
     return fit_bundle(ds, specs, ratio_mode)[0]
 
 

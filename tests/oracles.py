@@ -261,3 +261,47 @@ class PopulationGapOracle:
             ev00 = (delta - psi) ** 2 + (W00 / pic) ** 2 * self.v0[c]
             total += w11 * ev11 + w10 * ev10 + w00 * ev00
         return total
+
+
+# ----------------------- per-estimator references ----------------------
+
+
+def reference_estimator(y, t, d, m1, m0, p, pi, r, estimand: str, method: str):
+    """(point, influence values) from each estimator's own expressions.
+
+    These are the seven (estimand, method) formulas written out one by one,
+    each as a mean scaled by q or 1 - q, where the package evaluates all of
+    them as one ratio of means. ``m1``, ``m0``, ``p``, ``pi`` and ``r`` are
+    raw predictions on every row; ``m1`` and ``p`` may be None for the
+    treated-only estimator, and the baseline methods ignore ``r``.
+    """
+    y, t, d = (np.asarray(a, float) for a in (y, t, d))
+    q = float(d.mean())
+    pi = None if pi is None else np.clip(pi, TRIM, 1.0 - TRIM)
+    if method == "treated_only":
+        resid0 = y - m0
+        rows = d * resid0 - (1 - d) * (pi / (1.0 - pi)) * resid0
+        point = float(np.mean(rows) / q)
+        return point, (d * (resid0 - point) - (1 - d) * (pi / (1.0 - pi)) * resid0) / q
+    p = np.maximum(np.clip(p, TRIM, 1.0 - TRIM), DEN_FLOOR)
+    resid1 = y - m1
+    resid0 = y - m0
+    if method == "trial_based":
+        trial = d == 1
+        rows = (m1 - m0) + t * resid1 / p - (1 - t) * resid0 / (1.0 - p)
+        point = float(np.mean(rows[trial]))
+        return point, (d / q) * ((m1 - m0) - point + t * resid1 / p - (1 - t) * resid0 / (1.0 - p))
+    r = np.zeros_like(y) if method == "baseline" else r
+    weight = (d * (1 - t) * pi + (1 - d) * pi * r) / np.maximum(
+        pi * (1.0 - p) + (1.0 - pi) * r, DEN_FLOOR
+    )
+    delta = m1 - m0
+    core = d * t * resid1 / p - weight * resid0
+    if estimand == "tau":
+        point = float(np.mean(d * delta + core) / q)
+        return point, (d * (delta - point) + core) / q
+    if estimand == "psi":
+        point = float(np.mean(delta + core / pi))
+        return point, delta - point + core / pi
+    point = float(np.mean((1 - d) * delta + core * (1.0 - pi) / pi) / (1.0 - q))
+    return point, ((1 - d) * (delta - point) + core * (1.0 - pi) / pi) / (1.0 - q)

@@ -79,6 +79,20 @@ def test_estimate_golden_bytes(tmp_path, capsys, monkeypatch):
     assert out_path.read_bytes() == golden
 
 
+def test_readme_library_snippet_matches_the_cli(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"data.csv"' in snippet
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    exec(snippet.replace('"data.csv"', '"tests/data/golden_input.csv"'), namespace)
+    capsys.readouterr()
+    golden = json.loads((ROOT / "tests" / "data" / "golden_estimate.json").read_text())
+    (cli_point,) = [e["point"] for e in golden["estimates"]
+                    if (e["estimand"], e["method"]) == ("tau", "full_data")]
+    assert namespace["est"].point == cli_point
+
+
 def test_simulate_golden_bytes(tmp_path, capsys):
     out_path = tmp_path / "fresh.json"
     code = main(

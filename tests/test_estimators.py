@@ -12,8 +12,10 @@ from ecborrow.estimators import (
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
+    METHOD_TREATED_ONLY,
     Estimate,
     RowTable,
+    _moment,
     control_weight,
     efficiency_bound_plugin,
     efficiency_gain_analytic,
@@ -31,14 +33,17 @@ from ecborrow.nuisance import (
     IDENTITY,
     LOGIT,
     RATIO_CONSTANT,
+    RATIO_KNOWN_ONE,
     RATIO_LOGLINEAR,
     FittedGLM,
     ModelSpec,
     NuisanceSet,
     VarianceRatioModel,
+    expit,
     fit_bundle,
     fit_model,
     fit_selection_ps,
+    linear_specs,
 )
 from ecborrow.simlab import ScenarioConfig, generate
 
@@ -49,7 +54,7 @@ from conftest import (
     make_population_dataset,
     make_random_dataset,
 )
-from oracles import CellOracle, PopulationGapOracle
+from oracles import CellOracle, PopulationGapOracle, reference_estimator
 
 
 # ------------------------------ row table ------------------------------
@@ -89,6 +94,55 @@ def test_row_table_of_another_dataset_is_rejected(random_dataset):
     other = RowTable(make_random_dataset(8))
     with pytest.raises(ConfigError):
         estimate_tau_full(random_dataset, nuis, table=other)
+
+
+# ---------------------------- ratio moments ----------------------------
+
+
+def _binary_dataset(seed: int, n: int = 300) -> CompositeDataset:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    d = (rng.random(n) < expit(0.2 + 0.4 * x[:, 0])).astype(int)
+    t = ((d == 1) & (rng.random(n) < 0.5)).astype(int)
+    y = (rng.random(n) < expit(0.1 + 0.6 * x[:, 0] - 0.3 * x[:, 1] + 0.7 * t)).astype(float)
+    return CompositeDataset(y, x, t, d)
+
+
+_FULL_AND_COMPARATORS = [
+    ("tau", METHOD_FULL, "pooled"), ("tau", METHOD_TRIAL, "unpooled"),
+    ("psi", METHOD_FULL, "pooled"), ("psi", METHOD_BASELINE, "unpooled"),
+    ("xi", METHOD_FULL, "pooled"), ("xi", METHOD_BASELINE, "unpooled"),
+]
+
+
+def test_moment_form_matches_each_estimators_own_expressions():
+    cases = [(make_random_dataset(seed), IDENTITY, RATIO_LOGLINEAR, False) for seed in range(4)]
+    cases.append((_binary_dataset(5), LOGIT, RATIO_KNOWN_ONE, False))
+    cases.append((_treated_only_dataset(6), IDENTITY, RATIO_KNOWN_ONE, True))
+    for ds, family, ratio, treated_only in cases:
+        sets, table = fit_bundle(ds, linear_specs(ds.k, family), ratio, treated_only=treated_only)
+        pairs = [("tau", METHOD_TREATED_ONLY, "treated_only")] if treated_only else _FULL_AND_COMPARATORS
+        for estimand, method, name in pairs:
+            nuis = sets[name]
+            predictions = [None if model is None else model.predict(ds.x)
+                           for model in (nuis.m1, nuis.m0, nuis.p, nuis.pi)]
+            ref_point, ref_if = reference_estimator(
+                ds.y, ds.t, ds.d, *predictions, nuis.r.predict_r(ds.x), estimand, method
+            )
+            est = estimate(ds, nuis, estimand, method, table=table)
+            values = influence_values(ds, nuis, estimand, method, est.point, table=table).values
+            assert est.point == pytest.approx(ref_point, rel=1e-12, abs=0)
+            assert np.max(np.abs(values - ref_if)) <= 1e-12 * np.max(np.abs(ref_if))
+        if treated_only:
+            continue
+        # psi's rows are tau's plus xi's, which is psi = q*tau + (1 - q)*xi
+        for name, method in (("pooled", METHOD_FULL), ("unpooled", METHOD_BASELINE)):
+            nuis = sets[name]
+            zero_ratio = method == METHOD_BASELINE
+            tau = _moment(ds, nuis, "tau", METHOD_FULL, table, zero_ratio=zero_ratio).numer
+            psi = _moment(ds, nuis, "psi", method, table).numer
+            xi = _moment(ds, nuis, "xi", method, table).numer
+            np.testing.assert_allclose(psi, tau + xi, rtol=0, atol=1e-12)
 
 
 # ---------------------------- control weight ---------------------------
@@ -469,15 +523,10 @@ def test_method_nuisance_consistency(random_dataset):
         estimate_psi(random_dataset, sets["pooled"], METHOD_BASELINE)
 
 
-def _linear_specs(k=2):
-    identity, logit = ModelSpec.linear_in(k, IDENTITY), ModelSpec.linear_in(k, LOGIT)
-    return {"m1": identity, "m0": identity, "p": logit, "pi": logit, "variance": identity}
-
-
 def test_fit_bundle_and_dispatch(random_dataset):
     from ecborrow.estimators import estimate as dispatch
 
-    sets, table = fit_bundle(random_dataset, _linear_specs(), RATIO_LOGLINEAR)
+    sets, table = fit_bundle(random_dataset, linear_specs(2), RATIO_LOGLINEAR)
     nuis = sets["pooled"]
     assert nuis.m0_pooled and not sets["unpooled"].m0_pooled
     assert table.ds is random_dataset
@@ -492,7 +541,7 @@ def test_fit_bundle_treated_only_path():
     ds = _treated_only_dataset(21)
     from ecborrow.estimators import estimate as dispatch
 
-    sets, table = fit_bundle(ds, _linear_specs(), RATIO_LOGLINEAR, treated_only=True)
+    sets, table = fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR, treated_only=True)
     nuis = sets["treated_only"]
     assert nuis.m1 is None and nuis.p is None
     assert nuis.r.mode == "known_one"
