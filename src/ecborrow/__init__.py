@@ -38,6 +38,7 @@ from .inference import (
     test_mean_exchangeability,
 )
 from .nuisance import (
+    BlockFitter,
     FittedGLM,
     ModelSpec,
     NuisanceSet,

@@ -54,6 +54,7 @@ from .nuisance import (
     LOGIT,
     RATIO_KNOWN_ONE,
     RATIO_MODES,
+    BlockFitter,
     ModelSpec,
     NuisanceSet,
     RowTable,
@@ -273,11 +274,11 @@ def cmd_estimate(cfg: RunConfig) -> dict:
 
     plans = [EstimatorPlan(est, meth) for est, meth in pairs]
     # one fit, and one row table of its predictions, serves every requested
-    # pair: once for the primary analysis and once per bootstrap resample
-    fit = partial(
-        fit_bundle, specs=specs, ratio_mode=ratio_mode,
-        treated_only=any(p.method == METHOD_TREATED_ONLY for p in plans),
-    )
+    # pair: once for the primary analysis and once per bootstrap resample,
+    # whose identity-family models are solved a block of resamples at a time
+    bundle = {"specs": specs, "ratio_mode": ratio_mode,
+              "treated_only": any(p.method == METHOD_TREATED_ONLY for p in plans)}
+    fit = partial(fit_bundle, **bundle)
     fitted = fit(ds) if plans else ({}, None)
     sets, table = fitted
     estimates = [plan.evaluate(ds, fitted) for plan in plans]
@@ -297,7 +298,8 @@ def cmd_estimate(cfg: RunConfig) -> dict:
         method_label = VARIANCE_BOOTSTRAP
         boots = []
         if plans:
-            shared = SharedFit(fit, tuple(plan.point for plan in plans))
+            shared = SharedFit(fit, tuple(plan.point for plan in plans),
+                               block=partial(BlockFitter, **bundle))
             boots = bootstrap_variance(
                 ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
             )

@@ -4,9 +4,12 @@ Influence-function variances and normal-approximation intervals are the
 default; a nonparametric bootstrap that refits all working models per
 resample is available as a cross-check. Each resample is drawn once and its
 working models are fit once; every requested estimator is evaluated on that
-one set of fits. Also here: the specification test for equal control-outcome
-means across data sources, overlap diagnostics, and the bias bound under a
-source-specific control-mean shift.
+one set of fits. Resamples reach the fit in blocks, each also written as
+frequency counts on the base rows, so a block fitter (``SharedFit.block``)
+can solve what the block's resamples share together. Also here: the
+specification test for equal control-outcome means across data sources,
+overlap diagnostics, and the bias bound under a source-specific
+control-mean shift.
 """
 
 from __future__ import annotations
@@ -149,17 +152,43 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
     return np.lexsort(tuple(keys))
 
 
+# a block's (resamples, rows) arrays stay under this many bytes
+BLOCK_BYTES = 1 << 18
+
+
 @dataclass(frozen=True)
 class SharedFit:
     """Several estimators that read one set of fitted working models.
 
     Per resample, ``fit(resample)`` runs once and each ``point(resample,
-    fitted)`` in ``points`` turns its result into one estimate. With
-    ``jobs > 1`` every function must be picklable.
+    fitted)`` in ``points`` turns its result into one estimate. ``block``,
+    when given, makes a block fitter of the canonical base rows,
+    ``block(base)``, that fits many resamples together (``nuisance.
+    BlockFitter`` is one): ``solve(counts)`` takes each resample's frequency
+    counts on the base rows and returns one state per resample, and
+    ``fit(idx, state)`` returns ``(base.take(idx), fitted)`` with ``fitted``
+    equal to ``fit(base.take(idx))`` up to rounding. With ``jobs > 1`` every
+    function must be picklable.
     """
 
     fit: Callable[[CompositeDataset], object]
     points: tuple[Callable[[CompositeDataset, object], float], ...]
+    block: Callable[[CompositeDataset], object] | None = None
+
+
+@dataclass(frozen=True)
+class _OneByOne:
+    """The block fitter of a plain per-resample fit: nothing is shared."""
+
+    base: CompositeDataset
+    fit_one: Callable[[CompositeDataset], object]
+
+    def solve(self, counts: np.ndarray) -> list:
+        return [None] * len(counts)
+
+    def fit(self, idx: np.ndarray, state: None) -> tuple[CompositeDataset, object]:
+        resample = self.base.take(idx)
+        return resample, self.fit_one(resample)
 
 
 class BootstrapResults(list):
@@ -178,31 +207,41 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _bootstrap_one(args):
-    """Draw resample ``rep``, fit it once and evaluate every estimator.
+def _draw(base: CompositeDataset, seed: int, rep: int, stratified: bool) -> np.ndarray:
+    """Rows of resample ``rep``, drawn from the RNG stream (seed, rep)."""
+    rng = np.random.default_rng([seed, rep])
+    if not stratified:
+        return rng.integers(0, base.n, base.n)
+    idx1 = np.where(base.d == 1)[0]
+    idx0 = np.where(base.d == 0)[0]
+    take1 = idx1[rng.integers(0, idx1.size, idx1.size)]
+    take0 = idx0[rng.integers(0, idx0.size, idx0.size)] if idx0.size else np.array([], dtype=int)
+    return np.concatenate([take1, take0])
+
+
+def _bootstrap_block(args) -> list:
+    """Draw a block of resamples, solve what they share, then finish each."""
+    fitter, points, seed, reps, stratified = args
+    n = fitter.base.n
+    indices = [_draw(fitter.base, seed, rep, stratified) for rep in reps]
+    counts = np.stack([np.bincount(idx, minlength=n) for idx in indices])
+    states = fitter.solve(counts)
+    return [_bootstrap_one(fitter, points, idx, state) for idx, state in zip(indices, states)]
+
+
+def _bootstrap_one(fitter, points, idx: np.ndarray, state) -> list:
+    """Fit resample ``idx`` once and evaluate every estimator on it.
 
     Returns one ``(point, None)`` or ``(None, message)`` per estimator. A
     failure to build or fit the resample counts against every estimator; a
     failing point counts against its own estimator only.
     """
-    ds, shared, seed, rep, stratified = args
-    rng = np.random.default_rng([seed, rep])
-    n = ds.n
-    if stratified:
-        idx1 = np.where(ds.d == 1)[0]
-        idx0 = np.where(ds.d == 0)[0]
-        take1 = idx1[rng.integers(0, idx1.size, idx1.size)]
-        take0 = idx0[rng.integers(0, idx0.size, idx0.size)] if idx0.size else np.array([], dtype=int)
-        idx = np.concatenate([take1, take0])
-    else:
-        idx = rng.integers(0, n, n)
     try:
-        resample = ds.take(idx)
-        fitted = shared.fit(resample)
+        resample, fitted = fitter.fit(idx, state)
     except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
-        return [(None, _describe(exc))] * len(shared.points)
+        return [(None, _describe(exc))] * len(points)
     outcomes = []
-    for point in shared.points:
+    for point in points:
         try:
             outcomes.append((float(point(resample, fitted)), None))
         except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
@@ -215,7 +254,7 @@ def _summarize(outcomes: list, level: float, max_failure_rate: float) -> Bootstr
     n_replicates = len(outcomes)
     points = np.array([p for p, _ in outcomes if p is not None], dtype=float)
     failures = n_replicates - points.size
-    if failures > max_failure_rate * n_replicates:
+    if failures > max_failure_rate * n_replicates or points.size == 0:
         raise ReplicateFailure(
             f"{failures}/{n_replicates} bootstrap replicates failed",
             failures=failures,
@@ -253,21 +292,31 @@ def bootstrap_variance(
     Rows are resampled i.i.d. from a canonical ordering of the dataset, so
     the result depends only on the data values and the seed, never on row
     order or on the number of worker processes. Replicate r uses the RNG
-    stream (seed, r). At least 100 replicates are recommended. The first
-    estimator, in order, with more than ``max_failure_rate`` failed
-    replicates raises ReplicateFailure.
+    stream (seed, r). Resamples go to the fit in blocks of consecutive
+    replicates, sized from the row count alone so that each block's
+    (resamples, rows) arrays stay under BLOCK_BYTES; with ``jobs > 1`` the
+    worker processes take whole blocks. At least 100 replicates are
+    recommended. The first estimator, in order, with more than
+    ``max_failure_rate`` failed replicates, or with none that succeeded,
+    raises ReplicateFailure.
     """
     if n_replicates < 2:
         raise ConfigError("bootstrap needs at least 2 replicates; 100+ recommended")
     single = not isinstance(estimator_fn, SharedFit)
     shared = SharedFit(estimator_fn, (_fitted_value,)) if single else estimator_fn
     base = ds.take(_canonical_order(ds))
-    tasks = [(base, shared, seed, rep, stratified) for rep in range(n_replicates)]
+    fitter = _OneByOne(base, shared.fit) if shared.block is None else shared.block(base)
+    size = max(1, BLOCK_BYTES // (8 * base.n))
+    tasks = [
+        (fitter, shared.points, seed, range(start, min(start + size, n_replicates)), stratified)
+        for start in range(0, n_replicates, size)
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_bootstrap_one, tasks, chunksize=16))
+            blocks = list(pool.map(_bootstrap_block, tasks))
     else:
-        outcomes = [_bootstrap_one(task) for task in tasks]
+        blocks = [_bootstrap_block(task) for task in tasks]
+    outcomes = [outcome for block in blocks for outcome in block]
     results = BootstrapResults(
         _summarize([outcome[k] for outcome in outcomes], level, max_failure_rate)
         for k in range(len(shared.points))

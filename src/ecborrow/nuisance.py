@@ -38,6 +38,7 @@ MAX_HALVINGS = 40
 SEPARATION_BOUND = 30.0  # |coef| beyond this on the logit scale flags separation
 TRIM_EPS = 1e-3          # propensity predictions trimmed into [eps, 1-eps]
 VAR_FLOOR = 1e-8         # floor inside log(residual^2 + floor)
+GRAM_COND_MAX = 1e10     # a stacked resample fit whose Gram is worse is refit alone
 
 RATIO_KNOWN_ONE = "known_one"
 RATIO_CONSTANT = "constant"
@@ -215,6 +216,12 @@ def _check_rank(design: np.ndarray, column_names: list[str] | None, rank=None) -
         )
 
 
+def _gaussian_loglik(rss, wsum):
+    """Gaussian log-likelihood at the ML variance, for scalars or arrays."""
+    sigma2 = np.maximum(rss / wsum, 1e-300)
+    return -0.5 * wsum * (np.log(2.0 * np.pi * sigma2) + 1.0)
+
+
 def _logit_loglik(eta, response, weights) -> float:
     terms = response * eta - np.logaddexp(0.0, eta)
     return float(np.sum(terms if weights is None else weights * terms))
@@ -259,8 +266,7 @@ def fit_glm(
         _check_rank(scaled, column_names, rank)
         resid2 = (response - design @ coef) ** 2
         wsum = float(n) if w is None else w.sum()
-        sigma2 = max(float(np.sum(resid2 if w is None else w * resid2) / wsum), 1e-300)
-        loglik = -0.5 * wsum * (np.log(2.0 * np.pi * sigma2) + 1.0)
+        loglik = _gaussian_loglik(float(np.sum(resid2 if w is None else w * resid2)), wsum)
         return FittedGLM(IDENTITY, coef, True, 1, loglik, n, spec, column_names or [])
 
     _check_rank(scaled, column_names)
@@ -321,6 +327,15 @@ def fit_model(ds_x: np.ndarray, response: np.ndarray, spec: ModelSpec,
 
 # ------------------------- model-set fitting --------------------------
 
+# rows of each identity-stage fit of a bundle, from the (d, t) columns; the
+# variance ratio compares the trial-control rows with the external rows
+_BUNDLE_ROWS = {
+    "m1": lambda d, t: (d == 1) & (t == 1),
+    "m0_pooled": lambda d, t: t == 0,
+    "m0_trial": lambda d, t: (d == 1) & (t == 0),
+    "external": lambda d, t: d == 0,
+}
+
 
 def fit_outcome_models(
     ds: CompositeDataset,
@@ -334,7 +349,7 @@ def fit_outcome_models(
     control model uses every control row (trial and external); otherwise
     trial controls only.
     """
-    treated = (ds.d == 1) & (ds.t == 1)
+    treated = _BUNDLE_ROWS["m1"](ds.d, ds.t)
     if not treated.any():
         raise EmptyCell("no treated trial rows to fit the treated outcome model")
     controls = _control_rows(ds, pool_controls)
@@ -344,7 +359,7 @@ def fit_outcome_models(
 
 
 def _control_rows(ds: CompositeDataset, pool_controls: bool) -> np.ndarray:
-    controls = ds.t == 0 if pool_controls else (ds.d == 1) & (ds.t == 0)
+    controls = _BUNDLE_ROWS["m0_pooled" if pool_controls else "m0_trial"](ds.d, ds.t)
     if not controls.any():
         raise EmptyCell("no control rows to fit the control outcome model")
     return controls
@@ -446,6 +461,32 @@ class VarianceRatioModel:
         return np.exp(design @ self.coef_trial + self.log_scale_trial)
 
 
+def _constant_ratio(v1: float, v0: float) -> VarianceRatioModel:
+    """Constant ratio of the trial-control and external mean squared residuals."""
+    return VarianceRatioModel(RATIO_CONSTANT, const_ratio=v1 / v0, const_var_trial=v1,
+                              const_var_external=v0)
+
+
+def _log_scale(v, smoothed_mean):
+    """Calibrate a log-variance fit's level so the group's smoothed variance
+    averages to its raw mean squared residual (log-scale fits are biased low
+    otherwise); scalars or arrays."""
+    return np.log(v / smoothed_mean)
+
+
+def _loglinear_ratio(spec: ModelSpec, coefs, scales,
+                     constant: VarianceRatioModel) -> VarianceRatioModel:
+    return VarianceRatioModel(
+        RATIO_LOGLINEAR,
+        spec=spec,
+        coef_trial=coefs[0],
+        coef_external=coefs[1],
+        log_scale_trial=scales[0],
+        log_scale_external=scales[1],
+        constant=constant,
+    )
+
+
 def fit_variance_ratio(
     ds: CompositeDataset,
     m0: FittedGLM,
@@ -457,7 +498,7 @@ def fit_variance_ratio(
         raise ConfigError(f"unknown ratio mode {mode!r}")
     if mode == RATIO_KNOWN_ONE:
         return VarianceRatioModel(RATIO_KNOWN_ONE)
-    groups = ((ds.d == 1) & (ds.t == 0), ds.d == 0)  # trial controls, external rows
+    groups = tuple(_BUNDLE_ROWS[name](ds.d, ds.t) for name in ("m0_trial", "external"))
     if any(int(rows.sum()) < 2 for rows in groups):
         raise EmptyCell(
             "variance-ratio estimation needs at least two control rows per source"
@@ -475,9 +516,7 @@ def fit_variance_ratio(
             "all squared residuals below the variance floor in one source group"
         )
     v1, v0 = (float(np.mean(r2)) for r2 in resid2)
-    constant = VarianceRatioModel(
-        RATIO_CONSTANT, const_ratio=v1 / v0, const_var_trial=v1, const_var_external=v0
-    )
+    constant = _constant_ratio(v1, v0)
     if mode == RATIO_CONSTANT:
         return constant
     if spec is None:
@@ -491,18 +530,8 @@ def fit_variance_ratio(
         design = design if shared else spec.design(x)
         fit = fit_glm(design, np.log(r2 + VAR_FLOOR), IDENTITY, spec=spec, column_names=names)
         coefs.append(fit.coef)
-        # Calibrate the level so the group's smoothed variance averages to its
-        # raw mean squared residual (log-scale fits are biased low otherwise).
-        scales.append(float(np.log(v / np.mean(np.exp(fit.predict(x, design=design))))))
-    return VarianceRatioModel(
-        RATIO_LOGLINEAR,
-        spec=spec,
-        coef_trial=coefs[0],
-        coef_external=coefs[1],
-        log_scale_trial=scales[0],
-        log_scale_external=scales[1],
-        constant=constant,
-    )
+        scales.append(float(_log_scale(v, np.mean(np.exp(fit.predict(x, design=design))))))
+    return _loglinear_ratio(spec, coefs, scales, constant)
 
 
 # ---------------------------- nuisance set ----------------------------
@@ -636,35 +665,197 @@ def linear_specs(k: int, outcome_family: str = IDENTITY) -> dict:
 
 
 def fit_bundle(
-    ds: CompositeDataset, specs: dict, ratio_mode: str, treated_only: bool = False
+    ds: CompositeDataset, specs: dict, ratio_mode: str, treated_only: bool = False,
+    solved: dict | None = None,
 ) -> tuple[dict, RowTable]:
     """Fit every working model once: the nuisance sets and their row table.
 
     ``specs`` maps "m1", "m0", "p", "pi" and "variance" to model specs. The
     "pooled" set fits m0 on every control and the "unpooled" set on trial
     controls only; they share m1, p, pi and the variance ratio, which is fit
-    on the pooled m0's residuals. pi is absent without external rows. With
+    on the pooled m0's residuals. Without external rows pi is absent and the
+    ratio is known_one: no estimator that runs on such data reads it. With
     ``treated_only`` (a trial without a control arm) there is one
     "treated_only" set of the pooled m0 and pi; its ratio is known_one
     because the ratio cancels from that estimator. The selection fit takes
     its design from the returned table, so every prediction shares it.
+
+    ``solved`` may hold models of ``ds`` fit beforehand, under the names
+    "m1", "m0_pooled", "m0_trial" and "r" (``BlockFitter`` solves them for
+    many resamples at once); each one given takes the place of its fit, and
+    the rest are fit here in the order above.
     """
+    solved = solved or {}
     table = RowTable(ds)
     if treated_only:
-        m0 = fit_control_model(ds, specs["m0"], pool_controls=True)
+        m0 = solved.get("m0_pooled") or fit_control_model(ds, specs["m0"], pool_controls=True)
         pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
         nuis = NuisanceSet(m0=m0, r=VarianceRatioModel(RATIO_KNOWN_ONE), m0_pooled=True, pi=pi)
         return {"treated_only": nuis}, table
-    m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
+    if "m1" in solved:
+        m1, m0_pooled = solved["m1"], solved["m0_pooled"]
+    else:
+        m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
     p = fit_treatment_ps(ds, specs["p"])
     pi = None
     if ds.n2 > 0:
         pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
-    r = fit_variance_ratio(ds, m0_pooled, ratio_mode, specs["variance"])
-    m0_trial = fit_control_model(ds, specs["m0"], pool_controls=False)
+    mode = ratio_mode if ds.n2 > 0 else RATIO_KNOWN_ONE
+    r = solved.get("r") or fit_variance_ratio(ds, m0_pooled, mode, specs["variance"])
+    m0_trial = solved.get("m0_trial") or fit_control_model(ds, specs["m0"], pool_controls=False)
     shared = {"r": r, "m1": m1, "p": p, "pi": pi}
     sets = {
         "pooled": NuisanceSet(m0=m0_pooled, m0_pooled=True, **shared),
         "unpooled": NuisanceSet(m0=m0_trial, m0_pooled=False, **shared),
     }
     return sets, table
+
+
+# --------------------------- resample blocks ---------------------------
+
+
+def _stacked_wls(design: np.ndarray, weights: np.ndarray,
+                 response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least squares for each row of ``weights``, from the normal equations.
+
+    ``response`` is one vector for every row of ``weights`` or one row each.
+    Returns the coefficients and where they may stand in for ``fit_glm``: at
+    least as many weighted rows as coefficients and a Gram matrix with
+    condition number at most GRAM_COND_MAX (a design ``fit_glm`` calls rank
+    deficient has a far larger one).
+    """
+    k, p = weights.shape[0], design.shape[1]
+    gram = np.empty((k, p, p))
+    # one column product at a time keeps the extra memory at one row count
+    for a in range(p):
+        for b in range(a, p):
+            gram[:, a, b] = gram[:, b, a] = weights @ (design[:, a] * design[:, b])
+    eig = np.linalg.eigvalsh(gram)
+    ok = (weights.sum(axis=1) >= p) & (eig[:, 0] > 0) & (eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
+    coef = np.zeros((k, p))
+    if ok.any():
+        rhs = (weights * response)[ok] @ design
+        coef[ok] = np.linalg.solve(gram[ok], rhs[:, :, None])[:, :, 0]
+    return coef, ok
+
+
+class BlockFitter:
+    """``fit_bundle`` for bootstrap resamples of ``base``, a block at a time.
+
+    ``solve(counts)`` takes one row of frequency counts on ``base``'s rows
+    per resample and fits every identity-family model of the bundle for all
+    of them at once, from count-weighted normal equations on one design per
+    spec built once on ``base``: m1, both m0, and the variance ratio (the two
+    log-variance fits with their calibration, and the constant ratio).
+    ``fit(idx, solved)`` fits the rest (p, pi, and logit outcome models) on
+    ``base.take(idx)``, unchanged, and assembles the sets with
+    ``fit_bundle``. A resample that a stacked solve cannot stand in for
+    gets ``None`` and ``fit_bundle`` fits it alone, so each failure keeps its
+    type, message and count: fewer weighted rows than coefficients, fewer
+    than two rows of a source for the ratio, every squared residual of a
+    source under VAR_FLOOR, or a Gram matrix beyond GRAM_COND_MAX.
+    """
+
+    def __init__(self, base: CompositeDataset, specs: dict, ratio_mode: str,
+                 treated_only: bool = False):
+        self.base = base
+        self.specs = specs
+        self.ratio_mode = ratio_mode
+        self.treated_only = treated_only
+        outcome = {"m0_pooled": "m0"} if treated_only else {
+            "m1": "m1", "m0_pooled": "m0", "m0_trial": "m0"}
+        self._models: dict = {}
+        self._variance = None
+        table = RowTable(base)
+        designs = [table.design(specs[key]) for key in outcome.values()]
+        if any(specs[key].family != IDENTITY for key in outcome.values()) or not all(
+            np.isfinite(design).all() for design in designs
+        ):
+            return  # nothing to stack: every resample is fit alone
+        rows = {name: mask(base.d, base.t) for name, mask in _BUNDLE_ROWS.items()}
+        for (name, key), design in zip(outcome.items(), designs):
+            self._models[name] = (rows[name], design[rows[name]], specs[key],
+                                  specs[key].column_names(base.covariate_names))
+        if treated_only or ratio_mode not in (RATIO_CONSTANT, RATIO_LOGLINEAR) or base.n2 == 0:
+            return
+        spec = None
+        if ratio_mode == RATIO_LOGLINEAR:
+            spec = specs["variance"] or ModelSpec.linear_in(base.k, IDENTITY)
+            if spec.family != IDENTITY or not np.isfinite(table.design(spec)).all():
+                return
+        # per source group: its rows, m0's design on them for the residuals,
+        # and the variance spec's design for the log-variance fit
+        self._variance = spec, [
+            (source, table.design(specs["m0"])[source],
+             None if spec is None else table.design(spec)[source])
+            for source in (rows["m0_trial"], rows["external"])
+        ]
+
+    def solve(self, counts: np.ndarray) -> list[dict | None]:
+        """The stacked fits of each resample for ``fit``, or None to fit it alone."""
+        counts = np.asarray(counts, dtype=float)
+        k = counts.shape[0]
+        if not self._models:
+            return [None] * k
+        ok = np.ones(k, dtype=bool)
+        fits = {}
+        # a resample cleared from ``ok`` may divide by a zero count; its values are dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for name, (rows, design, spec, names) in self._models.items():
+                weights, y = counts[:, rows], self.base.y[rows]
+                coef, good = _stacked_wls(design, weights, y)
+                ok &= good
+                rss = (weights * (y - coef @ design.T) ** 2).sum(axis=1)
+                wsum = weights.sum(axis=1)
+                fits[name] = coef, _gaussian_loglik(rss, wsum), wsum, spec, names
+            ratio = self._solve_ratio(counts, fits["m0_pooled"][0], ok)
+        out = []
+        for i in range(k):
+            if not ok[i]:
+                out.append(None)
+                continue
+            solved = {
+                name: FittedGLM(IDENTITY, coef[i], True, 1, float(loglik[i]), int(wsum[i]),
+                                spec, names)
+                for name, (coef, loglik, wsum, spec, names) in fits.items()
+            }
+            if ratio is not None:
+                solved["r"] = ratio(i)
+            out.append(solved)
+        return out
+
+    def _solve_ratio(self, counts, m0_coef, ok):
+        """The variance ratio of resample i as ``ratio(i)``; clears ``ok`` where it fails."""
+        if self._variance is None:
+            return None
+        spec, groups = self._variance
+        v, coefs, scales = [], [], []
+        for rows, m0_design, design in groups:
+            weights = counts[:, rows]
+            r2 = (self.base.y[rows] - m0_coef @ m0_design.T) ** 2
+            count = weights.sum(axis=1)
+            ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
+            v.append((weights * r2).sum(axis=1) / count)
+            if design is not None:
+                coef, good = _stacked_wls(design, weights, np.log(r2 + VAR_FLOOR))
+                ok &= good
+                smoothed = (weights * np.exp(coef @ design.T)).sum(axis=1) / count
+                coefs.append(coef)
+                scales.append(_log_scale(v[-1], smoothed))
+
+        def ratio(i: int) -> VarianceRatioModel:
+            constant = _constant_ratio(float(v[0][i]), float(v[1][i]))
+            if spec is None:
+                return constant
+            return _loglinear_ratio(spec, [c[i] for c in coefs],
+                                    [float(s[i]) for s in scales], constant)
+
+        return ratio
+
+    def fit(self, idx: np.ndarray,
+            solved: dict | None) -> tuple[CompositeDataset, tuple[dict, RowTable]]:
+        """Resample ``idx`` of ``base`` and its bundle, taking ``solved`` from ``solve``."""
+        resample = self.base.take(idx)
+        return resample, fit_bundle(
+            resample, self.specs, self.ratio_mode, self.treated_only, solved=solved
+        )

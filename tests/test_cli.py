@@ -141,6 +141,26 @@ def test_estimate_no_external_full_method_errors(tmp_path, capsys):
     jsonschema.validate(payload, SCHEMA)
 
 
+def test_estimate_trial_only_input_gives_trial_tau(tmp_path, capsys):
+    # no external rows: the ratio is never read, so the default (loglinear)
+    # run equals the known1 run instead of failing on the ratio fit
+    ds, _ = generate(ScenarioConfig(scenario="i", n=300), 9)
+    path = tmp_path / "trial.csv"
+    write_csv(ds.take(np.where(ds.d == 1)[0]), path)
+    args = ["estimate", "--input", str(path), "--estimand", "tau", "--method", "trial"]
+    for variance in (["--variance", "if"], ["--variance", "bootstrap", "--B", "100"]):
+        runs = []
+        for ratio in ([], ["--ratio", "known1"]):
+            code, out = run_cli(args + variance + ratio, capsys)
+            assert code == 0, out
+            payload = json.loads(out)
+            jsonschema.validate(payload, SCHEMA)
+            runs.append(payload["estimates"])
+        assert len(runs[0]) == 1
+        assert runs[0][0]["method"] == "trial_based"
+        assert runs[0] == runs[1]
+
+
 def test_estimate_missing_input_is_data_error(capsys):
     code, out = run_cli(["estimate", "--input", "/nonexistent.csv"], capsys)
     assert code == 3
@@ -217,9 +237,12 @@ def test_bootstrap_fits_working_models_once_per_resample(tmp_path, capsys, monke
     monkeypatch.setattr(nuisance, "fit_glm", counting_fit_glm)
     path = make_input(tmp_path, n=250)
     assert len(_bootstrap_estimates(path, capsys, "--jobs", "1")) == 6
-    # m1, pooled m0, trial m0, p, pi and two variance-ratio fits, per resample
-    # and once on the data
-    assert len(calls) == 7 * 100 + 7
+    # on the data: m1, pooled m0, trial m0, p, pi and two variance-ratio fits;
+    # per resample only the p and pi logits, because every identity-family
+    # model of a resample is solved with its block
+    assert calls.count("identity") == 5
+    assert calls.count("logit") == 2 * 100 + 2
+    assert len(calls) == 2 * 100 + 7
 
 
 def test_bootstrap_all_pairs_identical_across_jobs(tmp_path, capsys):

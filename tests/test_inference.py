@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from ecborrow.estimators import (
     METHOD_FULL,
     Estimate,
     IFVector,
+    estimate,
     estimate_tau_full,
     influence_values,
 )
@@ -28,12 +31,16 @@ from ecborrow.inference import (
 from ecborrow.nuisance import (
     IDENTITY,
     LOGIT,
+    RATIO_LOGLINEAR,
+    BlockFitter,
     ModelSpec,
     NuisanceSet,
     Term,
     VarianceRatioModel,
+    fit_bundle,
     fit_model,
     fit_selection_ps,
+    linear_specs,
 )
 from ecborrow.simlab import ScenarioConfig, generate
 
@@ -310,6 +317,53 @@ def test_bootstrap_shared_fit_raises_for_first_failing_estimator(random_dataset)
         bootstrap_variance(random_dataset, _alone(fit, flaky), 100, seed=4)
     # the steady estimator passes; the first flaky one raises, as it would alone
     assert together.value.to_dict() == alone.value.to_dict()
+
+
+def test_bootstrap_raises_when_no_replicate_succeeds(random_dataset):
+    def broken(resample: CompositeDataset) -> float:
+        raise ValueError("always fails")
+
+    with pytest.raises(ReplicateFailure) as failed:
+        bootstrap_variance(random_dataset, broken, 20, seed=1, max_failure_rate=1.0)
+    assert failed.value.details["failures"] == 20
+    assert failed.value.details["messages"] == ["ValueError: always fails"] * 5
+
+
+def _tau_full(resample: CompositeDataset, fitted) -> float:
+    sets, table = fitted
+    return estimate(resample, sets["pooled"], "tau", METHOD_FULL, table=table).point
+
+
+def _tiny_dataset() -> CompositeDataset:
+    """12 treated, 10 trial-control and 3 external rows: most resamples fail."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((25, 2))
+    d = np.array([1] * 22 + [0] * 3)
+    t = np.array([1] * 12 + [0] * 13)
+    y = 1.0 + x[:, 0] + t + rng.standard_normal(25)
+    return CompositeDataset(y, x, t, d)
+
+
+def test_bootstrap_blocks_keep_failure_counts_and_messages():
+    ds = _tiny_dataset()
+    specs = linear_specs(2)
+    fit = partial(fit_bundle, specs=specs, ratio_mode=RATIO_LOGLINEAR)
+    alone = SharedFit(fit, (_tau_full,))
+    blocked = SharedFit(fit, (_tau_full,), block=partial(
+        BlockFitter, specs=specs, ratio_mode=RATIO_LOGLINEAR))
+    want, got = (bootstrap_variance(ds, shared, 200, seed=3, max_failure_rate=1.0)[0]
+                 for shared in (alone, blocked))
+    assert 0 < got.failures == want.failures < 200
+    assert abs(got.variance - want.variance) <= 1e-10 * want.variance
+    np.testing.assert_allclose(got.ci, want.ci, rtol=1e-10)
+    errors = []
+    for shared in (alone, blocked):
+        with pytest.raises(ReplicateFailure) as failed:
+            bootstrap_variance(ds, shared, 200, seed=3)
+        errors.append(failed.value.to_dict())
+    assert errors[0] == errors[1]
+    codes = {message.split(":")[0] for message in errors[0]["details"]["messages"]}
+    assert {"RankDeficient", "EmptyCell"} <= codes
 
 
 # ----------------------- exchangeability test --------------------------

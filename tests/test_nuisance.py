@@ -19,17 +19,20 @@ from ecborrow.nuisance import (
     RATIO_CONSTANT,
     RATIO_KNOWN_ONE,
     RATIO_LOGLINEAR,
+    BlockFitter,
     FittedGLM,
     ModelSpec,
     RowTable,
     Term,
     expit,
+    fit_bundle,
     fit_glm,
     fit_model,
     fit_outcome_models,
     fit_selection_ps,
     fit_treatment_ps,
     fit_variance_ratio,
+    linear_specs,
 )
 from ecborrow.simlab import ScenarioConfig, generate
 
@@ -524,3 +527,147 @@ def test_fit_model_applies_transform(random_dataset):
     )
     assert fit.coef.shape == (3,)
     assert fit.column_names == ["intercept", "x1", "pow(x1,2)"]
+
+
+# --------------------------- resample blocks ---------------------------
+
+
+def _rel_gap(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if want.size == 0:
+        return 0.0
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _assert_bundles_close(got, want):
+    (got_sets, _), (want_sets, _) = got, want
+    assert got_sets.keys() == want_sets.keys()
+    for name, want_set in want_sets.items():
+        got_set = got_sets[name]
+        assert got_set.m0_pooled == want_set.m0_pooled
+        for attr in ("m1", "m0", "p", "pi"):
+            g, w = getattr(got_set, attr), getattr(want_set, attr)
+            if w is None:
+                assert g is None
+                continue
+            assert (g.family, g.n_obs, g.spec, g.column_names) == (
+                w.family, w.n_obs, w.spec, w.column_names)
+            assert _rel_gap(g.coef, w.coef) <= 1e-12, (name, attr)
+            assert _rel_gap(g.loglik, w.loglik) <= 1e-12, (name, attr)
+        assert (got_set.r.mode, got_set.r.spec) == (want_set.r.mode, want_set.r.spec)
+        assert _rel_gap(got_set.r.params, want_set.r.params) <= 1e-9, name
+        if want_set.r.constant is not None:
+            assert _rel_gap(got_set.r.constant.params, want_set.r.constant.params) <= 1e-9
+
+
+def _resample_indices(n: int, k: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n, n) for _ in range(k)]
+
+
+def _counts(indices, n: int) -> np.ndarray:
+    return np.stack([np.bincount(idx, minlength=n) for idx in indices])
+
+
+def _block_case(case: str):
+    """(dataset, specs, ratio mode, treated_only) of one block-fitter case."""
+    if case in ("i", "ii", "iii", "iv"):
+        ds, _ = generate(ScenarioConfig(scenario=case, n=300), 11)
+        return ds, linear_specs(ds.k), RATIO_LOGLINEAR, False
+    ds, _ = generate(ScenarioConfig(scenario="i", n=300), 12)
+    specs = linear_specs(ds.k)
+    if case == "variance_terms":
+        specs["variance"] = ModelSpec(IDENTITY, (Term("raw", 0), Term("pow", 1, 2)))
+        return ds, specs, RATIO_LOGLINEAR, False
+    if case == "no_intercept":
+        specs["m1"] = specs["m0"] = ModelSpec.linear_in(ds.k, IDENTITY, include_intercept=False)
+        return ds, specs, RATIO_LOGLINEAR, False
+    if case == "constant":
+        return ds, specs, RATIO_CONSTANT, False
+    if case == "treated_only":
+        ds = ds.take(np.flatnonzero((ds.d == 0) | (ds.t == 1)))
+        return ds, specs, RATIO_LOGLINEAR, True
+    # binary outcome: logit outcome models and a ratio known to be one
+    rng = np.random.default_rng(5)
+    y = (rng.random(ds.n) < expit(0.3 * ds.x[:, 0] + 0.5 * ds.t)).astype(float)
+    ds = CompositeDataset(y, ds.x, ds.t, ds.d)
+    return ds, linear_specs(ds.k, LOGIT), RATIO_KNOWN_ONE, False
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["i", "ii", "iii", "iv", "variance_terms", "no_intercept", "constant", "treated_only", "binary"],
+)
+def test_block_fitter_matches_fit_bundle_per_resample(case):
+    ds, specs, mode, treated_only = _block_case(case)
+    indices = _resample_indices(ds.n, 24, seed=3)
+    fitter = BlockFitter(ds, specs, mode, treated_only)
+    states = fitter.solve(_counts(indices, ds.n))
+    # binary outcomes have no identity-family model to stack
+    assert all((state is None) == (case == "binary") for state in states)
+    for idx, state in zip(indices, states):
+        resample, got = fitter.fit(idx, state)
+        np.testing.assert_array_equal(resample.y, ds.y[idx])
+        _assert_bundles_close(got, fit_bundle(ds.take(idx), specs, mode, treated_only))
+
+
+def _failure_base() -> CompositeDataset:
+    """Treated rows, then trial controls and external rows whose first 12
+    outcomes lie exactly on one line."""
+    rng = np.random.default_rng(8)
+    n11, n10, n00 = 40, 30, 30
+    n = n11 + n10 + n00
+    x = rng.standard_normal((n, 2))
+    d = np.array([1] * (n11 + n10) + [0] * n00)
+    t = np.array([1] * n11 + [0] * (n10 + n00))
+    y = 1.0 + x[:, 0] - 0.5 * x[:, 1] + t + rng.standard_normal(n)
+    exact = np.r_[n11:n11 + 12, n11 + n10:n11 + n10 + 12]
+    y[exact] = 1.0 + x[exact, 0] - 0.5 * x[exact, 1]
+    return CompositeDataset(y, x, t, d)
+
+
+def _outcome(fit):
+    try:
+        sets, _ = fit()
+    except Exception as exc:  # noqa: BLE001 - the failure is what is compared
+        return type(exc).__name__, str(exc), exc.to_dict()
+    return sets
+
+
+def test_block_fitter_failures_match_fit_bundle():
+    ds = _failure_base()
+    treated, controls = np.arange(40), np.arange(40, 100)
+    exact = np.r_[40:52, 70:82]
+    rng = np.random.default_rng(1)
+    indices = {
+        "ok": rng.integers(0, 100, 100),
+        "rank": np.r_[np.full(10, 3), rng.choice(controls, 90)],
+        "one_external": np.r_[treated, np.arange(40, 70), rng.choice(treated, 29), 95],
+        "no_treated": np.r_[rng.choice(controls, 100)],
+        "degenerate": np.r_[treated, rng.choice(exact, 60)],
+    }
+    specs = linear_specs(2)
+    fitter = BlockFitter(ds, specs, RATIO_LOGLINEAR)
+    states = fitter.solve(_counts(list(indices.values()), ds.n))
+    codes = {}
+    for (name, idx), state in zip(indices.items(), states):
+        assert (state is None) == (name != "ok"), name
+        got = _outcome(lambda: fitter.fit(idx, state)[1])
+        want = _outcome(lambda: fit_bundle(ds.take(idx), specs, RATIO_LOGLINEAR))
+        if name == "ok":
+            _assert_bundles_close((got, None), (want, None))
+        else:
+            assert got == want
+            codes[name] = got[2]["code"]
+    assert codes == {
+        "rank": "RANK_DEFICIENT", "one_external": "EMPTY_CELL", "no_treated": "EMPTY_CELL",
+        "degenerate": "DEGENERATE_VARIANCE",
+    }
+
+
+def test_trial_only_bundle_skips_the_ratio():
+    ds, _ = generate(ScenarioConfig(scenario="i", n=300), 4)
+    trial = ds.take(np.flatnonzero(ds.d == 1))
+    sets, _ = fit_bundle(trial, linear_specs(trial.k), RATIO_LOGLINEAR)
+    assert sets["pooled"].pi is None
+    assert sets["pooled"].r.mode == RATIO_KNOWN_ONE
