@@ -7,6 +7,7 @@ format, then review the diff:
     python scripts/make_golden.py
 """
 
+import os
 from pathlib import Path
 
 from ecborrow.cli import main
@@ -15,55 +16,36 @@ from ecborrow.simlab import ScenarioConfig, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
+INPUT = "tests/data/golden_input.csv"
+
+# golden file -> the CLI run that writes it; tests/test_cli.py reruns each
+GOLDENS = {
+    "golden_estimate.json": [
+        "estimate", "--input", INPUT, "--estimand", "tau,psi,xi", "--side", "greater",
+        "--seed", "11",
+    ],
+    "golden_simulate.json": [
+        "simulate", "--scenario", "all", "--reps", "8", "--n", "200", "--seed", "3",
+    ],
+    "golden_diagnose.json": ["diagnose", "--input", INPUT, "--bias-bound", "0.1"],
+    "golden_bootstrap.json": [
+        "estimate", "--input", INPUT, "--variance", "bootstrap", "--B", "100", "--seed", "3",
+    ],
+}
 
 
 def run() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
     ds, _ = generate(ScenarioConfig(scenario="i", n=400), 20_260_101)
-    csv_path = DATA / "golden_input.csv"
-    write_csv(ds, csv_path)
-    out_path = DATA / "golden_estimate.json"
+    write_csv(ds, ROOT / INPUT)
     # the input path is recorded in the JSON: keep it repo-relative so the
     # golden bytes are portable across checkouts
-    import os
-
     os.chdir(ROOT)
-    code = main(
-        [
-            "estimate",
-            "--input",
-            "tests/data/golden_input.csv",
-            "--estimand",
-            "tau,psi,xi",
-            "--side",
-            "greater",
-            "--seed",
-            "11",
-            "--out",
-            str(out_path),
-        ]
-    )
-    if code != 0:
-        raise SystemExit(f"estimate failed with exit code {code}")
-    sim_path = DATA / "golden_simulate.json"
-    code = main(
-        [
-            "simulate",
-            "--scenario",
-            "all",
-            "--reps",
-            "8",
-            "--n",
-            "200",
-            "--seed",
-            "3",
-            "--out",
-            str(sim_path),
-        ]
-    )
-    if code != 0:
-        raise SystemExit(f"simulate failed with exit code {code}")
-    print(f"wrote {csv_path}, {out_path} and {sim_path}")
+    for name, argv in GOLDENS.items():
+        code = main([*argv, "--out", str(DATA / name)])
+        if code != 0:
+            raise SystemExit(f"{argv[0]} for {name} failed with exit code {code}")
+    print(f"wrote {INPUT} and {', '.join(GOLDENS)}")
 
 
 if __name__ == "__main__":

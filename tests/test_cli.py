@@ -55,28 +55,31 @@ def test_estimate_output_validates_against_schema(tmp_path, capsys):
     assert {e["estimand"] for e in payload["estimates"]} == {"tau", "psi", "xi"}
 
 
-def test_estimate_golden_bytes(tmp_path, capsys, monkeypatch):
+def assert_golden_bytes(name, argv, tmp_path, capsys, monkeypatch):
+    """The CLI run recorded by scripts/make_golden.py writes the golden file byte for byte."""
     monkeypatch.chdir(ROOT)
     out_path = tmp_path / "fresh.json"
-    code = main(
-        [
-            "estimate",
-            "--input",
-            "tests/data/golden_input.csv",
-            "--estimand",
-            "tau,psi,xi",
-            "--side",
-            "greater",
-            "--seed",
-            "11",
-            "--out",
-            str(out_path),
-        ]
-    )
+    code = main([*argv, "--out", str(out_path)])
     capsys.readouterr()
     assert code == 0
-    golden = (ROOT / "tests" / "data" / "golden_estimate.json").read_bytes()
-    assert out_path.read_bytes() == golden
+    assert out_path.read_bytes() == (ROOT / "tests" / "data" / name).read_bytes()
+
+
+def test_estimate_golden_bytes(tmp_path, capsys, monkeypatch):
+    argv = ["estimate", "--input", "tests/data/golden_input.csv", "--estimand", "tau,psi,xi",
+            "--side", "greater", "--seed", "11"]
+    assert_golden_bytes("golden_estimate.json", argv, tmp_path, capsys, monkeypatch)
+
+
+def test_bootstrap_golden_bytes(tmp_path, capsys, monkeypatch):
+    argv = ["estimate", "--input", "tests/data/golden_input.csv", "--variance", "bootstrap",
+            "--B", "100", "--seed", "3"]
+    assert_golden_bytes("golden_bootstrap.json", argv, tmp_path, capsys, monkeypatch)
+
+
+def test_diagnose_golden_bytes(tmp_path, capsys, monkeypatch):
+    argv = ["diagnose", "--input", "tests/data/golden_input.csv", "--bias-bound", "0.1"]
+    assert_golden_bytes("golden_diagnose.json", argv, tmp_path, capsys, monkeypatch)
 
 
 def test_readme_library_snippet_matches_the_cli(monkeypatch, capsys):
@@ -93,27 +96,9 @@ def test_readme_library_snippet_matches_the_cli(monkeypatch, capsys):
     assert namespace["est"].point == cli_point
 
 
-def test_simulate_golden_bytes(tmp_path, capsys):
-    out_path = tmp_path / "fresh.json"
-    code = main(
-        [
-            "simulate",
-            "--scenario",
-            "all",
-            "--reps",
-            "8",
-            "--n",
-            "200",
-            "--seed",
-            "3",
-            "--out",
-            str(out_path),
-        ]
-    )
-    capsys.readouterr()
-    assert code == 0
-    golden = (ROOT / "tests" / "data" / "golden_simulate.json").read_bytes()
-    assert out_path.read_bytes() == golden
+def test_simulate_golden_bytes(tmp_path, capsys, monkeypatch):
+    argv = ["simulate", "--scenario", "all", "--reps", "8", "--n", "200", "--seed", "3"]
+    assert_golden_bytes("golden_simulate.json", argv, tmp_path, capsys, monkeypatch)
 
 
 def test_estimate_binary_forces_ratio_one(tmp_path, capsys):
