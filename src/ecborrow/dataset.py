@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -43,12 +43,6 @@ class ColumnSchema:
             y=mapping.get("y", "y"),
             x=tuple(x) if x is not None else None,
         )
-
-    def to_dict(self) -> dict:
-        out = {"d": self.d, "t": self.t, "y": self.y}
-        if self.x is not None:
-            out["x"] = list(self.x)
-        return out
 
 
 class CompositeDataset:
@@ -284,14 +278,7 @@ class ValidationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": self.violations,
-            "warnings": self.warnings,
-            "column_checks": self.column_checks,
-            "detected_outcome_kind": self.detected_outcome_kind,
-            "declared_outcome_kind": self.declared_outcome_kind,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate(ds: CompositeDataset) -> ValidationReport:
@@ -362,15 +349,6 @@ class CellStats:
     x_mean: list[float] | None
     x_sd: list[float] | None
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "y_mean": self.y_mean,
-            "y_sd": self.y_sd,
-            "x_mean": self.x_mean,
-            "x_sd": self.x_sd,
-        }
-
 
 @dataclass
 class DescriptiveStats:
@@ -384,16 +362,7 @@ class DescriptiveStats:
     cells: dict
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n1": self.n1,
-            "n2": self.n2,
-            "q_hat": self.q_hat,
-            "trial_treated_fraction": self.trial_treated_fraction,
-            "outcome_kind": self.outcome_kind,
-            "covariate_names": list(self.covariate_names),
-            "cells": {key: cell.to_dict() for key, cell in self.cells.items()},
-        }
+        return asdict(self)
 
 
 def _cell(ds: CompositeDataset, mask: np.ndarray) -> CellStats:

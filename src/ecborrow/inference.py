@@ -14,7 +14,6 @@ control-mean shift.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri
 
 from .dataset import OUTCOME_BINARY, CompositeDataset
-from .errors import ConfigError, EmptyCell, ReplicateFailure
+from .errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
 from .estimators import DENOM_EPS, Estimate, IFVector
 from .nuisance import (
     IDENTITY,
@@ -57,19 +56,8 @@ class InferenceResult:
     variance_method: str
 
     def to_dict(self) -> dict:
-        out = self.estimate.to_dict()
-        out.update(
-            {
-                "variance": self.variance,
-                "se": self.se,
-                "ci": [self.ci[0], self.ci[1]],
-                "level": self.level,
-                "p_value": self.p_value,
-                "null_value": self.null_value,
-                "sidedness": self.sidedness,
-                "variance_method": self.variance_method,
-            }
-        )
+        out = asdict(self)
+        out.update(out.pop("estimate"))
         return out
 
 
@@ -129,6 +117,20 @@ def test(
 # ----------------------------- bootstrap ------------------------------
 
 
+def ordered_map(fn: Callable, tasks: list, jobs: int, chunksize: int = 1) -> list:
+    """``[fn(task) for task in tasks]``, in ``jobs`` worker processes if ``jobs > 1``.
+
+    Results come back in task order either way; with ``jobs > 1``, ``fn``
+    and every task must be picklable.
+    """
+    if jobs <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415 - kept off the CLI's import path
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
 @dataclass
 class BootstrapResult:
     variance: float
@@ -138,12 +140,9 @@ class BootstrapResult:
     points: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "variance": self.variance,
-            "ci": [self.ci[0], self.ci[1]],
-            "replicates": self.replicates,
-            "failures": self.failures,
-        }
+        out = asdict(self)
+        del out["points"]
+        return out
 
 
 def _canonical_order(ds: CompositeDataset) -> np.ndarray:
@@ -234,7 +233,7 @@ def _bootstrap_one(fitter, points, idx: np.ndarray, state) -> list:
 
     Returns one ``(point, None)`` or ``(None, message)`` per estimator. A
     failure to build or fit the resample counts against every estimator; a
-    failing point counts against its own estimator only.
+    failing or non-finite point counts against its own estimator only.
     """
     try:
         resample, fitted = fitter.fit(idx, state)
@@ -243,7 +242,10 @@ def _bootstrap_one(fitter, points, idx: np.ndarray, state) -> list:
     outcomes = []
     for point in points:
         try:
-            outcomes.append((float(point(resample, fitted)), None))
+            value = float(point(resample, fitted))
+            if not np.isfinite(value):
+                raise NonFiniteResult(f"resample estimate is {value}")
+            outcomes.append((value, None))
         except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
             outcomes.append((None, _describe(exc)))
     return outcomes
@@ -311,11 +313,7 @@ def bootstrap_variance(
         (fitter, shared.points, seed, range(start, min(start + size, n_replicates)), stratified)
         for start in range(0, n_replicates, size)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_bootstrap_block, tasks))
-    else:
-        blocks = [_bootstrap_block(task) for task in tasks]
+    blocks = ordered_map(_bootstrap_block, tasks, jobs)
     outcomes = [outcome for block in blocks for outcome in block]
     results = BootstrapResults(
         _summarize([outcome[k] for outcome in outcomes], level, max_failure_rate)

@@ -118,6 +118,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in (IDENTITY, LOGIT):
             raise ConfigError(f"unknown family {self.family!r}")
+        if not self.terms and not self.include_intercept:
+            raise ConfigError("a model spec needs at least one term or the intercept")
 
     @classmethod
     def linear_in(cls, k: int, family: str = IDENTITY, include_intercept: bool = True) -> "ModelSpec":

@@ -20,7 +20,6 @@ holds by construction.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .estimators import (
     estimate,
     influence_values,
 )
-from .inference import if_variance
+from .inference import if_variance, ordered_map
 from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
@@ -120,18 +119,7 @@ class ScenarioConfig:
         return self.scenario in ("ii", "iv")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "outcome_kind": self.outcome_kind,
-            "selection_coefs": list(self.selection_coefs),
-            "treatment_coefs": list(self.treatment_coefs),
-            "control_mean_coefs": list(self.control_mean_coefs),
-            "effect_coefs": list(self.effect_coefs),
-            "log_var_trial": list(self.log_var_trial),
-            "log_var_external": list(self.log_var_external),
-            "engagement_coefs": list(self.engagement_coefs),
-        }
+        return asdict(self)
 
 
 def distort(x: np.ndarray) -> np.ndarray:
@@ -343,9 +331,9 @@ def _mc_replicate(args) -> dict:
             ifv = influence_values(ds, nuis, estimand, method, point, table=table)
             record[name] = (point, if_variance(ifv))
         record["analytic_gain"] = efficiency_gain_analytic(ds, sets["pooled"], table=table)
-        return {"rep": rep, "ok": True, "record": record}
+        return {"ok": True, "record": record}
     except EcborrowError as exc:
-        return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 @dataclass
@@ -380,17 +368,9 @@ class MCResult:
     draws: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "level": self.level,
-            "truth": self.truth.to_dict(),
-            "summaries": {name: s.to_dict() for name, s in self.summaries.items()},
-            "failures": self.failures,
-            "failure_messages": self.failure_messages,
-            "mean_analytic_gain": self.mean_analytic_gain,
-        }
+        out = asdict(self)
+        del out["draws"]
+        return out
 
 
 def run_monte_carlo(
@@ -418,12 +398,7 @@ def run_monte_carlo(
         )
     truth = true_effects(cfg)
     tasks = [(cfg, master_seed, rep, tuple(estimators)) for rep in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_mc_replicate, tasks, chunksize=8))
-    else:
-        raw = [_mc_replicate(task) for task in tasks]
-    raw.sort(key=lambda item: item["rep"])
+    raw = ordered_map(_mc_replicate, tasks, jobs, chunksize=8)
     failures = [item for item in raw if not item["ok"]]
     if len(failures) > 0.02 * reps:
         raise ReplicateFailure(

@@ -498,6 +498,21 @@ def test_non_finite_design_column_is_numeric_error(tmp_path, capsys, monkeypatch
     jsonschema.validate(payload, SCHEMA)
 
 
+def test_model_spec_without_columns_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps(
+        {"models": {"m1": {"family": "identity", "terms": [], "include_intercept": False}}}
+    ))
+    code = main(["estimate", "--input", "tests/data/golden_input.csv", "--config", str(cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == {
+        "code": "CONFIG", "message": "a model spec needs at least one term or the intercept"
+    }
+    jsonschema.validate(payload, SCHEMA)
+
+
 def test_missing_schema_file_is_named(tmp_path, capsys):
     csv = make_input(tmp_path, n=200)
     missing = tmp_path / "missing.json"
@@ -541,6 +556,7 @@ def test_error_details_that_json_cannot_hold_are_dropped(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
+    """Neither scipy.stats and scipy.linalg nor the process pool load with the CLI."""
     import os
     import subprocess
     import sys
@@ -549,7 +565,8 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = (
         "import sys, ecborrow.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.linalg'))))"
+        "print(sorted(m for m in sys.modules if m.startswith(("
+        "'scipy.stats', 'scipy.linalg', 'multiprocessing', 'concurrent.futures.process'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,

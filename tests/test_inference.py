@@ -334,13 +334,14 @@ def _tau_full(resample: CompositeDataset, fitted) -> float:
     return estimate(resample, sets["pooled"], "tau", METHOD_FULL, table=table).point
 
 
-def _tiny_dataset() -> CompositeDataset:
-    """12 treated, 10 trial-control and 3 external rows: most resamples fail."""
+def _tiny_dataset(treated=12, controls=10, external=3) -> CompositeDataset:
+    """Treated, trial-control and external rows: most resamples fail."""
+    n = treated + controls + external
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((25, 2))
-    d = np.array([1] * 22 + [0] * 3)
-    t = np.array([1] * 12 + [0] * 13)
-    y = 1.0 + x[:, 0] + t + rng.standard_normal(25)
+    x = rng.standard_normal((n, 2))
+    d = np.array([1] * (treated + controls) + [0] * external)
+    t = np.array([1] * treated + [0] * (controls + external))
+    y = 1.0 + x[:, 0] + t + rng.standard_normal(n)
     return CompositeDataset(y, x, t, d)
 
 
@@ -364,6 +365,26 @@ def test_bootstrap_blocks_keep_failure_counts_and_messages():
     assert errors[0] == errors[1]
     codes = {message.split(":")[0] for message in errors[0]["details"]["messages"]}
     assert {"RankDeficient", "EmptyCell"} <= codes
+
+
+def test_bootstrap_counts_a_non_finite_point_as_failed():
+    # on these 21 rows a loglinear ratio overflows on some resamples, and tau is NaN
+    ds = _tiny_dataset(treated=8, controls=8, external=5)
+    specs = linear_specs(2)
+    fit = partial(fit_bundle, specs=specs, ratio_mode=RATIO_LOGLINEAR)
+    block = partial(BlockFitter, specs=specs, ratio_mode=RATIO_LOGLINEAR)
+    results = [bootstrap_variance(ds, SharedFit(fit, (_tau_full,), block=blk), 200, seed=3,
+                                  max_failure_rate=1.0)[0]
+               for blk in (None, block)]
+    for result in results:
+        assert np.isfinite(result.variance) and np.isfinite(result.ci).all()
+        assert np.isfinite(result.points).all()
+        assert result.replicates + result.failures == 200
+    assert results[0].failures == results[1].failures
+    with pytest.raises(ReplicateFailure) as failed:
+        bootstrap_variance(ds, lambda resample: float("nan"), 4)
+    assert failed.value.details["failures"] == 4
+    assert failed.value.details["messages"] == ["NonFiniteResult: resample estimate is nan"] * 4
 
 
 # ----------------------- exchangeability test --------------------------
