@@ -17,7 +17,7 @@ xi's, so psi = q*tau + (1 - q)*xi holds row by row.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -74,9 +74,6 @@ class Estimate:
             raise ConfigError(
                 f"method {self.method!r} is not valid for estimand {self.estimand!r}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .dataset import OUTCOME_BINARY, CompositeDataset
 from .errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
 from .estimators import DENOM_EPS, Estimate, IFVector
@@ -94,12 +94,12 @@ def test(
     else:
         z = (est.point - null_value) / se
     if sidedness == GREATER:
-        p = float(ndtr(-z))
+        p = ndtr(-z)
     elif sidedness == LESS:
-        p = float(ndtr(z))
+        p = ndtr(z)
     else:
-        p = float(2.0 * ndtr(-abs(z)))
-    crit = float(ndtri(0.5 + level / 2.0))
+        p = 2.0 * ndtr(-abs(z))
+    crit = ndtri(0.5 + level / 2.0)
     ci = (est.point - crit * se, est.point + crit * se)
     return InferenceResult(
         estimate=est,
@@ -331,6 +331,8 @@ def _chi2_sf(statistic: float, df: int) -> float:
     The bare ufunc returns NaN below zero, where the distribution's survival
     is 1; a rounded quadratic form can land a hair below zero.
     """
+    from scipy.special import chdtrc  # noqa: PLC0415 - only diagnose pays for scipy
+
     return float(chdtrc(df, max(statistic, 0.0)))
 
 
@@ -396,7 +398,7 @@ def test_mean_exchangeability(ds: CompositeDataset, spec: ModelSpec | None = Non
     main = {
         "estimate": float(fit.coef[main_idx]),
         "se": main_se,
-        "p_value": float(2.0 * ndtr(-(abs(fit.coef[main_idx]) / main_se)))
+        "p_value": 2.0 * ndtr(-(abs(float(fit.coef[main_idx])) / main_se))
         if main_se > 0
         else 1.0,
     }

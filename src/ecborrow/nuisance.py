@@ -447,7 +447,12 @@ class VarianceRatioModel:
         if self.mode == RATIO_CONSTANT:
             return np.full(n, self.const_ratio)
         design = self.spec.design(x) if design is None else design
-        return np.exp(design @ self.coef_trial - design @ self.coef_external)
+        with np.errstate(over="ignore"):
+            r = np.exp(design @ self.coef_trial - design @ self.coef_external)
+        if not np.isfinite(r).all():
+            bad = int(np.count_nonzero(~np.isfinite(r)))
+            raise NonFiniteResult(f"variance ratio r(x) is not finite on {bad} of {n} rows")
+        return r
 
     def predict_var_trial(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
         """Smoothed var(Y | X, trial controls); unavailable for known_one."""

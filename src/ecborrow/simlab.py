@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .dataset import OUTCOME_CONTINUOUS, CompositeDataset
 from .errors import ConfigError, EcborrowError, ReplicateFailure
 from .estimators import (
@@ -193,9 +193,6 @@ class TrueEffects:
     def by_estimand(self) -> dict:
         return {"tau": self.tau, "psi": self.psi, "xi": self.xi}
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _TRUTH_CACHE: dict = {}
 
@@ -350,9 +347,6 @@ class MCSummary:
     coverage: float
     mean_variance_estimate: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class MCResult:
@@ -407,7 +401,7 @@ def run_monte_carlo(
         )
     records = [item["record"] for item in raw if item["ok"]]
     n_ok = len(records)
-    crit = float(ndtri(0.5 + level / 2.0))
+    crit = ndtri(0.5 + level / 2.0)
     truths = truth.by_estimand()
     summaries: dict = {}
     draws: dict = {} if keep_draws else None

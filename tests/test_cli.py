@@ -556,23 +556,46 @@ def test_error_details_that_json_cannot_hold_are_dropped(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
-    """Neither scipy.stats and scipy.linalg nor the process pool load with the CLI."""
+    """No scipy module nor the process pool loads with the CLI, estimate or simulate.
+
+    Only diagnose's chi-square p-value (and the rank-failure QR) imports scipy.
+    """
     import os
     import subprocess
     import sys
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    golden = "tests/data/golden_input.csv"
     probe = (
-        "import sys, ecborrow.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(("
-        "'scipy.stats', 'scipy.linalg', 'multiprocessing', 'concurrent.futures.process'))))"
+        "import contextlib, io, json, sys\n"
+        "from ecborrow.cli import main\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    return json.loads(out.getvalue())\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith(("
+        "'multiprocessing', 'concurrent.futures.process')))\n"
+        "print(loaded())\n"
+        f"run(['estimate', '--input', '{golden}', '--seed', '11'])\n"
+        f"run(['estimate', '--input', '{golden}', '--estimand', 'tau', '--variance', 'bootstrap',"
+        " '--B', '100', '--seed', '3'])\n"
+        "run(['simulate', '--scenario', 'i', '--reps', '4', '--n', '200', '--seed', '3'])\n"
+        "print(loaded())\n"
+        f"print(run(['diagnose', '--input', '{golden}'])['exchangeability']['p_value'])\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
-        timeout=60,
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.returncode == 0, out.stderr
+    after_import, after_runs, diagnose_p = out.stdout.strip().splitlines()
+    assert after_import == "[]"
+    assert after_runs == "[]"
+    golden_p = json.loads((ROOT / "tests" / "data" / "golden_diagnose.json").read_text())
+    assert float(diagnose_p) == golden_p["exchangeability"]["p_value"]
 
 
 def test_report_renders_simulation_table(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecborrow.dataset import CompositeDataset
-from ecborrow.errors import ConfigError, EmptyCell, ReplicateFailure
+from ecborrow.errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
 from ecborrow.estimators import (
     METHOD_FULL,
     Estimate,
@@ -123,6 +124,56 @@ def test_z_test_equals_scipy_stats_exactly():
                     assert np.array_equal(
                         res.ci, (point - crit * se, point + crit * se), equal_nan=True
                     )
+
+
+def _around(centres, k: int = 500, width: float = 1e-3, n: int = 4001) -> np.ndarray:
+    """Each centre, the k doubles on either side of it, and a linear grid over +-width."""
+    out = []
+    for c in centres:
+        steps = np.arange(-k, k + 1, dtype=float) * np.spacing(c)
+        out += [c + steps, np.linspace(c - width, c + width, n)]
+    return np.concatenate(out)
+
+
+def _assert_bits_equal(fn, reference, values):
+    ours = np.array([fn(float(v)) for v in values])
+    ref = reference(values)
+    same = (ours == ref) & (np.signbit(ours) == np.signbit(ref)) | np.isnan(ours) & np.isnan(ref)
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, (f"{bad.size} of {values.size} differ, first at {values[bad[0]]!r}: "
+                           f"{ours[bad[0]]!r} != {ref[bad[0]]!r}")
+
+
+def test_normal_port_equals_scipy_special_bit_for_bit():
+    """The Cephes ports match scipy.special on every branch edge, tails and specials."""
+    from scipy import special
+
+    from ecborrow._normal import MAXLOG, ndtr, ndtri
+
+    rng = np.random.default_rng(11)
+    # ndtr: |a|/sqrt2 against 1/sqrt2 (erf or erfc), 1 (erfc's erf branch), 8 (P/Q or R/S);
+    # the lower tail turns subnormal near a = -37.5 and is 0 past -sqrt(2*MAXLOG) (MAXLOG cut)
+    edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.5, np.sqrt(2.0 * MAXLOG)]
+    z = np.concatenate([
+        _around(edges), -_around(edges), np.linspace(-40.0, 40.0, 40_001),
+        rng.standard_normal(10_000) * 6.0,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308],
+    ])
+    assert z.size > 90_000
+    _assert_bits_equal(ndtr, special.ndtr, z)
+    # ndtri: p against exp(-2) and 1 - exp(-2) (centre or tails), exp(-32) and 1 - exp(-32)
+    # (x = 8: P1/Q1 or P2/Q2); 0 and 1 are -inf and inf, outside [0, 1] is NaN
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    p = np.concatenate([
+        _around([e2, 1.0 - e2], width=1e-4), _around([e32], width=1e-17),
+        _around([1.0 - e32], k=40, width=1e-13, n=2001),
+        rng.random(30_000), 10.0 ** rng.uniform(-323.0, 0.0, 30_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 15_000),
+        [0.0, -0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0**-53, np.nextafter(1.0, 2.0), -1e-300, 2.0,
+         np.inf, -np.inf, np.nan],
+    ])
+    assert p.size > 90_000
+    _assert_bits_equal(ndtri, special.ndtri, p)
 
 
 def test_chi2_p_value_equals_scipy_stats_exactly():
@@ -368,19 +419,28 @@ def test_bootstrap_blocks_keep_failure_counts_and_messages():
 
 
 def test_bootstrap_counts_a_non_finite_point_as_failed():
-    # on these 21 rows a loglinear ratio overflows on some resamples, and tau is NaN
+    # on these 21 rows a loglinear ratio overflows on some resamples
     ds = _tiny_dataset(treated=8, controls=8, external=5)
     specs = linear_specs(2)
     fit = partial(fit_bundle, specs=specs, ratio_mode=RATIO_LOGLINEAR)
     block = partial(BlockFitter, specs=specs, ratio_mode=RATIO_LOGLINEAR)
-    results = [bootstrap_variance(ds, SharedFit(fit, (_tau_full,), block=blk), 200, seed=3,
-                                  max_failure_rate=1.0)[0]
-               for blk in (None, block)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [bootstrap_variance(ds, SharedFit(fit, (_tau_full,), block=blk), 200, seed=3,
+                                      max_failure_rate=1.0)[0]
+                   for blk in (None, block)]
+    assert [str(w.message) for w in caught] == []
     for result in results:
         assert np.isfinite(result.variance) and np.isfinite(result.ci).all()
         assert np.isfinite(result.points).all()
         assert result.replicates + result.failures == 200
-    assert results[0].failures == results[1].failures
+        assert result.failures == 71
+    # the overflow is a typed error at its source that names the ratio
+    ratio = fit(ds)[0]["pooled"].r
+    huge = VarianceRatioModel(RATIO_LOGLINEAR, spec=ratio.spec, coef_trial=ratio.coef_trial + 800.0,
+                              coef_external=ratio.coef_external)
+    with pytest.raises(NonFiniteResult, match="variance ratio"):
+        huge.predict_r(ds.x)
     with pytest.raises(ReplicateFailure) as failed:
         bootstrap_variance(ds, lambda resample: float("nan"), 4)
     assert failed.value.details["failures"] == 4
