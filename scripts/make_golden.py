@@ -1,13 +1,26 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI fixtures under tests/data/.
+"""Regenerate the golden CLI fixtures under tests/data/, or check them.
 
 Run from the repository root after any intentional change to the output
 format, then review the diff:
 
     python scripts/make_golden.py
+
+With ``--check`` every fixture is regenerated into a temporary directory
+instead, and tests/data is left untouched. One line per file says whether
+its bytes match the committed file and the largest relative change of any
+number in it; the exit code is 1 if any file's bytes differ:
+
+    python scripts/make_golden.py --check
 """
 
+import argparse
+import contextlib
+import io
+import json
 import os
+import sys
+import tempfile
 from pathlib import Path
 
 from ecborrow.cli import main
@@ -34,19 +47,72 @@ GOLDENS = {
 }
 
 
-def run() -> None:
-    DATA.mkdir(parents=True, exist_ok=True)
+def write(out: Path, input_path: Path) -> None:
+    """The golden input at ``input_path`` and every golden file under ``out``."""
     ds, _ = generate(ScenarioConfig(scenario="i", n=400), 20_260_101)
-    write_csv(ds, ROOT / INPUT)
+    write_csv(ds, input_path)
     # the input path is recorded in the JSON: keep it repo-relative so the
     # golden bytes are portable across checkouts
     os.chdir(ROOT)
     for name, argv in GOLDENS.items():
-        code = main([*argv, "--out", str(DATA / name)])
+        with contextlib.redirect_stdout(io.StringIO()):  # each run also prints its JSON
+            code = main([*argv, "--out", str(out / name)])
         if code != 0:
             raise SystemExit(f"{argv[0]} for {name} failed with exit code {code}")
+
+
+def _numbers(path: Path) -> list[float]:
+    """Every number in a golden file, in file order."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+
+    def walk(value):
+        if isinstance(value, dict):
+            return [n for item in value.values() for n in walk(item)]
+        if isinstance(value, list):
+            return [n for item in value for n in walk(item)]
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return [float(value)] if is_number else []
+
+    return walk(json.loads(text))
+
+
+def largest_relative_change(old: Path, new: Path) -> float:
+    """max |a - b| / max(|a|, |b|) over the numbers of two files; inf if their counts differ."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b):
+        return float("inf")
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0)
+
+
+def check() -> int:
+    """Regenerate into a temporary directory and compare with tests/data; 1 on a byte difference."""
+    differ = False
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        # the CLI runs read the committed input, whose path the JSON records
+        write(out, out / Path(INPUT).name)
+        for name in [Path(INPUT).name, *GOLDENS]:
+            old, new = DATA / name, out / name
+            same = old.read_bytes() == new.read_bytes()
+            differ |= not same
+            change = largest_relative_change(old, new)
+            print(f"{name}: {'bytes match' if same else 'bytes differ'}, "
+                  f"largest relative change {change:.3g}")
+    return 1 if differ else 0
+
+
+def run() -> None:
+    DATA.mkdir(parents=True, exist_ok=True)
+    write(DATA, ROOT / INPUT)
     print(f"wrote {INPUT} and {', '.join(GOLDENS)}")
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare a fresh regeneration with tests/data; write nothing there")
+    if parser.parse_args().check:
+        sys.exit(check())
     run()

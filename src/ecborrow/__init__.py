@@ -16,6 +16,7 @@ from .estimators import (
     efficiency_bound_plugin,
     efficiency_gain_analytic,
     estimate,
+    estimate_point,
     estimate_psi,
     estimate_tau_full,
     estimate_tau_treated_only,

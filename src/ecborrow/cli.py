@@ -14,6 +14,7 @@ import logging
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 
 from . import simlab
@@ -36,6 +37,7 @@ from .estimators import (
     METHOD_TRIAL,
     Estimate,
     estimate,
+    estimate_point,
     influence_values,
 )
 from .inference import (
@@ -112,6 +114,12 @@ class RunConfig:
     results: str | None = None
 
     def __post_init__(self):
+        for key in ("seed", "B", "jobs"):
+            value = getattr(self, key)
+            if key == "B" and value is None:
+                continue  # B defaults by variance method below
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
         if self.side not in _SIDE_FLAGS:
             raise ConfigError(f"unknown sidedness {self.side!r}")
         if not 0.0 < float(self.level) < 1.0:
@@ -230,8 +238,10 @@ class EstimatorPlan:
         sets, table = fitted
         return estimate(ds, self.nuisances_for(sets), self.estimand, self.method, table=table)
 
-    def point(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]) -> float:
-        return self.evaluate(ds, fitted).point
+    def point(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]):
+        """The point alone; one per resample on a bootstrap block's table."""
+        sets, table = fitted
+        return estimate_point(ds, self.nuisances_for(sets), self.estimand, self.method, table)
 
 
 def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[tuple[str, str]]:
@@ -275,7 +285,7 @@ def cmd_estimate(cfg: RunConfig) -> dict:
     plans = [EstimatorPlan(est, meth) for est, meth in pairs]
     # one fit, and one row table of its predictions, serves every requested
     # pair: once for the primary analysis and once per bootstrap resample,
-    # whose identity-family models are solved a block of resamples at a time
+    # whose models and points are fit a block of resamples at a time
     bundle = {"specs": specs, "ratio_mode": ratio_mode,
               "treated_only": any(p.method == METHOD_TREATED_ONLY for p in plans)}
     fit = partial(fit_bundle, **bundle)

@@ -10,9 +10,12 @@ ratio and refitting the control mean on trial controls only).
 Every (estimand, method) is one ratio of means: per-row numerators N and
 denominators D give point = sum(N)/sum(D) and influence values
 (N - point*D)/mean(D). ``_moment`` writes each estimator's rows once, and
-the ``estimate_*`` functions, ``estimate`` and ``influence_values`` all read
-them, through the row table when one is passed. psi's rows are tau's plus
-xi's, so psi = q*tau + (1 - q)*xi holds row by row.
+the ``estimate_*`` functions, ``estimate``, ``estimate_point`` and
+``influence_values`` all read them, through the row table when one is
+passed. psi's rows are tau's plus xi's, so psi = q*tau + (1 - q)*xi holds
+row by row. On a ``nuisance.BlockTable`` of K bootstrap resamples the same
+rows are (K, n) and each resample's point is sum(c*N)/sum(c*D), c its
+count of each row; a plain table is the case K = 1, c = 1.
 """
 
 from __future__ import annotations
@@ -126,21 +129,31 @@ class _Pieces:
 
 @dataclass
 class _Moment:
-    """One estimator's rows: point = sum(N)/sum(D), IF = (N - point*D)/mean(D).
+    """One estimator's rows: point = sum(c*N)/sum(c*D), IF = (N - point*D)/mean(D).
 
-    ``denom`` is D (1.0 when every row counts) and ``denom_sum`` its sum, the
-    row count n1, n2 or n of the dataset.
+    ``denom`` is D (1.0 when every row counts). ``counts`` (c) is None on a
+    plain table, where c = 1, the point is one float and sum(D) is the row
+    count n1, n2 or n of the dataset; on a block table it holds one row of
+    counts per resample, ``numer`` is (K, n) and there is one point per
+    resample.
     """
 
     numer: np.ndarray
     denom: np.ndarray | float
-    denom_sum: int
     n_used: int
     trim_count: int
+    counts: np.ndarray | None = None
 
     @property
-    def point(self) -> float:
-        return float(np.sum(self.numer) / self.denom_sum)
+    def denom_sum(self):
+        denom = np.broadcast_to(self.denom, self.numer.shape[-1:])
+        return np.sum(denom) if self.counts is None else self.counts @ denom
+
+    @property
+    def point(self):
+        if self.counts is None:
+            return float(np.sum(self.numer) / self.denom_sum)
+        return np.sum(self.counts * self.numer, axis=-1) / self.denom_sum
 
     def influence(self, point: float) -> np.ndarray:
         return (self.numer - point * self.denom) / (self.denom_sum / self.numer.shape[0])
@@ -164,15 +177,16 @@ def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model
     return _Pieces(delta=m1 - m0, pi=pi, core=core, trim_count=trims + floored_p + floored_w)
 
 
-def _full_moment(ds: CompositeDataset, pieces: _Pieces, estimand: str) -> _Moment:
+def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
+    ds = table.ds
     if estimand == ESTIMAND_TAU:
-        numer, denom, denom_sum = ds.d * pieces.delta + pieces.core, ds.d, ds.n1
+        numer, denom = ds.d * pieces.delta + pieces.core, ds.d
     elif estimand == ESTIMAND_PSI:
-        numer, denom, denom_sum = pieces.delta + pieces.core / pieces.pi, 1.0, ds.n
+        numer, denom = pieces.delta + pieces.core / pieces.pi, 1.0
     else:
-        denom, denom_sum = 1 - ds.d, ds.n2
+        denom = 1 - ds.d
         numer = denom * pieces.delta + pieces.core * (1.0 - pieces.pi) / pieces.pi
-    return _Moment(numer, denom, denom_sum, ds.n, pieces.trim_count)
+    return _Moment(numer, denom, ds.n, pieces.trim_count, table.counts)
 
 
 def _trial_moment(table: RowTable, m1_model, m0_model, p_model) -> _Moment:
@@ -181,10 +195,11 @@ def _trial_moment(table: RowTable, m1_model, m0_model, p_model) -> _Moment:
     m1 = table.predict(m1_model)
     m0 = table.predict(m0_model)
     p, trimmed = table.propensity(p_model)
-    floored = int(np.sum(p[trial] < DENOM_EPS))
+    floored = int(np.sum(p[..., trial] < DENOM_EPS))
     p = np.maximum(p, DENOM_EPS)
     row = (m1 - m0) + ds.t * (ds.y - m1) / p - (1 - ds.t) * (ds.y - m0) / (1.0 - p)
-    return _Moment(ds.d * row, ds.d, ds.n1, ds.n1, int(trimmed[trial].sum()) + floored)
+    return _Moment(ds.d * row, ds.d, ds.n1, int(trimmed[..., trial].sum()) + floored,
+                   table.counts)
 
 
 def _treated_only_moment(table: RowTable, m0_model, pi_model) -> _Moment:
@@ -192,7 +207,7 @@ def _treated_only_moment(table: RowTable, m0_model, pi_model) -> _Moment:
     pi, trimmed = table.propensity(pi_model)
     resid0 = ds.y - table.predict(m0_model)
     numer = ds.d * resid0 - (1 - ds.d) * (pi / (1.0 - pi)) * resid0
-    return _Moment(numer, ds.d, ds.n1, ds.n, int(trimmed.sum()))
+    return _Moment(numer, ds.d, ds.n, int(trimmed.sum()), table.counts)
 
 
 def _check_comparator_nuisances(nuis: NuisanceSet, method: str) -> bool:
@@ -267,7 +282,7 @@ def _moment(
             ("pieces", *map(id, models)), models, partial(_full_pieces, table, *models)
         )
         owners = (pieces,)
-        compute = partial(_full_moment, ds, pieces, estimand)
+        compute = partial(_full_moment, table, pieces, estimand)
     return table.cached((estimand, method, *map(id, owners)), owners, compute)
 
 
@@ -351,6 +366,21 @@ def estimate(
     """The named estimator."""
     _check_pair(estimand, method, "estimator")
     return _estimate(ds, nuis, estimand, method, table)
+
+
+def estimate_point(
+    ds: CompositeDataset,
+    nuis: NuisanceSet,
+    estimand: str,
+    method: str,
+    table: RowTable | None = None,
+):
+    """The named estimator's point alone, with no Estimate or fingerprint.
+
+    On a ``BlockTable`` of stacked models it is one point per resample.
+    """
+    _check_pair(estimand, method, "estimator")
+    return _moment(ds, nuis, estimand, method, table).point
 
 
 # -------------------------- influence values --------------------------

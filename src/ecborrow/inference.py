@@ -1,12 +1,13 @@
 """Variance estimation, tests, and diagnostics for the estimators.
 
 Influence-function variances and normal-approximation intervals are the
-default; a nonparametric bootstrap that refits all working models per
-resample is available as a cross-check. Each resample is drawn once and its
-working models are fit once; every requested estimator is evaluated on that
-one set of fits. Resamples reach the fit in blocks, each also written as
-frequency counts on the base rows, so a block fitter (``SharedFit.block``)
-can solve what the block's resamples share together. Also here: the
+default; a nonparametric bootstrap is available as a cross-check. Each
+resample is drawn once and its working models are fit once; every requested
+estimator is evaluated on that one set of fits. Resamples reach the fit in
+blocks, each also written as frequency counts on the base rows, so a block
+fitter (``SharedFit.block``) can fit a whole block's working models and
+points from the counts without building a dataset per resample; a resample
+it cannot stand in for is fit alone on its own rows. Also here: the
 specification test for equal control-outcome means across data sources,
 overlap diagnostics, and the bias bound under a source-specific
 control-mean shift.
@@ -151,8 +152,9 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
     return np.lexsort(tuple(keys))
 
 
-# a block's (resamples, rows) arrays stay under this many bytes
-BLOCK_BYTES = 1 << 18
+# a block's (resamples, rows) arrays stay under this many bytes; a block fit
+# keeps some twenty of them alive at once (predictions and estimator rows)
+BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -163,31 +165,18 @@ class SharedFit:
     fitted)`` in ``points`` turns its result into one estimate. ``block``,
     when given, makes a block fitter of the canonical base rows,
     ``block(base)``, that fits many resamples together (``nuisance.
-    BlockFitter`` is one): ``solve(counts)`` takes each resample's frequency
-    counts on the base rows and returns one state per resample, and
-    ``fit(idx, state)`` returns ``(base.take(idx), fitted)`` with ``fitted``
-    equal to ``fit(base.take(idx))`` up to rounding. With ``jobs > 1`` every
-    function must be picklable.
+    BlockFitter`` is one). Its ``solve(counts)`` takes K resamples as rows
+    of frequency counts on the base rows and returns ``(ok, fitted)``: where
+    it stands in for ``fit``, and a value on which each ``point(base,
+    fitted)`` returns the K points at once, equal up to rounding to
+    ``point(resample, fit(resample))`` wherever ``ok`` holds. A resample
+    outside ``ok``, or with a non-finite block point, is fit alone. With
+    ``jobs > 1`` every function must be picklable.
     """
 
     fit: Callable[[CompositeDataset], object]
     points: tuple[Callable[[CompositeDataset, object], float], ...]
     block: Callable[[CompositeDataset], object] | None = None
-
-
-@dataclass(frozen=True)
-class _OneByOne:
-    """The block fitter of a plain per-resample fit: nothing is shared."""
-
-    base: CompositeDataset
-    fit_one: Callable[[CompositeDataset], object]
-
-    def solve(self, counts: np.ndarray) -> list:
-        return [None] * len(counts)
-
-    def fit(self, idx: np.ndarray, state: None) -> tuple[CompositeDataset, object]:
-        resample = self.base.take(idx)
-        return resample, self.fit_one(resample)
 
 
 class BootstrapResults(list):
@@ -219,33 +208,66 @@ def _draw(base: CompositeDataset, seed: int, rep: int, stratified: bool) -> np.n
 
 
 def _bootstrap_block(args) -> list:
-    """Draw a block of resamples, solve what they share, then finish each."""
-    fitter, points, seed, reps, stratified = args
-    n = fitter.base.n
-    indices = [_draw(fitter.base, seed, rep, stratified) for rep in reps]
-    counts = np.stack([np.bincount(idx, minlength=n) for idx in indices])
-    states = fitter.solve(counts)
-    return [_bootstrap_one(fitter, points, idx, state) for idx, state in zip(indices, states)]
+    """Draw a block of resamples, fit what the block fitter can together, then finish each."""
+    base, shared, fitter, seed, reps, stratified = args
+    indices = [_draw(base, seed, rep, stratified) for rep in reps]
+    states = [None] * len(indices)
+    if fitter is not None:
+        counts = np.stack([np.bincount(idx, minlength=base.n) for idx in indices])
+        states = _block_points(fitter, shared.points, counts)
+    return [_bootstrap_one(base, shared, idx, state) for idx, state in zip(indices, states)]
 
 
-def _bootstrap_one(fitter, points, idx: np.ndarray, state) -> list:
-    """Fit resample ``idx`` once and evaluate every estimator on it.
-
-    Returns one ``(point, None)`` or ``(None, message)`` per estimator. A
-    failure to build or fit the resample counts against every estimator; a
-    failing or non-finite point counts against its own estimator only.
-    """
+def _block_points(fitter, points, counts: np.ndarray) -> list:
+    """Each resample's points from one fit of the block, or None to fit it alone."""
+    k = counts.shape[0]
     try:
-        resample, fitted = fitter.fit(idx, state)
+        ok, fitted = fitter.solve(counts)
+        if not ok.any():
+            return [None] * k
+        # a resample cleared from ``ok``, or one whose rows the block's values
+        # overflow on, gets a non-finite point here and is fit alone
+        with np.errstate(all="ignore"):
+            values = np.column_stack([
+                np.asarray(point(fitter.base, fitted), dtype=float).reshape(k)
+                for point in points
+            ])
+    except Warning:
+        raise
+    except Exception:  # noqa: BLE001 - each resample, fit alone, reports its own failure
+        return [None] * k
+    usable = ok & np.isfinite(values).all(axis=1)
+    return [row if good else None for row, good in zip(values, usable)]
+
+
+def _bootstrap_one(base: CompositeDataset, shared: SharedFit, idx: np.ndarray, state) -> list:
+    """Finish resample ``idx``: its block points, or its own fit and every estimator on it.
+
+    ``state`` holds the resample's points from its block, or None to fit it
+    alone on ``base.take(idx)``. Returns one ``(point, None)`` or ``(None,
+    message)`` per estimator. A failure to build or fit the resample counts
+    against every estimator; a failing or non-finite point counts against its
+    own estimator only. A warning raised as an exception (a warnings filter
+    set to "error") is raised on, not counted.
+    """
+    if state is not None:
+        return [(float(value), None) for value in state]
+    try:
+        resample = base.take(idx)
+        fitted = shared.fit(resample)
+    except Warning:
+        raise
     except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
-        return [(None, _describe(exc))] * len(points)
+        return [(None, _describe(exc))] * len(shared.points)
     outcomes = []
-    for point in points:
+    for point in shared.points:
         try:
             value = float(point(resample, fitted))
             if not np.isfinite(value):
                 raise NonFiniteResult(f"resample estimate is {value}")
             outcomes.append((value, None))
+        except Warning:
+            raise
         except Exception as exc:  # noqa: BLE001 - failures are counted, not raised
             outcomes.append((None, _describe(exc)))
     return outcomes
@@ -297,7 +319,8 @@ def bootstrap_variance(
     stream (seed, r). Resamples go to the fit in blocks of consecutive
     replicates, sized from the row count alone so that each block's
     (resamples, rows) arrays stay under BLOCK_BYTES; with ``jobs > 1`` the
-    worker processes take whole blocks. At least 100 replicates are
+    worker processes take whole blocks. A SharedFit's ``block`` fits each
+    block at once where it can (see SharedFit). At least 100 replicates are
     recommended. The first estimator, in order, with more than
     ``max_failure_rate`` failed replicates, or with none that succeeded,
     raises ReplicateFailure.
@@ -307,10 +330,10 @@ def bootstrap_variance(
     single = not isinstance(estimator_fn, SharedFit)
     shared = SharedFit(estimator_fn, (_fitted_value,)) if single else estimator_fn
     base = ds.take(_canonical_order(ds))
-    fitter = _OneByOne(base, shared.fit) if shared.block is None else shared.block(base)
+    fitter = None if shared.block is None else shared.block(base)
     size = max(1, BLOCK_BYTES // (8 * base.n))
     tasks = [
-        (fitter, shared.points, seed, range(start, min(start + size, n_replicates)), stratified)
+        (base, shared, fitter, seed, range(start, min(start + size, n_replicates)), stratified)
         for start in range(0, n_replicates, size)
     ]
     blocks = ordered_map(_bootstrap_block, tasks, jobs)

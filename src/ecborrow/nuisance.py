@@ -6,7 +6,9 @@ models by iteratively reweighted least squares with step-halving. Covariate
 transforms are declared per model, so misspecification studies only swap
 the transform, never the fitting code. ``fit_bundle`` fits every working
 model of one dataset once and hands back the nuisance sets with the
-``RowTable`` that holds each design and prediction once.
+``RowTable`` that holds each design and prediction once; ``BlockFitter``
+does the same for a block of bootstrap resamples written as row counts,
+with stacked models and a ``BlockTable``.
 """
 
 from __future__ import annotations
@@ -160,6 +162,13 @@ class ModelSpec:
 
 @dataclass
 class FittedGLM:
+    """One fitted GLM.
+
+    A stacked fit (``BlockFitter``) holds K fits: ``coef`` is (K, p),
+    ``iterations``, ``loglik`` and ``n_obs`` hold one entry per fit, and
+    ``predict_design`` gives (K, n) predictions.
+    """
+
     family: str
     coef: np.ndarray
     converged: bool
@@ -170,7 +179,7 @@ class FittedGLM:
     column_names: list[str] = field(default_factory=list)
 
     def predict_design(self, design: np.ndarray) -> np.ndarray:
-        eta = np.asarray(design, dtype=float) @ self.coef
+        eta = _eta(np.asarray(design, dtype=float), self.coef)
         if self.family == LOGIT:
             return expit(eta)
         return eta
@@ -182,14 +191,26 @@ class FittedGLM:
         return self.predict_design(self.spec.design(x) if design is None else design)
 
 
+def _eta(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Linear predictor; (K, n) when ``coef`` stacks K fits as (K, p)."""
+    return design @ coef if np.ndim(coef) == 1 else coef @ design.T
+
+
 def expit(eta: np.ndarray) -> np.ndarray:
     """Numerically stable inverse logit."""
-    eta = np.asarray(eta, dtype=float)
-    # exp(-|eta|) is exp(-eta) where eta >= 0 and exp(eta) elsewhere, so both
-    # branches see the same bits as a masked split, without the gather/scatter
+    return _expit_parts(np.asarray(eta, dtype=float))[0]
+
+
+def _expit_parts(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """expit(eta), and the exp(-|eta|) it is computed from.
+
+    exp(-|eta|) is exp(-eta) where eta >= 0 and exp(eta) elsewhere, so both
+    branches see the same bits as a masked split, without the gather/scatter;
+    the numerator exp(min(eta, 0)) is exactly 1 or that same exp(eta), which
+    gives the bits of a select between 1/(1 + e) and e/(1 + e) without one.
+    """
     e = np.exp(-np.abs(eta))
-    denom = 1.0 + e
-    return np.where(eta >= 0, 1.0 / denom, e / denom)
+    return np.exp(np.minimum(eta, 0.0)) / (1.0 + e), e
 
 
 def _check_rank(design: np.ndarray, column_names: list[str] | None, rank=None) -> None:
@@ -329,12 +350,14 @@ def fit_model(ds_x: np.ndarray, response: np.ndarray, spec: ModelSpec,
 
 # ------------------------- model-set fitting --------------------------
 
-# rows of each identity-stage fit of a bundle, from the (d, t) columns; the
-# variance ratio compares the trial-control rows with the external rows
+# rows of each fit of a bundle, from the (d, t) columns; the variance ratio
+# compares the trial-control rows with the external rows
 _BUNDLE_ROWS = {
     "m1": lambda d, t: (d == 1) & (t == 1),
     "m0_pooled": lambda d, t: t == 0,
     "m0_trial": lambda d, t: (d == 1) & (t == 0),
+    "p": lambda d, t: d == 1,
+    "pi": lambda d, t: np.ones(d.shape, dtype=bool),
     "external": lambda d, t: d == 0,
 }
 
@@ -411,6 +434,9 @@ class VarianceRatioModel:
     the per-group fits also provide smoothed conditional variances, rescaled
     so group means match the raw mean squared residuals. A loglinear model
     carries the constant model of the same residuals as ``constant``.
+
+    A stacked model (``BlockFitter``) holds K fits: each array and number
+    field gains a leading axis of K, and ratios come out (K, n).
     """
 
     mode: str
@@ -430,29 +456,28 @@ class VarianceRatioModel:
             return np.array([])
         if self.mode == RATIO_CONSTANT:
             return np.array([self.const_ratio, self.const_var_trial, self.const_var_external])
-        return np.concatenate(
-            [
-                self.coef_trial,
-                self.coef_external,
-                [self.log_scale_trial, self.log_scale_external],
-            ]
-        )
+        scales = np.stack([self.log_scale_trial, self.log_scale_external], axis=-1)
+        return np.concatenate([self.coef_trial, self.coef_external, scales], axis=-1)
 
     def predict_r(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
         """Ratio at ``x``; ``design`` may pass ``spec.design(x)`` built beforehand."""
+        r = self._unchecked_r(x, design)
+        if not np.isfinite(r).all():
+            bad = int(np.count_nonzero(~np.isfinite(r)))
+            raise NonFiniteResult(f"variance ratio r(x) is not finite on {bad} of {r.size} rows")
+        return r
+
+    def _unchecked_r(self, x: np.ndarray, design: np.ndarray | None) -> np.ndarray:
+        """``predict_r`` without its finiteness check: an overflow is left as inf."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
         if self.mode == RATIO_KNOWN_ONE:
             return np.ones(n)
         if self.mode == RATIO_CONSTANT:
-            return np.full(n, self.const_ratio)
+            return np.repeat(np.asarray(self.const_ratio)[..., None], n, axis=-1)
         design = self.spec.design(x) if design is None else design
         with np.errstate(over="ignore"):
-            r = np.exp(design @ self.coef_trial - design @ self.coef_external)
-        if not np.isfinite(r).all():
-            bad = int(np.count_nonzero(~np.isfinite(r)))
-            raise NonFiniteResult(f"variance ratio r(x) is not finite on {bad} of {n} rows")
-        return r
+            return np.exp(_eta(design, self.coef_trial) - _eta(design, self.coef_external))
 
     def predict_var_trial(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
         """Smoothed var(Y | X, trial controls); unavailable for known_one."""
@@ -596,6 +621,8 @@ class RowTable:
     of its own. Models must not change after a table has read them.
     """
 
+    counts = None  # each row once; a BlockTable holds K resamples' counts
+
     def __init__(self, ds: CompositeDataset):
         self.ds = ds
         self._designs: dict = {}
@@ -671,9 +698,20 @@ def linear_specs(k: int, outcome_family: str = IDENTITY) -> dict:
     }
 
 
+def _bundle_sets(models: dict, r: VarianceRatioModel) -> dict:
+    """A bundle's nuisance sets from its models by name; without "m1", the treated-only set."""
+    if "m1" not in models:
+        return {"treated_only": NuisanceSet(m0=models["m0_pooled"], r=VarianceRatioModel(
+            RATIO_KNOWN_ONE), m0_pooled=True, pi=models["pi"])}
+    shared = {"r": r, "m1": models["m1"], "p": models["p"], "pi": models.get("pi")}
+    return {
+        "pooled": NuisanceSet(m0=models["m0_pooled"], m0_pooled=True, **shared),
+        "unpooled": NuisanceSet(m0=models["m0_trial"], m0_pooled=False, **shared),
+    }
+
+
 def fit_bundle(
-    ds: CompositeDataset, specs: dict, ratio_mode: str, treated_only: bool = False,
-    solved: dict | None = None,
+    ds: CompositeDataset, specs: dict, ratio_mode: str, treated_only: bool = False
 ) -> tuple[dict, RowTable]:
     """Fit every working model once: the nuisance sets and their row table.
 
@@ -686,39 +724,48 @@ def fit_bundle(
     "treated_only" set of the pooled m0 and pi; its ratio is known_one
     because the ratio cancels from that estimator. The selection fit takes
     its design from the returned table, so every prediction shares it.
-
-    ``solved`` may hold models of ``ds`` fit beforehand, under the names
-    "m1", "m0_pooled", "m0_trial" and "r" (``BlockFitter`` solves them for
-    many resamples at once); each one given takes the place of its fit, and
-    the rest are fit here in the order above.
     """
-    solved = solved or {}
     table = RowTable(ds)
     if treated_only:
-        m0 = solved.get("m0_pooled") or fit_control_model(ds, specs["m0"], pool_controls=True)
+        m0 = fit_control_model(ds, specs["m0"], pool_controls=True)
         pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
-        nuis = NuisanceSet(m0=m0, r=VarianceRatioModel(RATIO_KNOWN_ONE), m0_pooled=True, pi=pi)
-        return {"treated_only": nuis}, table
-    if "m1" in solved:
-        m1, m0_pooled = solved["m1"], solved["m0_pooled"]
-    else:
-        m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
+        return _bundle_sets({"m0_pooled": m0, "pi": pi}, None), table
+    m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
     p = fit_treatment_ps(ds, specs["p"])
     pi = None
     if ds.n2 > 0:
         pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
     mode = ratio_mode if ds.n2 > 0 else RATIO_KNOWN_ONE
-    r = solved.get("r") or fit_variance_ratio(ds, m0_pooled, mode, specs["variance"])
-    m0_trial = solved.get("m0_trial") or fit_control_model(ds, specs["m0"], pool_controls=False)
-    shared = {"r": r, "m1": m1, "p": p, "pi": pi}
-    sets = {
-        "pooled": NuisanceSet(m0=m0_pooled, m0_pooled=True, **shared),
-        "unpooled": NuisanceSet(m0=m0_trial, m0_pooled=False, **shared),
-    }
-    return sets, table
+    r = fit_variance_ratio(ds, m0_pooled, mode, specs["variance"])
+    m0_trial = fit_control_model(ds, specs["m0"], pool_controls=False)
+    models = {"m1": m1, "m0_pooled": m0_pooled, "m0_trial": m0_trial, "p": p, "pi": pi}
+    return _bundle_sets(models, r), table
 
 
 # --------------------------- resample blocks ---------------------------
+
+
+def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """X'WX for each row of ``weights``: (K, p, p)."""
+    k, p = weights.shape[0], design.shape[1]
+    gram = np.empty((k, p, p))
+    # one column product at a time keeps the extra memory at one row count
+    for a in range(p):
+        for b in range(a, p):
+            gram[:, a, b] = gram[:, b, a] = weights @ (design[:, a] * design[:, b])
+    return gram
+
+
+def _guarded_gram(design: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count-weighted Gram of each row of ``weights``, and where a stacked fit may
+    stand in for ``fit_glm``: at least as many weighted rows as coefficients and a
+    Gram matrix with condition number at most GRAM_COND_MAX (a design ``fit_glm``
+    calls rank deficient has a far larger one)."""
+    gram = _gram(design, weights)
+    eig = np.linalg.eigvalsh(gram)
+    ok = (weights.sum(axis=1) >= design.shape[1]) & (eig[:, 0] > 0) & (
+        eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
+    return gram, ok
 
 
 def _stacked_wls(design: np.ndarray, weights: np.ndarray,
@@ -726,120 +773,192 @@ def _stacked_wls(design: np.ndarray, weights: np.ndarray,
     """Weighted least squares for each row of ``weights``, from the normal equations.
 
     ``response`` is one vector for every row of ``weights`` or one row each.
-    Returns the coefficients and where they may stand in for ``fit_glm``: at
-    least as many weighted rows as coefficients and a Gram matrix with
-    condition number at most GRAM_COND_MAX (a design ``fit_glm`` calls rank
-    deficient has a far larger one).
+    Returns the coefficients and where ``_guarded_gram`` lets them stand in
+    for ``fit_glm``.
     """
-    k, p = weights.shape[0], design.shape[1]
-    gram = np.empty((k, p, p))
-    # one column product at a time keeps the extra memory at one row count
-    for a in range(p):
-        for b in range(a, p):
-            gram[:, a, b] = gram[:, b, a] = weights @ (design[:, a] * design[:, b])
-    eig = np.linalg.eigvalsh(gram)
-    ok = (weights.sum(axis=1) >= p) & (eig[:, 0] > 0) & (eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
-    coef = np.zeros((k, p))
+    gram, ok = _guarded_gram(design, weights)
+    coef = np.zeros((weights.shape[0], design.shape[1]))
     if ok.any():
         rhs = (weights * response)[ok] @ design
         coef[ok] = np.linalg.solve(gram[ok], rhs[:, :, None])[:, :, 0]
     return coef, ok
 
 
+def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray):
+    """``fit_glm``'s logit IRLS for each row of ``weights``: coef, iterations, loglik, ok.
+
+    Every fit keeps ``fit_glm``'s rules: it starts at zero, stops once its
+    score sup-norm is at most GLM_TOL, halves its step against its own
+    log-likelihood, and fails past SEPARATION_BOUND or after MAX_ITER
+    iterations. ``ok`` is False where a fit cannot stand in for ``fit_glm``:
+    a guard of ``_guarded_gram`` fails, the response has one class, or the
+    fit fails as above.
+    """
+    k, p = weights.shape[0], design.shape[1]
+    _, ok = _guarded_gram(design, weights)
+    ok &= (weights @ response > 0) & (weights @ (1.0 - response) > 0)
+
+    def fitted(eta, w):
+        # expit(eta) and the log-likelihood, log(1 + exp(eta)) taken from
+        # expit's exp(-|eta|) (np.logaddexp is several times slower)
+        mu, e = _expit_parts(eta)
+        return mu, np.sum(w * (response * eta - np.maximum(eta, 0.0) - np.log1p(e)), axis=-1)
+
+    coef = np.zeros((k, p))
+    mu, loglik = fitted(np.zeros(weights.shape), weights)
+    iterations = np.zeros(k, dtype=int)
+    active = ok.copy()
+    for iteration in range(1, MAX_ITER + 1):
+        rows = np.flatnonzero(active)
+        w, m = weights[rows], mu[rows]
+        score = (w * (response - m)) @ design
+        done = np.max(np.abs(score), axis=1) <= GLM_TOL
+        iterations[rows[done]] = iteration
+        active[rows[done]] = False
+        rows, w, m, score = rows[~done], w[~done], m[~done], score[~done]
+        if rows.size == 0:
+            break
+        try:
+            step = np.linalg.solve(_gram(design, w * m * (1.0 - m)), score[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            ok[rows] = active[rows] = False  # fit_glm calls a singular information separation
+            break
+        old = loglik[rows]
+        candidate = coef[rows] + step
+        new_mu, new_loglik = fitted(candidate @ design.T, w)
+        worse = new_loglik < old - 1e-12
+        for _ in range(MAX_HALVINGS):
+            if not worse.any():
+                break
+            step[worse] *= 0.5
+            candidate[worse] = coef[rows[worse]] + step[worse]
+            new_mu[worse], new_loglik[worse] = fitted(candidate[worse] @ design.T, w[worse])
+            worse &= new_loglik < old - 1e-12
+        coef[rows], mu[rows], loglik[rows] = candidate, new_mu, new_loglik
+        diverged = rows[np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND]
+        ok[diverged] = active[diverged] = False
+    ok &= ~active  # still running after MAX_ITER iterations: no convergence
+    return coef, iterations, loglik, ok
+
+
+class BlockTable(RowTable):
+    """The row table of K resamples of one dataset, each a row of ``counts``.
+
+    ``counts[k, i]`` is how often resample k holds row i. The models read
+    through it are stacked (``BlockFitter``), so every prediction is (K, n),
+    and an estimator's point is one per resample: sum(c*N) / sum(c*D) with c
+    the resample's counts. A ratio that overflows is left as inf, so that
+    only the resamples it reaches get a non-finite point.
+    """
+
+    def __init__(self, table: RowTable, counts: np.ndarray):
+        super().__init__(table.ds)
+        self._designs = table._designs
+        self.counts = counts
+
+    def ratio(self, r: VarianceRatioModel) -> np.ndarray:
+        return self.cached(
+            ("ratio", id(r)), r, lambda: r._unchecked_r(self.ds.x, self.design(r.spec))
+        )
+
+
 class BlockFitter:
     """``fit_bundle`` for bootstrap resamples of ``base``, a block at a time.
 
     ``solve(counts)`` takes one row of frequency counts on ``base``'s rows
-    per resample and fits every identity-family model of the bundle for all
-    of them at once, from count-weighted normal equations on one design per
-    spec built once on ``base``: m1, both m0, and the variance ratio (the two
-    log-variance fits with their calibration, and the constant ratio).
-    ``fit(idx, solved)`` fits the rest (p, pi, and logit outcome models) on
-    ``base.take(idx)``, unchanged, and assembles the sets with
-    ``fit_bundle``. A resample that a stacked solve cannot stand in for
-    gets ``None`` and ``fit_bundle`` fits it alone, so each failure keeps its
-    type, message and count: fewer weighted rows than coefficients, fewer
-    than two rows of a source for the ratio, every squared residual of a
-    source under VAR_FLOOR, or a Gram matrix beyond GRAM_COND_MAX.
+    per resample and fits every working model of the bundle for all of them
+    at once, on one design per spec built once on ``base``: the
+    identity-family models (m1, both m0, and the variance ratio with its two
+    log-variance fits and their calibration) from count-weighted normal
+    equations, the logit ones (p, pi, and binary-outcome m1 and m0) by
+    count-weighted IRLS under ``fit_glm``'s rules. It returns ``ok``, where
+    the block stands in for ``fit_bundle``, and the block's bundle: nuisance
+    sets of stacked models with a ``BlockTable`` of the counts, on which
+    each estimator gives one point per resample.
+
+    A resample with ``ok`` False is left to ``fit_bundle`` on its own rows,
+    so each failure keeps its type, message and count: fewer weighted rows
+    than coefficients or a count-weighted Gram matrix beyond GRAM_COND_MAX,
+    a logit response of one class (an empty arm or source), a logit fit that
+    separates or does not converge, fewer than two rows of a source for the
+    ratio, or every squared residual of a source under VAR_FLOOR. Where a
+    design holds a non-finite value, or a propensity spec is not logit,
+    every resample is left to ``fit_bundle``.
     """
 
     def __init__(self, base: CompositeDataset, specs: dict, ratio_mode: str,
                  treated_only: bool = False):
         self.base = base
-        self.specs = specs
-        self.ratio_mode = ratio_mode
-        self.treated_only = treated_only
-        outcome = {"m0_pooled": "m0"} if treated_only else {
-            "m1": "m1", "m0_pooled": "m0", "m0_trial": "m0"}
-        self._models: dict = {}
+        self._table = RowTable(base)
+        # name -> (spec key, response) of each model of the bundle
+        models = {"m0_pooled": ("m0", base.y)} if treated_only else {
+            "m1": ("m1", base.y), "m0_pooled": ("m0", base.y), "m0_trial": ("m0", base.y),
+            "p": ("p", base.t)}
+        if treated_only or base.n2 > 0:
+            models["pi"] = ("pi", base.d)
+        self._models: dict | None = None
         self._variance = None
-        table = RowTable(base)
-        designs = [table.design(specs[key]) for key in outcome.values()]
-        if any(specs[key].family != IDENTITY for key in outcome.values()) or not all(
-            np.isfinite(design).all() for design in designs
-        ):
+        designs = {name: self._table.design(specs[key]) for name, (key, _) in models.items()}
+        propensities = [specs[name].family for name in ("p", "pi") if name in models]
+        if any(family != LOGIT for family in propensities) \
+                or not all(np.isfinite(design).all() for design in designs.values()):
             return  # nothing to stack: every resample is fit alone
         rows = {name: mask(base.d, base.t) for name, mask in _BUNDLE_ROWS.items()}
-        for (name, key), design in zip(outcome.items(), designs):
-            self._models[name] = (rows[name], design[rows[name]], specs[key],
-                                  specs[key].column_names(base.covariate_names))
+        self._models = {
+            name: (rows[name], designs[name][rows[name]], response[rows[name]].astype(float),
+                   specs[key], specs[key].column_names(base.covariate_names))
+            for name, (key, response) in models.items()
+        }
         if treated_only or ratio_mode not in (RATIO_CONSTANT, RATIO_LOGLINEAR) or base.n2 == 0:
             return
         spec = None
         if ratio_mode == RATIO_LOGLINEAR:
             spec = specs["variance"] or ModelSpec.linear_in(base.k, IDENTITY)
-            if spec.family != IDENTITY or not np.isfinite(table.design(spec)).all():
+            if spec.family != IDENTITY or not np.isfinite(self._table.design(spec)).all():
+                self._models = None
                 return
         # per source group: its rows, m0's design on them for the residuals,
         # and the variance spec's design for the log-variance fit
         self._variance = spec, [
-            (source, table.design(specs["m0"])[source],
-             None if spec is None else table.design(spec)[source])
+            (source, self._table.design(specs["m0"])[source],
+             None if spec is None else self._table.design(spec)[source])
             for source in (rows["m0_trial"], rows["external"])
         ]
 
-    def solve(self, counts: np.ndarray) -> list[dict | None]:
-        """The stacked fits of each resample for ``fit``, or None to fit it alone."""
+    def solve(self, counts: np.ndarray) -> tuple[np.ndarray, tuple[dict, BlockTable] | None]:
+        """Where the block stands in for ``fit_bundle``, and the block's bundle."""
         counts = np.asarray(counts, dtype=float)
-        k = counts.shape[0]
-        if not self._models:
-            return [None] * k
-        ok = np.ones(k, dtype=bool)
-        fits = {}
-        # a resample cleared from ``ok`` may divide by a zero count; its values are dropped
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for name, (rows, design, spec, names) in self._models.items():
-                weights, y = counts[:, rows], self.base.y[rows]
-                coef, good = _stacked_wls(design, weights, y)
-                ok &= good
-                rss = (weights * (y - coef @ design.T) ** 2).sum(axis=1)
+        ok = np.full(counts.shape[0], self._models is not None)
+        if not ok.any():
+            return ok, None
+        models = {}
+        # a resample cleared from ``ok`` may divide by a zero count or overflow;
+        # its values are never read
+        with np.errstate(all="ignore"):
+            for name, (rows, design, response, spec, names) in self._models.items():
+                weights = counts[:, rows]
                 wsum = weights.sum(axis=1)
-                fits[name] = coef, _gaussian_loglik(rss, wsum), wsum, spec, names
-            ratio = self._solve_ratio(counts, fits["m0_pooled"][0], ok)
-        out = []
-        for i in range(k):
-            if not ok[i]:
-                out.append(None)
-                continue
-            solved = {
-                name: FittedGLM(IDENTITY, coef[i], True, 1, float(loglik[i]), int(wsum[i]),
-                                spec, names)
-                for name, (coef, loglik, wsum, spec, names) in fits.items()
-            }
-            if ratio is not None:
-                solved["r"] = ratio(i)
-            out.append(solved)
-        return out
+                if spec.family == IDENTITY:
+                    coef, good = _stacked_wls(design, weights, response)
+                    rss = (weights * (response - coef @ design.T) ** 2).sum(axis=1)
+                    iterations, loglik = 1, _gaussian_loglik(rss, wsum)
+                else:
+                    coef, iterations, loglik, good = _stacked_logit(design, weights, response)
+                ok &= good
+                models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
+                                         wsum.astype(int), spec, names)
+            r = self._solve_ratio(counts, models["m0_pooled"], ok)
+        return ok, (_bundle_sets(models, r), BlockTable(self._table, counts))
 
-    def _solve_ratio(self, counts, m0_coef, ok):
-        """The variance ratio of resample i as ``ratio(i)``; clears ``ok`` where it fails."""
+    def _solve_ratio(self, counts, m0: FittedGLM, ok) -> VarianceRatioModel:
+        """The stacked variance ratio; clears ``ok`` where it fails."""
         if self._variance is None:
-            return None
+            return VarianceRatioModel(RATIO_KNOWN_ONE)
         spec, groups = self._variance
         v, coefs, scales = [], [], []
         for rows, m0_design, design in groups:
             weights = counts[:, rows]
-            r2 = (self.base.y[rows] - m0_coef @ m0_design.T) ** 2
+            r2 = (self.base.y[rows] - m0.predict_design(m0_design)) ** 2
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
@@ -849,20 +968,5 @@ class BlockFitter:
                 smoothed = (weights * np.exp(coef @ design.T)).sum(axis=1) / count
                 coefs.append(coef)
                 scales.append(_log_scale(v[-1], smoothed))
-
-        def ratio(i: int) -> VarianceRatioModel:
-            constant = _constant_ratio(float(v[0][i]), float(v[1][i]))
-            if spec is None:
-                return constant
-            return _loglinear_ratio(spec, [c[i] for c in coefs],
-                                    [float(s[i]) for s in scales], constant)
-
-        return ratio
-
-    def fit(self, idx: np.ndarray,
-            solved: dict | None) -> tuple[CompositeDataset, tuple[dict, RowTable]]:
-        """Resample ``idx`` of ``base`` and its bundle, taking ``solved`` from ``solve``."""
-        resample = self.base.take(idx)
-        return resample, fit_bundle(
-            resample, self.specs, self.ratio_mode, self.treated_only, solved=solved
-        )
+        constant = _constant_ratio(v[0], v[1])
+        return constant if spec is None else _loglinear_ratio(spec, coefs, scales, constant)

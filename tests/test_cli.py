@@ -152,6 +152,35 @@ def test_estimate_missing_input_is_data_error(capsys):
     assert json.loads(out)["error"]["code"] == "MISSING_COLUMN"
 
 
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["estimate", "--variance", "bootstrap", "--seed", "-1"], None, "seed"),
+        (["simulate", "--reps", "2", "--n", "100", "--seed", "-1"], None, "seed"),
+        (["estimate", "--variance", "bootstrap"], {"B": "x"}, "B"),
+        (["estimate", "--variance", "bootstrap"], {"B": 150.0}, "B"),
+        (["estimate"], {"seed": "x"}, "seed"),
+        (["estimate"], {"jobs": True}, "jobs"),
+    ],
+    ids=["seed_bootstrap", "seed_simulate", "B_text", "B_float", "seed_text", "jobs_bool"],
+)
+def test_seed_b_and_jobs_must_be_non_negative_integers(tmp_path, capsys, argv, config, key):
+    if argv[0] == "estimate":
+        argv = [*argv, "--input", str(make_input(tmp_path, n=200))]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(captured.out)
+    assert payload["error"]["code"] == "CONFIG"
+    assert payload["error"]["message"].startswith(f"{key} must be a non-negative integer, got ")
+    jsonschema.validate(payload, SCHEMA)
+    assert "Traceback" not in captured.err
+
+
 def test_estimate_b_without_bootstrap_is_config_error(tmp_path, capsys):
     path = make_input(tmp_path)
     code, out = run_cli(
@@ -223,11 +252,11 @@ def test_bootstrap_fits_working_models_once_per_resample(tmp_path, capsys, monke
     path = make_input(tmp_path, n=250)
     assert len(_bootstrap_estimates(path, capsys, "--jobs", "1")) == 6
     # on the data: m1, pooled m0, trial m0, p, pi and two variance-ratio fits;
-    # per resample only the p and pi logits, because every identity-family
-    # model of a resample is solved with its block
+    # per resample none, because every working model of a resample is fit
+    # with its block
     assert calls.count("identity") == 5
-    assert calls.count("logit") == 2 * 100 + 2
-    assert len(calls) == 2 * 100 + 7
+    assert calls.count("logit") == 2
+    assert len(calls) == 7
 
 
 def test_bootstrap_all_pairs_identical_across_jobs(tmp_path, capsys):

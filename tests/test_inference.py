@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from ecborrow.dataset import CompositeDataset
 from ecborrow.errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
 from ecborrow.estimators import (
+    METHOD_BASELINE,
     METHOD_FULL,
+    METHOD_TREATED_ONLY,
+    METHOD_TRIAL,
     Estimate,
     IFVector,
     estimate,
+    estimate_point,
     estimate_tau_full,
     influence_values,
 )
@@ -22,6 +26,8 @@ from ecborrow.inference import (
     TWO_SIDED,
     BiasBound,
     SharedFit,
+    _block_points,
+    _bootstrap_one,
     bias_bound,
     bootstrap_variance,
     if_variance,
@@ -32,12 +38,15 @@ from ecborrow.inference import (
 from ecborrow.nuisance import (
     IDENTITY,
     LOGIT,
+    RATIO_CONSTANT,
+    RATIO_KNOWN_ONE,
     RATIO_LOGLINEAR,
     BlockFitter,
     ModelSpec,
     NuisanceSet,
     Term,
     VarianceRatioModel,
+    expit,
     fit_bundle,
     fit_model,
     fit_selection_ps,
@@ -445,6 +454,140 @@ def test_bootstrap_counts_a_non_finite_point_as_failed():
         bootstrap_variance(ds, lambda resample: float("nan"), 4)
     assert failed.value.details["failures"] == 4
     assert failed.value.details["messages"] == ["NonFiniteResult: resample estimate is nan"] * 4
+
+
+@pytest.mark.parametrize("where", ["fit", "point"])
+def test_bootstrap_raises_a_warning_leaking_from_a_resample(random_dataset, where):
+    def fit(resample: CompositeDataset) -> float:
+        if where == "fit":
+            warnings.warn("leaked from the fit", RuntimeWarning)
+        return float(resample.y.mean())
+
+    def point(resample: CompositeDataset, mean: float) -> float:
+        if where == "point":
+            warnings.warn("leaked from the point", RuntimeWarning)
+        return mean
+
+    # under an "error" filter the warning is an exception: it must fail the
+    # run, not be counted as a failed replicate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match=f"leaked from the {where}"):
+            bootstrap_variance(random_dataset, SharedFit(fit, (point,)), 10, seed=1,
+                               max_failure_rate=1.0)
+
+
+# every (estimand, method) with the nuisance set it reads
+_PAIRS = (
+    ("tau", METHOD_FULL, "pooled"), ("tau", METHOD_TRIAL, "unpooled"),
+    ("psi", METHOD_FULL, "pooled"), ("psi", METHOD_BASELINE, "unpooled"),
+    ("xi", METHOD_FULL, "pooled"), ("xi", METHOD_BASELINE, "unpooled"),
+)
+
+
+def _pair_point(estimand, method, set_name, resample, fitted):
+    sets, table = fitted
+    return estimate_point(resample, sets[set_name], estimand, method, table)
+
+
+def _block_case(case: str):
+    """(dataset, specs, ratio mode, treated_only, pairs) on n=300 rows, or 40 with few_rows."""
+    ds, _ = generate(ScenarioConfig(scenario="ii", n=40 if case == "few_rows" else 300), 21)
+    mode = {"constant": RATIO_CONSTANT, "known_one": RATIO_KNOWN_ONE}.get(case, RATIO_LOGLINEAR)
+    if case == "treated_only":
+        ds = ds.take(np.flatnonzero((ds.d == 0) | (ds.t == 1)))
+        return ds, linear_specs(ds.k), mode, True, (("tau", METHOD_TREATED_ONLY, "treated_only"),)
+    if case == "trial_only":
+        ds = ds.take(np.flatnonzero(ds.d == 1))
+        return ds, linear_specs(ds.k), mode, False, (("tau", METHOD_TRIAL, "unpooled"),)
+    if case == "binary":
+        rng = np.random.default_rng(6)
+        y = (rng.random(ds.n) < expit(0.3 * ds.x[:, 0] + 0.5 * ds.t)).astype(float)
+        ds = CompositeDataset(y, ds.x, ds.t, ds.d)
+        return ds, linear_specs(ds.k, LOGIT), RATIO_KNOWN_ONE, False, _PAIRS
+    return ds, linear_specs(ds.k), mode, False, _PAIRS
+
+
+def _bootstrap_outcome(ds, shared, stratified):
+    results = bootstrap_variance(ds, shared, 100, seed=5, stratified=stratified,
+                                 max_failure_rate=1.0)
+    try:
+        bootstrap_variance(ds, shared, 100, seed=5, stratified=stratified, max_failure_rate=0.0)
+        failure = None
+    except ReplicateFailure as failed:
+        failure = failed.to_dict()
+    return results, failure
+
+
+@pytest.mark.parametrize("case", [
+    "loglinear", "constant", "known_one", "binary", "treated_only", "trial_only", "stratified",
+    "few_rows"])
+def test_bootstrap_block_path_matches_fitting_each_resample_alone(case):
+    ds, specs, mode, treated_only, pairs = _block_case(case)
+    bundle = {"specs": specs, "ratio_mode": mode, "treated_only": treated_only}
+    fits = []
+
+    def fit(resample):
+        fits.append(resample.n)
+        return fit_bundle(resample, **bundle)
+
+    points = tuple(partial(_pair_point, *pair) for pair in pairs)
+    outcomes, alone_fits = [], []
+    for block in (None, partial(BlockFitter, **bundle)):
+        fits.clear()
+        outcomes.append(_bootstrap_outcome(ds, SharedFit(fit, points, block=block),
+                                           case == "stratified"))
+        alone_fits.append(len(fits))
+    (want, want_failure), (got, got_failure) = outcomes
+    assert got_failure == want_failure
+    for g, w in zip(got, want):
+        assert g.failures == w.failures
+        np.testing.assert_allclose(g.points, w.points, rtol=1e-10, atol=0)
+    # two runs of 100 resamples: without a block each is fit alone, with one
+    # only those the block leaves to their own fit, a superset of the failures
+    assert alone_fits[0] == 200
+    failed = max(result.failures for result in got)
+    if case == "few_rows":
+        assert 0 < 2 * failed <= alone_fits[1] < 200
+    else:
+        assert alone_fits[1] == 0 and want_failure is None
+
+
+def _separable_dataset() -> CompositeDataset:
+    """Trial arms split by x1 but for rows 0 and 1; external rows anywhere."""
+    rng = np.random.default_rng(4)
+    n11, n10, n00 = 30, 30, 30
+    x = rng.standard_normal((n11 + n10 + n00, 2))
+    x[:n11, 0] = np.abs(x[:n11, 0]) + 0.5
+    x[n11:n11 + n10, 0] = -np.abs(x[n11:n11 + n10, 0]) - 0.5
+    x[0, 0], x[n11, 0] = -1.0, 1.0  # one treated and one control on the wrong side
+    d = np.array([1] * (n11 + n10) + [0] * n00)
+    t = np.array([1] * n11 + [0] * (n10 + n00))
+    y = 1.0 + x[:, 0] + t + rng.standard_normal(d.size)
+    return CompositeDataset(y, x, t, d)
+
+
+def test_block_leaves_one_arm_and_separated_resamples_to_their_own_fit():
+    ds = _separable_dataset()
+    specs = linear_specs(2)
+    shared = SharedFit(partial(fit_bundle, specs=specs, ratio_mode=RATIO_LOGLINEAR),
+                       (partial(_pair_point, "tau", METHOD_FULL, "pooled"),),
+                       block=partial(BlockFitter, specs=specs, ratio_mode=RATIO_LOGLINEAR))
+    rest = np.r_[1:30, 31:90]
+    indices = [
+        np.r_[0, 30, rest],                # both overlap rows: fits
+        np.r_[np.arange(30), 60:90, 0],    # no trial controls: one arm
+        np.r_[rest, rest[:2]],             # neither overlap row: p separates
+    ]
+    counts = np.stack([np.bincount(idx, minlength=ds.n) for idx in indices])
+    states = _block_points(shared.block(ds), shared.points, counts)
+    assert [state is None for state in states] == [False, True, True]
+    got = [_bootstrap_one(ds, shared, idx, state) for idx, state in zip(indices, states)]
+    alone = [_bootstrap_one(ds, shared, idx, None) for idx in indices]
+    assert got[0][0][0] == pytest.approx(alone[0][0][0], rel=1e-10)
+    assert got[1:] == alone[1:]
+    assert got[1] == [(None, "EmptyCell: trial needs both arms to fit the treatment propensity")]
+    assert got[2][0][1].startswith("SeparationDetected: ")
 
 
 # ----------------------- exchangeability test --------------------------

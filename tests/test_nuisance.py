@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,10 @@ from ecborrow.nuisance import (
     BlockFitter,
     FittedGLM,
     ModelSpec,
+    NuisanceSet,
     RowTable,
     Term,
+    VarianceRatioModel,
     expit,
     fit_bundle,
     fit_glm,
@@ -554,10 +558,33 @@ def _assert_bundles_close(got, want):
                 w.family, w.n_obs, w.spec, w.column_names)
             assert _rel_gap(g.coef, w.coef) <= 1e-12, (name, attr)
             assert _rel_gap(g.loglik, w.loglik) <= 1e-12, (name, attr)
+            assert g.iterations == w.iterations, (name, attr)
         assert (got_set.r.mode, got_set.r.spec) == (want_set.r.mode, want_set.r.spec)
         assert _rel_gap(got_set.r.params, want_set.r.params) <= 1e-9, name
         if want_set.r.constant is not None:
             assert _rel_gap(got_set.r.constant.params, want_set.r.constant.params) <= 1e-9
+
+
+def _resample_sets(sets: dict, k: int) -> dict:
+    """Resample k of a BlockFitter's stacked nuisance sets, shaped as fit_bundle's sets."""
+
+    def one(model):
+        if model is None:
+            return None
+        changes = {}
+        for f in dataclasses.fields(model):
+            value = getattr(model, f.name)
+            if isinstance(value, np.ndarray):
+                changes[f.name] = value[k]
+            elif isinstance(value, VarianceRatioModel):
+                changes[f.name] = one(value)
+        return dataclasses.replace(model, **changes)
+
+    return {
+        name: NuisanceSet(m0=one(s.m0), r=one(s.r), m0_pooled=s.m0_pooled, m1=one(s.m1),
+                          p=one(s.p), pi=one(s.pi))
+        for name, s in sets.items()
+    }
 
 
 def _resample_indices(n: int, k: int, seed: int) -> list:
@@ -601,14 +628,14 @@ def _block_case(case: str):
 def test_block_fitter_matches_fit_bundle_per_resample(case):
     ds, specs, mode, treated_only = _block_case(case)
     indices = _resample_indices(ds.n, 24, seed=3)
-    fitter = BlockFitter(ds, specs, mode, treated_only)
-    states = fitter.solve(_counts(indices, ds.n))
-    # binary outcomes have no identity-family model to stack
-    assert all((state is None) == (case == "binary") for state in states)
-    for idx, state in zip(indices, states):
-        resample, got = fitter.fit(idx, state)
-        np.testing.assert_array_equal(resample.y, ds.y[idx])
-        _assert_bundles_close(got, fit_bundle(ds.take(idx), specs, mode, treated_only))
+    counts = _counts(indices, ds.n)
+    ok, (sets, table) = BlockFitter(ds, specs, mode, treated_only).solve(counts)
+    # every model is stacked, the logit ones (p, pi, binary m1 and m0) too
+    assert ok.all()
+    np.testing.assert_array_equal(table.counts, counts)
+    for k, idx in enumerate(indices):
+        want = fit_bundle(ds.take(idx), specs, mode, treated_only)
+        _assert_bundles_close((_resample_sets(sets, k), None), want)
 
 
 def _failure_base() -> CompositeDataset:
@@ -647,18 +674,17 @@ def test_block_fitter_failures_match_fit_bundle():
         "degenerate": np.r_[treated, rng.choice(exact, 60)],
     }
     specs = linear_specs(2)
-    fitter = BlockFitter(ds, specs, RATIO_LOGLINEAR)
-    states = fitter.solve(_counts(list(indices.values()), ds.n))
+    ok, (sets, _) = BlockFitter(ds, specs, RATIO_LOGLINEAR).solve(
+        _counts(list(indices.values()), ds.n))
     codes = {}
-    for (name, idx), state in zip(indices.items(), states):
-        assert (state is None) == (name != "ok"), name
-        got = _outcome(lambda: fitter.fit(idx, state)[1])
+    for k, (name, idx) in enumerate(indices.items()):
+        # a resample the block cannot stand in for is left to fit_bundle, failure and all
+        assert ok[k] == (name == "ok"), name
         want = _outcome(lambda: fit_bundle(ds.take(idx), specs, RATIO_LOGLINEAR))
         if name == "ok":
-            _assert_bundles_close((got, None), (want, None))
+            _assert_bundles_close((_resample_sets(sets, k), None), (want, None))
         else:
-            assert got == want
-            codes[name] = got[2]["code"]
+            codes[name] = want[2]["code"]
     assert codes == {
         "rank": "RANK_DEFICIENT", "one_external": "EMPTY_CELL", "no_treated": "EMPTY_CELL",
         "degenerate": "DEGENERATE_VARIANCE",
