@@ -61,7 +61,6 @@ from .simlab import (
     TrueEffects,
     export_boxplot_data,
     generate,
-    oracle_truths,
     run_monte_carlo,
     true_effects,
 )

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 from . import simlab
@@ -114,12 +115,16 @@ class RunConfig:
     results: str | None = None
 
     def __post_init__(self):
-        for key in ("seed", "B", "jobs"):
-            value = getattr(self, key)
-            if key == "B" and value is None:
-                continue  # B defaults by variance method below
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind not in ("int", "float") or (value is None and optional):
+                continue  # B defaults by variance method below; no bias_bound is no bound
+            if kind == "int":
+                if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                    raise ConfigError(f"{f.name} must be a non-negative integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, Real) or not _finite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.side not in _SIDE_FLAGS:
             raise ConfigError(f"unknown sidedness {self.side!r}")
         if not 0.0 < float(self.level) < 1.0:
@@ -154,6 +159,13 @@ class RunConfig:
             if name not in (ESTIMAND_TAU, ESTIMAND_PSI, ESTIMAND_XI):
                 raise ConfigError(f"unknown estimand {name!r}")
         return names
+
+
+def _finite(value: Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 # every option's default, as RunConfig declares it
@@ -379,8 +391,6 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         scenario_cfgs = [simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp) for sc in scenarios]
     except TypeError as exc:
         raise ConfigError(f"bad 'dgp' config: {exc}") from None
-    # one oracle pass for every scenario; each run below finds its truth cached
-    simlab.oracle_truths(scenario_cfgs)
     runs = {}
     results = []
     for scenario_cfg in scenario_cfgs:
@@ -462,8 +472,16 @@ def render_simulation(payload: dict) -> list[str]:
 # ------------------------------ plumbing ------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a CONFIG error, in JSON like every other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ecborrow",
         description="Treatment-effect estimation with external control borrowing",
     )
@@ -530,9 +548,8 @@ def _dumps(payload: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _merge_options(args)
         payload = _COMMANDS[args.command](cfg)
         text = None if args.command == "report" else _dumps(payload)

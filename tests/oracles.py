@@ -1,9 +1,10 @@
 """Independent reference computations the test suite checks against.
 
 Nothing here reuses the package's fitting or estimation code paths: GLMs
-are re-solved by plain Newton iteration or normal equations, and the
+are re-solved by plain Newton iteration or normal equations, the
 discrete-data estimators are evaluated by direct enumeration over
-covariate cells with closed-form cell statistics.
+covariate cells with closed-form cell statistics, and population effects
+are integrated by Monte Carlo draws.
 """
 
 from __future__ import annotations
@@ -305,3 +306,34 @@ def reference_estimator(y, t, d, m1, m0, p, pi, r, estimand: str, method: str):
         return point, delta - point + core / pi
     point = float(np.mean((1 - d) * delta + core * (1.0 - pi) / pi) / (1.0 - q))
     return point, ((1 - d) * (delta - point) + core * (1.0 - pi) / pi) / (1.0 - q)
+
+
+# ------------------------ population-effect oracle ---------------------
+
+
+def mc_population_effects(selection, effect, draws: int, seed: int = 20_240_601,
+                          chunks: int = 20) -> dict:
+    """tau, psi, xi and q over standard normal covariate pairs, by Monte Carlo.
+
+    ``selection(x)`` and ``effect(x)`` give the true selection probability
+    and treatment effect of each row of an (m, 2) draw. Conditioning on the
+    data source weights by the selection probability instead of drawing it.
+    Each estimate comes with ``se_<name>``, the spread of its chunk means
+    over ``sqrt(chunks)``.
+    """
+    size = draws // chunks
+    sums = np.zeros(4)  # pi*g, (1-pi)*g, g, pi
+    per_chunk = np.zeros((chunks, 4))
+    for c in range(chunks):
+        x = np.random.default_rng([seed, c]).standard_normal((size, 2))
+        pi, g = selection(x), effect(x)
+        chunk = np.array([np.sum(pi * g), np.sum((1 - pi) * g), np.sum(g), np.sum(pi)])
+        sums += chunk
+        per_chunk[c] = [chunk[0] / chunk[3], chunk[2] / size,
+                        chunk[1] / (size - chunk[3]), chunk[3] / size]
+    total = chunks * size
+    values = [sums[0] / sums[3], sums[2] / total, sums[1] / (total - sums[3]), sums[3] / total]
+    ses = per_chunk.std(axis=0, ddof=1) / np.sqrt(chunks)
+    out = dict(zip(("tau", "psi", "xi", "q"), map(float, values)))
+    out.update({f"se_{name}": float(se) for name, se in zip(("tau", "psi", "xi", "q"), ses)})
+    return out

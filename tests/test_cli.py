@@ -181,6 +181,53 @@ def test_seed_b_and_jobs_must_be_non_negative_integers(tmp_path, capsys, argv, c
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("estimate", '{"level": "x"}', "level must be a finite number, got 'x'"),
+        ("estimate", '{"null": "a"}', "null must be a finite number, got 'a'"),
+        ("estimate", '{"null": Infinity}', "null must be a finite number, got inf"),
+        ("diagnose", '{"bias_bound": "x"}', "bias_bound must be a finite number, got 'x'"),
+        ("simulate", '{"reps": "x"}', "reps must be a non-negative integer, got 'x'"),
+        ("simulate", '{"n": 2.5}', "n must be a non-negative integer, got 2.5"),
+    ],
+    ids=["level", "null", "null_infinite", "bias_bound", "reps", "n"],
+)
+def test_numeric_config_values_are_typed(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = [command, "--config", str(cfg)]
+    if command != "simulate":
+        argv += ["--input", str(make_input(tmp_path, n=200))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(captured.out)
+    assert payload["error"] == {"code": "CONFIG", "message": message}
+    jsonschema.validate(payload, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--B", "abc"], "argument --B: invalid int value: 'abc'"),
+        (["simulate", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["B", "n", "subcommand", "none"],
+)
+def test_usage_errors_are_config_json(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(captured.out)
+    assert payload["error"]["code"] == "CONFIG"
+    assert payload["error"]["message"].startswith(message)
+    jsonschema.validate(payload, SCHEMA)
+    assert captured.err.startswith("usage: ecborrow")
+
+
 def test_estimate_b_without_bootstrap_is_config_error(tmp_path, capsys):
     path = make_input(tmp_path)
     code, out = run_cli(
@@ -587,7 +634,8 @@ def test_error_details_that_json_cannot_hold_are_dropped(capsys, monkeypatch):
 def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     """No scipy module nor the process pool loads with the CLI, estimate or simulate.
 
-    Only diagnose's chi-square p-value (and the rank-failure QR) imports scipy.
+    Only diagnose's chi-square p-value (and the rank-failure QR) imports scipy,
+    and only simulate's quadrature truths import numpy.polynomial.
     """
     import os
     import subprocess
@@ -604,15 +652,16 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
         "    with contextlib.redirect_stdout(out):\n"
         "        assert main(argv) == 0, argv\n"
         "    return json.loads(out.getvalue())\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith(("
-        "'multiprocessing', 'concurrent.futures.process')))\n"
-        "print(loaded())\n"
+        "def loaded(prefixes):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+        "heavy = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "print(loaded(heavy + ('numpy.polynomial',)))\n"
         f"run(['estimate', '--input', '{golden}', '--seed', '11'])\n"
         f"run(['estimate', '--input', '{golden}', '--estimand', 'tau', '--variance', 'bootstrap',"
         " '--B', '100', '--seed', '3'])\n"
+        "print(loaded(heavy + ('numpy.polynomial',)))\n"
         "run(['simulate', '--scenario', 'i', '--reps', '4', '--n', '200', '--seed', '3'])\n"
-        "print(loaded())\n"
+        "print(loaded(heavy))\n"
         f"print(run(['diagnose', '--input', '{golden}'])['exchangeability']['p_value'])\n"
     )
     out = subprocess.run(
@@ -620,9 +669,10 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
         cwd=ROOT,
     )
     assert out.returncode == 0, out.stderr
-    after_import, after_runs, diagnose_p = out.stdout.strip().splitlines()
+    after_import, after_estimates, after_simulate, diagnose_p = out.stdout.strip().splitlines()
     assert after_import == "[]"
-    assert after_runs == "[]"
+    assert after_estimates == "[]"
+    assert after_simulate == "[]"
     golden_p = json.loads((ROOT / "tests" / "data" / "golden_diagnose.json").read_text())
     assert float(diagnose_p) == golden_p["exchangeability"]["p_value"]
 

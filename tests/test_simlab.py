@@ -14,6 +14,8 @@ from ecborrow.simlab import (
     zero_effect_variant,
 )
 
+from oracles import mc_population_effects
+
 
 # ------------------------------ generate -------------------------------
 
@@ -89,82 +91,70 @@ def _quadrature_tau_scenario_i() -> float:
         lambda u: 1.25 * (sd * u) * sp_expit(0.3 + sd * u) * np.exp(-u * u / 2) / np.sqrt(2 * np.pi),
         -12,
         12,
+        epsabs=1e-14,
+        epsrel=1e-14,
     )[0]
     den = _quadrature_q()
     return 1.0 + 0.5 * num / den
 
 
+def _scenario_functions(cfg):
+    """The scenario's true selection probability and effect as functions of x."""
+    z_ps = lambda x: sl.distort(x) if cfg.propensity_distorted else x
+    z_out = lambda x: sl.distort(x) if cfg.outcome_distorted else x
+    selection = lambda x: sl.expit(sl._linear(cfg.selection_coefs, z_ps(x)))
+    effect = lambda x: sl._linear(cfg.effect_coefs, z_out(x))
+    return selection, effect
+
+
+_TRUTH_CASES = [ScenarioConfig(scenario=s, n=100) for s in sl.SCENARIOS] + [
+    zero_effect_variant(ScenarioConfig(scenario="iii", n=100)),
+    ScenarioConfig(scenario="ii", n=100, selection_coefs=(0.1, 0.9, -0.2)),
+]
+
+
+@pytest.mark.parametrize("cfg", _TRUTH_CASES, ids=["i", "ii", "iii", "iv", "zero", "selection"])
+def test_true_effects_match_monte_carlo_oracle(cfg):
+    te = true_effects(cfg)
+    mc = mc_population_effects(*_scenario_functions(cfg), draws=2_000_000)
+    for name in ("tau", "psi", "xi", "q"):
+        assert abs(getattr(te, name) - mc[name]) <= 4 * mc[f"se_{name}"], name
+
+
+def test_sixty_nodes_agree_with_one_hundred_twenty(monkeypatch):
+    # a steeper selection index on the distorted features converges more
+    # slowly: the non-default case agrees to about 2e-11
+    bounds = [1e-12] * 5 + [1e-10]
+    coarse = [true_effects(cfg) for cfg in _TRUTH_CASES]
+    monkeypatch.setattr(sl, "QUADRATURE_NODES", 120)
+    for cfg, low, bound in zip(_TRUTH_CASES, coarse, bounds):
+        high = true_effects(cfg)
+        for name in ("tau", "psi", "xi", "q"):
+            assert getattr(low, name) == pytest.approx(getattr(high, name), abs=bound)
+
+
 def test_true_tau_matches_quadrature():
-    te = true_effects(ScenarioConfig(scenario="i", n=1000), draws=4_000_000)
-    assert te.tau == pytest.approx(_quadrature_tau_scenario_i(), abs=4 * te.se_tau + 1e-6)
-    assert te.q == pytest.approx(_quadrature_q(), abs=1e-3)
+    te = true_effects(ScenarioConfig(scenario="i", n=1000))
+    assert te.tau == pytest.approx(_quadrature_tau_scenario_i(), abs=1e-12)
+    assert te.q == pytest.approx(_quadrature_q(), abs=1e-12)
 
 
 def test_true_effects_mixture_identity():
-    for scenario in ("i", "iv"):
-        te = true_effects(ScenarioConfig(scenario=scenario, n=1000), draws=2_000_000)
-        assert te.psi == pytest.approx(te.q * te.tau + (1 - te.q) * te.xi, abs=1e-9)
-        assert max(te.se_tau, te.se_psi, te.se_xi) < 1e-3
+    for cfg in _TRUTH_CASES:
+        te = true_effects(cfg)
+        assert te.psi == pytest.approx(te.q * te.tau + (1 - te.q) * te.xi, abs=1e-14)
 
 
-def test_true_effects_cached():
-    cfg = ScenarioConfig(scenario="ii", n=777)
-    a = true_effects(cfg, draws=2_000_000)
-    b = true_effects(ScenarioConfig(scenario="ii", n=55), draws=2_000_000)
-    assert a is b  # same truth regardless of sample size
-
-
-def _truth_alone(cfg, draws):
-    """Reference: one scenario's own pass over the oracle draws."""
-    chunks = sl.ORACLE_CHUNKS
-    size = draws // chunks
-    sums = np.zeros(4)
-    per_chunk = np.zeros((chunks, 3))
-    for c in range(chunks):
-        x = np.random.default_rng([sl.ORACLE_SEED, c]).standard_normal((size, 2))
-        z_ps = sl.distort(x) if cfg.propensity_distorted else x
-        z_out = sl.distort(x) if cfg.outcome_distorted else x
-        pi = sl.expit(sl._linear(cfg.selection_coefs, z_ps))
-        g = sl._linear(cfg.effect_coefs, z_out)
-        sums += [np.sum(pi * g), np.sum((1 - pi) * g), np.sum(g), np.sum(pi)]
-        per_chunk[c] = [np.sum(pi * g) / np.sum(pi),
-                        np.sum((1 - pi) * g) / np.sum(1 - pi), np.mean(g)]
-    total = chunks * size
-    ses = per_chunk.std(axis=0, ddof=1) / np.sqrt(chunks)
-    return sl.TrueEffects(
-        tau=float(sums[0] / sums[3]), psi=float(sums[2] / total),
-        xi=float(sums[1] / (total - sums[3])), q=float(sums[3] / total),
-        se_tau=float(ses[0]), se_psi=float(ses[2]), se_xi=float(ses[1]), draws=total,
-    )
-
-
-def test_shared_oracle_pass_equals_one_scenario_at_a_time(monkeypatch):
-    draws = 2_000_000
-    cfgs = [ScenarioConfig(scenario=s, n=100) for s in sl.SCENARIOS]
-    cfgs += [
-        zero_effect_variant(ScenarioConfig(scenario="iii", n=100)),
-        ScenarioConfig(scenario="ii", n=100, selection_coefs=(0.1, 0.9, -0.2)),
-        ScenarioConfig(scenario="i", n=50),  # same truth as the first: computed once
-    ]
-    monkeypatch.setattr(sl, "_TRUTH_CACHE", {})
-    shared = sl.oracle_truths(cfgs, draws=draws)
-    assert shared[-1] is shared[0]
-
-    def no_pass(cfgs, draws):
-        raise AssertionError("cached truths must not run the oracle again")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sl, "_oracle_pass", no_pass)
-        assert sl.oracle_truths(cfgs, draws=draws) == shared
-    for cfg, truth in zip(cfgs, shared):
-        monkeypatch.setattr(sl, "_TRUTH_CACHE", {})
-        assert true_effects(cfg, draws=draws) == truth
-        assert _truth_alone(cfg, draws) == truth
+def test_true_effects_ignore_sample_size_and_engagement():
+    for scenario in sl.SCENARIOS:
+        base = true_effects(ScenarioConfig(scenario=scenario, n=777))
+        assert true_effects(ScenarioConfig(scenario=scenario, n=55)) == base
+        shifted = ScenarioConfig(scenario=scenario, n=55, engagement_coefs=(0.3, 0.5, -0.2))
+        assert true_effects(shifted) == base
 
 
 def test_zero_effect_variant_has_zero_truth():
-    te = true_effects(zero_effect_variant(ScenarioConfig(scenario="i", n=100)),
-                      draws=2_000_000)
+    te = true_effects(zero_effect_variant(ScenarioConfig(scenario="i", n=100)))
     assert te.tau == 0.0
     assert te.psi == 0.0
     assert te.xi == 0.0
@@ -186,6 +176,11 @@ def test_distortion_constant_matches_quadrature():
         40,
     )[0]
     assert sl._INV_SQ_LOGISTIC == pytest.approx(value, abs=1e-12)
+    # the truths' quadrature rule reproduces it too
+    nodes, weights = sl._normal_rule()
+    assert float(weights @ (1 + np.exp(nodes)) ** -2) == pytest.approx(
+        sl._INV_SQ_LOGISTIC, abs=1e-15
+    )
 
 
 # ----------------------------- Monte Carlo -----------------------------
