@@ -48,9 +48,6 @@ from .nuisance import (
     VarianceRatioModel,
     fit_bundle,
     fit_glm,
-    fit_outcome_models,
-    fit_selection_ps,
-    fit_treatment_ps,
     fit_variance_ratio,
     linear_specs,
 )

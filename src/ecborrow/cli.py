@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 from . import simlab
@@ -23,6 +22,7 @@ from .dataset import (
     OUTCOME_BINARY,
     ColumnSchema,
     CompositeDataset,
+    is_finite_number,
     load_csv,
     summarize,
     validate,
@@ -86,6 +86,10 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# each declared option type past int and float, and the JSON values it takes
+_TYPES = {"str": str, "list": list, "bool": bool, "dict": dict, "None": type(None)}
+
+
 @dataclass
 class RunConfig:
     """One command's resolved options, after CLI/file/default merging."""
@@ -93,7 +97,7 @@ class RunConfig:
     command: str
     input: str | None = None
     schema: object = None
-    estimand: str = "tau,psi,xi"
+    estimand: str | list = "tau,psi,xi"
     method: str = "both"
     ratio: str | None = None
     treated_only: bool = False
@@ -116,15 +120,18 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")
+            kinds = f.type.split(" | ")
             value = getattr(self, f.name)
-            if kind not in ("int", "float") or (value is None and optional):
+            if value is None and "None" in kinds:
                 continue  # B defaults by variance method below; no bias_bound is no bound
-            if kind == "int":
+            if kinds[0] == "int":
                 if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
                     raise ConfigError(f"{f.name} must be a non-negative integer, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, Real) or not _finite(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            elif kinds[0] == "float":
+                if not is_finite_number(value):
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            elif kinds[0] in _TYPES and not isinstance(value, tuple(_TYPES[k] for k in kinds)):
+                raise ConfigError(f"{f.name} must be of type {' or '.join(kinds)}, got {value!r}")
         if self.side not in _SIDE_FLAGS:
             raise ConfigError(f"unknown sidedness {self.side!r}")
         if not 0.0 < float(self.level) < 1.0:
@@ -153,19 +160,12 @@ class RunConfig:
     def estimands(self) -> list[str]:
         raw = self.estimand
         if isinstance(raw, (list, tuple)):
-            raw = ",".join(raw)
+            raw = ",".join(map(str, raw))
         names = [e.strip() for e in str(raw).split(",") if e.strip()]
         for name in names:
             if name not in (ESTIMAND_TAU, ESTIMAND_PSI, ESTIMAND_XI):
                 raise ConfigError(f"unknown estimand {name!r}")
         return names
-
-
-def _finite(value: Real) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 # every option's default, as RunConfig declares it
@@ -212,7 +212,14 @@ def _model_specs(ds: CompositeDataset, cfg: RunConfig) -> dict:
     for name, payload in (cfg.models or {}).items():
         if name not in specs:
             raise ConfigError(f"unknown model name {name!r} in config")
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config key 'models.{name}' must be a model spec, got {payload!r}")
         specs[name] = ModelSpec.from_dict(payload)
+        for term in specs[name].terms:
+            read = (term.i, term.j) if term.kind == "inter" else (term.i,)
+            if not all(0 <= i < ds.k for i in read):
+                raise ConfigError(f"model {name!r}: term {term.serialize()!r} reads a covariate"
+                                  f" the data does not have (covariates 0..{ds.k - 1})")
     return specs
 
 
@@ -383,10 +390,8 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
 def cmd_simulate(cfg: RunConfig) -> dict:
     scenarios = simlab.SCENARIOS if cfg.scenario == "all" else (cfg.scenario,)
     keep = cfg.boxplot_csv is not None
-    dgp = cfg.dgp or {}
-    if not isinstance(dgp, dict):
-        raise ConfigError("config key 'dgp' must be an object of ScenarioConfig fields")
-    dgp = {key: tuple(val) if isinstance(val, list) else val for key, val in dgp.items()}
+    dgp = {key: tuple(val) if isinstance(val, list) else val
+           for key, val in (cfg.dgp or {}).items()}
     try:
         scenario_cfgs = [simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp) for sc in scenarios]
     except TypeError as exc:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, MissingColumn, ParseError
+from .errors import ConfigError, InvariantViolation, MissingColumn, ParseError
 
 OUTCOME_BINARY = "binary"
 OUTCOME_CONTINUOUS = "continuous"
@@ -36,7 +37,20 @@ class ColumnSchema:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ColumnSchema":
+        """The schema of a JSON object; a key or value of the wrong type is a ConfigError."""
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"schema must be an object of column names, got {mapping!r}")
+        unknown = sorted(set(mapping) - {"d", "t", "y", "x"})
+        if unknown:
+            raise ConfigError(f"unknown schema keys: {unknown}")
+        for role in ("d", "t", "y"):
+            if not isinstance(mapping.get(role, role), str):
+                raise ConfigError(
+                    f"schema key {role!r} must be a column name, got {mapping[role]!r}")
         x = mapping.get("x")
+        if x is not None and not (
+                isinstance(x, (list, tuple)) and all(isinstance(c, str) for c in x)):
+            raise ConfigError(f"schema key 'x' must be a list of column names, got {x!r}")
         return cls(
             d=mapping.get("d", "d"),
             t=mapping.get("t", "t"),
@@ -139,6 +153,14 @@ class CompositeDataset:
             f"CompositeDataset(n={self.n}, n1={self.n1}, n2={self.n2}, "
             f"k={self.k}, outcome={self.outcome_kind})"
         )
+
+
+def is_finite_number(value) -> bool:
+    """Whether a value read from configuration is a finite real number (not a bool)."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def detect_outcome_kind(y: np.ndarray) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,26 +74,22 @@ class Term:
             return np.logaddexp(0.0, col)
         raise ConfigError(f"unknown term kind {self.kind!r}")
 
-    def name(self, covariate_names: Sequence[str] | None = None) -> str:
-        def nm(idx: int) -> str:
-            return covariate_names[idx] if covariate_names else f"x{idx + 1}"
-
+    def _format(self, covariate) -> str:
+        """The term with each covariate index written as ``covariate(index)``."""
         if self.kind == "raw":
-            return nm(self.i)
+            return covariate(self.i)
         if self.kind == "pow":
-            return f"pow({nm(self.i)},{self.j})"
+            return f"pow({covariate(self.i)},{self.j})"
         if self.kind == "inter":
-            return f"inter({nm(self.i)},{nm(self.j)})"
-        return f"log1pexp({nm(self.i)})"
+            return f"inter({covariate(self.i)},{covariate(self.j)})"
+        return f"log1pexp({covariate(self.i)})"
+
+    def name(self, covariate_names: Sequence[str] | None = None) -> str:
+        return self._format(lambda i: covariate_names[i] if covariate_names else f"x{i + 1}")
 
     def serialize(self) -> str:
-        if self.kind == "raw":
-            return f"raw({self.i})"
-        if self.kind == "pow":
-            return f"pow({self.i},{self.j})"
-        if self.kind == "inter":
-            return f"inter({self.i},{self.j})"
-        return f"log1pexp({self.i})"
+        """The text ``parse`` reads back."""
+        return f"raw({self.i})" if self.kind == "raw" else self._format(str)
 
     @classmethod
     def parse(cls, text: str) -> "Term":
@@ -150,11 +147,17 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
-        return cls(
-            family=data.get("family", IDENTITY),
-            terms=tuple(Term.parse(t) for t in data.get("terms", [])),
-            include_intercept=bool(data.get("include_intercept", True)),
-        )
+        """The spec ``to_dict`` wrote; a ConfigError names a key of the wrong type."""
+        unknown = sorted(set(data) - {"family", "terms", "include_intercept"})
+        terms, intercept = data.get("terms", []), data.get("include_intercept", True)
+        if unknown:
+            raise ConfigError(f"unknown model spec keys: {unknown}")
+        if not isinstance(terms, (list, tuple)) or not all(isinstance(t, str) for t in terms):
+            raise ConfigError(f"model spec key 'terms' must be a list of terms, got {terms!r}")
+        if not isinstance(intercept, bool):
+            raise ConfigError(
+                f"model spec key 'include_intercept' must be a boolean, got {intercept!r}")
+        return cls(data.get("family", IDENTITY), tuple(map(Term.parse, terms)), intercept)
 
 
 # ------------------------------- fitting -------------------------------
@@ -166,7 +169,7 @@ class FittedGLM:
 
     A stacked fit (``BlockFitter``) holds K fits: ``coef`` is (K, p),
     ``iterations``, ``loglik`` and ``n_obs`` hold one entry per fit, and
-    ``predict_design`` gives (K, n) predictions.
+    ``predict`` gives (K, n) predictions.
     """
 
     family: str
@@ -178,17 +181,15 @@ class FittedGLM:
     spec: ModelSpec | None = None
     column_names: list[str] = field(default_factory=list)
 
-    def predict_design(self, design: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray | None, design: np.ndarray | None = None) -> np.ndarray:
+        """Predictions at ``x``; ``design`` may pass ``spec.design(x)`` built beforehand,
+        and then ``x`` is not read."""
+        if design is None:
+            if self.spec is None:
+                raise ConfigError("model was fit on a raw design; pass that design to predict")
+            design = self.spec.design(x)
         eta = _eta(np.asarray(design, dtype=float), self.coef)
-        if self.family == LOGIT:
-            return expit(eta)
-        return eta
-
-    def predict(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
-        """Predictions at ``x``; ``design`` may pass ``spec.design(x)`` built beforehand."""
-        if self.spec is None:
-            raise ConfigError("model was fit on a raw design; use predict_design")
-        return self.predict_design(self.spec.design(x) if design is None else design)
+        return expit(eta) if self.family == LOGIT else eta
 
 
 def _eta(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -333,94 +334,6 @@ def fit_glm(
     raise NonConvergence(f"IRLS did not converge in {MAX_ITER} iterations")
 
 
-def fit_model(ds_x: np.ndarray, response: np.ndarray, spec: ModelSpec,
-              covariate_names: Sequence[str] | None = None,
-              weights: np.ndarray | None = None,
-              design: np.ndarray | None = None) -> FittedGLM:
-    """Fit ``spec`` on raw covariates; ``design`` may pass ``spec.design(ds_x)`` built beforehand."""
-    return fit_glm(
-        spec.design(ds_x) if design is None else design,
-        response,
-        spec.family,
-        weights=weights,
-        spec=spec,
-        column_names=spec.column_names(covariate_names),
-    )
-
-
-# ------------------------- model-set fitting --------------------------
-
-# rows of each fit of a bundle, from the (d, t) columns; the variance ratio
-# compares the trial-control rows with the external rows
-_BUNDLE_ROWS = {
-    "m1": lambda d, t: (d == 1) & (t == 1),
-    "m0_pooled": lambda d, t: t == 0,
-    "m0_trial": lambda d, t: (d == 1) & (t == 0),
-    "p": lambda d, t: d == 1,
-    "pi": lambda d, t: np.ones(d.shape, dtype=bool),
-    "external": lambda d, t: d == 0,
-}
-
-
-def fit_outcome_models(
-    ds: CompositeDataset,
-    spec1: ModelSpec,
-    spec0: ModelSpec,
-    pool_controls: bool,
-) -> tuple[FittedGLM, FittedGLM]:
-    """Fit the treated-arm and control outcome means.
-
-    The treated model uses trial treated rows. With ``pool_controls`` the
-    control model uses every control row (trial and external); otherwise
-    trial controls only.
-    """
-    treated = _BUNDLE_ROWS["m1"](ds.d, ds.t)
-    if not treated.any():
-        raise EmptyCell("no treated trial rows to fit the treated outcome model")
-    controls = _control_rows(ds, pool_controls)
-    m1 = fit_model(ds.x[treated], ds.y[treated], spec1, ds.covariate_names)
-    m0 = fit_model(ds.x[controls], ds.y[controls], spec0, ds.covariate_names)
-    return m1, m0
-
-
-def _control_rows(ds: CompositeDataset, pool_controls: bool) -> np.ndarray:
-    controls = _BUNDLE_ROWS["m0_pooled" if pool_controls else "m0_trial"](ds.d, ds.t)
-    if not controls.any():
-        raise EmptyCell("no control rows to fit the control outcome model")
-    return controls
-
-
-def fit_control_model(ds: CompositeDataset, spec0: ModelSpec, pool_controls: bool) -> FittedGLM:
-    """Fit only the control outcome mean, on the rows ``fit_outcome_models`` uses."""
-    controls = _control_rows(ds, pool_controls)
-    return fit_model(ds.x[controls], ds.y[controls], spec0, ds.covariate_names)
-
-
-def fit_treatment_ps(ds: CompositeDataset, spec: ModelSpec) -> FittedGLM:
-    """Logit model of treatment assignment among trial rows."""
-    if spec.family != LOGIT:
-        raise ConfigError("treatment propensity model must use the logit family")
-    trial = ds.d == 1
-    t = ds.t[trial]
-    if not (t == 1).any() or not (t == 0).any():
-        raise EmptyCell("trial needs both arms to fit the treatment propensity")
-    return fit_model(ds.x[trial], t, spec, ds.covariate_names)
-
-
-def fit_selection_ps(
-    ds: CompositeDataset, spec: ModelSpec, design: np.ndarray | None = None
-) -> FittedGLM:
-    """Logit model of trial membership on the pooled sample.
-
-    ``design`` may pass ``spec.design(ds.x)`` built beforehand.
-    """
-    if spec.family != LOGIT:
-        raise ConfigError("selection propensity model must use the logit family")
-    if ds.n2 == 0:
-        raise EmptyCell("no external rows; selection propensity is degenerate")
-    return fit_model(ds.x, ds.d, spec, ds.covariate_names, design=design)
-
-
 # --------------------------- variance ratio ---------------------------
 
 
@@ -432,8 +345,9 @@ class VarianceRatioModel:
     constant: ratio of mean squared control residuals.
     loglinear: identity GLM of log(residual^2 + floor) in each source group;
     the per-group fits also provide smoothed conditional variances, rescaled
-    so group means match the raw mean squared residuals. A loglinear model
-    carries the constant model of the same residuals as ``constant``.
+    so group means match the raw mean squared residuals (a log-scale fit is
+    biased low otherwise). A loglinear model carries the constant model of
+    the same residuals as ``constant``.
 
     A stacked model (``BlockFitter``) holds K fits: each array and number
     field gains a leading axis of K, and ratios come out (K, n).
@@ -499,13 +413,6 @@ def _constant_ratio(v1: float, v0: float) -> VarianceRatioModel:
                               const_var_external=v0)
 
 
-def _log_scale(v, smoothed_mean):
-    """Calibrate a log-variance fit's level so the group's smoothed variance
-    averages to its raw mean squared residual (log-scale fits are biased low
-    otherwise); scalars or arrays."""
-    return np.log(v / smoothed_mean)
-
-
 def _loglinear_ratio(spec: ModelSpec, coefs, scales,
                      constant: VarianceRatioModel) -> VarianceRatioModel:
     return VarianceRatioModel(
@@ -530,13 +437,13 @@ def fit_variance_ratio(
         raise ConfigError(f"unknown ratio mode {mode!r}")
     if mode == RATIO_KNOWN_ONE:
         return VarianceRatioModel(RATIO_KNOWN_ONE)
-    groups = tuple(_BUNDLE_ROWS[name](ds.d, ds.t) for name in ("m0_trial", "external"))
+    groups = tuple(_BUNDLE_ROWS[name](ds.d, ds.t) for name in ("trial_controls", "external"))
     if any(int(rows.sum()) < 2 for rows in groups):
         raise EmptyCell(
             "variance-ratio estimation needs at least two control rows per source"
         )
     if m0.spec is None:
-        raise ConfigError("model was fit on a raw design; use predict_design")
+        raise ConfigError("m0 was fit on a raw design; the variance ratio needs its spec")
     xs = [ds.x[rows] for rows in groups]
     # one design per group serves the m0 residuals and, when the variance spec
     # has m0's terms, the log-variance fit and its calibration
@@ -562,7 +469,7 @@ def fit_variance_ratio(
         design = design if shared else spec.design(x)
         fit = fit_glm(design, np.log(r2 + VAR_FLOOR), IDENTITY, spec=spec, column_names=names)
         coefs.append(fit.coef)
-        scales.append(float(_log_scale(v, np.mean(np.exp(fit.predict(x, design=design))))))
+        scales.append(float(np.log(v / np.mean(np.exp(fit.predict(x, design=design))))))
     return _loglinear_ratio(spec, coefs, scales, constant)
 
 
@@ -698,6 +605,59 @@ def linear_specs(k: int, outcome_family: str = IDENTITY) -> dict:
     }
 
 
+# row sets of a bundle, from the (d, t) columns
+_BUNDLE_ROWS = {
+    "treated": lambda d, t: (d == 1) & (t == 1),
+    "controls": lambda d, t: t == 0,
+    "trial_controls": lambda d, t: (d == 1) & (t == 0),
+    "trial": lambda d, t: d == 1,
+    "external": lambda d, t: d == 0,
+    "all": lambda d, t: np.ones(d.shape, dtype=bool),
+}
+_NO_TREATED = "no treated trial rows to fit the treated outcome model"
+_NO_CONTROLS = "no control rows to fit the control outcome model"
+_BOTH_ARMS = "trial needs both arms to fit the treatment propensity"
+_NO_EXTERNAL = "no external rows; selection propensity is degenerate"
+
+# A working model: its spec's key, the row set it is fit on, the dataset
+# column it models, its guards (row set -> the EmptyCell message if the set
+# holds no row), and for a propensity its name, since its spec must be logit.
+_Model = namedtuple("_Model", "spec rows response guards logit_as", defaults=("",))
+
+# Every working model of a bundle, in fit order; the variance ratio is fit
+# between pi and trial m0. m1 also guards the pooled controls, so that data
+# without any control fails on them before m1 is fit.
+_BUNDLE_MODELS = {
+    "m1": _Model("m1", "treated", "y", {"treated": _NO_TREATED, "controls": _NO_CONTROLS}),
+    "m0_pooled": _Model("m0", "controls", "y", {"controls": _NO_CONTROLS}),
+    "p": _Model("p", "trial", "t", {"treated": _BOTH_ARMS, "trial_controls": _BOTH_ARMS},
+                "treatment"),
+    "pi": _Model("pi", "all", "d", {"external": _NO_EXTERNAL}, "selection"),
+    "m0_trial": _Model("m0", "trial_controls", "y", {"trial_controls": _NO_CONTROLS}),
+}
+
+
+def _bundle_models(ds: CompositeDataset, table: RowTable, specs: dict, treated_only: bool):
+    """Each working model of the bundle in fit order, once its checks pass:
+    (name, rows, design, response, spec, column names), the design being its
+    rows of ``table``'s design of its spec. Without external rows pi is left
+    out; with ``treated_only`` the models are the pooled m0 and pi."""
+    names = ("m0_pooled", "pi") if treated_only else (
+        "m1", "m0_pooled", "p", *(("pi",) if ds.n2 > 0 else ()), "m0_trial")
+    for name in names:
+        model = _BUNDLE_MODELS[name]
+        spec = specs[model.spec]
+        if model.logit_as and spec.family != LOGIT:
+            raise ConfigError(f"{model.logit_as} propensity model must use the logit family")
+        for guard, message in model.guards.items():
+            if not _BUNDLE_ROWS[guard](ds.d, ds.t).any():
+                raise EmptyCell(message)
+        rows = _BUNDLE_ROWS[model.rows](ds.d, ds.t)
+        response = np.asarray(getattr(ds, model.response)[rows], dtype=float)
+        yield (name, rows, table.design(spec)[rows], response, spec,
+               spec.column_names(ds.covariate_names))
+
+
 def _bundle_sets(models: dict, r: VarianceRatioModel) -> dict:
     """A bundle's nuisance sets from its models by name; without "m1", the treated-only set."""
     if "m1" not in models:
@@ -722,23 +682,18 @@ def fit_bundle(
     ratio is known_one: no estimator that runs on such data reads it. With
     ``treated_only`` (a trial without a control arm) there is one
     "treated_only" set of the pooled m0 and pi; its ratio is known_one
-    because the ratio cancels from that estimator. The selection fit takes
-    its design from the returned table, so every prediction shares it.
+    because the ratio cancels from that estimator. Every fit reads its rows
+    of the returned table's design of its spec, so each design is built once
+    and every prediction shares it.
     """
     table = RowTable(ds)
-    if treated_only:
-        m0 = fit_control_model(ds, specs["m0"], pool_controls=True)
-        pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
-        return _bundle_sets({"m0_pooled": m0, "pi": pi}, None), table
-    m1, m0_pooled = fit_outcome_models(ds, specs["m1"], specs["m0"], pool_controls=True)
-    p = fit_treatment_ps(ds, specs["p"])
-    pi = None
-    if ds.n2 > 0:
-        pi = fit_selection_ps(ds, specs["pi"], design=table.design(specs["pi"]))
-    mode = ratio_mode if ds.n2 > 0 else RATIO_KNOWN_ONE
-    r = fit_variance_ratio(ds, m0_pooled, mode, specs["variance"])
-    m0_trial = fit_control_model(ds, specs["m0"], pool_controls=False)
-    models = {"m1": m1, "m0_pooled": m0_pooled, "m0_trial": m0_trial, "p": p, "pi": pi}
+    models, r = {}, None
+    for name, _, design, response, spec, names in _bundle_models(ds, table, specs, treated_only):
+        if name == "m0_trial":
+            # the ratio is fit before trial m0, whose guard cannot fail once p's has passed
+            mode = ratio_mode if ds.n2 > 0 else RATIO_KNOWN_ONE
+            r = fit_variance_ratio(ds, models["m0_pooled"], mode, specs["variance"])
+        models[name] = fit_glm(design, response, spec.family, spec=spec, column_names=names)
     return _bundle_sets(models, r), table
 
 
@@ -882,33 +837,24 @@ class BlockFitter:
     a logit response of one class (an empty arm or source), a logit fit that
     separates or does not converge, fewer than two rows of a source for the
     ratio, or every squared residual of a source under VAR_FLOOR. Where a
-    design holds a non-finite value, or a propensity spec is not logit,
-    every resample is left to ``fit_bundle``.
+    design holds a non-finite value, or ``base`` fails a check that
+    ``fit_bundle`` makes before a model's fit (a propensity spec that is not
+    logit, an empty arm or source), every resample is left to ``fit_bundle``.
     """
 
     def __init__(self, base: CompositeDataset, specs: dict, ratio_mode: str,
                  treated_only: bool = False):
         self.base = base
         self._table = RowTable(base)
-        # name -> (spec key, response) of each model of the bundle
-        models = {"m0_pooled": ("m0", base.y)} if treated_only else {
-            "m1": ("m1", base.y), "m0_pooled": ("m0", base.y), "m0_trial": ("m0", base.y),
-            "p": ("p", base.t)}
-        if treated_only or base.n2 > 0:
-            models["pi"] = ("pi", base.d)
-        self._models: dict | None = None
+        self._models: list | None = None
         self._variance = None
-        designs = {name: self._table.design(specs[key]) for name, (key, _) in models.items()}
-        propensities = [specs[name].family for name in ("p", "pi") if name in models]
-        if any(family != LOGIT for family in propensities) \
-                or not all(np.isfinite(design).all() for design in designs.values()):
+        try:
+            models = list(_bundle_models(base, self._table, specs, treated_only))
+        except (ConfigError, EmptyCell):
+            return  # every resample is fit alone, and fails as the base does
+        if not all(np.isfinite(self._table.design(spec)).all() for *_, spec, _ in models):
             return  # nothing to stack: every resample is fit alone
-        rows = {name: mask(base.d, base.t) for name, mask in _BUNDLE_ROWS.items()}
-        self._models = {
-            name: (rows[name], designs[name][rows[name]], response[rows[name]].astype(float),
-                   specs[key], specs[key].column_names(base.covariate_names))
-            for name, (key, response) in models.items()
-        }
+        self._models = models
         if treated_only or ratio_mode not in (RATIO_CONSTANT, RATIO_LOGLINEAR) or base.n2 == 0:
             return
         spec = None
@@ -922,7 +868,8 @@ class BlockFitter:
         self._variance = spec, [
             (source, self._table.design(specs["m0"])[source],
              None if spec is None else self._table.design(spec)[source])
-            for source in (rows["m0_trial"], rows["external"])
+            for source in (_BUNDLE_ROWS[name](base.d, base.t)
+                           for name in ("trial_controls", "external"))
         ]
 
     def solve(self, counts: np.ndarray) -> tuple[np.ndarray, tuple[dict, BlockTable] | None]:
@@ -935,7 +882,7 @@ class BlockFitter:
         # a resample cleared from ``ok`` may divide by a zero count or overflow;
         # its values are never read
         with np.errstate(all="ignore"):
-            for name, (rows, design, response, spec, names) in self._models.items():
+            for name, rows, design, response, spec, names in self._models:
                 weights = counts[:, rows]
                 wsum = weights.sum(axis=1)
                 if spec.family == IDENTITY:
@@ -958,7 +905,7 @@ class BlockFitter:
         v, coefs, scales = [], [], []
         for rows, m0_design, design in groups:
             weights = counts[:, rows]
-            r2 = (self.base.y[rows] - m0.predict_design(m0_design)) ** 2
+            r2 = (self.base.y[rows] - m0.predict(None, m0_design)) ** 2
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
@@ -967,6 +914,6 @@ class BlockFitter:
                 ok &= good
                 smoothed = (weights * np.exp(coef @ design.T)).sum(axis=1) / count
                 coefs.append(coef)
-                scales.append(_log_scale(v[-1], smoothed))
+                scales.append(np.log(v[-1] / smoothed))
         constant = _constant_ratio(v[0], v[1])
         return constant if spec is None else _loglinear_ratio(spec, coefs, scales, constant)

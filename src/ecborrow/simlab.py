@@ -20,14 +20,14 @@ holds by construction.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._normal import ndtri
-from .dataset import OUTCOME_CONTINUOUS, CompositeDataset
-from .errors import ConfigError, EcborrowError, ReplicateFailure
+from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, is_finite_number
+from .errors import ConfigError, EcborrowError, NonConvergence, ReplicateFailure
 from .estimators import (
     METHOD_BASELINE,
     METHOD_FULL,
@@ -62,8 +62,10 @@ _D2_SD = float(np.sqrt(_INV_SQ_LOGISTIC + 2.0))
 
 # Gauss-Hermite nodes per covariate for the scenario truths. On the four
 # default scenarios 120 nodes agree with 60 to 2.4e-14; a steeper selection
-# index on the distorted features converges more slowly.
+# index on the distorted features converges more slowly, so a truth that
+# moves by more than TRUTH_TOL under twice the nodes is an error.
 QUADRATURE_NODES = 60
+TRUTH_TOL = 1e-8
 
 DRAW_RETENTION_CAP = 1_000_000
 
@@ -105,6 +107,13 @@ class ScenarioConfig:
     engagement_coefs: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple[") and not (
+                    isinstance(value, tuple) and len(value) == f.type.count("float")
+                    and all(map(is_finite_number, value))):
+                raise ConfigError(
+                    f"{f.name} must be {f.type.count('float')} finite numbers, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.n < 10:
@@ -192,14 +201,14 @@ class TrueEffects:
         return {"tau": self.tau, "psi": self.psi, "xi": self.xi}
 
 
-def _normal_rule() -> tuple[np.ndarray, np.ndarray]:
+def _normal_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes for the standard normal, and weights that sum to one.
 
     ``numpy.polynomial`` is imported here, so that only ``simulate`` loads it.
     """
     from numpy.polynomial.hermite_e import hermegauss
 
-    nodes, weights = hermegauss(QUADRATURE_NODES)
+    nodes, weights = hermegauss(k)
     return nodes, weights / weights.sum()
 
 
@@ -210,10 +219,24 @@ def true_effects(cfg: ScenarioConfig) -> TrueEffects:
     tau = E[pi g] / q, xi = E[(1 - pi) g] / (1 - q) and psi = E[g], where x
     is the scenario's standard normal covariate pair. Weighting by the true
     pi conditions on the data source without drawing it. Sample size and
-    engagement shift do not enter.
+    engagement shift do not enter. The rule has QUADRATURE_NODES per
+    covariate; one of twice as many checks it, and a truth that moves by
+    more than TRUTH_TOL between them raises NonConvergence.
     """
-    nodes, weights = _normal_rule()
-    k = len(nodes)
+    truth, check = (_quadrature_effects(cfg, k) for k in (QUADRATURE_NODES, 2 * QUADRATURE_NODES))
+    gaps = {name: abs(getattr(truth, name) - getattr(check, name))
+            for name in ("tau", "psi", "xi", "q")}
+    if not all(gap <= TRUTH_TOL for gap in gaps.values()):
+        name = max(gaps, key=gaps.get)
+        raise NonConvergence(
+            f"quadrature truth {name} moves by {gaps[name]:.2g} between {QUADRATURE_NODES} and"
+            f" {2 * QUADRATURE_NODES} nodes per covariate", estimand=name, gap=gaps[name])
+    return truth
+
+
+def _quadrature_effects(cfg: ScenarioConfig, k: int) -> TrueEffects:
+    """``true_effects`` by the rule of ``k`` nodes per covariate."""
+    nodes, weights = _normal_rule(k)
     x = np.column_stack([np.repeat(nodes, k), np.tile(nodes, k)])
     w = np.outer(weights, weights).ravel()
     z_ps = distort(x) if cfg.propensity_distorted else x

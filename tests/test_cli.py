@@ -589,6 +589,59 @@ def test_model_spec_without_columns_is_config_error(tmp_path, capsys, monkeypatc
     jsonschema.validate(payload, SCHEMA)
 
 
+@pytest.mark.parametrize("name, label", [("p", "treatment"), ("pi", "selection")])
+def test_non_logit_propensity_spec_is_config_error(tmp_path, capsys, monkeypatch, name, label):
+    monkeypatch.chdir(ROOT)
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"models": {name: {"family": "identity", "terms": ["raw(0)"]}}}))
+    code = main(["estimate", "--input", "tests/data/golden_input.csv", "--config", str(cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == {
+        "code": "CONFIG", "message": f"{label} propensity model must use the logit family"
+    }
+    jsonschema.validate(payload, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"models": {"m1": "x"}}, "'models.m1'"),
+        ({"models": ["m1"]}, "models must be"),
+        ({"schema": 5}, "schema must be"),
+        ({"models": {"m1": {"include_intercept": "false"}}}, "'include_intercept'"),
+        ({"models": {"m1": {"term": ["raw(0)"]}}}, "['term']"),
+        ({"models": {"m1": {"terms": "raw(0)"}}}, "'terms'"),
+        ({"models": {"m1": {"terms": ["raw(0)", "raw(2)"]}}}, "'raw(2)'"),
+        ({"schema": {"d": 5}}, "'d'"),
+        ({"schema": {"x": "x1"}}, "'x'"),
+        ({"side": []}, "side must be"),
+        ({"treated_only": "no"}, "treated_only must be"),
+        ({"out": 5}, "out must be"),
+        ({"estimand": ["tau", 5]}, "estimand '5'"),
+        ({"dgp": {"selection_coefs": "abc"}}, "selection_coefs must be"),
+        ({"dgp": {"effect_coefs": [1, 2]}}, "effect_coefs must be"),
+    ],
+    ids=["model_not_object", "models_not_object", "schema_not_object", "intercept_string",
+         "unknown_spec_key", "terms_string", "term_beyond_covariates", "schema_role_number",
+         "schema_x_string", "side_list", "treated_only_string", "out_number",
+         "estimand_list_number", "dgp_coefs_string", "dgp_coefs_short"],
+)
+def test_structured_config_values_are_typed(tmp_path, capsys, monkeypatch, config, named):
+    monkeypatch.chdir(ROOT)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = ["estimate", "--input", "tests/data/golden_input.csv"]
+    if "dgp" in config:
+        argv = ["simulate", "--reps", "2", "--n", "100"]
+    code = main([*argv, "--config", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"]["code"] == "CONFIG"
+    assert named in payload["error"]["message"]
+    jsonschema.validate(payload, SCHEMA)
+
+
 def test_missing_schema_file_is_named(tmp_path, capsys):
     csv = make_input(tmp_path, n=200)
     missing = tmp_path / "missing.json"

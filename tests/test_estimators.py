@@ -36,13 +36,10 @@ from ecborrow.nuisance import (
     RATIO_KNOWN_ONE,
     RATIO_LOGLINEAR,
     FittedGLM,
-    ModelSpec,
     NuisanceSet,
     VarianceRatioModel,
     expit,
     fit_bundle,
-    fit_model,
-    fit_selection_ps,
     linear_specs,
 )
 from ecborrow.simlab import ScenarioConfig, generate
@@ -305,14 +302,10 @@ def _treated_only_dataset(seed=0, n1=150, n2=150):
 
 
 def _treated_only_nuisances(ds, m0_coef=None):
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    controls = ds.t == 0
-    m0 = fit_model(ds.x[controls], ds.y[controls], spec, ds.covariate_names)
+    nuis = fit_bundle(ds, linear_specs(2), RATIO_KNOWN_ONE, treated_only=True)[0]["treated_only"]
     if m0_coef is not None:
-        m0.coef = np.asarray(m0_coef, dtype=float)
-    pi = fit_selection_ps(ds, ModelSpec.linear_in(2, LOGIT))
-    r = VarianceRatioModel("known_one")
-    return NuisanceSet(m0=m0, r=r, m0_pooled=True, pi=pi)
+        nuis.m0.coef = np.asarray(m0_coef, dtype=float)
+    return nuis
 
 
 def test_treated_only_rejects_trial_controls(random_dataset):
@@ -501,14 +494,9 @@ def test_full_estimators_need_external_rows():
     t = (rng.random(n) < 0.5).astype(int)
     y = rng.standard_normal(n)
     ds = CompositeDataset(y, x, t, d)
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    m1 = fit_model(x[t == 1], y[t == 1], spec)
-    m0 = fit_model(x[t == 0], y[t == 0], spec)
-    from ecborrow.nuisance import fit_treatment_ps
-
-    p = fit_treatment_ps(ds, ModelSpec.linear_in(2, LOGIT))
-    nuis = NuisanceSet(m0=m0, r=VarianceRatioModel("known_one"), m0_pooled=True,
-                       m1=m1, p=p, pi=None)
+    # no external rows: the pooled m0 is fit on the trial controls, and pi is absent
+    nuis = fit_bundle(ds, linear_specs(2), RATIO_KNOWN_ONE)[0]["pooled"]
+    assert nuis.pi is None
     with pytest.raises(OverlapNoExternal):
         estimate_tau_full(ds, nuis)
 

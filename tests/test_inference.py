@@ -43,13 +43,10 @@ from ecborrow.nuisance import (
     RATIO_LOGLINEAR,
     BlockFitter,
     ModelSpec,
-    NuisanceSet,
     Term,
     VarianceRatioModel,
     expit,
     fit_bundle,
-    fit_model,
-    fit_selection_ps,
     linear_specs,
 )
 from ecborrow.simlab import ScenarioConfig, generate
@@ -427,6 +424,23 @@ def test_bootstrap_blocks_keep_failure_counts_and_messages():
     assert {"RankDeficient", "EmptyCell"} <= codes
 
 
+@pytest.mark.parametrize("name, label", [("p", "treatment"), ("pi", "selection")])
+def test_bootstrap_with_a_non_logit_propensity_fails_every_resample_alone(
+        random_dataset, name, label):
+    specs = {**linear_specs(2), name: ModelSpec.linear_in(2, IDENTITY)}
+    bundle = {"specs": specs, "ratio_mode": RATIO_LOGLINEAR}
+    block = BlockFitter(random_dataset, **bundle)
+    ok, fitted = block.solve(np.ones((3, random_dataset.n)))
+    assert not ok.any() and fitted is None
+    shared = SharedFit(partial(fit_bundle, **bundle), (_tau_full,),
+                       block=partial(BlockFitter, **bundle))
+    with pytest.raises(ReplicateFailure) as failed:
+        bootstrap_variance(random_dataset, shared, 100, seed=1)
+    message = f"ConfigError: {label} propensity model must use the logit family"
+    assert failed.value.details["failures"] == 100
+    assert failed.value.details["messages"] == [message] * 5
+
+
 def test_bootstrap_counts_a_non_finite_point_as_failed():
     # on these 21 rows a loglinear ratio overflows on some resamples
     ds = _tiny_dataset(treated=8, controls=8, external=5)
@@ -699,14 +713,8 @@ def test_overlap_clean_scenario_no_flags():
 
 def test_overlap_no_external_notes(random_dataset):
     trial_only = random_dataset.take(np.where(random_dataset.d == 1)[0])
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    m1 = fit_model(trial_only.x[trial_only.t == 1], trial_only.y[trial_only.t == 1], spec)
-    m0 = fit_model(trial_only.x[trial_only.t == 0], trial_only.y[trial_only.t == 0], spec)
-    from ecborrow.nuisance import fit_treatment_ps
-
-    p = fit_treatment_ps(trial_only, ModelSpec.linear_in(2, LOGIT))
-    nuis = NuisanceSet(m0=m0, r=VarianceRatioModel("known_one"), m0_pooled=False,
-                       m1=m1, p=p, pi=None)
+    nuis = fit_bundle(trial_only, linear_specs(2), RATIO_KNOWN_ONE)[0]["unpooled"]
+    assert nuis.pi is None
     report = overlap_diagnostics(trial_only, nuis)
     assert any("trial-based" in note for note in report.notes)
 
@@ -719,10 +727,7 @@ def test_overlap_treated_only_product_below_one():
     t = d.copy()
     y = 1.0 + x[:, 0] + rng.standard_normal(n)
     ds = CompositeDataset(y, x, t, d)
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    m0 = fit_model(ds.x[ds.t == 0], ds.y[ds.t == 0], spec)
-    pi = fit_selection_ps(ds, ModelSpec.linear_in(2, LOGIT))
-    nuis = NuisanceSet(m0=m0, r=VarianceRatioModel("known_one"), m0_pooled=True, pi=pi)
+    nuis = fit_bundle(ds, linear_specs(2), RATIO_KNOWN_ONE, treated_only=True)[0]["treated_only"]
     report = overlap_diagnostics(ds, nuis)
     # p is one, pi is trimmed below one, so the product stays below the edge
     assert report.flagged_rows == []

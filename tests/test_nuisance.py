@@ -31,10 +31,6 @@ from ecborrow.nuisance import (
     expit,
     fit_bundle,
     fit_glm,
-    fit_model,
-    fit_outcome_models,
-    fit_selection_ps,
-    fit_treatment_ps,
     fit_variance_ratio,
     linear_specs,
 )
@@ -336,23 +332,37 @@ def _shaped_dataset(seed=1, n11=182, n10=180, n00=110) -> CompositeDataset:
     return CompositeDataset(y, x, t, d)
 
 
+def _pooled_m0(ds: CompositeDataset) -> FittedGLM:
+    """The bundle's pooled control-outcome model, linear in x."""
+    controls = ds.t == 0
+    spec = ModelSpec.linear_in(ds.k, IDENTITY)
+    return fit_glm(spec.design(ds.x[controls]), ds.y[controls], IDENTITY, spec=spec)
+
+
 def test_outcome_models_pooling_row_counts():
     ds = _shaped_dataset()
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0_pooled = fit_outcome_models(ds, spec, spec, pool_controls=True)
-    _, m0_trial = fit_outcome_models(ds, spec, spec, pool_controls=False)
-    assert m0_pooled.n_obs == 180 + 110
-    assert m0_trial.n_obs == 180
+    sets, _ = fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR)
+    assert sets["pooled"].m0.n_obs == 180 + 110
+    assert sets["unpooled"].m0.n_obs == 180
 
 
 def test_outcome_models_empty_cell():
     ds = _shaped_dataset(n11=60, n10=0, n00=40)
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    with pytest.raises(EmptyCell):
-        fit_outcome_models(ds, spec, spec, pool_controls=False)
+    with pytest.raises(EmptyCell, match="trial needs both arms"):
+        fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR)
     # pooled controls still exist via the external arm
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
-    assert m0.n_obs == 40
+    sets, _ = fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR, treated_only=True)
+    assert sets["treated_only"].m0.n_obs == 40
+
+
+def test_bundle_without_controls_fails_on_them_before_fitting_m1():
+    # two treated rows cannot identify m1's three coefficients, but the
+    # missing controls are reported first
+    ds = _shaped_dataset(n11=2, n10=0, n00=0)
+    with pytest.raises(EmptyCell, match="^no control rows to fit the control outcome model$"):
+        fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR)
+    with pytest.raises(RankDeficient):
+        fit_bundle(_shaped_dataset(n11=2, n10=0, n00=5), linear_specs(2), RATIO_LOGLINEAR)
 
 
 def test_treatment_ps_randomized_coefs_near_zero():
@@ -363,7 +373,7 @@ def test_treatment_ps_randomized_coefs_near_zero():
     t = (rng.random(n) < 0.4).astype(int)
     y = rng.standard_normal(n)
     ds = CompositeDataset(y, x, t, d)
-    fit = fit_treatment_ps(ds, ModelSpec.linear_in(2, LOGIT))
+    fit = fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR)[0]["pooled"].p
     # randomization: covariate effects are zero, intercept near logit(0.4)
     assert abs(fit.coef[1]) < 0.15
     assert abs(fit.coef[2]) < 0.15
@@ -373,25 +383,26 @@ def test_treatment_ps_randomized_coefs_near_zero():
 
 def test_treatment_ps_all_treated_empty_cell():
     ds = _shaped_dataset(n11=80, n10=0, n00=40)
-    with pytest.raises(EmptyCell):
-        fit_treatment_ps(ds, ModelSpec.linear_in(2, LOGIT))
+    with pytest.raises(EmptyCell, match="trial needs both arms to fit the treatment propensity"):
+        fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR)
 
 
 def test_selection_ps_intercept_only_matches_q_hat():
     ds = _shaped_dataset()
-    fit = fit_selection_ps(ds, ModelSpec(LOGIT, ()))
+    specs = {**linear_specs(2), "pi": ModelSpec(LOGIT, ())}
+    fit = fit_bundle(ds, specs, RATIO_LOGLINEAR)[0]["pooled"].pi
     assert expit(fit.coef)[0] == pytest.approx(ds.q_hat, abs=1e-10)
 
 
 def test_selection_ps_no_external_empty_cell():
     ds = _shaped_dataset(n00=0)
-    with pytest.raises(EmptyCell):
-        fit_selection_ps(ds, ModelSpec.linear_in(2, LOGIT))
+    with pytest.raises(EmptyCell, match="no external rows; selection propensity is degenerate"):
+        fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR, treated_only=True)
 
 
 def test_fitted_treatment_ps_tracks_truth_on_grid():
     ds, _ = generate(ScenarioConfig(scenario="i", n=40000), 123)
-    fit = fit_treatment_ps(ds, ModelSpec.linear_in(2, LOGIT))
+    fit = fit_bundle(ds, linear_specs(2), RATIO_LOGLINEAR)[0]["pooled"].p
     grid = np.array([[x1, x2] for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.0, 1.0)])
     truth = expit(0.2 * grid[:, 0] + 0.2 * grid[:, 1])
     assert np.max(np.abs(fit.predict(grid) - truth)) < 0.03
@@ -401,8 +412,7 @@ def test_fitted_treatment_ps_tracks_truth_on_grid():
 
 
 def test_known_one_predicts_exactly_one(random_dataset):
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(random_dataset, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(random_dataset)
     ratio = fit_variance_ratio(random_dataset, m0, RATIO_KNOWN_ONE)
     assert np.all(ratio.predict_r(random_dataset.x) == 1.0)
     assert ratio.params.size == 0
@@ -416,8 +426,7 @@ def test_constant_ratio_near_one_when_noise_equal():
     t = ((d == 1) & (rng.random(n) < 0.5)).astype(int)
     y = 1.0 + x[:, 0] + rng.standard_normal(n)
     ds = CompositeDataset(y, x, t, d)
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(ds)
     ratio = fit_variance_ratio(ds, m0, RATIO_CONSTANT)
     assert ratio.const_ratio == pytest.approx(1.0, abs=0.1)
 
@@ -425,7 +434,7 @@ def test_constant_ratio_near_one_when_noise_equal():
 def test_loglinear_recovers_log_ratio_shape():
     ds, _ = generate(ScenarioConfig(scenario="i", n=20000), 77)
     spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(ds)
     ratio = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, spec)
     # log r(x) = (0.2 + 0.2 x1) - (0.4 - 0.2 x1) = -0.2 + 0.4 x1
     slope = ratio.coef_trial[1] - ratio.coef_external[1]
@@ -436,8 +445,7 @@ def test_loglinear_recovers_log_ratio_shape():
 
 def test_variance_ratio_needs_rows():
     ds = _shaped_dataset(n11=40, n10=1, n00=40)
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(ds)
     with pytest.raises(EmptyCell):
         fit_variance_ratio(ds, m0, RATIO_CONSTANT)
 
@@ -450,8 +458,7 @@ def test_degenerate_variance_detected():
     t = np.array([1] * 20 + [0] * 40)
     y = 1.0 + 2.0 * x[:, 0] - x[:, 1] + t * 0.5  # zero control noise
     ds = CompositeDataset(y, x, t, d)
-    spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(ds)
     with pytest.raises(DegenerateVariance):
         fit_variance_ratio(ds, m0, RATIO_CONSTANT)
 
@@ -459,7 +466,7 @@ def test_degenerate_variance_detected():
 def test_variance_ratio_builds_one_design_per_group_and_carries_constant(monkeypatch):
     ds, _ = generate(ScenarioConfig(scenario="ii", n=400), 5)
     spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(ds)
     designs = []
     design = ModelSpec.design
 
@@ -482,7 +489,7 @@ def test_variance_ratio_builds_one_design_per_group_and_carries_constant(monkeyp
 def test_loglinear_smoothed_variance_calibrated():
     ds, _ = generate(ScenarioConfig(scenario="i", n=20000), 99)
     spec = ModelSpec.linear_in(2, IDENTITY)
-    _, m0 = fit_outcome_models(ds, spec, spec, pool_controls=True)
+    m0 = _pooled_m0(ds)
     ratio = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, spec)
     trial_controls = (ds.d == 1) & (ds.t == 0)
     resid2 = (ds.y[trial_controls] - m0.predict(ds.x[trial_controls])) ** 2
@@ -523,12 +530,8 @@ def test_fingerprint_stable_and_sensitive(random_dataset):
 
 
 def test_fit_model_applies_transform(random_dataset):
-    spec = ModelSpec(IDENTITY, (Term("raw", 0), Term("pow", 0, 2)))
-    controls = random_dataset.t == 0
-    fit = fit_model(
-        random_dataset.x[controls], random_dataset.y[controls], spec,
-        random_dataset.covariate_names,
-    )
+    specs = {**linear_specs(2), "m0": ModelSpec(IDENTITY, (Term("raw", 0), Term("pow", 0, 2)))}
+    fit = fit_bundle(random_dataset, specs, RATIO_LOGLINEAR)[0]["pooled"].m0
     assert fit.coef.shape == (3,)
     assert fit.column_names == ["intercept", "x1", "pow(x1,2)"]
 

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import expit as sp_expit
 
 import ecborrow.simlab as sl
-from ecborrow.errors import ConfigError, ReplicateFailure
+from ecborrow.errors import ConfigError, NonConvergence, ReplicateFailure
 from ecborrow.simlab import (
     ScenarioConfig,
     export_boxplot_data,
@@ -133,6 +135,28 @@ def test_sixty_nodes_agree_with_one_hundred_twenty(monkeypatch):
             assert getattr(low, name) == pytest.approx(getattr(high, name), abs=bound)
 
 
+@pytest.mark.parametrize("selection, effect, name", [
+    ((0.0, 5.0, -5.0), (1.0, 1.0, 1.0), "tau"),
+    ((1.0, 10.0, 0.0), (0.0, 1.0, 1.0), "xi"),
+])
+def test_true_effects_raise_where_the_rule_has_not_converged(
+        tmp_path, capsys, selection, effect, name):
+    # a steep selection index on scenario iv's distorted features: the truths
+    # move by about 1e-3 between 60 and 120 nodes
+    cfg = ScenarioConfig(scenario="iv", n=100, selection_coefs=selection, effect_coefs=effect)
+    with pytest.raises(NonConvergence, match=f"^quadrature truth {name} moves by ") as failed:
+        true_effects(cfg)
+    assert 1e-4 < failed.value.details["gap"] < 1e-2
+    config = tmp_path / "steep.json"
+    config.write_text(json.dumps({"dgp": {"selection_coefs": selection, "effect_coefs": effect}}))
+    from ecborrow.cli import main
+
+    code = main(["simulate", "--scenario", "iv", "--reps", "2", "--n", "100",
+                 "--config", str(config)])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "NON_CONVERGENCE"
+
+
 def test_true_tau_matches_quadrature():
     te = true_effects(ScenarioConfig(scenario="i", n=1000))
     assert te.tau == pytest.approx(_quadrature_tau_scenario_i(), abs=1e-12)
@@ -177,7 +201,7 @@ def test_distortion_constant_matches_quadrature():
     )[0]
     assert sl._INV_SQ_LOGISTIC == pytest.approx(value, abs=1e-12)
     # the truths' quadrature rule reproduces it too
-    nodes, weights = sl._normal_rule()
+    nodes, weights = sl._normal_rule(sl.QUADRATURE_NODES)
     assert float(weights @ (1 + np.exp(nodes)) ** -2) == pytest.approx(
         sl._INV_SQ_LOGISTIC, abs=1e-15
     )
@@ -260,10 +284,10 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     assert result["ok"]
     # m1, pooled m0, p, pi, the two log-variance fits and trial m0
     assert fits == ["identity"] * 2 + ["logit"] * 2 + ["identity"] * 3
-    # the selection fit builds the table's all-row design, which every estimator shares
+    # every fit reads its rows of the table's all-row design, which every estimator shares
     assert designs.count(cfg.n) == 1
-    # 5 fits, one design per control source for both ratio modes
-    assert len(designs) == 7
+    # and one design per control source serves both ratio modes
+    assert len(designs) == 3
     # pooled m0 residuals and the two calibrations once, plus 5 table predictions
     assert len(predicts) == 9
 
