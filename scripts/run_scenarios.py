@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Run the four-scenario coverage study and print the summary table.
 
-The full-size study (1000 replicates at n=1000) takes about 15 seconds on
-one core of a 2-vCPU x86-64 machine:
+The full-size study (1000 replicates at n=1000) takes about 6 seconds in
+one process on a 2-vCPU x86-64 machine:
 
     python scripts/run_scenarios.py --reps 1000 --n 1000 --seed 2026
 
-A smoke run finishes in about a second:
+A smoke run finishes in under a second:
 
     python scripts/run_scenarios.py --reps 50 --n 500
 """

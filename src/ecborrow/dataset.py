@@ -122,7 +122,7 @@ class CompositeDataset:
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def n2(self) -> int:
@@ -134,7 +134,7 @@ class CompositeDataset:
 
     @property
     def k(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     def take(self, indices: np.ndarray) -> "CompositeDataset":
         """Row subset/resample preserving metadata."""
@@ -153,6 +153,36 @@ class CompositeDataset:
             f"CompositeDataset(n={self.n}, n1={self.n1}, n2={self.n2}, "
             f"k={self.k}, outcome={self.outcome_kind})"
         )
+
+
+class DatasetBlock:
+    """K datasets with one row count, covariate set and outcome kind, stacked.
+
+    Each column gains a leading axis of K: ``y``, ``t`` and ``d`` are (K, n),
+    with ``t`` and ``d`` held as int8, and ``x`` is (K, n, k). ``n1``, ``n2``
+    and ``q_hat`` hold one count per dataset as (K, 1), so that they
+    broadcast against the columns. Working models fit on a block are stacked
+    (``nuisance.BlockFitter``), and each estimator then gives one point per
+    dataset.
+    """
+
+    def __init__(self, datasets: Sequence[CompositeDataset]):
+        first = datasets[0]
+        if any((ds.n, ds.covariate_names, ds.outcome_kind)
+               != (first.n, first.covariate_names, first.outcome_kind) for ds in datasets):
+            raise InvariantViolation(
+                "a dataset block needs one row count, covariate set and outcome kind")
+        self.y, self.x = (np.stack([getattr(ds, name) for ds in datasets]) for name in "yx")
+        # 0/1 codes fit in a byte, which keeps the block's integer rows small
+        self.t, self.d = (np.stack([getattr(ds, name) for ds in datasets]).astype(np.int8)
+                          for name in "td")
+        self.n1 = self.d.sum(axis=1, keepdims=True)
+        self.covariate_names = first.covariate_names
+        self.outcome_kind = first.outcome_kind
+
+    # the counts read the (K, n) columns as they read a dataset's (n,) ones
+    n, n2, q_hat, k = (CompositeDataset.n, CompositeDataset.n2, CompositeDataset.q_hat,
+                       CompositeDataset.k)
 
 
 def is_finite_number(value) -> bool:

@@ -10,12 +10,16 @@ ratio and refitting the control mean on trial controls only).
 Every (estimand, method) is one ratio of means: per-row numerators N and
 denominators D give point = sum(N)/sum(D) and influence values
 (N - point*D)/mean(D). ``_moment`` writes each estimator's rows once, and
-the ``estimate_*`` functions, ``estimate``, ``estimate_point`` and
-``influence_values`` all read them, through the row table when one is
-passed. psi's rows are tau's plus xi's, so psi = q*tau + (1 - q)*xi holds
-row by row. On a ``nuisance.BlockTable`` of K bootstrap resamples the same
-rows are (K, n) and each resample's point is sum(c*N)/sum(c*D), c its
-count of each row; a plain table is the case K = 1, c = 1.
+the ``estimate_*`` functions, ``estimate``, ``estimate_point``,
+``influence_values`` and ``point_and_influence`` all read them; through the
+row table, when one is passed, they share every prediction and the pieces
+of the full-data rows. psi's rows are tau's plus xi's, so
+psi = q*tau + (1 - q)*xi holds row by row. On a ``nuisance.BlockTable`` the
+same rows are (K, n): for K bootstrap resamples each point is
+sum(c*N)/sum(c*D), c the resample's count of each row, and for a
+``DatasetBlock`` of K Monte Carlo replicates, whose columns are (K, n) too,
+it is each replicate's sum(N)/sum(D). A plain table is the case K = 1,
+c = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import OUTCOME_BINARY, CompositeDataset
+from .dataset import OUTCOME_BINARY, CompositeDataset, DatasetBlock
 from .errors import (
     ConfigError,
     EmptyCell,
@@ -119,23 +123,33 @@ def control_weight(
 
 @dataclass
 class _Pieces:
-    """Per-row ingredients shared by every full-data moment."""
+    """Per-row ingredients shared by every full-data moment.
 
-    delta: np.ndarray  # m1 - m0
+    m1 and m0 are the table's predictions, so only ``core`` is held here.
+    """
+
+    m1: np.ndarray
+    m0: np.ndarray
     pi: np.ndarray
     core: np.ndarray  # d*t*resid1/p - weight*resid0
     trim_count: int
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.m1 - self.m0
 
 
 @dataclass
 class _Moment:
     """One estimator's rows: point = sum(c*N)/sum(c*D), IF = (N - point*D)/mean(D).
 
-    ``denom`` is D (1.0 when every row counts). ``counts`` (c) is None on a
-    plain table, where c = 1, the point is one float and sum(D) is the row
-    count n1, n2 or n of the dataset; on a block table it holds one row of
-    counts per resample, ``numer`` is (K, n) and there is one point per
-    resample.
+    ``denom`` is D (1.0 when every row counts). ``counts`` (c) is None where
+    each row counts once, c = 1: on a plain table the point is one float and
+    sum(D) is the row count n1, n2 or n of the dataset, and on the table of
+    a DatasetBlock ``numer`` and ``denom`` are (K, n), one row per dataset,
+    with one point each. On a bootstrap block table ``counts`` holds one row
+    of counts per resample, ``numer`` is (K, n), ``denom`` is shared and
+    there is one point per resample.
     """
 
     numer: np.ndarray
@@ -146,17 +160,21 @@ class _Moment:
 
     @property
     def denom_sum(self):
-        denom = np.broadcast_to(self.denom, self.numer.shape[-1:])
-        return np.sum(denom) if self.counts is None else self.counts @ denom
+        if self.counts is None:
+            return np.sum(np.broadcast_to(self.denom, self.numer.shape), axis=-1)
+        return self.counts @ np.broadcast_to(self.denom, self.numer.shape[-1:])
 
     @property
     def point(self):
-        if self.counts is None:
-            return float(np.sum(self.numer) / self.denom_sum)
-        return np.sum(self.counts * self.numer, axis=-1) / self.denom_sum
+        numer = self.numer if self.counts is None else self.counts * self.numer
+        point = np.sum(numer, axis=-1) / self.denom_sum
+        return float(point) if self.numer.ndim == 1 else point
 
-    def influence(self, point: float) -> np.ndarray:
-        return (self.numer - point * self.denom) / (self.denom_sum / self.numer.shape[0])
+    def influence(self, point) -> np.ndarray:
+        """(N - point*D)/mean(D), each row of a block at its own point."""
+        mean_denom = self.denom_sum / self.numer.shape[-1]
+        return (self.numer - np.expand_dims(point, -1) * self.denom) / np.expand_dims(
+            mean_denom, -1)
 
 
 def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model) -> _Pieces:
@@ -170,11 +188,11 @@ def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model
     p = np.maximum(p, DENOM_EPS)
     r = np.zeros(ds.n) if r_model is None else table.ratio(r_model)
     weight, floored_w = control_weight(pi, p, r, ds.d, ds.t)
-    resid0 = ds.y - m0
-    resid1 = ds.y - m1
-    core = ds.d * ds.t * resid1 / p - weight * resid0
+    # core is built in place, which keeps the temporaries of a block few
+    core = ds.d * ds.t * (ds.y - m1) / p
+    core -= weight * (ds.y - m0)
     trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
-    return _Pieces(delta=m1 - m0, pi=pi, core=core, trim_count=trims + floored_p + floored_w)
+    return _Pieces(m1=m1, m0=m0, pi=pi, core=core, trim_count=trims + floored_p + floored_w)
 
 
 def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
@@ -230,7 +248,7 @@ def _moment(
     table: RowTable | None = None,
     zero_ratio: bool = False,
 ) -> _Moment:
-    """The (N, D) rows of one (estimand, method), computed once per table.
+    """The (N, D) rows of one (estimand, method), from the table's shared pieces.
 
     With delta = m1 - m0 and core = d*t*(y - m1)/p - w*(y - m0), w the
     control weight:
@@ -241,6 +259,10 @@ def _moment(
     - baseline psi and xi, and tau with ``zero_ratio``: the same rows with r = 0
     - tau trial-based: N = d times its AIPW row, D = d
     - tau treated-only: N = d*resid0 - (1 - d)*pi/(1 - pi)*resid0, D = d
+
+    On a DatasetBlock a check on the data raises only where it fails for
+    every dataset of the block; where it fails for some, their stacked fits
+    are not ``ok`` already (``nuisance.BlockFitter``).
     """
     table = row_table(ds, table)
     if estimand == ESTIMAND_TAU and method == METHOD_TRIAL:
@@ -249,41 +271,36 @@ def _moment(
         t = ds.t[ds.d == 1]
         if nuis.m1 is None or nuis.p is None or not (t == 1).any() or not (t == 0).any():
             raise EmptyCell("trial-based estimation needs both trial arms")
-        owners = (nuis.m1, nuis.m0, nuis.p)
-        compute = partial(_trial_moment, table, *owners)
-    elif estimand == ESTIMAND_TAU and method == METHOD_TREATED_ONLY:
+        return _trial_moment(table, nuis.m1, nuis.m0, nuis.p)
+    if estimand == ESTIMAND_TAU and method == METHOD_TREATED_ONLY:
         if int(((ds.d == 1) & (ds.t == 0)).sum()) > 0:
             raise InvariantViolation(
                 "treated-only estimation requested but the trial has control rows"
             )
-        if ds.n2 == 0:
+        if np.all(ds.n2 == 0):
             raise OverlapNoExternal("treated-only estimation needs external controls")
         if nuis.pi is None:
             raise EmptyCell("treated-only estimation needs a fitted selection propensity")
-        owners = (nuis.m0, nuis.pi)
-        compute = partial(_treated_only_moment, table, *owners)
-    else:
-        if estimand != ESTIMAND_TAU:
-            zero_ratio = _check_comparator_nuisances(nuis, method)
-        elif not zero_ratio and not nuis.m0_pooled:
-            raise ConfigError("full-data estimation needs m0 fit on all controls")
-        if estimand == ESTIMAND_XI and ds.q_hat >= 1.0:
-            raise OverlapNoExternal("external-population effect needs external rows")
-        if ds.n2 == 0:
-            raise OverlapNoExternal(
-                "full-data estimation needs external rows; use the trial-based method"
-            )
-        if nuis.m1 is None or nuis.p is None:
-            raise EmptyCell("full-data moments need fitted treated-arm models")
-        if nuis.pi is None:
-            raise EmptyCell("full-data moments need a fitted selection propensity")
-        models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
-        pieces = table.cached(
-            ("pieces", *map(id, models)), models, partial(_full_pieces, table, *models)
+        return _treated_only_moment(table, nuis.m0, nuis.pi)
+    if estimand != ESTIMAND_TAU:
+        zero_ratio = _check_comparator_nuisances(nuis, method)
+    elif not zero_ratio and not nuis.m0_pooled:
+        raise ConfigError("full-data estimation needs m0 fit on all controls")
+    if estimand == ESTIMAND_XI and np.all(ds.q_hat >= 1.0):
+        raise OverlapNoExternal("external-population effect needs external rows")
+    if np.all(ds.n2 == 0):
+        raise OverlapNoExternal(
+            "full-data estimation needs external rows; use the trial-based method"
         )
-        owners = (pieces,)
-        compute = partial(_full_moment, table, pieces, estimand)
-    return table.cached((estimand, method, *map(id, owners)), owners, compute)
+    if nuis.m1 is None or nuis.p is None:
+        raise EmptyCell("full-data moments need fitted treated-arm models")
+    if nuis.pi is None:
+        raise EmptyCell("full-data moments need a fitted selection propensity")
+    models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
+    pieces = table.cached(
+        ("pieces", *map(id, models)), models, partial(_full_pieces, table, *models)
+    )
+    return _full_moment(table, pieces, estimand)
 
 
 # ----------------------------- estimators -----------------------------
@@ -377,13 +394,22 @@ def estimate_point(
 ):
     """The named estimator's point alone, with no Estimate or fingerprint.
 
-    On a ``BlockTable`` of stacked models it is one point per resample.
+    On a ``BlockTable`` of stacked models it is one point per resample or
+    dataset of the block.
     """
     _check_pair(estimand, method, "estimator")
     return _moment(ds, nuis, estimand, method, table).point
 
 
 # -------------------------- influence values --------------------------
+
+
+def _influence_moment(ds, nuis: NuisanceSet, estimand: str, method: str,
+                      table: RowTable | None) -> _Moment:
+    _check_pair(estimand, method, "influence function")
+    if method == METHOD_TRIAL and nuis.m0_pooled:
+        raise ConfigError("trial-based influence values need unpooled m0")
+    return _moment(ds, nuis, estimand, method, table)
 
 
 def influence_values(
@@ -399,10 +425,7 @@ def influence_values(
     The values average to zero (within IF_MEAN_TOL) when ``point`` is the
     matching estimator output; otherwise MismatchedPoint is raised.
     """
-    _check_pair(estimand, method, "influence function")
-    if method == METHOD_TRIAL and nuis.m0_pooled:
-        raise ConfigError("trial-based influence values need unpooled m0")
-    values = _moment(ds, nuis, estimand, method, table).influence(point)
+    values = _influence_moment(ds, nuis, estimand, method, table).influence(point)
     mean = float(np.mean(values))
     if abs(mean) > IF_MEAN_TOL:
         raise MismatchedPoint(
@@ -411,6 +434,24 @@ def influence_values(
             method=method,
         )
     return IFVector(values=values, estimand=estimand, method=method)
+
+
+def point_and_influence(
+    ds: CompositeDataset | DatasetBlock,
+    nuis: NuisanceSet,
+    estimand: str,
+    method: str,
+    table: RowTable | None = None,
+):
+    """The named estimator's point and its influence values at that point, from
+    one computation of its rows, without ``influence_values``' mean-zero check.
+
+    On a DatasetBlock with its ``BlockTable`` they are (K,) points and (K, n)
+    values, one row per dataset.
+    """
+    moment = _influence_moment(ds, nuis, estimand, method, table)
+    point = moment.point
+    return point, moment.influence(point)
 
 
 def efficiency_bound_plugin(
@@ -444,18 +485,19 @@ def efficiency_gain_analytic(
     """Drop in the tau variance bound from borrowing external controls.
 
     Averages, over trial rows, the gap between the trial-only and
-    borrowing-adjusted inverse control-variance weights times V1(x)/q.
+    borrowing-adjusted inverse control-variance weights times V1(x)/q. On a
+    DatasetBlock with its ``BlockTable`` it is one gain per dataset.
     """
     if nuis.p is None or nuis.pi is None:
         raise EmptyCell("gain formula needs fitted treatment and selection propensities")
     table = row_table(ds, table)
-    trial = ds.d == 1
-    p = table.propensity(nuis.p)[0][trial]
-    pi = table.propensity(nuis.pi)[0][trial]
-    r = table.ratio(nuis.r)[trial]
-    v1 = _var_trial_controls(ds, nuis, table)[trial]
+    p = table.propensity(nuis.p)[0]
+    pi = table.propensity(nuis.pi)[0]
+    r = table.ratio(nuis.r)
+    v1 = _var_trial_controls(ds, nuis, table)
     gap = 1.0 / (1.0 - p) - 1.0 / (1.0 - p + (1.0 - pi) / pi * r)
-    return float(np.mean(gap * v1 / ds.q_hat))
+    gain = np.mean(gap * v1 / ds.q_hat, axis=-1, where=ds.d == 1)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def _gap_pieces(ds: CompositeDataset, nuis: NuisanceSet):

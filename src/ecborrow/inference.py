@@ -7,7 +7,10 @@ estimator is evaluated on that one set of fits. Resamples reach the fit in
 blocks, each also written as frequency counts on the base rows, so a block
 fitter (``SharedFit.block``) can fit a whole block's working models and
 points from the counts without building a dataset per resample; a resample
-it cannot stand in for is fit alone on its own rows. Also here: the
+it cannot stand in for is fit alone on its own rows. The same block path
+(``nuisance.BlockFitter`` and the estimators' moments), sized by the same
+BLOCK_BYTES rule, serves the Monte Carlo replicates of ``simlab``, whose
+blocks stack the replicates' own rows instead of counts. Also here: the
 specification test for equal control-outcome means across data sources,
 overlap diagnostics, and the bias bound under a source-specific
 control-mean shift.
@@ -66,12 +69,16 @@ class InferenceResult:
 
 
 def if_variance(ifv: IFVector) -> float:
-    """Estimator variance from mean-zero influence values: var(IF)/n."""
+    """Estimator variance from mean-zero influence values: var(IF)/n.
+
+    Values of shape (K, n), one row per dataset of a block, give K variances.
+    """
     values = np.asarray(ifv.values, dtype=float)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 2:
         return 0.0
-    return float(np.var(values, ddof=1) / n)
+    variance = np.var(values, axis=-1, ddof=1) / n
+    return float(variance) if values.ndim == 1 else variance
 
 
 def test(
@@ -152,8 +159,9 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
     return np.lexsort(tuple(keys))
 
 
-# a block's (resamples, rows) arrays stay under this many bytes; a block fit
-# keeps some twenty of them alive at once (predictions and estimator rows)
+# a block's (resamples or replicates, rows) arrays stay under this many
+# bytes; a block fit keeps some twenty of them alive at once (predictions
+# and estimator rows)
 BLOCK_BYTES = 1 << 17
 
 

@@ -7,8 +7,9 @@ transforms are declared per model, so misspecification studies only swap
 the transform, never the fitting code. ``fit_bundle`` fits every working
 model of one dataset once and hands back the nuisance sets with the
 ``RowTable`` that holds each design and prediction once; ``BlockFitter``
-does the same for a block of bootstrap resamples written as row counts,
-with stacked models and a ``BlockTable``.
+does the same for a block of bootstrap resamples written as row counts, or
+for a ``DatasetBlock`` of Monte Carlo replicates, with stacked models and a
+``BlockTable``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CompositeDataset
+from .dataset import CompositeDataset, DatasetBlock
 from .errors import (
     ConfigError,
     DegenerateVariance,
@@ -63,13 +64,13 @@ class Term:
     j: int = 0
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        col = x[:, self.i]
+        col = x[..., self.i]
         if self.kind == "raw":
             return col
         if self.kind == "pow":
             return col ** self.j
         if self.kind == "inter":
-            return col * x[:, self.j]
+            return col * x[..., self.j]
         if self.kind == "log1pexp":
             return np.logaddexp(0.0, col)
         raise ConfigError(f"unknown term kind {self.kind!r}")
@@ -126,12 +127,13 @@ class ModelSpec:
         return cls(family, tuple(Term("raw", i) for i in range(k)), include_intercept)
 
     def design(self, x: np.ndarray) -> np.ndarray:
+        """(n, p) for covariates x (n, k); (K, n, p) for a block's (K, n, k)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cols = []
         if self.include_intercept:
-            cols.append(np.ones(x.shape[0]))
+            cols.append(np.ones(x.shape[:-1]))
         cols.extend(term.apply(x) for term in self.terms)
-        return np.column_stack(cols)
+        return np.stack(cols, axis=-1)
 
     def column_names(self, covariate_names: Sequence[str] | None = None) -> list[str]:
         names = ["intercept"] if self.include_intercept else []
@@ -169,7 +171,8 @@ class FittedGLM:
 
     A stacked fit (``BlockFitter``) holds K fits: ``coef`` is (K, p),
     ``iterations``, ``loglik`` and ``n_obs`` hold one entry per fit, and
-    ``predict`` gives (K, n) predictions.
+    ``predict`` gives (K, n) predictions, on one design (n, p) or on each
+    fit's own (K, n, p).
     """
 
     family: str
@@ -193,8 +196,11 @@ class FittedGLM:
 
 
 def _eta(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Linear predictor; (K, n) when ``coef`` stacks K fits as (K, p)."""
-    return design @ coef if np.ndim(coef) == 1 else coef @ design.T
+    """Linear predictor; (K, n) when ``coef`` stacks K fits as (K, p), on one
+    design (n, p) or on each fit's own (K, n, p)."""
+    if np.ndim(coef) == 1:
+        return design @ coef
+    return coef @ design.T if design.ndim == 2 else (design @ coef[..., None])[..., 0]
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
@@ -384,11 +390,12 @@ class VarianceRatioModel:
     def _unchecked_r(self, x: np.ndarray, design: np.ndarray | None) -> np.ndarray:
         """``predict_r`` without its finiteness check: an overflow is left as inf."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
+        n = x.shape[-2]
         if self.mode == RATIO_KNOWN_ONE:
             return np.ones(n)
         if self.mode == RATIO_CONSTANT:
-            return np.repeat(np.asarray(self.const_ratio)[..., None], n, axis=-1)
+            ratio = np.asarray(self.const_ratio)[..., None]
+            return np.broadcast_to(ratio, (*ratio.shape[:-1], n))
         design = self.spec.design(x) if design is None else design
         with np.errstate(over="ignore"):
             return np.exp(_eta(design, self.coef_trial) - _eta(design, self.coef_external))
@@ -396,7 +403,7 @@ class VarianceRatioModel:
     def predict_var_trial(self, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
         """Smoothed var(Y | X, trial controls); unavailable for known_one."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
+        n = x.shape[-2]
         if self.mode == RATIO_KNOWN_ONE:
             raise DegenerateVariance(
                 "known_one ratio model carries no variance level; fit constant or loglinear"
@@ -404,7 +411,7 @@ class VarianceRatioModel:
         if self.mode == RATIO_CONSTANT:
             return np.full(n, self.const_var_trial)
         design = self.spec.design(x) if design is None else design
-        return np.exp(design @ self.coef_trial + self.log_scale_trial)
+        return np.exp(_eta(design, self.coef_trial) + np.expand_dims(self.log_scale_trial, -1))
 
 
 def _constant_ratio(v1: float, v0: float) -> VarianceRatioModel:
@@ -431,8 +438,13 @@ def fit_variance_ratio(
     m0: FittedGLM,
     mode: str,
     spec: ModelSpec | None = None,
+    table: RowTable | None = None,
 ) -> VarianceRatioModel:
-    """Estimate the control-outcome variance ratio from m0 residuals."""
+    """Estimate the control-outcome variance ratio from m0 residuals.
+
+    Each source group reads its rows of ``table``'s all-row designs, of m0's
+    spec and of ``spec``; a table of its own is made when none is passed.
+    """
     if mode not in RATIO_MODES:
         raise ConfigError(f"unknown ratio mode {mode!r}")
     if mode == RATIO_KNOWN_ONE:
@@ -444,12 +456,10 @@ def fit_variance_ratio(
         )
     if m0.spec is None:
         raise ConfigError("m0 was fit on a raw design; the variance ratio needs its spec")
+    table = row_table(ds, table)
     xs = [ds.x[rows] for rows in groups]
-    # one design per group serves the m0 residuals and, when the variance spec
-    # has m0's terms, the log-variance fit and its calibration
-    m0_designs = [m0.spec.design(x) for x in xs]
-    resid2 = [(ds.y[rows] - m0.predict(x, design=design)) ** 2
-              for rows, x, design in zip(groups, xs, m0_designs)]
+    resid2 = [(ds.y[rows] - m0.predict(x, design=table.design(m0.spec)[rows])) ** 2
+              for rows, x in zip(groups, xs)]
     if any(np.all(r2 < VAR_FLOOR) for r2 in resid2):
         raise DegenerateVariance(
             "all squared residuals below the variance floor in one source group"
@@ -462,11 +472,10 @@ def fit_variance_ratio(
         spec = ModelSpec.linear_in(ds.k, IDENTITY)
     if spec.family != IDENTITY:
         raise ConfigError("loglinear variance regression must use the identity family")
-    shared = (spec.terms, spec.include_intercept) == (m0.spec.terms, m0.spec.include_intercept)
     names = spec.column_names(ds.covariate_names)
     coefs, scales = [], []
-    for x, design, r2, v in zip(xs, m0_designs, resid2, (v1, v0)):
-        design = design if shared else spec.design(x)
+    for rows, x, r2, v in zip(groups, xs, resid2, (v1, v0)):
+        design = table.design(spec)[rows]
         fit = fit_glm(design, np.log(r2 + VAR_FLOOR), IDENTITY, spec=spec, column_names=names)
         coefs.append(fit.coef)
         scales.append(float(np.log(v / np.mean(np.exp(fit.predict(x, design=design))))))
@@ -564,7 +573,8 @@ class RowTable:
         """Predictions trimmed into [TRIM_EPS, 1-TRIM_EPS], and the rows trimmed."""
 
         def compute():
-            raw = self.predict(model)
+            # the raw predictions are read here only, so they are not kept
+            raw = model.predict(self.ds.x, self.design(model.spec))
             clipped = np.clip(raw, TRIM_EPS, 1.0 - TRIM_EPS)
             return clipped, clipped != raw
 
@@ -576,10 +586,8 @@ class RowTable:
         )
 
     def var_trial(self, r: VarianceRatioModel) -> np.ndarray:
-        return self.cached(
-            ("var_trial", id(r)), r,
-            lambda: r.predict_var_trial(self.ds.x, self.design(r.spec)),
-        )
+        # read once per table (by the efficiency formulas), so not kept
+        return r.predict_var_trial(self.ds.x, self.design(r.spec))
 
 
 def row_table(ds: CompositeDataset, table: RowTable | None = None) -> RowTable:
@@ -637,13 +645,22 @@ _BUNDLE_MODELS = {
 }
 
 
-def _bundle_models(ds: CompositeDataset, table: RowTable, specs: dict, treated_only: bool):
+def _rows_of(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values``' rows in a row set of one dataset (n,); on a ``DatasetBlock``,
+    whose row sets are (K, n), every row, since 0/1 weights pick them."""
+    return values[rows] if rows.ndim == 1 else values
+
+
+def _bundle_models(ds: CompositeDataset | DatasetBlock, table: RowTable, specs: dict,
+                   treated_only: bool):
     """Each working model of the bundle in fit order, once its checks pass:
-    (name, rows, design, response, spec, column names), the design being its
-    rows of ``table``'s design of its spec. Without external rows pi is left
-    out; with ``treated_only`` the models are the pooled m0 and pi."""
+    (name, rows, design, response, spec, column names), the design and the
+    response being their rows (``_rows_of``) of ``table``'s design of its spec
+    and of the modelled column. Without external rows pi is left out; with
+    ``treated_only`` the models are the pooled m0 and pi. On a block each
+    check holds when it holds for some dataset of the block."""
     names = ("m0_pooled", "pi") if treated_only else (
-        "m1", "m0_pooled", "p", *(("pi",) if ds.n2 > 0 else ()), "m0_trial")
+        "m1", "m0_pooled", "p", *(("pi",) if np.any(ds.n2 > 0) else ()), "m0_trial")
     for name in names:
         model = _BUNDLE_MODELS[name]
         spec = specs[model.spec]
@@ -653,8 +670,8 @@ def _bundle_models(ds: CompositeDataset, table: RowTable, specs: dict, treated_o
             if not _BUNDLE_ROWS[guard](ds.d, ds.t).any():
                 raise EmptyCell(message)
         rows = _BUNDLE_ROWS[model.rows](ds.d, ds.t)
-        response = np.asarray(getattr(ds, model.response)[rows], dtype=float)
-        yield (name, rows, table.design(spec)[rows], response, spec,
+        response = _rows_of(getattr(ds, model.response), rows)
+        yield (name, rows, _rows_of(table.design(spec), rows), response, spec,
                spec.column_names(ds.covariate_names))
 
 
@@ -692,19 +709,44 @@ def fit_bundle(
         if name == "m0_trial":
             # the ratio is fit before trial m0, whose guard cannot fail once p's has passed
             mode = ratio_mode if ds.n2 > 0 else RATIO_KNOWN_ONE
-            r = fit_variance_ratio(ds, models["m0_pooled"], mode, specs["variance"])
+            r = fit_variance_ratio(ds, models["m0_pooled"], mode, specs["variance"], table)
         models[name] = fit_glm(design, response, spec.family, spec=spec, column_names=names)
     return _bundle_sets(models, r), table
 
 
-# --------------------------- resample blocks ---------------------------
+# ------------------------------- blocks --------------------------------
+
+# A block stacks K fits of one working model. Its design is shared by the
+# fits, (n, p) for the resamples of one dataset, or each fit's own, (K, n, p)
+# for a DatasetBlock; the fits' responses are then (n,) or (K, n), and their
+# weights are always (K, n).
+
+
+def _at(index: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """Per-fit ``arrays`` at the fits ``index`` (a mask, or sorted positions)
+    selects; the arrays themselves when it selects every fit."""
+    every = index.all() if index.dtype == bool else index.size == len(arrays[0])
+    return arrays if every else tuple(a[index] for a in arrays)
+
+
+def _fits(index: np.ndarray, design: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """``design`` and its fits' ``arrays`` at the fits ``index`` selects (``_at``),
+    or as they are when they are shared."""
+    return (design, *arrays) if design.ndim == 2 else _at(index, design, *arrays)
+
+
+def _xt(design: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """X'v for each fit's row of ``values`` (K, n): (K, p)."""
+    return values @ design if design.ndim == 2 else (values[:, None, :] @ design)[:, 0]
 
 
 def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """X'WX for each row of ``weights``: (K, p, p)."""
-    k, p = weights.shape[0], design.shape[1]
-    gram = np.empty((k, p, p))
+    k, p = weights.shape[0], design.shape[-1]
     # one column product at a time keeps the extra memory at one row count
+    if design.ndim == 3:
+        return np.stack([_xt(design, weights * design[..., a]) for a in range(p)], axis=1)
+    gram = np.empty((k, p, p))
     for a in range(p):
         for b in range(a, p):
             gram[:, a, b] = gram[:, b, a] = weights @ (design[:, a] * design[:, b])
@@ -712,13 +754,13 @@ def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _guarded_gram(design: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The count-weighted Gram of each row of ``weights``, and where a stacked fit may
+    """The weighted Gram of each row of ``weights``, and where a stacked fit may
     stand in for ``fit_glm``: at least as many weighted rows as coefficients and a
     Gram matrix with condition number at most GRAM_COND_MAX (a design ``fit_glm``
     calls rank deficient has a far larger one)."""
     gram = _gram(design, weights)
     eig = np.linalg.eigvalsh(gram)
-    ok = (weights.sum(axis=1) >= design.shape[1]) & (eig[:, 0] > 0) & (
+    ok = (weights.sum(axis=1) >= design.shape[-1]) & (eig[:, 0] > 0) & (
         eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
     return gram, ok
 
@@ -732,9 +774,9 @@ def _stacked_wls(design: np.ndarray, weights: np.ndarray,
     for ``fit_glm``.
     """
     gram, ok = _guarded_gram(design, weights)
-    coef = np.zeros((weights.shape[0], design.shape[1]))
+    coef = np.zeros((weights.shape[0], design.shape[-1]))
     if ok.any():
-        rhs = (weights * response)[ok] @ design
+        rhs = _xt(_fits(ok, design)[0], (weights * response)[ok])
         coef[ok] = np.linalg.solve(gram[ok], rhs[:, :, None])[:, :, 0]
     return coef, ok
 
@@ -749,67 +791,83 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     a guard of ``_guarded_gram`` fails, the response has one class, or the
     fit fails as above.
     """
-    k, p = weights.shape[0], design.shape[1]
+    k, p = weights.shape[0], design.shape[-1]
     _, ok = _guarded_gram(design, weights)
-    ok &= (weights @ response > 0) & (weights @ (1.0 - response) > 0)
+    ok &= (np.sum(weights * response, axis=-1) > 0) & (
+        np.sum(weights * (1.0 - response), axis=-1) > 0)
 
-    def fitted(eta, w):
+    def fitted(eta, w, y):
         # expit(eta) and the log-likelihood, log(1 + exp(eta)) taken from
-        # expit's exp(-|eta|) (np.logaddexp is several times slower)
+        # expit's exp(-|eta|) (np.logaddexp is several times slower); the terms
+        # are built in place, which keeps a block's temporaries few
         mu, e = _expit_parts(eta)
-        return mu, np.sum(w * (response * eta - np.maximum(eta, 0.0) - np.log1p(e)), axis=-1)
+        terms = y * eta
+        terms -= np.maximum(eta, 0.0)
+        terms -= np.log1p(e, out=e)
+        terms *= w
+        return mu, np.sum(terms, axis=-1)
 
     coef = np.zeros((k, p))
-    mu, loglik = fitted(np.zeros(weights.shape), weights)
+    mu, loglik = fitted(np.zeros(weights.shape), weights, response)
     iterations = np.zeros(k, dtype=int)
     active = ok.copy()
+    # the batch of fits still iterating, narrowed (copied) only when one leaves it
+    rows = np.flatnonzero(active)
+    w, m = _at(rows, weights, mu)
+    x, y = _fits(rows, design, response)
     for iteration in range(1, MAX_ITER + 1):
-        rows = np.flatnonzero(active)
-        w, m = weights[rows], mu[rows]
-        score = (w * (response - m)) @ design
+        score = _xt(x, w * (y - m))
         done = np.max(np.abs(score), axis=1) <= GLM_TOL
         iterations[rows[done]] = iteration
         active[rows[done]] = False
-        rows, w, m, score = rows[~done], w[~done], m[~done], score[~done]
+        rows, w, m, score = _at(~done, rows, w, m, score)
+        x, y = _fits(~done, x, y)
         if rows.size == 0:
             break
         try:
-            step = np.linalg.solve(_gram(design, w * m * (1.0 - m)), score[:, :, None])[:, :, 0]
+            step = np.linalg.solve(_gram(x, w * m * (1.0 - m)), score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             ok[rows] = active[rows] = False  # fit_glm calls a singular information separation
             break
         old = loglik[rows]
         candidate = coef[rows] + step
-        new_mu, new_loglik = fitted(candidate @ design.T, w)
+        new_mu, new_loglik = fitted(_eta(x, candidate), w, y)
         worse = new_loglik < old - 1e-12
         for _ in range(MAX_HALVINGS):
             if not worse.any():
                 break
             step[worse] *= 0.5
             candidate[worse] = coef[rows[worse]] + step[worse]
-            new_mu[worse], new_loglik[worse] = fitted(candidate[worse] @ design.T, w[worse])
+            xw, yw = _fits(worse, x, y)
+            new_mu[worse], new_loglik[worse] = fitted(_eta(xw, candidate[worse]), w[worse], yw)
             worse &= new_loglik < old - 1e-12
-        coef[rows], mu[rows], loglik[rows] = candidate, new_mu, new_loglik
-        diverged = rows[np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND]
-        ok[diverged] = active[diverged] = False
+        coef[rows], mu[rows], loglik[rows], m = candidate, new_mu, new_loglik, new_mu
+        diverged = np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND
+        ok[rows[diverged]] = active[rows[diverged]] = False
+        rows, w, m = _at(~diverged, rows, w, m)
+        x, y = _fits(~diverged, x, y)
     ok &= ~active  # still running after MAX_ITER iterations: no convergence
     return coef, iterations, loglik, ok
 
 
 class BlockTable(RowTable):
-    """The row table of K resamples of one dataset, each a row of ``counts``.
+    """The row table of a block: K resamples of one dataset, or a DatasetBlock.
 
-    ``counts[k, i]`` is how often resample k holds row i. The models read
-    through it are stacked (``BlockFitter``), so every prediction is (K, n),
-    and an estimator's point is one per resample: sum(c*N) / sum(c*D) with c
-    the resample's counts. A ratio that overflows is left as inf, so that
-    only the resamples it reaches get a non-finite point.
+    ``counts[k, i]`` is how often resample k holds row i; on a DatasetBlock
+    ``counts`` is None and dataset k holds each of its rows once. The models
+    read through the table are stacked (``BlockFitter``), so every prediction
+    is (K, n), and an estimator's point is one per resample or dataset:
+    sum(c*N) / sum(c*D) with c the resample's counts. ``ok`` marks where the
+    stacked models stand in for each one's own ``fit_bundle``. A ratio that
+    overflows is left as inf, so that only the fits it reaches get a
+    non-finite point.
     """
 
-    def __init__(self, table: RowTable, counts: np.ndarray):
+    def __init__(self, table: RowTable, counts: np.ndarray | None, ok: np.ndarray):
         super().__init__(table.ds)
         self._designs = table._designs
         self.counts = counts
+        self.ok = ok
 
     def ratio(self, r: VarianceRatioModel) -> np.ndarray:
         return self.cached(
@@ -817,32 +875,43 @@ class BlockTable(RowTable):
         )
 
 
+def _row_weights(counts: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """Each fit's weight on a model's rows (``_rows_of``): a resample's counts on
+    the row set (n,), or, without counts, 1 on each row of each dataset's own
+    row set (K, n) of a DatasetBlock."""
+    return rows.astype(float) if counts is None else counts[:, rows]
+
+
 class BlockFitter:
-    """``fit_bundle`` for bootstrap resamples of ``base``, a block at a time.
+    """``fit_bundle`` for a block at a time: bootstrap resamples of ``base``, or
+    the datasets of ``base`` when it is a DatasetBlock.
 
     ``solve(counts)`` takes one row of frequency counts on ``base``'s rows
-    per resample and fits every working model of the bundle for all of them
-    at once, on one design per spec built once on ``base``: the
-    identity-family models (m1, both m0, and the variance ratio with its two
-    log-variance fits and their calibration) from count-weighted normal
-    equations, the logit ones (p, pi, and binary-outcome m1 and m0) by
-    count-weighted IRLS under ``fit_glm``'s rules. It returns ``ok``, where
-    the block stands in for ``fit_bundle``, and the block's bundle: nuisance
-    sets of stacked models with a ``BlockTable`` of the counts, on which
-    each estimator gives one point per resample.
+    per resample (``solve()`` takes each dataset of a DatasetBlock once) and
+    fits every working model of the bundle for all of them at once, on one
+    design per spec built once on ``base``: the identity-family models (m1,
+    both m0, and the variance ratio with its two log-variance fits and their
+    calibration) from weighted normal equations, the logit ones (p, pi, and
+    binary-outcome m1 and m0) by weighted IRLS under ``fit_glm``'s rules. A
+    resample weights the rows of a model's row set by its counts; a dataset
+    of a block weights its own row set's rows by 1 and every other row by 0.
+    It returns ``ok``, where the block stands in for ``fit_bundle``, and the
+    block's bundle: nuisance sets of stacked models with a ``BlockTable``, on
+    which each estimator gives one point per resample or dataset.
 
-    A resample with ``ok`` False is left to ``fit_bundle`` on its own rows,
-    so each failure keeps its type, message and count: fewer weighted rows
-    than coefficients or a count-weighted Gram matrix beyond GRAM_COND_MAX,
-    a logit response of one class (an empty arm or source), a logit fit that
-    separates or does not converge, fewer than two rows of a source for the
-    ratio, or every squared residual of a source under VAR_FLOOR. Where a
-    design holds a non-finite value, or ``base`` fails a check that
-    ``fit_bundle`` makes before a model's fit (a propensity spec that is not
-    logit, an empty arm or source), every resample is left to ``fit_bundle``.
+    A resample or dataset with ``ok`` False is left to ``fit_bundle`` on its
+    own rows, so each failure keeps its type, message and count: fewer
+    weighted rows than coefficients or a weighted Gram matrix beyond
+    GRAM_COND_MAX, a logit response of one class (an empty arm or source), a
+    logit fit that separates or does not converge, fewer than two rows of a
+    source for the ratio, or every squared residual of a source under
+    VAR_FLOOR. Where a design holds a non-finite value, or ``base`` fails a
+    check that ``fit_bundle`` makes before a model's fit (a propensity spec
+    that is not logit, an empty arm or source in every dataset), every one is
+    left to ``fit_bundle``.
     """
 
-    def __init__(self, base: CompositeDataset, specs: dict, ratio_mode: str,
+    def __init__(self, base: CompositeDataset | DatasetBlock, specs: dict, ratio_mode: str,
                  treated_only: bool = False):
         self.base = base
         self._table = RowTable(base)
@@ -855,7 +924,8 @@ class BlockFitter:
         if not all(np.isfinite(self._table.design(spec)).all() for *_, spec, _ in models):
             return  # nothing to stack: every resample is fit alone
         self._models = models
-        if treated_only or ratio_mode not in (RATIO_CONSTANT, RATIO_LOGLINEAR) or base.n2 == 0:
+        if treated_only or ratio_mode not in (RATIO_CONSTANT, RATIO_LOGLINEAR) or not np.any(
+                base.n2 > 0):
             return
         spec = None
         if ratio_mode == RATIO_LOGLINEAR:
@@ -866,28 +936,29 @@ class BlockFitter:
         # per source group: its rows, m0's design on them for the residuals,
         # and the variance spec's design for the log-variance fit
         self._variance = spec, [
-            (source, self._table.design(specs["m0"])[source],
-             None if spec is None else self._table.design(spec)[source])
+            (source, _rows_of(self._table.design(specs["m0"]), source),
+             None if spec is None else _rows_of(self._table.design(spec), source))
             for source in (_BUNDLE_ROWS[name](base.d, base.t)
                            for name in ("trial_controls", "external"))
         ]
 
-    def solve(self, counts: np.ndarray) -> tuple[np.ndarray, tuple[dict, BlockTable] | None]:
+    def solve(self, counts: np.ndarray | None = None
+              ) -> tuple[np.ndarray, tuple[dict, BlockTable] | None]:
         """Where the block stands in for ``fit_bundle``, and the block's bundle."""
-        counts = np.asarray(counts, dtype=float)
-        ok = np.full(counts.shape[0], self._models is not None)
+        counts = None if counts is None else np.asarray(counts, dtype=float)
+        ok = np.full(len(self.base.y if counts is None else counts), self._models is not None)
         if not ok.any():
             return ok, None
         models = {}
-        # a resample cleared from ``ok`` may divide by a zero count or overflow;
+        # a fit cleared from ``ok`` may divide by a zero count or overflow;
         # its values are never read
         with np.errstate(all="ignore"):
             for name, rows, design, response, spec, names in self._models:
-                weights = counts[:, rows]
+                weights = _row_weights(counts, rows)
                 wsum = weights.sum(axis=1)
                 if spec.family == IDENTITY:
                     coef, good = _stacked_wls(design, weights, response)
-                    rss = (weights * (response - coef @ design.T) ** 2).sum(axis=1)
+                    rss = (weights * (response - _eta(design, coef)) ** 2).sum(axis=1)
                     iterations, loglik = 1, _gaussian_loglik(rss, wsum)
                 else:
                     coef, iterations, loglik, good = _stacked_logit(design, weights, response)
@@ -895,7 +966,7 @@ class BlockFitter:
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
                                          wsum.astype(int), spec, names)
             r = self._solve_ratio(counts, models["m0_pooled"], ok)
-        return ok, (_bundle_sets(models, r), BlockTable(self._table, counts))
+        return ok, (_bundle_sets(models, r), BlockTable(self._table, counts, ok))
 
     def _solve_ratio(self, counts, m0: FittedGLM, ok) -> VarianceRatioModel:
         """The stacked variance ratio; clears ``ok`` where it fails."""
@@ -904,15 +975,15 @@ class BlockFitter:
         spec, groups = self._variance
         v, coefs, scales = [], [], []
         for rows, m0_design, design in groups:
-            weights = counts[:, rows]
-            r2 = (self.base.y[rows] - m0.predict(None, m0_design)) ** 2
+            weights = _row_weights(counts, rows)
+            r2 = (_rows_of(self.base.y, rows) - m0.predict(None, m0_design)) ** 2
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
             if design is not None:
                 coef, good = _stacked_wls(design, weights, np.log(r2 + VAR_FLOOR))
                 ok &= good
-                smoothed = (weights * np.exp(coef @ design.T)).sum(axis=1) / count
+                smoothed = (weights * np.exp(_eta(design, coef))).sum(axis=1) / count
                 coefs.append(coef)
                 scales.append(np.log(v[-1] / smoothed))
         constant = _constant_ratio(v[0], v[1])

@@ -15,6 +15,13 @@ functions per data source, so the variance ratio is a non-constant
 log-linear function of x1. Control-outcome means never depend on the data
 source (unless an engagement shift is injected), so mean exchangeability
 holds by construction.
+
+The Monte Carlo engine fits replicates a block at a time on the block path
+that also serves the bootstrap's resamples: a block's draws are stacked
+into a ``DatasetBlock``, ``nuisance.BlockFitter`` fits every working model
+of every replicate at once, and the estimators' own moments give each
+replicate's points, influence values and analytic gain from (K, n) arrays.
+A replicate the block cannot stand in for is fit alone (``_mc_replicate``).
 """
 
 from __future__ import annotations
@@ -26,20 +33,24 @@ from pathlib import Path
 import numpy as np
 
 from ._normal import ndtri
-from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, is_finite_number
-from .errors import ConfigError, EcborrowError, NonConvergence, ReplicateFailure
+from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, DatasetBlock, is_finite_number
+from .errors import ConfigError, EcborrowError, EmptyCell, NonConvergence, ReplicateFailure
 from .estimators import (
+    IF_MEAN_TOL,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
+    IFVector,
     efficiency_gain_analytic,
-    estimate,
+    estimate_point,
     influence_values,
+    point_and_influence,
 )
-from .inference import if_variance, ordered_map
+from .inference import BLOCK_BYTES, if_variance, ordered_map
 from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
+    BlockFitter,
     RowTable,
     expit,
     fit_bundle,
@@ -221,9 +232,12 @@ def true_effects(cfg: ScenarioConfig) -> TrueEffects:
     pi conditions on the data source without drawing it. Sample size and
     engagement shift do not enter. The rule has QUADRATURE_NODES per
     covariate; one of twice as many checks it, and a truth that moves by
-    more than TRUTH_TOL between them raises NonConvergence.
+    more than TRUTH_TOL between them raises NonConvergence. The check rule's
+    sums skip BLAS, whose multithreaded dot products cost more than they save
+    at its size; their last bits reach only the gap.
     """
-    truth, check = (_quadrature_effects(cfg, k) for k in (QUADRATURE_NODES, 2 * QUADRATURE_NODES))
+    truth = _quadrature_effects(cfg, QUADRATURE_NODES, np.dot)
+    check = _quadrature_effects(cfg, 2 * QUADRATURE_NODES, _sum_of_products)
     gaps = {name: abs(getattr(truth, name) - getattr(check, name))
             for name in ("tau", "psi", "xi", "q")}
     if not all(gap <= TRUTH_TOL for gap in gaps.values()):
@@ -234,8 +248,13 @@ def true_effects(cfg: ScenarioConfig) -> TrueEffects:
     return truth
 
 
-def _quadrature_effects(cfg: ScenarioConfig, k: int) -> TrueEffects:
-    """``true_effects`` by the rule of ``k`` nodes per covariate."""
+def _sum_of_products(w: np.ndarray, f: np.ndarray) -> float:
+    return np.sum(w * f)
+
+
+def _quadrature_effects(cfg: ScenarioConfig, k: int, expect) -> TrueEffects:
+    """``true_effects`` by the rule of ``k`` nodes per covariate, with
+    ``expect(w, f)`` the rule's weighted sum of f."""
     nodes, weights = _normal_rule(k)
     x = np.column_stack([np.repeat(nodes, k), np.tile(nodes, k)])
     w = np.outer(weights, weights).ravel()
@@ -243,11 +262,11 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int) -> TrueEffects:
     z_out = distort(x) if cfg.outcome_distorted else x
     pi = expit(_linear(cfg.selection_coefs, z_ps))
     g = _linear(cfg.effect_coefs, z_out)
-    q = float(w @ pi)
+    q = float(expect(w, pi))
     return TrueEffects(
-        tau=float(w @ (pi * g)) / q,
-        psi=float(w @ g),
-        xi=float(w @ ((1.0 - pi) * g)) / (1.0 - q),
+        tau=float(expect(w, pi * g)) / q,
+        psi=float(expect(w, g)),
+        xi=float(expect(w, (1.0 - pi) * g)) / (1.0 - q),
         q=q,
     )
 
@@ -255,29 +274,92 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int) -> TrueEffects:
 # --------------------------- Monte Carlo core --------------------------
 
 
-def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
+def _fit_replicate_nuisances(ds: CompositeDataset | DatasetBlock) -> tuple[dict, RowTable]:
     """The bundle's sets plus "pooled_const", the pooled set with a constant ratio.
 
     The analyst's working models are linear in the raw covariates, so they
-    are correct in the undistorted arms only.
+    are correct in the undistorted arms only. A DatasetBlock of replicates is
+    fit at once by ``BlockFitter``: its sets are stacked, and its table's
+    ``ok`` marks the replicates they stand in for.
     """
-    sets, table = fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
+    specs = linear_specs(ds.k)
+    if isinstance(ds, DatasetBlock):
+        _, fitted = BlockFitter(ds, specs, RATIO_LOGLINEAR).solve()
+        if fitted is None:
+            raise EmptyCell("every replicate of the block fails a check of the bundle")
+        sets, table = fitted
+    else:
+        sets, table = fit_bundle(ds, specs, RATIO_LOGLINEAR)
     pooled = sets["pooled"]
     sets["pooled_const"] = replace(pooled, r=pooled.r.constant)
     return sets, table
 
 
-def _mc_replicate(args) -> dict:
+def _mc_block(args) -> list:
+    """Draw a block of consecutive replicates, score what the block stands in
+    for at once, then finish each replicate in order."""
+    cfg, master_seed, reps, estimators = args
+    block = DatasetBlock([generate(cfg, [master_seed, rep])[0] for rep in reps])
+    records = _block_records(block, estimators)
+    return [_mc_replicate((cfg, master_seed, rep, estimators), record)
+            for rep, record in zip(reps, records)]
+
+
+def _block_records(block: DatasetBlock, estimators: tuple) -> list:
+    """Each replicate's record from one stacked fit of the block, or None to fit it alone.
+
+    The points, influence values, their variances and the analytic gain of
+    every replicate come from (K, n) arrays through the estimators' own
+    moments. A replicate whose stacked fit is not ``ok``, whose point, IF
+    variance or gain is not finite, or whose influence values do not average
+    to within IF_MEAN_TOL of zero, gets None: ``_mc_replicate`` refits it and
+    reports its failure, if any, as a replicate fit alone does.
+    """
+    columns = {}
+    # a replicate cleared from ``ok`` may divide by zero or overflow; its
+    # values are never read
+    with np.errstate(all="ignore"):
+        try:
+            sets, table = _fit_replicate_nuisances(block)
+            ok = table.ok.copy()
+            gains = efficiency_gain_analytic(block, sets["pooled"], table)
+            for name in estimators:
+                estimand, method, _, set_name = _ESTIMATOR_META[name]
+                nuis = sets[set_name]
+                points, values = point_and_influence(block, nuis, estimand, method, table)
+                variances = if_variance(IFVector(values, estimand, method))
+                ok &= np.isfinite(points) & np.isfinite(variances) & (
+                    np.abs(np.mean(values, axis=-1)) <= IF_MEAN_TOL)
+                columns[name] = list(zip(points.tolist(), variances.tolist()))
+        except EcborrowError:
+            return [None] * len(block.y)
+    ok &= np.isfinite(gains)
+    return [
+        {**{name: pairs[j] for name, pairs in columns.items()}, "analytic_gain": gains[j].item()}
+        if ok[j] else None
+        for j in range(len(block.y))
+    ]
+
+
+def _mc_replicate(args, record: dict | None = None) -> dict:
+    """Finish replicate ``rep``: its record from the block, or its own draw and fit.
+
+    Without a ``record`` the replicate is drawn again from its stream, fit
+    alone by ``fit_bundle`` and scored estimator by estimator, so a failure
+    keeps its type and message.
+    """
+    if record is not None:
+        return {"ok": True, "record": record}
     cfg, master_seed, rep, estimators = args
     try:
         ds, _ = generate(cfg, [master_seed, rep])
         # one table: every estimator below shares its predictions and pieces
         sets, table = _fit_replicate_nuisances(ds)
-        record: dict = {}
+        record = {}
         for name in estimators:
             estimand, method, _, set_name = _ESTIMATOR_META[name]
             nuis = sets[set_name]
-            point = estimate(ds, nuis, estimand, method, table=table).point
+            point = estimate_point(ds, nuis, estimand, method, table=table)
             ifv = influence_values(ds, nuis, estimand, method, point, table=table)
             record[name] = (point, if_variance(ifv))
         record["analytic_gain"] = efficiency_gain_analytic(ds, sets["pooled"], table=table)
@@ -332,7 +414,12 @@ def run_monte_carlo(
     """Replicate generate-fit-estimate and aggregate bias, mse, coverage.
 
     Replicate r draws from the RNG stream (master_seed, r), and aggregation
-    runs in replicate order, so results are identical for any ``jobs``.
+    runs in replicate order. Replicates go to the fit in blocks of
+    consecutive replicates, sized from ``cfg.n`` alone by the bootstrap's
+    BLOCK_BYTES rule, and with ``jobs > 1`` the worker processes take whole
+    blocks, so results are identical for any ``jobs``. Each block fits every
+    working model of its replicates at once (``BlockFitter``); a replicate
+    the block cannot stand in for is fit alone (``_mc_replicate``).
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
@@ -344,8 +431,10 @@ def run_monte_carlo(
             "draw retention above the in-memory cap; lower reps or drop estimators"
         )
     truth = true_effects(cfg)
-    tasks = [(cfg, master_seed, rep, tuple(estimators)) for rep in range(reps)]
-    raw = ordered_map(_mc_replicate, tasks, jobs, chunksize=8)
+    size = max(1, BLOCK_BYTES // (8 * cfg.n))
+    tasks = [(cfg, master_seed, range(start, min(start + size, reps)), tuple(estimators))
+             for start in range(0, reps, size)]
+    raw = [item for block in ordered_map(_mc_block, tasks, jobs) for item in block]
     failures = [item for item in raw if not item["ok"]]
     if len(failures) > 0.02 * reps:
         raise ReplicateFailure(

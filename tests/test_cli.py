@@ -439,6 +439,8 @@ def test_diagnose_missing_controls_errors(tmp_path, capsys):
 
 
 def test_simulate_deterministic_across_jobs(tmp_path, capsys):
+    # at n = 1000 a block holds 16 replicates: 37 of them make two whole blocks
+    # and a partial last one, spread over the workers
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     for out_path, jobs in ((out1, "1"), (out2, "2")):
@@ -448,9 +450,9 @@ def test_simulate_deterministic_across_jobs(tmp_path, capsys):
                 "--scenario",
                 "i",
                 "--reps",
-                "6",
+                "37",
                 "--n",
-                "200",
+                "1000",
                 "--seed",
                 "3",
                 "--jobs",

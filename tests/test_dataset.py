@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ecborrow.dataset import (
     CompositeDataset,
+    DatasetBlock,
     load_csv,
     summarize,
     validate,
@@ -27,6 +28,17 @@ def test_load_csv_counts(tmp_path):
     assert ds.n1 == 1
     assert ds.q_hat == 0.5
     assert ds.covariate_names == ("x1",)
+
+
+def test_dataset_block_stacks_columns_and_counts():
+    a, b, c = (make_random_dataset(seed, n=50) for seed in (1, 2, 3))
+    block = DatasetBlock([a, b, c])
+    assert (block.y.shape, block.x.shape, block.n, block.k) == ((3, 50), (3, 50, a.k), 50, a.k)
+    np.testing.assert_array_equal(block.d[1], b.d)
+    np.testing.assert_array_equal(block.n1[:, 0], [a.n1, b.n1, c.n1])
+    np.testing.assert_array_equal(block.q_hat[:, 0], [a.q_hat, b.q_hat, c.q_hat])
+    with pytest.raises(InvariantViolation, match="one row count"):
+        DatasetBlock([a, make_random_dataset(4, n=51)])
 
 
 def test_load_csv_external_treated_rejected(tmp_path):

@@ -463,7 +463,7 @@ def test_degenerate_variance_detected():
         fit_variance_ratio(ds, m0, RATIO_CONSTANT)
 
 
-def test_variance_ratio_builds_one_design_per_group_and_carries_constant(monkeypatch):
+def test_variance_ratio_builds_one_design_per_spec_and_carries_constant(monkeypatch):
     ds, _ = generate(ScenarioConfig(scenario="ii", n=400), 5)
     spec = ModelSpec.linear_in(2, IDENTITY)
     m0 = _pooled_m0(ds)
@@ -476,12 +476,20 @@ def test_variance_ratio_builds_one_design_per_group_and_carries_constant(monkeyp
 
     monkeypatch.setattr(ModelSpec, "design", counting_design)
     ratio = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, spec)
-    # the variance spec has m0's terms: one design per source group serves all
-    assert sorted(designs) == sorted([ds.n1 - int(ds.t.sum()), ds.n2])
+    # the variance spec has m0's terms: one all-row design serves both source groups
+    assert designs == [ds.n]
     designs.clear()
     other = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, ModelSpec(IDENTITY, (Term("raw", 0),)))
-    assert len(designs) == 4
+    assert designs == [ds.n, ds.n]
+    designs.clear()
+    # a table that holds m0's design already: no design is built
+    table = RowTable(ds)
+    table.design(spec)
+    designs.clear()
+    with_table = fit_variance_ratio(ds, m0, RATIO_LOGLINEAR, spec, table)
+    assert designs == []
     monkeypatch.undo()
+    np.testing.assert_array_equal(with_table.params, ratio.params)
     constant = fit_variance_ratio(ds, m0, RATIO_CONSTANT)
     assert ratio.constant == constant and other.constant == constant
 

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import expit as sp_expit
 
 import ecborrow.simlab as sl
+from ecborrow.dataset import DatasetBlock
 from ecborrow.errors import ConfigError, NonConvergence, ReplicateFailure
 from ecborrow.simlab import (
     ScenarioConfig,
@@ -284,12 +285,76 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     assert result["ok"]
     # m1, pooled m0, p, pi, the two log-variance fits and trial m0
     assert fits == ["identity"] * 2 + ["logit"] * 2 + ["identity"] * 3
-    # every fit reads its rows of the table's all-row design, which every estimator shares
-    assert designs.count(cfg.n) == 1
-    # and one design per control source serves both ratio modes
-    assert len(designs) == 3
+    # every fit, the variance ratio's too, reads its rows of the table's one all-row
+    # design, which every estimator shares
+    assert designs == [cfg.n]
     # pooled m0 residuals and the two calibrations once, plus 5 table predictions
     assert len(predicts) == 9
+
+
+def _block_and_alone(cfg, seed, reps):
+    """Each replicate's record from one block of ``reps``, and from _mc_replicate alone."""
+    block = DatasetBlock([generate(cfg, [seed, rep])[0] for rep in reps])
+    records = sl._block_records(block, sl.ALL_ESTIMATORS)
+    alone = [sl._mc_replicate((cfg, seed, rep, sl.ALL_ESTIMATORS)) for rep in reps]
+    return records, alone
+
+
+@pytest.mark.parametrize("n", [60, 1000])
+@pytest.mark.parametrize("scenario", sl.SCENARIOS)
+def test_block_matches_each_replicate_fit_alone(scenario, n):
+    cfg = ScenarioConfig(scenario=scenario, n=n)
+    for seed in (0, 1, 2):
+        records, alone = _block_and_alone(cfg, seed, range(12))
+        for block, own in zip(records, alone):
+            # the block stands in for every replicate here, so each is compared
+            assert block is not None and own["ok"]
+            own = own["record"]
+            for name in sl.ALL_ESTIMATORS:
+                (point, variance), (own_point, own_variance) = block[name], own[name]
+                # a point near zero is compared on the scale of its standard error
+                assert abs(point - own_point) <= 1e-12 * max(abs(own_point), own_variance**0.5)
+                assert variance == pytest.approx(own_variance, rel=1e-12, abs=0)
+            # the gain reads the log-variance fits, whose responses log(r^2 + floor)
+            # magnify the last bits in which m0 from normal equations and from lstsq
+            # differ by 2/|r| where a residual r is near zero (2.6e-12 seen at n = 60)
+            assert block["analytic_gain"] == pytest.approx(own["analytic_gain"], rel=1e-11, abs=0)
+
+
+def _outcome(cfg, reps):
+    try:
+        return sl.run_monte_carlo(cfg, reps, master_seed=7).to_dict()
+    except ReplicateFailure as exc:
+        return exc.to_dict()
+
+
+@pytest.mark.parametrize("n, scenario, reps, failures", [
+    (20, "i", 100, None),  # 18 of 100 fail: the study raises ReplicateFailure
+    (35, "ii", 300, 2),
+    (40, "iv", 200, 1),
+])
+def test_block_failures_match_replicates_fit_alone(monkeypatch, n, scenario, reps, failures):
+    cfg = ScenarioConfig(scenario=scenario, n=n)
+    records, alone = _block_and_alone(cfg, 7, range(reps))
+    # the block hands back exactly the replicates that fail alone
+    assert [record is None for record in records] == [not own["ok"] for own in alone]
+    with_block = _outcome(cfg, reps)
+    # with the block disabled every replicate is fit alone
+    monkeypatch.setattr(sl, "_block_records", lambda block, estimators: [None] * len(block.y))
+    fit_alone = _outcome(cfg, reps)
+    if failures is None:
+        assert with_block == fit_alone
+        assert with_block["code"] == "REPLICATE_FAILURE"
+        return
+    assert with_block["failures"] == fit_alone["failures"] == failures
+    assert with_block["failure_messages"] == fit_alone["failure_messages"]
+    for name, summary in with_block["summaries"].items():
+        own = fit_alone["summaries"][name]
+        assert (summary["reps"], summary["coverage"]) == (own["reps"], own["coverage"])
+        for key in ("mean_bias", "sd", "mse", "mean_variance_estimate"):
+            assert summary[key] == pytest.approx(own[key], rel=1e-11, abs=1e-12 * own["sd"])
+    assert with_block["mean_analytic_gain"] == pytest.approx(
+        fit_alone["mean_analytic_gain"], rel=1e-11)
 
 
 def test_draw_retention_cap():
