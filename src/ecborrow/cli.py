@@ -9,15 +9,17 @@ can come from a JSON config file; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from numbers import Integral
 from pathlib import Path
+from typing import NoReturn
 
-from . import simlab
 from .dataset import (
     OUTCOME_BINARY,
     ColumnSchema,
@@ -66,6 +68,25 @@ from .nuisance import (
 )
 
 log = logging.getLogger("ecborrow")
+
+
+def _lazy_submodule(name: str):
+    """The package's submodule ``name``, its code run on first attribute access.
+
+    It is entered in ``sys.modules`` and on the package at once, so code that
+    looks it up or wraps its functions after ``import ecborrow.cli`` finds it.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+        setattr(sys.modules[__package__], name, sys.modules[full])
+    return sys.modules[full]
+
+
+simlab = _lazy_submodule("simlab")  # only simulate runs it
 
 _RATIO_FLAGS = {"known1": "known_one", "constant": "constant", "loglinear": "loglinear"}
 _SIDE_FLAGS = {"greater": "greater", "less": "less", "two-sided": "two_sided"}
@@ -521,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run scenario replications")
     common(p_sim)
-    p_sim.add_argument("--scenario", choices=[*simlab.SCENARIOS, "all"])
+    p_sim.add_argument("--scenario", help="i, ii, iii, iv or all")
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--boxplot-csv", dest="boxplot_csv")
@@ -575,5 +596,23 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The process entry point: ``main()``, then exit without interpreter teardown.
+
+    Freeing numpy's and ecborrow's module objects at exit costs more than
+    the rest of a small ``estimate``. Nothing is left to do by then: log
+    records are flushed as they are written, ``--out`` is closed and any
+    process pool is joined before ``main`` returns. A closed stdout ends
+    the run with status 1 and no traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

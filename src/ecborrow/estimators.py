@@ -45,7 +45,7 @@ from .nuisance import (
     row_table,
 )
 
-DENOM_EPS = 1e-6   # floor on the pooled-control weight denominator and on p
+DENOM_EPS = 1e-6   # floor on the pooled-control weight denominator
 IF_MEAN_TOL = 1e-8  # influence values must average to zero at the estimate
 
 ESTIMAND_TAU = "tau"
@@ -184,15 +184,13 @@ def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model
     m0 = table.predict(m0_model)
     p, trimmed_p = table.propensity(p_model)
     pi, trimmed_pi = table.propensity(pi_model)
-    floored_p = int(np.sum(p < DENOM_EPS))
-    p = np.maximum(p, DENOM_EPS)
     r = np.zeros(ds.n) if r_model is None else table.ratio(r_model)
     weight, floored_w = control_weight(pi, p, r, ds.d, ds.t)
     # core is built in place, which keeps the temporaries of a block few
     core = ds.d * ds.t * (ds.y - m1) / p
     core -= weight * (ds.y - m0)
     trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
-    return _Pieces(m1=m1, m0=m0, pi=pi, core=core, trim_count=trims + floored_p + floored_w)
+    return _Pieces(m1=m1, m0=m0, pi=pi, core=core, trim_count=trims + floored_w)
 
 
 def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
@@ -213,10 +211,8 @@ def _trial_moment(table: RowTable, m1_model, m0_model, p_model) -> _Moment:
     m1 = table.predict(m1_model)
     m0 = table.predict(m0_model)
     p, trimmed = table.propensity(p_model)
-    floored = int(np.sum(p[..., trial] < DENOM_EPS))
-    p = np.maximum(p, DENOM_EPS)
     row = (m1 - m0) + ds.t * (ds.y - m1) / p - (1 - ds.t) * (ds.y - m0) / (1.0 - p)
-    return _Moment(ds.d * row, ds.d, ds.n1, int(trimmed[..., trial].sum()) + floored,
+    return _Moment(ds.d * row, ds.d, ds.n1, int(trimmed[..., trial].sum()),
                    table.counts)
 
 

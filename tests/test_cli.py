@@ -690,7 +690,9 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     """No scipy module nor the process pool loads with the CLI, estimate or simulate.
 
     Only diagnose's chi-square p-value (and the rank-failure QR) imports scipy,
-    and only simulate's quadrature truths import numpy.polynomial.
+    and only simulate's quadrature truths import numpy.polynomial. Only
+    simulate runs ecborrow.simlab: until then the module may be entered in
+    sys.modules, but its code has not run.
     """
     import os
     import subprocess
@@ -709,12 +711,16 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
         "    return json.loads(out.getvalue())\n"
         "def loaded(prefixes):\n"
         "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+        "def simlab_ran():\n"
+        "    module = sys.modules.get('ecborrow.simlab')\n"
+        "    return module is not None and 'run_monte_carlo' in object.__getattribute__(\n"
+        "        module, '__dict__')\n"
         "heavy = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
-        "print(loaded(heavy + ('numpy.polynomial',)))\n"
+        "print(loaded(heavy + ('numpy.polynomial',)), simlab_ran())\n"
         f"run(['estimate', '--input', '{golden}', '--seed', '11'])\n"
         f"run(['estimate', '--input', '{golden}', '--estimand', 'tau', '--variance', 'bootstrap',"
         " '--B', '100', '--seed', '3'])\n"
-        "print(loaded(heavy + ('numpy.polynomial',)))\n"
+        "print(loaded(heavy + ('numpy.polynomial',)), simlab_ran())\n"
         "run(['simulate', '--scenario', 'i', '--reps', '4', '--n', '200', '--seed', '3'])\n"
         "print(loaded(heavy))\n"
         f"print(run(['diagnose', '--input', '{golden}'])['exchangeability']['p_value'])\n"
@@ -725,8 +731,8 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     )
     assert out.returncode == 0, out.stderr
     after_import, after_estimates, after_simulate, diagnose_p = out.stdout.strip().splitlines()
-    assert after_import == "[]"
-    assert after_estimates == "[]"
+    assert after_import == "[] False"
+    assert after_estimates == "[] False"
     assert after_simulate == "[]"
     golden_p = json.loads((ROOT / "tests" / "data" / "golden_diagnose.json").read_text())
     assert float(diagnose_p) == golden_p["exchangeability"]["p_value"]

@@ -1,0 +1,144 @@
+"""The process entry point ``cli.run``, the package's lazy names and the installed scripts.
+
+``run`` ends the process with ``os._exit``, so its tests start
+``python -m ecborrow.cli`` as a child process; in-process ``main`` never
+takes that path.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ecborrow
+from ecborrow.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_INPUT = "tests/data/golden_input.csv"
+GOLDEN_ARGV = ["estimate", "--input", GOLDEN_INPUT, "--estimand", "tau,psi,xi",
+               "--side", "greater", "--seed", "11"]
+
+# what the package exported, module by module, when it imported every module
+EXPORTS = {
+    "dataset": ["ColumnSchema", "CompositeDataset", "load_csv", "summarize", "validate",
+                "write_csv"],
+    "errors": ["EcborrowError"],
+    "estimators": ["Estimate", "IFVector", "control_weight", "efficiency_bound_plugin",
+                   "efficiency_gain_analytic", "estimate", "estimate_point", "estimate_psi",
+                   "estimate_tau_full", "estimate_tau_treated_only", "estimate_tau_trial",
+                   "estimate_xi", "influence_values", "variance_gap_psi", "variance_gap_xi"],
+    "inference": ["BiasBound", "ExchangeabilityTest", "InferenceResult", "SharedFit",
+                  "bias_bound", "bootstrap_variance", "if_variance", "overlap_diagnostics",
+                  "test", "test_mean_exchangeability"],
+    "nuisance": ["BlockFitter", "FittedGLM", "ModelSpec", "NuisanceSet", "RowTable", "Term",
+                 "VarianceRatioModel", "fit_bundle", "fit_glm", "fit_variance_ratio",
+                 "linear_specs"],
+    "simlab": ["MCResult", "MCSummary", "ScenarioConfig", "TrueEffects",
+               "export_boxplot_data", "generate", "run_monte_carlo", "true_effects"],
+}
+
+
+def spawn(argv, **kwargs):
+    """``python -m ecborrow.cli ARGV`` from the repository root, as a new process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "ecborrow.cli", *argv], env=env, cwd=ROOT,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+def run_child(argv):
+    child = spawn(argv)
+    out, err = child.communicate(timeout=120)
+    return child.returncode, out, err
+
+
+def test_stdout_and_out_file_are_the_golden_bytes(tmp_path):
+    out_path = tmp_path / "fresh.json"
+    code, out, err = run_child([*GOLDEN_ARGV, "--out", str(out_path)])
+    golden = (ROOT / "tests" / "data" / "golden_estimate.json").read_bytes()
+    assert code == 0, err
+    assert out == golden
+    assert out_path.read_bytes() == golden
+
+
+@pytest.mark.parametrize(
+    "argv, config, exit_code, error",
+    [
+        (["estimate", "--input", GOLDEN_INPUT, "--B", "200"], None, 2, "CONFIG"),
+        (["simulate", "--scenario", "v", "--reps", "2"], None, 2, "CONFIG"),
+        (["estimate", "--input", "tests/data/no_such_file.csv"], None, 3, "MISSING_COLUMN"),
+        (["estimate", "--input", GOLDEN_INPUT],
+         {"models": {"m0": {"family": "identity", "terms": ["raw(0)", "pow(1,3000)"]}}},
+         4, "NON_FINITE"),
+    ],
+    ids=["config", "scenario", "data", "numeric"],
+)
+def test_errors_keep_their_exit_code_and_json(tmp_path, capsys, monkeypatch, argv, config,
+                                              exit_code, error):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, _ = run_child(argv)
+    monkeypatch.chdir(ROOT)
+    with np.errstate(over="ignore"):
+        assert main(argv) == exit_code
+    assert code == exit_code
+    assert out.decode() == capsys.readouterr().out
+    assert json.loads(out)["error"]["code"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # three blocks of replicates, and of resamples, for the two workers
+        ["simulate", "--scenario", "i", "--reps", "37", "--n", "1000", "--seed", "3"],
+        ["estimate", "--input", GOLDEN_INPUT, "--variance", "bootstrap", "--B", "100",
+         "--seed", "3"],
+    ],
+    ids=["simulate", "bootstrap"],
+)
+def test_two_jobs_exit_zero_with_the_one_job_bytes(argv):
+    runs = [run_child([*argv, "--jobs", jobs]) for jobs in ("1", "2")]
+    assert [code for code, _, _ in runs] == [0, 0], runs[1][2]
+    assert runs[0][1] == runs[1][1]
+
+
+def test_closed_stdout_is_status_one_without_a_traceback():
+    child = spawn(GOLDEN_ARGV)
+    child.stdout.close()  # closed before the report is written
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_every_old_export_resolves_from_the_package():
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"ecborrow.{module}")
+        for name in names:
+            assert getattr(ecborrow, name) is getattr(home, name), name
+    assert set(dir(ecborrow)) >= {name for names in EXPORTS.values() for name in names}
+    with pytest.raises(AttributeError):
+        ecborrow.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_the_old_exports():
+    scope: dict = {}
+    exec("from ecborrow import *", scope)  # noqa: S102
+    del scope["__builtins__"]
+    assert sorted(scope) == sorted(name for names in EXPORTS.values() for name in names)
+
+
+def test_each_script_entry_resolves_to_a_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
+    assert scripts["ecborrow"] == "ecborrow.cli:run"
