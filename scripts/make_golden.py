@@ -23,13 +23,31 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from ecborrow.cli import main
-from ecborrow.dataset import write_csv
+from ecborrow.dataset import CompositeDataset, load_csv, write_csv
 from ecborrow.simlab import ScenarioConfig, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 INPUT = "tests/data/golden_input.csv"
+
+
+def _binary(ds: CompositeDataset) -> CompositeDataset:
+    """y -> 1 where y exceeds its median, else 0: logit m1 and m0, known_one ratio."""
+    y = (ds.y > np.median(ds.y)).astype(float)
+    return CompositeDataset(y, ds.x, ds.t, ds.d, covariate_names=ds.covariate_names)
+
+
+# derived input -> how it is made from the golden input
+DERIVED = {
+    "tests/data/golden_input_binary.csv": _binary,
+    "tests/data/golden_input_treated_only.csv":
+        lambda ds: ds.take(np.flatnonzero((ds.d == 0) | (ds.t == 1))),
+    "tests/data/golden_input_trial_only.csv": lambda ds: ds.take(np.flatnonzero(ds.d == 1)),
+}
+BINARY, TREATED_ONLY, TRIAL_ONLY = DERIVED
 
 # golden file -> the CLI run that writes it; tests/test_cli.py reruns each
 GOLDENS = {
@@ -44,13 +62,25 @@ GOLDENS = {
     "golden_bootstrap.json": [
         "estimate", "--input", INPUT, "--variance", "bootstrap", "--B", "100", "--seed", "3",
     ],
+    "golden_binary_estimate.json": ["estimate", "--input", BINARY],
+    "golden_binary_diagnose.json": ["diagnose", "--input", BINARY],
+    "golden_treated_only.json": [
+        "estimate", "--input", TREATED_ONLY, "--treated-only", "--estimand", "tau",
+    ],
+    "golden_trial_only.json": [
+        "estimate", "--input", TRIAL_ONLY, "--method", "trial", "--estimand", "tau",
+    ],
+    "golden_ratio_constant.json": ["estimate", "--input", INPUT, "--ratio", "constant"],
 }
 
 
 def write(out: Path, input_path: Path) -> None:
-    """The golden input at ``input_path`` and every golden file under ``out``."""
+    """The golden input at ``input_path``, the inputs derived from it and every
+    golden file under ``out``."""
     ds, _ = generate(ScenarioConfig(scenario="i", n=400), 20_260_101)
     write_csv(ds, input_path)
+    for path, derive in DERIVED.items():
+        write_csv(derive(load_csv(input_path)), out / Path(path).name)
     # the input path is recorded in the JSON: keep it repo-relative so the
     # golden bytes are portable across checkouts
     os.chdir(ROOT)
@@ -91,9 +121,9 @@ def check() -> int:
     differ = False
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        # the CLI runs read the committed input, whose path the JSON records
+        # the CLI runs read the committed inputs, whose paths the JSON records
         write(out, out / Path(INPUT).name)
-        for name in [Path(INPUT).name, *GOLDENS]:
+        for name in [Path(INPUT).name, *(Path(path).name for path in DERIVED), *GOLDENS]:
             old, new = DATA / name, out / name
             same = old.read_bytes() == new.read_bytes()
             differ |= not same
@@ -106,7 +136,7 @@ def check() -> int:
 def run() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
     write(DATA, ROOT / INPUT)
-    print(f"wrote {INPUT} and {', '.join(GOLDENS)}")
+    print(f"wrote {INPUT}, {', '.join(DERIVED)} and {', '.join(GOLDENS)}")
 
 
 if __name__ == "__main__":

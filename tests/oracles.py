@@ -9,6 +9,8 @@ are integrated by Monte Carlo draws.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 TRIM = 1e-3
@@ -41,6 +43,74 @@ def newton_logit(design: np.ndarray, response: np.ndarray,
         hess = design.T @ (design * (w * mu * (1 - mu))[:, None])
         beta = beta + np.linalg.solve(hess, score)
     return beta
+
+
+# The single-fit logit IRLS that ``nuisance.fit_glm`` ran before its logit
+# fit became the stacked loop at K = 1, frozen with its constants, its
+# expit and its np.logaddexp log-likelihood. ``outcome`` is "converged",
+# "SeparationDetected" or "NonConvergence", with the error's message and,
+# for a divergence, its max_coef.
+IRLSOutcome = namedtuple("IRLSOutcome", "outcome message coef iterations loglik max_coef")
+
+IRLS_TOL = 1e-10
+IRLS_MAX_ITER = 100
+IRLS_MAX_HALVINGS = 40
+IRLS_SEPARATION_BOUND = 30.0
+
+
+def _irls_expit(eta):
+    e = np.exp(-np.abs(eta))
+    return np.exp(np.minimum(eta, 0.0)) / (1.0 + e)
+
+
+def _irls_loglik(eta, response, weights) -> float:
+    terms = response * eta - np.logaddexp(0.0, eta)
+    return float(np.sum(terms if weights is None else weights * terms))
+
+
+def irls_logit(design: np.ndarray, response: np.ndarray,
+               weights: np.ndarray | None = None) -> IRLSOutcome:
+    design = np.atleast_2d(np.asarray(design, dtype=float))
+    response = np.asarray(response, dtype=float)
+    n, p = design.shape
+    w = None if weights is None else np.asarray(weights, dtype=float)
+
+    coef = np.zeros(p)
+    eta = design @ coef
+    loglik = _irls_loglik(eta, response, w)
+    for iteration in range(1, IRLS_MAX_ITER + 1):
+        mu = _irls_expit(eta)
+        resid = response - mu
+        score = design.T @ (resid if w is None else w * resid)
+        score_norm = float(np.max(np.abs(score)))
+        if score_norm <= IRLS_TOL:
+            return IRLSOutcome("converged", "", coef, iteration, loglik, None)
+        info_w = mu * (1.0 - mu) if w is None else w * mu * (1.0 - mu)
+        hessian = design.T @ (design * info_w[:, None])
+        try:
+            step = np.linalg.solve(hessian, score)
+        except np.linalg.LinAlgError:
+            return IRLSOutcome("SeparationDetected",
+                               "singular information matrix; fitted probabilities degenerate",
+                               None, iteration, None, None)
+        candidate = coef + step
+        candidate_eta = design @ candidate
+        new_loglik = _irls_loglik(candidate_eta, response, w)
+        halvings = 0
+        while new_loglik < loglik - 1e-12 and halvings < IRLS_MAX_HALVINGS:
+            step *= 0.5
+            candidate = coef + step
+            candidate_eta = design @ candidate
+            new_loglik = _irls_loglik(candidate_eta, response, w)
+            halvings += 1
+        coef, eta, loglik = candidate, candidate_eta, new_loglik
+        if float(np.max(np.abs(coef))) > IRLS_SEPARATION_BOUND:
+            return IRLSOutcome(
+                "SeparationDetected",
+                "coefficients diverging on the logit scale; data likely separated",
+                coef, iteration, loglik, float(np.max(np.abs(coef))))
+    return IRLSOutcome("NonConvergence", f"IRLS did not converge in {IRLS_MAX_ITER} iterations",
+                       coef, IRLS_MAX_ITER, loglik, None)
 
 
 # --------------------------- discrete-cell oracle ----------------------

@@ -82,6 +82,22 @@ def test_diagnose_golden_bytes(tmp_path, capsys, monkeypatch):
     assert_golden_bytes("golden_diagnose.json", argv, tmp_path, capsys, monkeypatch)
 
 
+# the modes the four goldens above leave unpinned, on inputs that
+# scripts/make_golden.py derives from the golden input
+@pytest.mark.parametrize("name, argv", [
+    ("golden_binary_estimate.json", ["estimate", "--input", "tests/data/golden_input_binary.csv"]),
+    ("golden_binary_diagnose.json", ["diagnose", "--input", "tests/data/golden_input_binary.csv"]),
+    ("golden_treated_only.json", ["estimate", "--input", "tests/data/golden_input_treated_only.csv",
+                                  "--treated-only", "--estimand", "tau"]),
+    ("golden_trial_only.json", ["estimate", "--input", "tests/data/golden_input_trial_only.csv",
+                                "--method", "trial", "--estimand", "tau"]),
+    ("golden_ratio_constant.json", ["estimate", "--input", "tests/data/golden_input.csv",
+                                    "--ratio", "constant"]),
+])
+def test_unpinned_mode_golden_bytes(name, argv, tmp_path, capsys, monkeypatch):
+    assert_golden_bytes(name, argv, tmp_path, capsys, monkeypatch)
+
+
 def test_readme_library_snippet_matches_the_cli(monkeypatch, capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

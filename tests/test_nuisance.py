@@ -10,6 +10,7 @@ from ecborrow.errors import (
     ConfigError,
     DegenerateVariance,
     EmptyCell,
+    NonConvergence,
     NonFiniteResult,
     RankDeficient,
     SeparationDetected,
@@ -36,7 +37,7 @@ from ecborrow.nuisance import (
 )
 from ecborrow.simlab import ScenarioConfig, generate
 
-from oracles import newton_logit, wls_normal_equations
+from oracles import irls_logit, newton_logit, wls_normal_equations
 
 
 # ------------------------------ fit_glm --------------------------------
@@ -277,6 +278,56 @@ def test_logit_without_weights_equals_unit_weights_bit_for_bit():
     for w in (None, np.ones(n)):
         with pytest.raises(SeparationDetected):
             fit_glm(design, separated, LOGIT, weights=w)
+
+
+def _logit_grid():
+    """(design, response, weights) for n 5..600, p 1..4, covariates at three
+    scales, without and with integer count weights, and four response kinds:
+    a logistic draw, a rare class, a separated one and a single class."""
+    for case, (n, p, scale, weighted, kind) in enumerate(
+            (n, p, scale, weighted, kind)
+            for n in (5, 8, 20, 60, 200, 600) for p in (1, 2, 3, 4)
+            for scale in (1e-3, 1.0, 30.0) for weighted in (False, True)
+            for kind in ("logistic", "rare", "separated", "one_class")):
+        rng = np.random.default_rng(case)
+        x = rng.standard_normal((n, p - 1))
+        design = np.column_stack([np.ones(n), x * scale])
+        eta = 0.3 + x @ np.linspace(1.0, -0.5, p - 1)
+        if kind == "logistic":
+            response = rng.random(n) < expit(eta)
+        elif kind == "rare":
+            response = rng.random(n) < expit(eta - 3.0)
+        elif kind == "separated":
+            response = (x[:, 0] if p > 1 else rng.standard_normal(n)) > 0
+        else:
+            response = np.full(n, case % 2 == 0)
+        weights = rng.integers(0, 4, n).astype(float) if weighted else None
+        if weighted:
+            weights[:p] += 1.0  # full rank on the rows that carry weight
+        yield design, response.astype(float), weights
+
+
+def test_logit_fit_matches_the_frozen_single_fit_irls():
+    outcomes = {}
+    for design, response, weights in _logit_grid():
+        want = irls_logit(design, response, weights)
+        outcomes[want.outcome] = outcomes.get(want.outcome, 0) + 1
+        try:
+            fit = fit_glm(design, response, LOGIT, weights=weights)
+        except (SeparationDetected, NonConvergence) as exc:
+            assert (type(exc).__name__, exc.message) == (want.outcome, want.message)
+            if want.max_coef is not None:
+                assert exc.details["max_coef"] == pytest.approx(want.max_coef, rel=1e-9)
+            else:
+                assert "max_coef" not in exc.details
+            continue
+        assert want.outcome == "converged"
+        assert fit.iterations == want.iterations
+        scale = np.max(np.abs(want.coef))
+        assert np.max(np.abs(fit.coef - want.coef), initial=0.0) <= 1e-12 * scale
+        assert abs(fit.loglik - want.loglik) <= 1e-11 * (1.0 + abs(want.loglik))
+    # 576 cases: 389 converge and 187 separate; none reaches the iteration cap
+    assert outcomes == {"converged": 389, "SeparationDetected": 187}
 
 
 # ----------------------------- transforms ------------------------------
