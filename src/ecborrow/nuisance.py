@@ -252,11 +252,6 @@ def _gaussian_loglik(rss, wsum):
     return -0.5 * wsum * (np.log(2.0 * np.pi * sigma2) + 1.0)
 
 
-def _logit_loglik(eta, response, weights) -> float:
-    terms = response * eta - np.logaddexp(0.0, eta)
-    return float(np.sum(terms if weights is None else weights * terms))
-
-
 def fit_glm(
     design: np.ndarray,
     response: np.ndarray,
@@ -268,10 +263,11 @@ def fit_glm(
     """Maximum-likelihood fit of one GLM.
 
     Identity family solves the weighted least-squares problem with one SVD
-    (``np.linalg.lstsq``), whose rank is also the rank check; logit family
-    runs IRLS with step-halving until the score sup-norm is below GLM_TOL or
-    MAX_ITER is hit. No weights means unit weights at no cost: the weighted
-    arithmetic is skipped, which gives the same bits because x * 1.0 == x.
+    (``np.linalg.lstsq``), whose rank is also the rank check; no weights
+    means unit weights at no cost: the weighted arithmetic is skipped, which
+    gives the same bits because x * 1.0 == x. Logit family is the stacked
+    IRLS (``_stacked_logit``) on one fit, with unit weights when none are
+    given, and each way it fails raises its typed error.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     response = np.asarray(response, dtype=float)
@@ -303,41 +299,19 @@ def fit_glm(
     if family != LOGIT:
         raise ConfigError(f"unknown family {family!r}")
 
-    coef = np.zeros(p)
-    eta = design @ coef
-    loglik = _logit_loglik(eta, response, w)
-    for iteration in range(1, MAX_ITER + 1):
-        mu = expit(eta)
-        resid = response - mu
-        score = design.T @ (resid if w is None else w * resid)
-        score_norm = float(np.max(np.abs(score)))
-        if score_norm <= GLM_TOL:
-            return FittedGLM(LOGIT, coef, True, iteration, loglik, n, spec, column_names or [])
-        info_w = mu * (1.0 - mu) if w is None else w * mu * (1.0 - mu)
-        hessian = design.T @ (design * info_w[:, None])
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError:
-            raise SeparationDetected(
-                "singular information matrix; fitted probabilities degenerate",
-            ) from None
-        candidate = coef + step
-        candidate_eta = design @ candidate
-        new_loglik = _logit_loglik(candidate_eta, response, w)
-        halvings = 0
-        while new_loglik < loglik - 1e-12 and halvings < MAX_HALVINGS:
-            step *= 0.5
-            candidate = coef + step
-            candidate_eta = design @ candidate
-            new_loglik = _logit_loglik(candidate_eta, response, w)
-            halvings += 1
-        coef, eta, loglik = candidate, candidate_eta, new_loglik
-        if float(np.max(np.abs(coef))) > SEPARATION_BOUND:
-            raise SeparationDetected(
-                "coefficients diverging on the logit scale; data likely separated",
-                max_coef=float(np.max(np.abs(coef))),
-            )
-    raise NonConvergence(f"IRLS did not converge in {MAX_ITER} iterations")
+    coef, iterations, loglik, status = _stacked_logit(
+        design, np.ones((1, n)) if w is None else w[None], response, np.ones(1, dtype=bool))
+    if status[0] == _SINGULAR:
+        raise SeparationDetected("singular information matrix; fitted probabilities degenerate")
+    if status[0] == _DIVERGED:
+        raise SeparationDetected(
+            "coefficients diverging on the logit scale; data likely separated",
+            max_coef=float(np.max(np.abs(coef[0]))),
+        )
+    if status[0] == _UNCONVERGED:
+        raise NonConvergence(f"IRLS did not converge in {MAX_ITER} iterations")
+    return FittedGLM(LOGIT, coef[0], True, int(iterations[0]), float(loglik[0]), n, spec,
+                     column_names or [])
 
 
 # --------------------------- variance ratio ---------------------------
@@ -781,20 +755,21 @@ def _stacked_wls(design: np.ndarray, weights: np.ndarray,
     return coef, ok
 
 
-def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray):
-    """``fit_glm``'s logit IRLS for each row of ``weights``: coef, iterations, loglik, ok.
+_CONVERGED, _SINGULAR, _DIVERGED, _UNCONVERGED = range(4)  # how a stacked logit fit ends
 
-    Every fit keeps ``fit_glm``'s rules: it starts at zero, stops once its
-    score sup-norm is at most GLM_TOL, halves its step against its own
-    log-likelihood, and fails past SEPARATION_BOUND or after MAX_ITER
-    iterations. ``ok`` is False where a fit cannot stand in for ``fit_glm``:
-    a guard of ``_guarded_gram`` fails, the response has one class, or the
-    fit fails as above.
+
+def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray,
+                   run: np.ndarray):
+    """Logit IRLS for each fit (row of ``weights``) that ``run`` marks: coef,
+    iterations, loglik and a status per fit.
+
+    Every fit starts at zero, stops once its score sup-norm is at most GLM_TOL
+    (_CONVERGED), halves its step against its own log-likelihood, and fails
+    past SEPARATION_BOUND (_DIVERGED) or after MAX_ITER iterations
+    (_UNCONVERGED, as does a fit not run). A singular information matrix fails
+    every fit still iterating (_SINGULAR): the batched solve does not say whose.
     """
     k, p = weights.shape[0], design.shape[-1]
-    _, ok = _guarded_gram(design, weights)
-    ok &= (np.sum(weights * response, axis=-1) > 0) & (
-        np.sum(weights * (1.0 - response), axis=-1) > 0)
 
     def fitted(eta, w, y):
         # expit(eta) and the log-likelihood, log(1 + exp(eta)) taken from
@@ -810,16 +785,16 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     coef = np.zeros((k, p))
     mu, loglik = fitted(np.zeros(weights.shape), weights, response)
     iterations = np.zeros(k, dtype=int)
-    active = ok.copy()
+    status = np.full(k, _UNCONVERGED)
     # the batch of fits still iterating, narrowed (copied) only when one leaves it
-    rows = np.flatnonzero(active)
+    rows = np.flatnonzero(run)
     w, m = _at(rows, weights, mu)
     x, y = _fits(rows, design, response)
     for iteration in range(1, MAX_ITER + 1):
         score = _xt(x, w * (y - m))
         done = np.max(np.abs(score), axis=1) <= GLM_TOL
         iterations[rows[done]] = iteration
-        active[rows[done]] = False
+        status[rows[done]] = _CONVERGED
         rows, w, m, score = _at(~done, rows, w, m, score)
         x, y = _fits(~done, x, y)
         if rows.size == 0:
@@ -827,7 +802,7 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         try:
             step = np.linalg.solve(_gram(x, w * m * (1.0 - m)), score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            ok[rows] = active[rows] = False  # fit_glm calls a singular information separation
+            status[rows] = _SINGULAR
             break
         old = loglik[rows]
         candidate = coef[rows] + step
@@ -843,11 +818,10 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
             worse &= new_loglik < old - 1e-12
         coef[rows], mu[rows], loglik[rows], m = candidate, new_mu, new_loglik, new_mu
         diverged = np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND
-        ok[rows[diverged]] = active[rows[diverged]] = False
+        status[rows[diverged]] = _DIVERGED
         rows, w, m = _at(~diverged, rows, w, m)
         x, y = _fits(~diverged, x, y)
-    ok &= ~active  # still running after MAX_ITER iterations: no convergence
-    return coef, iterations, loglik, ok
+    return coef, iterations, loglik, status
 
 
 class BlockTable(RowTable):
@@ -892,7 +866,7 @@ class BlockFitter:
     design per spec built once on ``base``: the identity-family models (m1,
     both m0, and the variance ratio with its two log-variance fits and their
     calibration) from weighted normal equations, the logit ones (p, pi, and
-    binary-outcome m1 and m0) by weighted IRLS under ``fit_glm``'s rules. A
+    binary-outcome m1 and m0) by the weighted IRLS ``fit_glm`` runs on one fit. A
     resample weights the rows of a model's row set by its counts; a dataset
     of a block weights its own row set's rows by 1 and every other row by 0.
     It returns ``ok``, where the block stands in for ``fit_bundle``, and the
@@ -961,7 +935,13 @@ class BlockFitter:
                     rss = (weights * (response - _eta(design, coef)) ** 2).sum(axis=1)
                     iterations, loglik = 1, _gaussian_loglik(rss, wsum)
                 else:
-                    coef, iterations, loglik, good = _stacked_logit(design, weights, response)
+                    # a fit past the Gram guards, on a response of two classes
+                    _, run = _guarded_gram(design, weights)
+                    run &= (np.sum(weights * response, axis=-1) > 0) & (
+                        np.sum(weights * (1.0 - response), axis=-1) > 0)
+                    coef, iterations, loglik, status = _stacked_logit(
+                        design, weights, response, run)
+                    good = status == _CONVERGED
                 ok &= good
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
                                          wsum.astype(int), spec, names)

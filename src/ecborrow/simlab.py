@@ -295,14 +295,25 @@ def _fit_replicate_nuisances(ds: CompositeDataset | DatasetBlock) -> tuple[dict,
     return sets, table
 
 
+def _failure(exc: EcborrowError) -> dict:
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _mc_block(args) -> list:
-    """Draw a block of consecutive replicates, score what the block stands in
-    for at once, then finish each replicate in order."""
+    """Draw each replicate of a block once, score the drawn ones the block
+    stands in for at once, then finish each replicate in order; a draw that
+    fails is its replicate's failure."""
     cfg, master_seed, reps, estimators = args
-    block = DatasetBlock([generate(cfg, [master_seed, rep])[0] for rep in reps])
-    records = _block_records(block, estimators)
-    return [_mc_replicate((cfg, master_seed, rep, estimators), record)
-            for rep, record in zip(reps, records)]
+    drawn = []
+    for rep in reps:
+        try:
+            drawn.append(generate(cfg, [master_seed, rep])[0])
+        except EcborrowError as exc:
+            drawn.append(_failure(exc))
+    kept = [ds for ds in drawn if isinstance(ds, CompositeDataset)]
+    records = iter(_block_records(DatasetBlock(kept), estimators) if kept else ())
+    return [_mc_replicate(ds, estimators, next(records)) if isinstance(ds, CompositeDataset)
+            else ds for ds in drawn]
 
 
 def _block_records(block: DatasetBlock, estimators: tuple) -> list:
@@ -341,18 +352,15 @@ def _block_records(block: DatasetBlock, estimators: tuple) -> list:
     ]
 
 
-def _mc_replicate(args, record: dict | None = None) -> dict:
-    """Finish replicate ``rep``: its record from the block, or its own draw and fit.
+def _mc_replicate(ds: CompositeDataset, estimators: tuple, record: dict | None = None) -> dict:
+    """Finish the replicate drawn as ``ds``: its record from the block, or its own fit.
 
-    Without a ``record`` the replicate is drawn again from its stream, fit
-    alone by ``fit_bundle`` and scored estimator by estimator, so a failure
-    keeps its type and message.
+    Without a ``record`` the replicate is fit alone by ``fit_bundle`` and
+    scored estimator by estimator, so a failure keeps its type and message.
     """
     if record is not None:
         return {"ok": True, "record": record}
-    cfg, master_seed, rep, estimators = args
     try:
-        ds, _ = generate(cfg, [master_seed, rep])
         # one table: every estimator below shares its predictions and pieces
         sets, table = _fit_replicate_nuisances(ds)
         record = {}
@@ -365,7 +373,7 @@ def _mc_replicate(args, record: dict | None = None) -> dict:
         record["analytic_gain"] = efficiency_gain_analytic(ds, sets["pooled"], table=table)
         return {"ok": True, "record": record}
     except EcborrowError as exc:
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return _failure(exc)
 
 
 @dataclass

@@ -49,8 +49,9 @@ def newton_logit(design: np.ndarray, response: np.ndarray,
 # fit became the stacked loop at K = 1, frozen with its constants, its
 # expit and its np.logaddexp log-likelihood. ``outcome`` is "converged",
 # "SeparationDetected" or "NonConvergence", with the error's message and,
-# for a divergence, its max_coef.
-IRLSOutcome = namedtuple("IRLSOutcome", "outcome message coef iterations loglik max_coef")
+# for a divergence, its max_coef; ``halvings`` counts the step-halvings made.
+IRLSOutcome = namedtuple("IRLSOutcome",
+                         "outcome message coef iterations loglik max_coef halvings")
 
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
@@ -78,13 +79,14 @@ def irls_logit(design: np.ndarray, response: np.ndarray,
     coef = np.zeros(p)
     eta = design @ coef
     loglik = _irls_loglik(eta, response, w)
+    total_halvings = 0
     for iteration in range(1, IRLS_MAX_ITER + 1):
         mu = _irls_expit(eta)
         resid = response - mu
         score = design.T @ (resid if w is None else w * resid)
         score_norm = float(np.max(np.abs(score)))
         if score_norm <= IRLS_TOL:
-            return IRLSOutcome("converged", "", coef, iteration, loglik, None)
+            return IRLSOutcome("converged", "", coef, iteration, loglik, None, total_halvings)
         info_w = mu * (1.0 - mu) if w is None else w * mu * (1.0 - mu)
         hessian = design.T @ (design * info_w[:, None])
         try:
@@ -92,7 +94,7 @@ def irls_logit(design: np.ndarray, response: np.ndarray,
         except np.linalg.LinAlgError:
             return IRLSOutcome("SeparationDetected",
                                "singular information matrix; fitted probabilities degenerate",
-                               None, iteration, None, None)
+                               None, iteration, None, None, total_halvings)
         candidate = coef + step
         candidate_eta = design @ candidate
         new_loglik = _irls_loglik(candidate_eta, response, w)
@@ -103,14 +105,15 @@ def irls_logit(design: np.ndarray, response: np.ndarray,
             candidate_eta = design @ candidate
             new_loglik = _irls_loglik(candidate_eta, response, w)
             halvings += 1
+        total_halvings += halvings
         coef, eta, loglik = candidate, candidate_eta, new_loglik
         if float(np.max(np.abs(coef))) > IRLS_SEPARATION_BOUND:
             return IRLSOutcome(
                 "SeparationDetected",
                 "coefficients diverging on the logit scale; data likely separated",
-                coef, iteration, loglik, float(np.max(np.abs(coef))))
+                coef, iteration, loglik, float(np.max(np.abs(coef))), total_halvings)
     return IRLSOutcome("NonConvergence", f"IRLS did not converge in {IRLS_MAX_ITER} iterations",
-                       coef, IRLS_MAX_ITER, loglik, None)
+                       coef, IRLS_MAX_ITER, loglik, None, total_halvings)
 
 
 # --------------------------- discrete-cell oracle ----------------------

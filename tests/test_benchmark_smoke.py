@@ -1,0 +1,61 @@
+"""The benchmark harness runs on this checkout and its workloads' outputs pass its checks.
+
+The harness's last stdout line is its result; a run that raises before it
+prints that line gives no result at all. The harness imports the package
+to make its inputs and reads payload keys in its checks, so a change to
+either can break it without any test of the package failing.
+"""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+
+from ecborrow.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cold_estimate_run_prints_a_correct_result(tmp_path):
+    # a copy, so the run's scratch directory and bytecode stay out of the checkout
+    for name in ("perfbench", "src", "schemas", "tests/data"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns(".work", "__pycache__"))
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cold_estimate", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {metric["name"] for metric in declared}
+
+
+def _workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_block_workloads_pass_the_harness_checks(tmp_path, capsys, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    validator = jsonschema.Draft7Validator(
+        json.loads((ROOT / "schemas" / "results.schema.json").read_text()))
+    for name in ("bootstrap_estimate", "mc_scenarios"):
+        workload = workloads.WORKLOADS[name]
+        code = main(workload.argv(1, workload.make_input(1, tmp_path)))
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0, payload
+        assert workloads.check_output(payload, validator) == []
+        assert workload.units_done(payload) > 0
+        assert workloads.inner_failures(payload) >= 0

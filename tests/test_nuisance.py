@@ -282,23 +282,29 @@ def test_logit_without_weights_equals_unit_weights_bit_for_bit():
 
 def _logit_grid():
     """(design, response, weights) for n 5..600, p 1..4, covariates at three
-    scales, without and with integer count weights, and four response kinds:
-    a logistic draw, a rare class, a separated one and a single class."""
+    scales, without and with integer count weights, and five response kinds:
+    a logistic draw, a rare class, a separated one, a single class, and a
+    separated one with one label flipped on heavy-tailed covariates, where
+    some Newton steps overshoot and are halved."""
     for case, (n, p, scale, weighted, kind) in enumerate(
             (n, p, scale, weighted, kind)
             for n in (5, 8, 20, 60, 200, 600) for p in (1, 2, 3, 4)
             for scale in (1e-3, 1.0, 30.0) for weighted in (False, True)
-            for kind in ("logistic", "rare", "separated", "one_class")):
+            for kind in ("logistic", "rare", "separated", "one_class", "overlap")):
         rng = np.random.default_rng(case)
         x = rng.standard_normal((n, p - 1))
+        if kind == "overlap":
+            x *= np.exp(3.0 * rng.standard_normal((n, 1)))
         design = np.column_stack([np.ones(n), x * scale])
         eta = 0.3 + x @ np.linspace(1.0, -0.5, p - 1)
         if kind == "logistic":
             response = rng.random(n) < expit(eta)
         elif kind == "rare":
             response = rng.random(n) < expit(eta - 3.0)
-        elif kind == "separated":
+        elif kind in ("separated", "overlap"):
             response = (x[:, 0] if p > 1 else rng.standard_normal(n)) > 0
+            if kind == "overlap":
+                response[rng.integers(n)] ^= True
         else:
             response = np.full(n, case % 2 == 0)
         weights = rng.integers(0, 4, n).astype(float) if weighted else None
@@ -312,6 +318,7 @@ def test_logit_fit_matches_the_frozen_single_fit_irls():
     for design, response, weights in _logit_grid():
         want = irls_logit(design, response, weights)
         outcomes[want.outcome] = outcomes.get(want.outcome, 0) + 1
+        outcomes["halved"] = outcomes.get("halved", 0) + (want.halvings > 0)
         try:
             fit = fit_glm(design, response, LOGIT, weights=weights)
         except (SeparationDetected, NonConvergence) as exc:
@@ -326,8 +333,9 @@ def test_logit_fit_matches_the_frozen_single_fit_irls():
         scale = np.max(np.abs(want.coef))
         assert np.max(np.abs(fit.coef - want.coef), initial=0.0) <= 1e-12 * scale
         assert abs(fit.loglik - want.loglik) <= 1e-11 * (1.0 + abs(want.loglik))
-    # 576 cases: 389 converge and 187 separate; none reaches the iteration cap
-    assert outcomes == {"converged": 389, "SeparationDetected": 187}
+    # 720 cases: 468 converge and 252 separate, 5 of them after halving a
+    # step; none reaches the iteration cap
+    assert outcomes == {"converged": 468, "SeparationDetected": 252, "halved": 5}
 
 
 # ----------------------------- transforms ------------------------------

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import expit as sp_expit
 
 import ecborrow.simlab as sl
+from ecborrow.cli import main
 from ecborrow.dataset import DatasetBlock
 from ecborrow.errors import ConfigError, NonConvergence, ReplicateFailure
 from ecborrow.simlab import (
@@ -265,6 +266,7 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     fit_glm, design = nuisance.fit_glm, nuisance.ModelSpec.design
     predict = nuisance.FittedGLM.predict
     cfg = ScenarioConfig(scenario="iv", n=300)
+    ds, _ = generate(cfg, [5, 0])
 
     def counting_fit_glm(*args, **kwargs):
         fits.append(args[2])
@@ -281,7 +283,7 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     monkeypatch.setattr(nuisance, "fit_glm", counting_fit_glm)
     monkeypatch.setattr(nuisance.ModelSpec, "design", counting_design)
     monkeypatch.setattr(nuisance.FittedGLM, "predict", counting_predict)
-    result = sl._mc_replicate((cfg, 5, 0, sl.ALL_ESTIMATORS))
+    result = sl._mc_replicate(ds, sl.ALL_ESTIMATORS)
     assert result["ok"]
     # m1, pooled m0, p, pi, the two log-variance fits and trial m0
     assert fits == ["identity"] * 2 + ["logit"] * 2 + ["identity"] * 3
@@ -294,9 +296,9 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
 
 def _block_and_alone(cfg, seed, reps):
     """Each replicate's record from one block of ``reps``, and from _mc_replicate alone."""
-    block = DatasetBlock([generate(cfg, [seed, rep])[0] for rep in reps])
-    records = sl._block_records(block, sl.ALL_ESTIMATORS)
-    alone = [sl._mc_replicate((cfg, seed, rep, sl.ALL_ESTIMATORS)) for rep in reps]
+    drawn = [generate(cfg, [seed, rep])[0] for rep in reps]
+    records = sl._block_records(DatasetBlock(drawn), sl.ALL_ESTIMATORS)
+    alone = [sl._mc_replicate(ds, sl.ALL_ESTIMATORS) for ds in drawn]
     return records, alone
 
 
@@ -355,6 +357,26 @@ def test_block_failures_match_replicates_fit_alone(monkeypatch, n, scenario, rep
             assert summary[key] == pytest.approx(own[key], rel=1e-11, abs=1e-12 * own["sd"])
     assert with_block["mean_analytic_gain"] == pytest.approx(
         fit_alone["mean_analytic_gain"], rel=1e-11)
+
+
+def test_failed_draw_is_its_replicates_failure(tmp_path, capsys):
+    # at n = 40 this selection index leaves most draws without a trial row:
+    # each such draw fails as its replicate, and the study reports them all
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dgp": {"selection_coefs": [-4.0, 0.0, 0.0]}}))
+    code = main(["simulate", "--scenario", "i", "--reps", "50", "--n", "40",
+                 "--config", str(config)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 4
+    assert error["code"] == "REPLICATE_FAILURE"
+    assert error["message"] == "50/50 Monte Carlo replicates failed"
+    assert error["details"]["messages"] == [
+        "EmptyCell: no treated trial rows to fit the treated outcome model",
+        "InvariantViolation: no trial rows (d=1) present",
+        "RankDeficient: 1 rows cannot identify 3 coefficients",
+        "InvariantViolation: no trial rows (d=1) present",
+        "InvariantViolation: no trial rows (d=1) present",
+    ]
 
 
 def test_draw_retention_cap():
