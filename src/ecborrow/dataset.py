@@ -180,6 +180,11 @@ class DatasetBlock:
         self.covariate_names = first.covariate_names
         self.outcome_kind = first.outcome_kind
 
+    def dataset(self, index: int) -> CompositeDataset:
+        """Dataset ``index`` of the block, its columns copied out with the bits stacked."""
+        y, x, t, d = (column[index].copy() for column in (self.y, self.x, self.t, self.d))
+        return CompositeDataset(y, x, t, d, self.covariate_names, self.outcome_kind)
+
     # the counts read the (K, n) columns as they read a dataset's (n,) ones
     n, n2, q_hat, k = (CompositeDataset.n, CompositeDataset.n2, CompositeDataset.q_hat,
                        CompositeDataset.k)

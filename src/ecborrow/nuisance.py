@@ -265,9 +265,8 @@ def fit_glm(
     Identity family solves the weighted least-squares problem with one SVD
     (``np.linalg.lstsq``), whose rank is also the rank check; no weights
     means unit weights at no cost: the weighted arithmetic is skipped, which
-    gives the same bits because x * 1.0 == x. Logit family is the stacked
-    IRLS (``_stacked_logit``) on one fit, with unit weights when none are
-    given, and each way it fails raises its typed error.
+    gives the same bits because x * 1.0 == x. Logit family is one fit of the
+    stacked IRLS (``_stacked_logit``), each way it fails a typed error.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     response = np.asarray(response, dtype=float)
@@ -764,10 +763,11 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     iterations, loglik and a status per fit.
 
     Every fit starts at zero, stops once its score sup-norm is at most GLM_TOL
-    (_CONVERGED), halves its step against its own log-likelihood, and fails
-    past SEPARATION_BOUND (_DIVERGED) or after MAX_ITER iterations
-    (_UNCONVERGED, as does a fit not run). A singular information matrix fails
-    every fit still iterating (_SINGULAR): the batched solve does not say whose.
+    (_CONVERGED), halves a step that lowers its log-likelihood by more than
+    1e-12 (1 + |loglik|), past that sum's rounding, and fails past
+    SEPARATION_BOUND (_DIVERGED) or after MAX_ITER iterations (_UNCONVERGED,
+    as does a fit not run). A singular information matrix fails every fit
+    still iterating (_SINGULAR): the batched solve does not say whose.
     """
     k, p = weights.shape[0], design.shape[-1]
 
@@ -804,10 +804,10 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         except np.linalg.LinAlgError:
             status[rows] = _SINGULAR
             break
-        old = loglik[rows]
+        floor = loglik[rows] - 1e-12 * (1.0 + np.abs(loglik[rows]))
         candidate = coef[rows] + step
         new_mu, new_loglik = fitted(_eta(x, candidate), w, y)
-        worse = new_loglik < old - 1e-12
+        worse = new_loglik < floor
         for _ in range(MAX_HALVINGS):
             if not worse.any():
                 break
@@ -815,7 +815,7 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
             candidate[worse] = coef[rows[worse]] + step[worse]
             xw, yw = _fits(worse, x, y)
             new_mu[worse], new_loglik[worse] = fitted(_eta(xw, candidate[worse]), w[worse], yw)
-            worse &= new_loglik < old - 1e-12
+            worse &= new_loglik < floor
         coef[rows], mu[rows], loglik[rows], m = candidate, new_mu, new_loglik, new_mu
         diverged = np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND
         status[rows[diverged]] = _DIVERGED

@@ -300,20 +300,23 @@ def _failure(exc: EcborrowError) -> dict:
 
 
 def _mc_block(args) -> list:
-    """Draw each replicate of a block once, score the drawn ones the block
-    stands in for at once, then finish each replicate in order; a draw that
-    fails is its replicate's failure."""
+    """Draw each replicate of a block once (a failed draw is its failure), score
+    the drawn ones the block stands in for at once, then finish each in order."""
     cfg, master_seed, reps, estimators = args
-    drawn = []
+    results, drawn = [], []  # results: a failed draw's failure, None where it drew
     for rep in reps:
         try:
             drawn.append(generate(cfg, [master_seed, rep])[0])
+            results.append(None)
         except EcborrowError as exc:
-            drawn.append(_failure(exc))
-    kept = [ds for ds in drawn if isinstance(ds, CompositeDataset)]
-    records = iter(_block_records(DatasetBlock(kept), estimators) if kept else ())
-    return [_mc_replicate(ds, estimators, next(records)) if isinstance(ds, CompositeDataset)
-            else ds for ds in drawn]
+            results.append(_failure(exc))
+    # only the block's stacked columns outlive the draws: a replicate it cannot
+    # stand in for is taken back out of it
+    block = DatasetBlock(drawn) if drawn else None
+    del drawn
+    finished = (_mc_replicate(block.dataset(k) if record is None else None, estimators, record)
+                for k, record in enumerate(_block_records(block, estimators) if block else ()))
+    return [result or next(finished) for result in results]
 
 
 def _block_records(block: DatasetBlock, estimators: tuple) -> list:
@@ -352,10 +355,10 @@ def _block_records(block: DatasetBlock, estimators: tuple) -> list:
     ]
 
 
-def _mc_replicate(ds: CompositeDataset, estimators: tuple, record: dict | None = None) -> dict:
+def _mc_replicate(ds: CompositeDataset | None, estimators: tuple, record: dict | None = None) -> dict:
     """Finish the replicate drawn as ``ds``: its record from the block, or its own fit.
 
-    Without a ``record`` the replicate is fit alone by ``fit_bundle`` and
+    Without a ``record`` the replicate ``ds`` is fit alone by ``fit_bundle`` and
     scored estimator by estimator, so a failure keeps its type and message.
     """
     if record is not None:

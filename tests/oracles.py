@@ -50,6 +50,10 @@ def newton_logit(design: np.ndarray, response: np.ndarray,
 # expit and its np.logaddexp log-likelihood. ``outcome`` is "converged",
 # "SeparationDetected" or "NonConvergence", with the error's message and,
 # for a divergence, its max_coef; ``halvings`` counts the step-halvings made.
+# One rule has moved since on purpose: the stacked loop calls a step worse
+# only when the log-likelihood falls by more than 1e-12 * (1 + |loglik|),
+# where this loop's absolute 1e-12 sits below the rounding of a large fit's
+# log-likelihood; the two agree wherever |loglik| stays small.
 IRLSOutcome = namedtuple("IRLSOutcome",
                          "outcome message coef iterations loglik max_coef halvings")
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -82,20 +83,24 @@ def test_diagnose_golden_bytes(tmp_path, capsys, monkeypatch):
     assert_golden_bytes("golden_diagnose.json", argv, tmp_path, capsys, monkeypatch)
 
 
-# the modes the four goldens above leave unpinned, on inputs that
-# scripts/make_golden.py derives from the golden input
-@pytest.mark.parametrize("name, argv", [
-    ("golden_binary_estimate.json", ["estimate", "--input", "tests/data/golden_input_binary.csv"]),
-    ("golden_binary_diagnose.json", ["diagnose", "--input", "tests/data/golden_input_binary.csv"]),
-    ("golden_treated_only.json", ["estimate", "--input", "tests/data/golden_input_treated_only.csv",
-                                  "--treated-only", "--estimand", "tau"]),
-    ("golden_trial_only.json", ["estimate", "--input", "tests/data/golden_input_trial_only.csv",
-                                "--method", "trial", "--estimand", "tau"]),
-    ("golden_ratio_constant.json", ["estimate", "--input", "tests/data/golden_input.csv",
-                                    "--ratio", "constant"]),
-])
-def test_unpinned_mode_golden_bytes(name, argv, tmp_path, capsys, monkeypatch):
-    assert_golden_bytes(name, argv, tmp_path, capsys, monkeypatch)
+def _golden_runs() -> dict:
+    """scripts/make_golden.py's table of golden file -> CLI run."""
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", ROOT / "scripts" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GOLDENS
+
+
+GOLDEN_RUNS = _golden_runs()
+# the goldens with a test of their own in this file
+OWN_TESTS = ("golden_estimate.json", "golden_bootstrap.json", "golden_diagnose.json",
+             "golden_simulate.json")
+
+
+@pytest.mark.parametrize("name", [name for name in GOLDEN_RUNS if name not in OWN_TESTS])
+def test_unpinned_mode_golden_bytes(name, tmp_path, capsys, monkeypatch):
+    assert_golden_bytes(name, GOLDEN_RUNS[name], tmp_path, capsys, monkeypatch)
 
 
 def test_readme_library_snippet_matches_the_cli(monkeypatch, capsys):

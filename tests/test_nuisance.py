@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecborrow.nuisance as nuisance
 from ecborrow.dataset import CompositeDataset
 from ecborrow.errors import (
     ConfigError,
@@ -37,7 +38,8 @@ from ecborrow.nuisance import (
 )
 from ecborrow.simlab import ScenarioConfig, generate
 
-from oracles import irls_logit, newton_logit, wls_normal_equations
+import oracles
+from oracles import newton_logit, wls_normal_equations
 
 
 # ------------------------------ fit_glm --------------------------------
@@ -313,10 +315,12 @@ def _logit_grid():
         yield design, response.astype(float), weights
 
 
-def test_logit_fit_matches_the_frozen_single_fit_irls():
+def _compare_with_frozen_irls() -> dict:
+    """Each grid fit against the frozen loop: outcome, message, iterations and
+    estimates; returns how often each outcome occurred and how many halved."""
     outcomes = {}
     for design, response, weights in _logit_grid():
-        want = irls_logit(design, response, weights)
+        want = oracles.irls_logit(design, response, weights)
         outcomes[want.outcome] = outcomes.get(want.outcome, 0) + 1
         outcomes["halved"] = outcomes.get("halved", 0) + (want.halvings > 0)
         try:
@@ -333,9 +337,40 @@ def test_logit_fit_matches_the_frozen_single_fit_irls():
         scale = np.max(np.abs(want.coef))
         assert np.max(np.abs(fit.coef - want.coef), initial=0.0) <= 1e-12 * scale
         assert abs(fit.loglik - want.loglik) <= 1e-11 * (1.0 + abs(want.loglik))
+    return outcomes
+
+
+def test_logit_fit_matches_the_frozen_single_fit_irls():
     # 720 cases: 468 converge and 252 separate, 5 of them after halving a
     # step; none reaches the iteration cap
-    assert outcomes == {"converged": 468, "SeparationDetected": 252, "halved": 5}
+    assert _compare_with_frozen_irls() == {"converged": 468, "SeparationDetected": 252,
+                                           "halved": 5}
+
+
+def test_logit_fit_at_the_iteration_cap_raises_non_convergence(monkeypatch):
+    # at three iterations most grid fits stop short of the score tolerance
+    monkeypatch.setattr(nuisance, "MAX_ITER", 3)
+    monkeypatch.setattr(oracles, "IRLS_MAX_ITER", 3)
+    assert oracles.irls_logit(np.ones((4, 1)), np.array([0.0, 0.0, 0.0, 1.0])).message == (
+        "IRLS did not converge in 3 iterations")
+    outcomes = _compare_with_frozen_irls()
+    assert outcomes["NonConvergence"] > 0 and outcomes["converged"] > 0
+
+
+def test_registry_scale_logit_fits_converge():
+    # 40k rows, |loglik| about 2.7e4: near the optimum a Newton step moves the
+    # log-likelihood by less than its rounding, which an absolute halving
+    # test of 1e-12 could read as a worse step (draw 17 then stalled until
+    # MAX_ITER)
+    n = 40_000
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.round(rng.normal(62.0, 10.0, n), 1), rng.random(n) < 0.5,
+                             np.round(rng.normal(80.0, 20.0, n), 1),
+                             rng.choice([0.0, 1.0, 2.0], n, p=[0.5, 0.35, 0.15])])
+        response = (rng.random(n) < 0.5).astype(float)
+        fit = fit_glm(np.column_stack([np.ones(n), x]), response, LOGIT)
+        assert fit.iterations <= 6 and abs(fit.loglik) > 2e4
 
 
 # ----------------------------- transforms ------------------------------

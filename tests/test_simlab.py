@@ -302,6 +302,20 @@ def _block_and_alone(cfg, seed, reps):
     return records, alone
 
 
+def test_block_gives_back_each_drawn_dataset_bit_for_bit():
+    # a replicate the block cannot stand in for is fit alone on what the block holds
+    drawn = [generate(ScenarioConfig(scenario="iii", n=60), [4, rep])[0] for rep in range(5)]
+    block = DatasetBlock(drawn)
+    for k, ds in enumerate(drawn):
+        back = block.dataset(k)
+        for name in ("y", "x", "t", "d"):
+            mine, theirs = getattr(back, name), getattr(ds, name)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                theirs.dtype, theirs.shape, theirs.tobytes())
+        assert (back.n1, back.covariate_names, back.outcome_kind) == (
+            ds.n1, ds.covariate_names, ds.outcome_kind)
+
+
 @pytest.mark.parametrize("n", [60, 1000])
 @pytest.mark.parametrize("scenario", sl.SCENARIOS)
 def test_block_matches_each_replicate_fit_alone(scenario, n):
