@@ -8,12 +8,12 @@ blocks, each also written as frequency counts on the base rows, so a block
 fitter (``SharedFit.block``) can fit a whole block's working models and
 points from the counts without building a dataset per resample; a resample
 it cannot stand in for is fit alone on its own rows. The same block path
-(``nuisance.BlockFitter`` and the estimators' moments), sized by the same
-BLOCK_BYTES rule, serves the Monte Carlo replicates of ``simlab``, whose
-blocks stack the replicates' own rows instead of counts. Also here: the
-specification test for equal control-outcome means across data sources,
-overlap diagnostics, and the bias bound under a source-specific
-control-mean shift.
+(``nuisance.BlockFitter``, the estimators' moments and the block scorer
+``_block_points``), sized by the same BLOCK_BYTES rule, serves the Monte
+Carlo replicates of ``simlab``, whose blocks stack the replicates' own rows
+instead of counts. Also here: the specification test for equal
+control-outcome means across data sources, overlap diagnostics, and the
+bias bound under a source-specific control-mean shift.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def test(
 # ----------------------------- bootstrap ------------------------------
 
 
-def ordered_map(fn: Callable, tasks: list, jobs: int, chunksize: int = 1) -> list:
+def ordered_map(fn: Callable, tasks: list, jobs: int) -> list:
     """``[fn(task) for task in tasks]``, in ``jobs`` worker processes if ``jobs > 1``.
 
     Results come back in task order either way; with ``jobs > 1``, ``fn``
@@ -136,7 +136,7 @@ def ordered_map(fn: Callable, tasks: list, jobs: int, chunksize: int = 1) -> lis
     from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415 - kept off the CLI's import path
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))
 
 
 @dataclass
@@ -226,23 +226,29 @@ def _bootstrap_block(args) -> list:
     return [_bootstrap_one(base, shared, idx, state) for idx, state in zip(indices, states)]
 
 
-def _block_points(fitter, points, counts: np.ndarray) -> list:
-    """Each resample's points from one fit of the block, or None to fit it alone."""
-    k = counts.shape[0]
+def _block_points(fitter, points, counts: np.ndarray | None = None) -> list:
+    """Each unit's values from one fit of the block, or None to fit it alone.
+
+    The units are the resamples in ``counts``, or without counts the datasets
+    of a DatasetBlock base; each ``point(base, fitted)`` gives one value or
+    one row of values per unit.
+    """
+    base = fitter.base
+    k = len(base.y if counts is None else counts)
     try:
         ok, fitted = fitter.solve(counts)
+        del fitter  # the block's stacked rows are freed before scoring where no caller holds it
         if not ok.any():
             return [None] * k
-        # a resample cleared from ``ok``, or one whose rows the block's values
-        # overflow on, gets a non-finite point here and is fit alone
+        # a unit cleared from ``ok``, or one whose rows the block's values
+        # overflow on, gets a non-finite value here and is fit alone
         with np.errstate(all="ignore"):
-            values = np.column_stack([
-                np.asarray(point(fitter.base, fitted), dtype=float).reshape(k)
-                for point in points
-            ])
+            values = np.concatenate([
+                np.asarray(point(base, fitted), dtype=float).reshape(k, -1) for point in points
+            ], axis=1)
     except Warning:
         raise
-    except Exception:  # noqa: BLE001 - each resample, fit alone, reports its own failure
+    except Exception:  # noqa: BLE001 - each unit, fit alone, reports its own failure
         return [None] * k
     usable = ok & np.isfinite(values).all(axis=1)
     return [row if good else None for row, good in zip(values, usable)]

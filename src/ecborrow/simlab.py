@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ._normal import ndtri
 from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, DatasetBlock, is_finite_number
-from .errors import ConfigError, EcborrowError, EmptyCell, NonConvergence, ReplicateFailure
+from .errors import ConfigError, EcborrowError, NonConvergence, ReplicateFailure
 from .estimators import (
     IF_MEAN_TOL,
     METHOD_BASELINE,
@@ -46,7 +47,7 @@ from .estimators import (
     influence_values,
     point_and_influence,
 )
-from .inference import BLOCK_BYTES, if_variance, ordered_map
+from .inference import BLOCK_BYTES, _block_points, if_variance, ordered_map
 from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
@@ -274,25 +275,20 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int, expect) -> TrueEffects:
 # --------------------------- Monte Carlo core --------------------------
 
 
-def _fit_replicate_nuisances(ds: CompositeDataset | DatasetBlock) -> tuple[dict, RowTable]:
-    """The bundle's sets plus "pooled_const", the pooled set with a constant ratio.
+def _with_constant_ratio(fitted: tuple) -> tuple[dict, RowTable]:
+    """A bundle's sets, plus "pooled_const" (the pooled set with a constant ratio), and its table."""
+    sets, table = fitted
+    sets["pooled_const"] = replace(sets["pooled"], r=sets["pooled"].r.constant)
+    return sets, table
+
+
+def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
+    """The replicate's bundle with "pooled_const" (``_with_constant_ratio``), fit alone.
 
     The analyst's working models are linear in the raw covariates, so they
-    are correct in the undistorted arms only. A DatasetBlock of replicates is
-    fit at once by ``BlockFitter``: its sets are stacked, and its table's
-    ``ok`` marks the replicates they stand in for.
+    are correct in the undistorted arms only.
     """
-    specs = linear_specs(ds.k)
-    if isinstance(ds, DatasetBlock):
-        _, fitted = BlockFitter(ds, specs, RATIO_LOGLINEAR).solve()
-        if fitted is None:
-            raise EmptyCell("every replicate of the block fails a check of the bundle")
-        sets, table = fitted
-    else:
-        sets, table = fit_bundle(ds, specs, RATIO_LOGLINEAR)
-    pooled = sets["pooled"]
-    sets["pooled_const"] = replace(pooled, r=pooled.r.constant)
-    return sets, table
+    return _with_constant_ratio(fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR))
 
 
 def _failure(exc: EcborrowError) -> dict:
@@ -322,37 +318,33 @@ def _mc_block(args) -> list:
 def _block_records(block: DatasetBlock, estimators: tuple) -> list:
     """Each replicate's record from one stacked fit of the block, or None to fit it alone.
 
-    The points, influence values, their variances and the analytic gain of
-    every replicate come from (K, n) arrays through the estimators' own
-    moments. A replicate whose stacked fit is not ``ok``, whose point, IF
-    variance or gain is not finite, or whose influence values do not average
-    to within IF_MEAN_TOL of zero, gets None: ``_mc_replicate`` refits it and
-    reports its failure, if any, as a replicate fit alone does.
+    ``inference._block_points`` scores the block's replicates: a replicate
+    whose stacked fit is not ``ok``, or whose point, IF variance or gain is
+    not finite, gets None, and ``_mc_replicate`` refits it and reports its
+    failure, if any, as a replicate fit alone does.
     """
-    columns = {}
-    # a replicate cleared from ``ok`` may divide by zero or overflow; its
-    # values are never read
-    with np.errstate(all="ignore"):
-        try:
-            sets, table = _fit_replicate_nuisances(block)
-            ok = table.ok.copy()
-            gains = efficiency_gain_analytic(block, sets["pooled"], table)
-            for name in estimators:
-                estimand, method, _, set_name = _ESTIMATOR_META[name]
-                nuis = sets[set_name]
-                points, values = point_and_influence(block, nuis, estimand, method, table)
-                variances = if_variance(IFVector(values, estimand, method))
-                ok &= np.isfinite(points) & np.isfinite(variances) & (
-                    np.abs(np.mean(values, axis=-1)) <= IF_MEAN_TOL)
-                columns[name] = list(zip(points.tolist(), variances.tolist()))
-        except EcborrowError:
-            return [None] * len(block.y)
-    ok &= np.isfinite(gains)
-    return [
-        {**{name: pairs[j] for name, pairs in columns.items()}, "analytic_gain": gains[j].item()}
-        if ok[j] else None
-        for j in range(len(block.y))
-    ]
+    rows = _block_points(BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR),
+                         (partial(_record_columns, estimators),))
+    return [None if row is None else {
+        **dict(zip(estimators, zip(row[:-1:2].tolist(), row[1::2].tolist()))),
+        "analytic_gain": row[-1].item()} for row in rows]
+
+
+def _record_columns(estimators: tuple, block: DatasetBlock, fitted: tuple) -> np.ndarray:
+    """Each estimator's points and IF variances, then the analytic gain, as (K, 2E + 1).
+
+    A variance is NaN where its influence values do not average to within
+    IF_MEAN_TOL of zero, so that its replicate is fit alone.
+    """
+    sets, table = _with_constant_ratio(fitted)
+    gains, columns = efficiency_gain_analytic(block, sets["pooled"], table), []
+    for name in estimators:
+        estimand, method, _, set_name = _ESTIMATOR_META[name]
+        points, values = point_and_influence(block, sets[set_name], estimand, method, table)
+        variances = if_variance(IFVector(values, estimand, method))
+        centred = np.abs(np.mean(values, axis=-1)) <= IF_MEAN_TOL
+        columns += [points, np.where(centred, variances, np.nan)]
+    return np.column_stack([*columns, gains])
 
 
 def _mc_replicate(ds: CompositeDataset | None, estimators: tuple, record: dict | None = None) -> dict:

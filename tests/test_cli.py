@@ -772,6 +772,38 @@ def test_report_renders_simulation_table(tmp_path, capsys):
     assert any("tau_full" in line for line in out.splitlines())
 
 
+def test_simulation_report_sets_the_empirical_gain_beside_the_analytic_one():
+    summary = {"mean_bias": 0.0, "mse": 0.0, "coverage": 0.95}
+    payload = {"command": "simulate", "scenarios": {
+        "i": {"config": {"n": 1000}, "mean_analytic_gain": 0.25,
+              "summaries": {"tau_full": {**summary, "sd": 0.04},
+                            "tau_trial": {**summary, "sd": 0.05}}},
+        # a scenario of one replicate has no sd, and so no gain line
+        "ii": {"config": {"n": 1000}, "mean_analytic_gain": 0.25,
+               "summaries": {"tau_full": {**summary, "sd": None},
+                             "tau_trial": {**summary, "sd": None}}},
+    }}
+    lines = render_report(payload)
+    assert len(lines) == 2 + 3 + 2
+    assert lines[4] == f"{'':<10}(gain: empirical n*gap = 0.900, analytic = 0.250)"
+
+
+def test_cli_notes_are_one_stderr_line_each(tmp_path, capsys):
+    binary = "tests/data/golden_input_binary.csv"
+    boxplot = tmp_path / "boxplot.csv"
+    notes = []
+    for argv in (["estimate", "--input", binary, "--ratio", "constant"],
+                 ["estimate", "--input", binary],
+                 ["simulate", "--reps", "3", "--n", "100", "--boxplot-csv", str(boxplot)]):
+        assert main(argv) == 0
+        notes.append(capsys.readouterr().err)
+    assert notes == [
+        "outcome is binary: variance ratio forced to one (known1)\n",
+        "outcome is binary: variance ratio set to one (known1)\n",
+        f"wrote 21 boxplot rows to {boxplot}\n",
+    ]
+
+
 def test_simulate_smoke_run_within_budget(tmp_path, capsys):
     import time
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecborrow.dataset import CompositeDataset
+from ecborrow.cli import (
+    EstimatorPlan,
+    RunConfig,
+    _model_specs,
+    _requested_pairs,
+    _resolve_ratio,
+)
+from ecborrow.dataset import CompositeDataset, load_csv
 from ecborrow.errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
 from ecborrow.estimators import (
     METHOD_BASELINE,
@@ -565,6 +572,35 @@ def test_bootstrap_block_path_matches_fitting_each_resample_alone(case):
         assert 0 < 2 * failed <= alone_fits[1] < 200
     else:
         assert alone_fits[1] == 0 and want_failure is None
+
+
+# the stratified bootstrap of the golden input's six CLI pairs, B=100, seed 11:
+# (variance, ci, replicates, failures) per pair, in the CLI's order
+_STRATIFIED_GOLDEN = [
+    (0.019692050050469905, (0.9428924128912258, 1.4888602982266477), 100, 0),
+    (0.024929186779865886, (0.7251640825827084, 1.3124191315337368), 100, 0),
+    (0.020163841181738598, (0.9487874400811123, 1.4860160145235097), 100, 0),
+    (0.04352534433337944, (0.7342454137058313, 1.4074324195893098), 100, 0),
+    (0.025556911981833273, (0.9224339657568205, 1.4939853587715282), 100, 0),
+    (0.11096175563338308, (0.7099284460165564, 1.6333324822922122), 100, 0),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stratified_bootstrap_of_the_cli_pairs_is_pinned(jobs):
+    # the CLI never stratifies, so the library's stratified bootstrap has no
+    # golden output: its figures are pinned here, for any number of jobs
+    path = "tests/data/golden_input.csv"
+    ds = load_csv(path)
+    cfg = RunConfig(command="estimate", input=path)
+    plans = [EstimatorPlan(estimand, method) for estimand, method in _requested_pairs(ds, cfg)]
+    bundle = {"specs": _model_specs(ds, cfg), "ratio_mode": _resolve_ratio(ds, cfg),
+              "treated_only": False}
+    shared = SharedFit(partial(fit_bundle, **bundle), tuple(plan.point for plan in plans),
+                       block=partial(BlockFitter, **bundle))
+    results = bootstrap_variance(ds, shared, 100, seed=11, stratified=True, jobs=jobs)
+    got = [(r.variance, r.ci, r.replicates, r.failures) for r in results]
+    assert got == _STRATIFIED_GOLDEN
 
 
 def _separable_dataset() -> CompositeDataset:

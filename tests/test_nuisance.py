@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecborrow.nuisance as nuisance
-from ecborrow.dataset import CompositeDataset
+from ecborrow.dataset import CompositeDataset, DatasetBlock
 from ecborrow.errors import (
     ConfigError,
     DegenerateVariance,
+    EcborrowError,
     EmptyCell,
     NonConvergence,
     NonFiniteResult,
@@ -794,6 +796,92 @@ def test_block_fitter_failures_match_fit_bundle():
         "rank": "RANK_DEFICIENT", "one_external": "EMPTY_CELL", "no_treated": "EMPTY_CELL",
         "degenerate": "DEGENERATE_VARIANCE",
     }
+
+
+# trial-treated, trial-control and external row counts of the degenerate grid;
+# a dataset without a trial row cannot be built, so those triples drop out
+_GRID_SIZES = [sizes for sizes in itertools.product((0, 1, 2, 5, 30), (0, 1, 2, 5, 30),
+                                                    (0, 1, 2, 30)) if sizes[0] + sizes[1]]
+# collinear x, propensity family, treated_only, ratio mode
+_GRID_MODES = list(itertools.product((False, True), (LOGIT, IDENTITY), (False, True),
+                                     (RATIO_KNOWN_ONE, RATIO_CONSTANT, RATIO_LOGLINEAR)))
+
+
+def _grid_dataset(n11: int, n10: int, n2: int, collinear: bool) -> CompositeDataset:
+    """Treated rows, then trial controls, then external rows, drawn from a stream of the sizes."""
+    rng = np.random.default_rng([n11, n10, n2])
+    n = n11 + n10 + n2
+    x = rng.standard_normal((n, 2))
+    if collinear:
+        x[:, 1] = 1.0 - 2.0 * x[:, 0]
+    d = np.repeat([1, 0], [n11 + n10, n2])
+    t = np.repeat([1, 0], [n11, n10 + n2])
+    return CompositeDataset(1.0 + x[:, 0] - 0.5 * x[:, 1] + t + rng.standard_normal(n), x, t, d)
+
+
+def _assert_block_fits(got: dict, want: dict, ds: CompositeDataset, sizes: tuple) -> None:
+    """A block's bundle against fit_bundle's on a grid dataset: each model's
+    row count is the grid's own, coefficients and ratio parameters agree to
+    1e-12 relative, and each logit propensity is the frozen single-fit IRLS's."""
+    n11, n10, n2 = sizes
+    design = ModelSpec.linear_in(ds.k, LOGIT).design(ds.x)
+    logits = {"p": (ds.d == 1, ds.t), "pi": (np.ones(ds.n, dtype=bool), ds.d)}
+    assert got.keys() == want.keys()
+    for name, want_set in want.items():
+        got_set = got[name]
+        counts = {"m1": n11, "m0": n10 + n2 if want_set.m0_pooled else n10, "p": n11 + n10,
+                  "pi": ds.n}
+        for attr, count in counts.items():
+            g, w = getattr(got_set, attr), getattr(want_set, attr)
+            if w is None:
+                assert g is None
+                continue
+            assert g.n_obs == w.n_obs == count, (name, attr)
+            assert _rel_gap(g.coef, w.coef) <= 1e-12, (name, attr)
+            if attr in logits:
+                rows, response = logits[attr]
+                frozen = oracles.irls_logit(design[rows], response[rows])
+                assert frozen.outcome == "converged", (name, attr)
+                assert _rel_gap(g.coef, frozen.coef) <= 1e-12, (name, attr)
+        assert _rel_gap(got_set.r.params, want_set.r.params) <= 1e-12, name
+        if want_set.r.constant is not None:
+            assert _rel_gap(got_set.r.constant.params, want_set.r.constant.params) <= 1e-12
+    # the constant ratio's variances are the pooled m0's mean squared residuals
+    # on the trial controls and on the external rows
+    pooled = got.get("pooled")
+    if pooled is not None and pooled.r.mode != RATIO_KNOWN_ONE:
+        constant = pooled.r.constant or pooled.r
+        r2 = (ds.y - pooled.m0.predict(ds.x)) ** 2
+        v = [np.mean(r2[(ds.d == 1) & (ds.t == 0)]), np.mean(r2[ds.d == 0])]
+        assert _rel_gap([constant.const_var_trial, constant.const_var_external], v) <= 1e-12
+
+
+def test_block_fitter_stands_in_for_fit_bundle_on_the_degenerate_grid():
+    # every size triple, each with half of the other axes' 24 combinations
+    # (alternating halves), solved as one resample of unit counts and as a
+    # one-dataset block: where fit_bundle fails the block is not ok, and where
+    # the block is ok it fits what fit_bundle fits
+    fitted = 0
+    for i, sizes in enumerate(_GRID_SIZES):
+        for collinear, family, treated_only, mode in _GRID_MODES[i % 2::2]:
+            ds = _grid_dataset(*sizes, collinear)
+            specs = linear_specs(ds.k)
+            specs["p"] = specs["pi"] = ModelSpec.linear_in(ds.k, family)
+            try:
+                want, _ = fit_bundle(ds, specs, mode, treated_only)
+            except EcborrowError:
+                want = None
+            case = (sizes, collinear, family, treated_only, mode)
+            for base, counts in ((ds, np.ones((1, ds.n))), (DatasetBlock([ds]), None)):
+                ok, block = BlockFitter(base, specs, mode, treated_only).solve(counts)
+                assert ok.shape == (1,), case
+                if want is None:
+                    assert not ok[0], case
+                elif ok[0]:
+                    _assert_block_fits(_resample_sets(block[0], 0), want, ds, sizes)
+                    fitted += 1
+    # 96 of the 1,152 cases fit, each both ways
+    assert fitted == 192
 
 
 def test_trial_only_bundle_skips_the_ratio():

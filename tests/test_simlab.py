@@ -246,17 +246,18 @@ def test_monte_carlo_estimator_subset():
 
 def test_monte_carlo_failures_abort(monkeypatch):
     cfg = ScenarioConfig(scenario="i", n=250)
-    real = sl._fit_replicate_nuisances
 
-    def flaky(ds):
+    def flaky(*args, **kwargs):
         from ecborrow.errors import EmptyCell
 
         raise EmptyCell("synthetic failure")
 
-    monkeypatch.setattr(sl, "_fit_replicate_nuisances", flaky)
-    with pytest.raises(ReplicateFailure):
+    # the block's fit fails, and so does each replicate's fit alone
+    monkeypatch.setattr(sl.BlockFitter, "solve", flaky)
+    monkeypatch.setattr(sl, "fit_bundle", flaky)
+    with pytest.raises(ReplicateFailure) as failed:
         run_monte_carlo(cfg, reps=10, master_seed=2)
-    monkeypatch.setattr(sl, "_fit_replicate_nuisances", real)
+    assert failed.value.details["messages"] == ["EmptyCell: synthetic failure"] * 5
 
 
 def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
