@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts: medians, quartiles and wins per metric.
+
+    python scripts/bench_pairs.py PARENT CHANGE --workload bootstrap_estimate --rounds 10
+
+Each round runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once in each checkout, one after the other, and alternates which side runs
+first. Only the harness's last stdout line (its result JSON) is read. For
+each end-to-end metric of BENCHMARK.json the summary gives each side's
+median and quartiles, the change's median relative to the parent's, in how
+many rounds the change read better (ties count for neither side), and
+whether that is a gain by the benchmark's rule: better in at least nine
+tenths of the rounds, with the medians further apart than the parent's
+quartiles. Given the same checkout twice it is an A/A calibration: what
+the rule reads on noise alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The harness's result line for one run in ``checkout``."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: harness exit {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One line: each side's median [quartiles], the change, its wins and the verdict."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p1, p_med, p3 = quartiles(parent)
+    c1, c_med, c3 = quartiles(change)
+    rel = (c_med - p_med) / abs(p_med) if p_med else 0.0
+    gain = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p3 - p1
+    worse = -sign * rel > metric["bound"]
+    verdict = "GAIN" if gain else "WORSE THAN BOUND" if worse else "-"
+    return (f"{metric['name']:<12} parent {p_med:.6g} [{p1:.6g}, {p3:.6g}]  "
+            f"change {c_med:.6g} [{c1:.6g}, {c3:.6g}]  {rel:+.1%}  "
+            f"better in {wins}/{len(parent)}  {verdict}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=int, default=benchmark["run_seconds"])
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    metrics = benchmark["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if sides["parent"] == sides["change"]:
+        print(f"A/A calibration: {sides['parent']} against itself", file=sys.stderr)
+    values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    for round_ in range(args.rounds):
+        order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
+        for side in order:
+            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            if not result["correct"] or result["failed"]:
+                print(f"round {round_ + 1} {side}: correct={result['correct']}"
+                      f" failed={result['failed']}/{result['attempted']}", file=sys.stderr)
+            for name, m in result["metrics"].items():
+                values[side].setdefault(name, []).append(m["value"])
+            shown = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                             for m in metrics)
+            print(f"round {round_ + 1} {side}: {shown}", file=sys.stderr)
+    print(f"{args.workload}, seed {args.seed}, {args.seconds} s, {args.rounds} rounds"
+          " (median [quartiles])")
+    for metric in metrics:
+        print(summarize(metric, values["parent"][metric["name"]],
+                        values["change"][metric["name"]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ from .dataset import (
     summarize,
     validate,
 )
-from .errors import ConfigError, EcborrowError, NonFiniteResult, OverlapNoExternal
+from .errors import ConfigError, EcborrowError, NonFiniteResult, OutOfMemory, OverlapNoExternal
 from .estimators import (
     ESTIMAND_PSI,
     ESTIMAND_TAU,
@@ -43,6 +43,7 @@ from .estimators import (
     influence_values,
 )
 from .inference import (
+    BLOCK_BYTES,
     VARIANCE_BOOTSTRAP,
     VARIANCE_IF,
     SharedFit,
@@ -574,6 +575,18 @@ def _dumps(payload: dict) -> str:
         ) from None
 
 
+def _print_error(exc: EcborrowError) -> int:
+    error = exc.to_dict()
+    try:
+        text = _dumps({"error": error})
+    except NonFiniteResult:
+        # details JSON cannot hold are dropped; the code and message stay
+        error.pop("details")
+        text = _dumps({"error": error})
+    print(text)
+    return exc.exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -581,15 +594,9 @@ def main(argv: list[str] | None = None) -> int:
         payload = _COMMANDS[args.command](cfg)
         text = None if args.command == "report" else _dumps(payload)
     except EcborrowError as exc:
-        error = exc.to_dict()
-        try:
-            text = _dumps({"error": error})
-        except NonFiniteResult:
-            # details JSON cannot hold are dropped; the code and message stay
-            error.pop("details")
-            text = _dumps({"error": error})
-        print(text)
-        return exc.exit_code
+        return _print_error(exc)
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        return _print_error(OutOfMemory(f"out of memory: {exc}" if str(exc) else "out of memory"))
     if text is not None:
         print(text)
         if cfg.out:
@@ -597,15 +604,39 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _steady_heap() -> None:
+    """Pins glibc malloc's trim and mmap thresholds (mallopt -1 and -3) at 32
+    blocks, room for the twenty or so arrays a block keeps alive. At the
+    default 128 KiB, just over one block array, the heap top is returned to the
+    system and faulted back in for each block temporary. A ``MALLOC_*_``
+    variable or ``GLIBC_TUNABLES`` the user set wins. No result moves."""
+    if sys.platform != "linux" or any(
+        name == "GLIBC_TUNABLES" or (name.startswith("MALLOC_") and name.endswith("_"))
+        for name in os.environ
+    ):
+        return
+    import ctypes  # noqa: PLC0415 - numpy has imported it already
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param in (-1, -3):
+        mallopt(param, 32 * BLOCK_BYTES)
+
+
 def run() -> NoReturn:
     """The process entry point: ``main()``, then exit without interpreter teardown.
 
-    Freeing numpy's and ecborrow's module objects at exit costs more than
+    It pins the process's malloc thresholds first (``_steady_heap``); ``main``
+    leaves a host's allocator alone, and forked ``--jobs`` workers inherit
+    them. Freeing numpy's and ecborrow's module objects at exit costs more than
     the rest of a small ``estimate``. Nothing is left to do by then: the
     streams are flushed below, ``--out`` is closed and any process pool is
     joined before ``main`` returns. A closed stdout ends the run with
     status 1 and no traceback.
     """
+    _steady_heap()
     try:
         code = main()
         sys.stdout.flush()

@@ -1,7 +1,8 @@
 """Typed errors with stable machine-readable codes.
 
 Every error carries a ``code`` (stable string for machine consumption) and an
-``exit_code`` (CLI process exit status: 2 config, 3 data, 4 numeric).
+``exit_code`` (CLI process exit status: 2 config, 3 data, 4 numeric,
+5 out of memory).
 """
 
 from __future__ import annotations
@@ -116,3 +117,8 @@ class ReplicateFailure(EcborrowError):
 class NonFiniteResult(EcborrowError):
     code = "NON_FINITE"
     exit_code = 4
+
+
+class OutOfMemory(EcborrowError):
+    code = "OUT_OF_MEMORY"
+    exit_code = 5

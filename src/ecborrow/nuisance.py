@@ -728,14 +728,13 @@ def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _guarded_gram(design: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted Gram of each row of ``weights``, and where a stacked fit may
-    stand in for ``fit_glm``: at least as many weighted rows as coefficients and a
-    Gram matrix with condition number at most GRAM_COND_MAX (a design ``fit_glm``
-    calls rank deficient has a far larger one)."""
+    stand in for ``fit_glm``: a Gram matrix with condition number at most
+    GRAM_COND_MAX. A design ``fit_glm`` calls rank deficient (fewer weighted
+    rows than coefficients among them) has a smallest eigenvalue of zero or of
+    rounding size, far past that bound."""
     gram = _gram(design, weights)
     eig = np.linalg.eigvalsh(gram)
-    ok = (weights.sum(axis=1) >= design.shape[-1]) & (eig[:, 0] > 0) & (
-        eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
-    return gram, ok
+    return gram, (eig[:, 0] > 0) & (eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
 
 
 def _stacked_wls(design: np.ndarray, weights: np.ndarray,
@@ -874,9 +873,9 @@ class BlockFitter:
     which each estimator gives one point per resample or dataset.
 
     A resample or dataset with ``ok`` False is left to ``fit_bundle`` on its
-    own rows, so each failure keeps its type, message and count: fewer
-    weighted rows than coefficients or a weighted Gram matrix beyond
-    GRAM_COND_MAX, a logit response of one class (an empty arm or source), a
+    own rows, so each failure keeps its type, message and count: a weighted
+    Gram matrix beyond GRAM_COND_MAX (as with fewer weighted rows than
+    coefficients), a logit response of one class (an empty arm or source), a
     logit fit that separates or does not converge, fewer than two rows of a
     source for the ratio, or every squared residual of a source under
     VAR_FLOOR. Where a design holds a non-finite value, or ``base`` fails a

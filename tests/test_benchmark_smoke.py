@@ -59,3 +59,19 @@ def test_block_workloads_pass_the_harness_checks(tmp_path, capsys, monkeypatch):
         assert workloads.check_output(payload, validator) == []
         assert workload.units_done(payload) > 0
         assert workloads.inner_failures(payload) >= 0
+
+
+def test_bench_pairs_applies_the_gain_rule_and_the_bound():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    metric = {"name": "op_p50_s", "better": "lower", "bound": 0.25}
+    parent = [0.78, 0.79, 0.77, 0.80, 0.78, 0.79, 0.77, 0.78, 0.80, 0.79]
+    # better in 9 of 10 rounds, by more than the parent's quartile spread
+    faster = [0.67, 0.68, 0.66, 0.69, 0.67, 0.68, 0.66, 0.67, 0.81, 0.68]
+    assert module.summarize(metric, parent, faster).endswith("better in 9/10  GAIN")
+    # better in 8 of 10 is no gain
+    assert module.summarize(metric, parent, faster[:8] + [0.81, 0.81]).endswith("8/10  -")
+    # a median 30% slower is past the bound
+    slower = [value * 1.3 for value in parent]
+    assert module.summarize(metric, parent, slower).endswith("0/10  WORSE THAN BOUND")

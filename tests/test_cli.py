@@ -582,6 +582,31 @@ def test_directory_in_place_of_a_file_is_typed_error(tmp_path, capsys, flags, ex
     jsonschema.validate(payload, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["simulate", "--scenario", "i", "--reps", "2", "--n", "200"], "ecborrow.simlab.generate"),
+        (["estimate", "--input", "tests/data/golden_input.csv"], "ecborrow.nuisance._expit_parts"),
+    ],
+    ids=["simulate", "estimate"],
+)
+def test_out_of_memory_is_typed_error(capsys, monkeypatch, argv, target):
+    message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
+
+    def fail(*args, **kwargs):  # numpy's allocation failure, without the allocation
+        raise MemoryError(message)
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(target, fail)
+    code = main(argv)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 5
+    assert payload == {"error": {"code": "OUT_OF_MEMORY", "message": f"out of memory: {message}"}}
+    assert captured.err == ""
+    jsonschema.validate(payload, SCHEMA)
+
+
 def test_non_finite_design_column_is_numeric_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     cfg = tmp_path / "overflow.json"

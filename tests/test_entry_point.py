@@ -1,21 +1,25 @@
 """The process entry point ``cli.run``, the package's lazy names and the installed scripts.
 
-``run`` ends the process with ``os._exit``, so its tests start
-``python -m ecborrow.cli`` as a child process; in-process ``main`` never
-takes that path.
+``run`` pins the process's malloc thresholds and ends the process with
+``os._exit``, so its tests start ``python -m ecborrow.cli`` as a child
+process; in-process ``main`` never takes that path.
 """
 
+import ctypes
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ecborrow
+from ecborrow import cli
 from ecborrow.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,8 +51,9 @@ def spawn(argv, **kwargs):
     """``python -m ecborrow.cli ARGV`` from the repository root, as a new process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
     return subprocess.Popen([sys.executable, "-m", "ecborrow.cli", *argv], env=env, cwd=ROOT,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+                            **kwargs)
 
 
 def run_child(argv):
@@ -115,6 +120,79 @@ def test_closed_stdout_is_status_one_without_a_traceback():
     err = child.stderr.read()
     assert child.wait(timeout=120) == 1
     assert err == b""
+
+
+def _untune_malloc(monkeypatch):
+    for name in list(os.environ):
+        if name == "GLIBC_TUNABLES" or name.startswith("MALLOC_"):
+            monkeypatch.delenv(name)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's malloc thresholds")
+def test_bootstrap_blocks_do_not_refault_the_heap(tmp_path, monkeypatch):
+    # A block's arrays sit just under glibc's default 128 KiB trim and mmap
+    # thresholds; unpinned, the B=500 bootstrap faults some 10,000 pages
+    # more than the IF run (about 600 with the entry point's thresholds).
+    _untune_malloc(monkeypatch)
+
+    def minor_faults(argv):
+        with open(tmp_path / "out.json", "wb") as out:
+            child = spawn(argv, stdout=out, stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        return usage.ru_minflt
+
+    excess = minor_faults([*GOLDEN_ARGV, "--variance", "bootstrap"]) - minor_faults(GOLDEN_ARGV)
+    assert excess < 4000
+
+
+def _fake_mallopt(monkeypatch) -> list:
+    """Makes ``ctypes.CDLL(None).mallopt`` record its calls; returns the record."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+def test_in_process_main_leaves_the_allocator_alone(capsys, monkeypatch):
+    calls = _fake_mallopt(monkeypatch)
+    monkeypatch.chdir(ROOT)
+    assert main([*GOLDEN_ARGV, "--variance", "bootstrap", "--B", "100"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "system, env, pinned",
+    [
+        ("linux", {}, True),
+        ("linux", {"MALLOC_TRIM_THRESHOLD_": "131072"}, False),
+        ("linux", {"MALLOC_TOP_PAD_": "0"}, False),
+        ("linux", {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, False),
+        ("darwin", {}, False),
+    ],
+    ids=["linux", "trim_variable", "other_variable", "tunables", "not_linux"],
+)
+def test_entry_point_pins_malloc_unless_the_user_tuned_it(monkeypatch, system, env, pinned):
+    calls = _fake_mallopt(monkeypatch)
+    _untune_malloc(monkeypatch)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(sys, "platform", system)
+    cli._steady_heap()
+    assert calls == ([(-1, 4 << 20), (-3, 4 << 20)] if pinned else [])
+
+
+def test_entry_point_without_mallopt_pins_nothing(monkeypatch):
+    _untune_malloc(monkeypatch)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    cli._steady_heap()  # no error
 
 
 def test_every_old_export_resolves_from_the_package():

@@ -131,6 +131,19 @@ def test_separation_detected():
         fit_glm(design, response, LOGIT)
 
 
+def test_stacked_logit_on_a_singular_information_matrix_fails_every_fit_it_runs():
+    rng = np.random.default_rng(0)
+    x = np.column_stack([np.ones(50), rng.standard_normal(50)])
+    design = np.column_stack([x, x[:, 1]])  # a duplicated column
+    response = (rng.random(50) < 0.5).astype(float)
+    weights = rng.integers(0, 3, size=(4, 50)).astype(float)
+    run = np.array([True, False, True, True])
+    coef, iterations, _, status = nuisance._stacked_logit(design, weights, response, run)
+    assert status.tolist() == [nuisance._SINGULAR, nuisance._UNCONVERGED, nuisance._SINGULAR,
+                               nuisance._SINGULAR]
+    assert not coef.any() and not iterations.any()
+
+
 def test_rank_deficient_names_columns():
     rng = np.random.default_rng(3)
     col = rng.standard_normal(30)
@@ -796,6 +809,23 @@ def test_block_fitter_failures_match_fit_bundle():
         "rank": "RANK_DEFICIENT", "one_external": "EMPTY_CELL", "no_treated": "EMPTY_CELL",
         "degenerate": "DEGENERATE_VARIANCE",
     }
+
+
+def test_block_leaves_a_one_class_logit_response_unfit():
+    # a treated-only resample with no external row: its selection propensity
+    # has one class, on which IRLS would converge near |coef| = 28, inside
+    # SEPARATION_BOUND, and the block would stand in for a fit_bundle failure
+    ds = _failure_base()
+    specs = linear_specs(2)
+    rng = np.random.default_rng(1)
+    indices = [rng.integers(0, 100, 100), rng.choice(70, 100)]
+    ok, (sets, _) = BlockFitter(ds, specs, RATIO_LOGLINEAR, treated_only=True).solve(
+        _counts(indices, ds.n))
+    assert ok.tolist() == [True, False]
+    pi = sets["treated_only"].pi
+    assert pi.iterations[1] == 0 and not pi.coef[1].any()
+    with pytest.raises(EmptyCell, match="no external rows"):
+        fit_bundle(ds.take(indices[1]), specs, RATIO_LOGLINEAR, treated_only=True)
 
 
 # trial-treated, trial-control and external row counts of the degenerate grid;
