@@ -65,7 +65,7 @@ GOLDENS = {
     "golden_binary_estimate.json": ["estimate", "--input", BINARY],
     "golden_binary_diagnose.json": ["diagnose", "--input", BINARY],
     "golden_treated_only.json": [
-        "estimate", "--input", TREATED_ONLY, "--treated-only", "--estimand", "tau",
+        "estimate", "--input", TREATED_ONLY, "--method", "treated-only", "--estimand", "tau",
     ],
     "golden_trial_only.json": [
         "estimate", "--input", TRIAL_ONLY, "--method", "trial", "--estimand", "tau",

@@ -119,7 +119,6 @@ class RunConfig:
     estimand: str | list = "tau,psi,xi"
     method: str = "both"
     ratio: str | None = None
-    treated_only: bool = False
     variance: str = "if"
     B: int | None = None
     null: float = 0.0
@@ -163,8 +162,6 @@ class RunConfig:
             self.B = 500 if self.B is None else int(self.B)
             if self.B < 100:
                 raise ConfigError("bootstrap needs B >= 100")
-        if self.treated_only and self.method == "trial":
-            raise ConfigError("treated-only mode excludes the trial-based method")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         # checked before any work: the report is printed before it is written
@@ -184,6 +181,8 @@ class RunConfig:
         for name in names:
             if name not in (ESTIMAND_TAU, ESTIMAND_PSI, ESTIMAND_XI):
                 raise ConfigError(f"unknown estimand {name!r}")
+        if not names:
+            raise ConfigError("no estimand requested")
         return names
 
 
@@ -284,7 +283,7 @@ class EstimatorPlan:
 def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     for estimand in cfg.estimands:
-        if cfg.treated_only or cfg.method == "treated-only":
+        if cfg.method == "treated-only":
             if estimand != ESTIMAND_TAU:
                 raise ConfigError("treated-only mode only estimates tau")
             pairs.append((estimand, METHOD_TREATED_ONLY))
@@ -326,8 +325,7 @@ def cmd_estimate(cfg: RunConfig) -> dict:
     bundle = {"specs": specs, "ratio_mode": ratio_mode,
               "treated_only": any(p.method == METHOD_TREATED_ONLY for p in plans)}
     fit = partial(fit_bundle, **bundle)
-    fitted = fit(ds) if plans else ({}, None)
-    sets, table = fitted
+    sets, table = fitted = fit(ds)
     estimates = [plan.evaluate(ds, fitted) for plan in plans]
     if cfg.variance == "if":
         method_label = VARIANCE_IF
@@ -343,13 +341,11 @@ def cmd_estimate(cfg: RunConfig) -> dict:
         extras = [{} for _ in plans]
     else:
         method_label = VARIANCE_BOOTSTRAP
-        boots = []
-        if plans:
-            shared = SharedFit(fit, tuple(plan.point for plan in plans),
-                               block=partial(BlockFitter, **bundle))
-            boots = bootstrap_variance(
-                ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
-            )
+        shared = SharedFit(fit, tuple(plan.point for plan in plans),
+                           block=partial(BlockFitter, **bundle))
+        boots = bootstrap_variance(
+            ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
+        )
         variances = [boot.variance for boot in boots]
         extras = [{"bootstrap": boot.to_dict()} for boot in boots]
 
@@ -529,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--estimand", help="comma list from tau,psi,xi")
     p_est.add_argument("--method", choices=["full", "trial", "treated-only", "both"])
     p_est.add_argument("--ratio", choices=list(_RATIO_FLAGS))
-    p_est.add_argument("--treated-only", dest="treated_only", action="store_const", const=True)
     p_est.add_argument("--variance", choices=["if", "bootstrap"])
     p_est.add_argument("--B", type=int, dest="B")
     p_est.add_argument("--null", type=float)

@@ -210,10 +210,12 @@ def detect_outcome_kind(y: np.ndarray) -> str:
 
 
 def load_csv(path: str | Path, schema: ColumnSchema | dict | None = None) -> CompositeDataset:
-    """Read a UTF-8 CSV with a header row into a validated dataset.
+    """Read a UTF-8 CSV with a header row into a dataset.
 
     Raises MissingColumn / ParseError / InvariantViolation identifying the
-    offending location. Row order is preserved.
+    offending location. Each row is checked as it is read, so the dataset
+    holds no invariant ``validate`` reports as violated. Blank lines are
+    skipped but keep their row numbers. Row order is preserved.
     """
     if schema is None:
         schema = ColumnSchema()
@@ -289,14 +291,9 @@ def load_csv(path: str | Path, schema: ColumnSchema | dict | None = None) -> Com
 
     if not ys:
         raise InvariantViolation(f"no data rows in {path}")
-    ds_obj = CompositeDataset(
+    return CompositeDataset(
         np.array(ys), np.array(xs), np.array(ts), np.array(ds), covariate_names=x_names
     )
-    report = validate(ds_obj)
-    if report.violations:
-        first = report.violations[0]
-        raise InvariantViolation(first["message"], row=first.get("row"))
-    return ds_obj
 
 
 def write_csv(ds: CompositeDataset, path: str | Path, schema: ColumnSchema | None = None) -> None:

@@ -224,16 +224,20 @@ def _treated_only_moment(table: RowTable, m0_model, pi_model) -> _Moment:
     return _Moment(numer, ds.d, ds.n, int(trimmed.sum()), table.counts)
 
 
+def _check_pair(estimand: str, method: str) -> None:
+    if estimand not in ESTIMANDS or method not in VALID_METHODS[estimand]:
+        raise ConfigError(f"no estimator for estimand {estimand!r} with method {method!r}")
+
+
 def _check_comparator_nuisances(nuis: NuisanceSet, method: str) -> bool:
+    """Whether a psi or xi of ``method`` (full_data or baseline) zeroes the ratio."""
     if method == METHOD_FULL:
         if not nuis.m0_pooled:
             raise ConfigError("full-data estimation needs m0 fit on all controls")
         return False
-    if method == METHOD_BASELINE:
-        if nuis.m0_pooled:
-            raise ConfigError("baseline estimation needs m0 fit on trial controls only")
-        return True
-    raise ConfigError(f"method {method!r} is not valid here")
+    if nuis.m0_pooled:
+        raise ConfigError("baseline estimation needs m0 fit on trial controls only")
+    return True
 
 
 def _moment(
@@ -258,8 +262,10 @@ def _moment(
 
     On a DatasetBlock a check on the data raises only where it fails for
     every dataset of the block; where it fails for some, their stacked fits
-    are not ``ok`` already (``nuisance.BlockFitter``).
+    are not ``ok`` already (``nuisance.BlockFitter``). A pair that is not
+    an estimator is a ConfigError, whichever path asks for its rows.
     """
+    _check_pair(estimand, method)
     table = row_table(ds, table)
     if estimand == ESTIMAND_TAU and method == METHOD_TRIAL:
         if nuis.m0_pooled:
@@ -364,11 +370,6 @@ def estimate_xi(
     return _estimate(ds, nuis, ESTIMAND_XI, method, table)
 
 
-def _check_pair(estimand: str, method: str, what: str) -> None:
-    if estimand not in ESTIMANDS or method not in VALID_METHODS[estimand]:
-        raise ConfigError(f"no {what} for estimand {estimand!r} with method {method!r}")
-
-
 def estimate(
     ds: CompositeDataset,
     nuis: NuisanceSet,
@@ -377,7 +378,6 @@ def estimate(
     table: RowTable | None = None,
 ) -> Estimate:
     """The named estimator."""
-    _check_pair(estimand, method, "estimator")
     return _estimate(ds, nuis, estimand, method, table)
 
 
@@ -393,19 +393,10 @@ def estimate_point(
     On a ``BlockTable`` of stacked models it is one point per resample or
     dataset of the block.
     """
-    _check_pair(estimand, method, "estimator")
     return _moment(ds, nuis, estimand, method, table).point
 
 
 # -------------------------- influence values --------------------------
-
-
-def _influence_moment(ds, nuis: NuisanceSet, estimand: str, method: str,
-                      table: RowTable | None) -> _Moment:
-    _check_pair(estimand, method, "influence function")
-    if method == METHOD_TRIAL and nuis.m0_pooled:
-        raise ConfigError("trial-based influence values need unpooled m0")
-    return _moment(ds, nuis, estimand, method, table)
 
 
 def influence_values(
@@ -421,7 +412,7 @@ def influence_values(
     The values average to zero (within IF_MEAN_TOL) when ``point`` is the
     matching estimator output; otherwise MismatchedPoint is raised.
     """
-    values = _influence_moment(ds, nuis, estimand, method, table).influence(point)
+    values = _moment(ds, nuis, estimand, method, table).influence(point)
     mean = float(np.mean(values))
     if abs(mean) > IF_MEAN_TOL:
         raise MismatchedPoint(
@@ -445,7 +436,7 @@ def point_and_influence(
     On a DatasetBlock with its ``BlockTable`` they are (K,) points and (K, n)
     values, one row per dataset.
     """
-    moment = _influence_moment(ds, nuis, estimand, method, table)
+    moment = _moment(ds, nuis, estimand, method, table)
     point = moment.point
     return point, moment.influence(point)
 

@@ -165,6 +165,14 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
 BLOCK_BYTES = 1 << 17
 
 
+def block_ranges(units: int, rows: int) -> list[range]:
+    """Consecutive ranges of ``units`` resamples or replicates, sized from the
+    row count alone so that each block's (units, rows) arrays stay under
+    BLOCK_BYTES."""
+    size = max(1, BLOCK_BYTES // (8 * rows))
+    return [range(start, min(start + size, units)) for start in range(0, units, size)]
+
+
 @dataclass(frozen=True)
 class SharedFit:
     """Several estimators that read one set of fitted working models.
@@ -331,13 +339,11 @@ def bootstrap_variance(
     the result depends only on the data values and the seed, never on row
     order or on the number of worker processes. Replicate r uses the RNG
     stream (seed, r). Resamples go to the fit in blocks of consecutive
-    replicates, sized from the row count alone so that each block's
-    (resamples, rows) arrays stay under BLOCK_BYTES; with ``jobs > 1`` the
-    worker processes take whole blocks. A SharedFit's ``block`` fits each
-    block at once where it can (see SharedFit). At least 100 replicates are
-    recommended. The first estimator, in order, with more than
-    ``max_failure_rate`` failed replicates, or with none that succeeded,
-    raises ReplicateFailure.
+    replicates (``block_ranges``); with ``jobs > 1`` the worker processes
+    take whole blocks. A SharedFit's ``block`` fits each block at once where
+    it can (see SharedFit). At least 100 replicates are recommended. The
+    first estimator, in order, with more than ``max_failure_rate`` failed
+    replicates, or with none that succeeded, raises ReplicateFailure.
     """
     if n_replicates < 2:
         raise ConfigError("bootstrap needs at least 2 replicates; 100+ recommended")
@@ -345,11 +351,8 @@ def bootstrap_variance(
     shared = SharedFit(estimator_fn, (_fitted_value,)) if single else estimator_fn
     base = ds.take(_canonical_order(ds))
     fitter = None if shared.block is None else shared.block(base)
-    size = max(1, BLOCK_BYTES // (8 * base.n))
-    tasks = [
-        (base, shared, fitter, seed, range(start, min(start + size, n_replicates)), stratified)
-        for start in range(0, n_replicates, size)
-    ]
+    tasks = [(base, shared, fitter, seed, reps, stratified)
+             for reps in block_ranges(n_replicates, base.n)]
     blocks = ordered_map(_bootstrap_block, tasks, jobs)
     outcomes = [outcome for block in blocks for outcome in block]
     results = BootstrapResults(

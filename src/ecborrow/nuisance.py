@@ -262,11 +262,12 @@ def fit_glm(
 ) -> FittedGLM:
     """Maximum-likelihood fit of one GLM.
 
-    Identity family solves the weighted least-squares problem with one SVD
-    (``np.linalg.lstsq``), whose rank is also the rank check; no weights
-    means unit weights at no cost: the weighted arithmetic is skipped, which
-    gives the same bits because x * 1.0 == x. Logit family is one fit of the
-    stacked IRLS (``_stacked_logit``), each way it fails a typed error.
+    No weights means unit weights: an unweighted fit is the unit-weight fit,
+    bit for bit, since x * 1.0 == x and n ones sum to n exactly. Identity
+    family solves the weighted least-squares problem with one SVD
+    (``np.linalg.lstsq``), whose rank is also the rank check. Logit family is
+    one fit of the stacked IRLS (``_stacked_logit``), each way it fails a
+    typed error.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     response = np.asarray(response, dtype=float)
@@ -280,18 +281,16 @@ def fit_glm(
         names = column_names or [f"col{i}" for i in range(p)]
         bad = [names[i] for i in np.flatnonzero(~finite)]
         raise NonFiniteResult(f"design columns hold NaN or infinite values: {bad}", columns=bad)
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    sw = None if w is None else np.sqrt(w)
-    scaled = design if w is None else design * sw[:, None]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    sw = np.sqrt(w)
+    scaled = design * sw[:, None]
 
     if family == IDENTITY:
-        rhs = response if w is None else response * sw
         # lstsq's rank follows matrix_rank's rule (eps * max(n, p) * s_max)
-        coef, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(scaled, response * sw, rcond=None)
         _check_rank(scaled, column_names, rank)
-        resid2 = (response - design @ coef) ** 2
-        wsum = float(n) if w is None else w.sum()
-        loglik = _gaussian_loglik(float(np.sum(resid2 if w is None else w * resid2)), wsum)
+        rss = float(np.sum(w * (response - design @ coef) ** 2))
+        loglik = _gaussian_loglik(rss, w.sum())
         return FittedGLM(IDENTITY, coef, True, 1, loglik, n, spec, column_names or [])
 
     _check_rank(scaled, column_names)
@@ -299,7 +298,7 @@ def fit_glm(
         raise ConfigError(f"unknown family {family!r}")
 
     coef, iterations, loglik, status = _stacked_logit(
-        design, np.ones((1, n)) if w is None else w[None], response, np.ones(1, dtype=bool))
+        design, w[None], response, np.ones(1, dtype=bool))
     if status[0] == _SINGULAR:
         raise SeparationDetected("singular information matrix; fitted probabilities degenerate")
     if status[0] == _DIVERGED:
@@ -830,17 +829,15 @@ class BlockTable(RowTable):
     ``counts`` is None and dataset k holds each of its rows once. The models
     read through the table are stacked (``BlockFitter``), so every prediction
     is (K, n), and an estimator's point is one per resample or dataset:
-    sum(c*N) / sum(c*D) with c the resample's counts. ``ok`` marks where the
-    stacked models stand in for each one's own ``fit_bundle``. A ratio that
+    sum(c*N) / sum(c*D) with c the resample's counts. A ratio that
     overflows is left as inf, so that only the fits it reaches get a
     non-finite point.
     """
 
-    def __init__(self, table: RowTable, counts: np.ndarray | None, ok: np.ndarray):
+    def __init__(self, table: RowTable, counts: np.ndarray | None):
         super().__init__(table.ds)
         self._designs = table._designs
         self.counts = counts
-        self.ok = ok
 
     def ratio(self, r: VarianceRatioModel) -> np.ndarray:
         return self.cached(
@@ -945,7 +942,7 @@ class BlockFitter:
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
                                          wsum.astype(int), spec, names)
             r = self._solve_ratio(counts, models["m0_pooled"], ok)
-        return ok, (_bundle_sets(models, r), BlockTable(self._table, counts, ok))
+        return ok, (_bundle_sets(models, r), BlockTable(self._table, counts))
 
     def _solve_ratio(self, counts, m0: FittedGLM, ok) -> VarianceRatioModel:
         """The stacked variance ratio; clears ``ok`` where it fails."""

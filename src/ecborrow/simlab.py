@@ -47,7 +47,7 @@ from .estimators import (
     influence_values,
     point_and_influence,
 )
-from .inference import BLOCK_BYTES, _block_points, if_variance, ordered_map
+from .inference import _block_points, block_ranges, if_variance, ordered_map
 from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
@@ -419,8 +419,8 @@ def run_monte_carlo(
     Replicate r draws from the RNG stream (master_seed, r), and aggregation
     runs in replicate order. Replicates go to the fit in blocks of
     consecutive replicates, sized from ``cfg.n`` alone by the bootstrap's
-    BLOCK_BYTES rule, and with ``jobs > 1`` the worker processes take whole
-    blocks, so results are identical for any ``jobs``. Each block fits every
+    rule (``block_ranges``), and with ``jobs > 1`` the worker processes take
+    whole blocks, so results are identical for any ``jobs``. Each block fits every
     working model of its replicates at once (``BlockFitter``); a replicate
     the block cannot stand in for is fit alone (``_mc_replicate``).
     """
@@ -434,9 +434,8 @@ def run_monte_carlo(
             "draw retention above the in-memory cap; lower reps or drop estimators"
         )
     truth = true_effects(cfg)
-    size = max(1, BLOCK_BYTES // (8 * cfg.n))
-    tasks = [(cfg, master_seed, range(start, min(start + size, reps)), tuple(estimators))
-             for start in range(0, reps, size)]
+    tasks = [(cfg, master_seed, replicates, tuple(estimators))
+             for replicates in block_ranges(reps, cfg.n)]
     raw = [item for block in ordered_map(_mc_block, tasks, jobs) for item in block]
     failures = [item for item in raw if not item["ok"]]
     if len(failures) > 0.02 * reps:

@@ -10,6 +10,7 @@ are integrated by Monte Carlo draws.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +27,28 @@ def wls_normal_equations(design: np.ndarray, response: np.ndarray,
     xtwx = design.T @ (design * w[:, None])
     xtwy = design.T @ (w * response)
     return np.linalg.solve(xtwx, xtwy)
+
+
+def exact_wls(design: np.ndarray, weights: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Weighted least squares solved exactly: the normal equations in rational
+    arithmetic (every float is a Fraction exactly), then each coefficient
+    rounded once to the nearest float. A yardstick for the float solvers."""
+    x = [[Fraction(float(v)) for v in row] for row in design]
+    w = [Fraction(float(v)) for v in weights]
+    y = [Fraction(float(v)) for v in response]
+    rows = [i for i, wi in enumerate(w) if wi]
+    p = len(x[0])
+    # the augmented system [X'WX | X'Wy], reduced by Gauss-Jordan elimination
+    system = [[sum(w[i] * x[i][a] * x[i][b] for i in rows) for b in range(p)]
+              + [sum(w[i] * x[i][a] * y[i] for i in rows)] for a in range(p)]
+    for col in range(p):
+        pivot = next(r for r in range(col, p) if system[r][col])
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(p):
+            if r != col and system[r][col]:
+                f = system[r][col] / system[col][col]
+                system[r] = [a - f * b for a, b in zip(system[r], system[col])]
+    return np.array([float(system[a][p] / system[a][a]) for a in range(p)])
 
 
 def newton_logit(design: np.ndarray, response: np.ndarray,

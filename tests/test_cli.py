@@ -173,6 +173,61 @@ def test_estimate_missing_input_is_data_error(capsys):
     assert json.loads(out)["error"]["code"] == "MISSING_COLUMN"
 
 
+_HEADER = "d,t,y,x1\n"
+_ROWS = "1,1,0.5,0.1\n1,0,0.2,0.3\n0,0,0.4,-0.2\n"
+
+
+@pytest.mark.parametrize(
+    "text, schema, status, code, message, details",
+    [
+        (_HEADER + _ROWS + "1,0,0.1,nan\n", None, 3, "PARSE_ERROR", "non-finite value 'nan'",
+         {"row": 3, "column": "x1"}),
+        (_HEADER + "1,1,inf,0.1\n" + _ROWS, None, 3, "PARSE_ERROR", "non-finite value 'inf'",
+         {"row": 0, "column": "y"}),
+        (_HEADER + _ROWS + "1,0,0.1\n", None, 3, "PARSE_ERROR", "row has 3 fields, header has 4",
+         {"row": 3, "column": ""}),
+        ("", None, 3, "INVARIANT_VIOLATION", "empty CSV: ", None),
+        (_HEADER, None, 3, "INVARIANT_VIOLATION", "no data rows in ", None),
+        (_HEADER + "1,1,0.5,0.1\n\n \n1,0,abc,0.3\n", None, 3, "PARSE_ERROR",
+         "cannot parse 'abc' as a number", {"row": 3, "column": "y"}),
+        (_HEADER + _ROWS, '{"x": ["x1", "age"]}', 3, "MISSING_COLUMN",
+         "covariate column 'age' not in header", {"column": "age"}),
+        ("d,t,y\n1,1,0.5\n", None, 3, "MISSING_COLUMN", "no covariate columns found", None),
+        (_HEADER + _ROWS, '{"z": "x1"}', 2, "CONFIG", "unknown schema keys: ['z']", None),
+    ],
+    ids=["nan_cell", "inf_cell", "field_count", "empty_file", "header_only",
+         "blank_lines_keep_row_numbers", "schema_covariate_missing", "no_covariates",
+         "unknown_schema_key"],
+)
+def test_csv_errors_are_typed_and_located(tmp_path, capsys, text, schema, status, code, message,
+                                          details):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = ["estimate", "--input", str(path)]
+    if schema is not None:
+        argv += ["--schema", schema]
+    exit_status, out = run_cli(argv, capsys)
+    error = json.loads(out)["error"]
+    assert (exit_status, error["code"], error.get("details")) == (status, code, details)
+    assert message in error["message"]
+    jsonschema.validate({"error": error}, SCHEMA)
+
+
+@pytest.mark.parametrize("estimand", [",", " , ", []], ids=["comma", "blank", "empty_list"])
+def test_empty_estimand_list_is_config_error(tmp_path, capsys, monkeypatch, estimand):
+    monkeypatch.chdir(ROOT)
+    argv = ["estimate", "--input", "tests/data/golden_input.csv"]
+    if isinstance(estimand, list):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"estimand": estimand}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--estimand", estimand]
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "CONFIG", "message": "no estimand requested"}
+
+
 @pytest.mark.parametrize(
     "argv, config, key",
     [
@@ -664,7 +719,7 @@ def test_non_logit_propensity_spec_is_config_error(tmp_path, capsys, monkeypatch
         ({"schema": {"d": 5}}, "'d'"),
         ({"schema": {"x": "x1"}}, "'x'"),
         ({"side": []}, "side must be"),
-        ({"treated_only": "no"}, "treated_only must be"),
+        ({"treated_only": "no"}, "unknown config keys"),
         ({"out": 5}, "out must be"),
         ({"estimand": ["tau", 5]}, "estimand '5'"),
         ({"dgp": {"selection_coefs": "abc"}}, "selection_coefs must be"),
