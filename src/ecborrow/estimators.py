@@ -46,7 +46,7 @@ from .nuisance import (
 )
 
 DENOM_EPS = 1e-6   # floor on the pooled-control weight denominator
-IF_MEAN_TOL = 1e-8  # influence values must average to zero at the estimate
+IF_MEAN_TOL = 1e-8  # influence values average to zero at the estimate, relative to their scale
 
 ESTIMAND_TAU = "tau"
 ESTIMAND_PSI = "psi"
@@ -409,18 +409,27 @@ def influence_values(
 ) -> IFVector:
     """Per-row influence values of the named estimator at its estimate.
 
-    The values average to zero (within IF_MEAN_TOL) when ``point`` is the
+    The values average to zero (``uncentred``) when ``point`` is the
     matching estimator output; otherwise MismatchedPoint is raised.
     """
     values = _moment(ds, nuis, estimand, method, table).influence(point)
-    mean = float(np.mean(values))
-    if abs(mean) > IF_MEAN_TOL:
+    if uncentred(values, point):
         raise MismatchedPoint(
-            f"influence values average to {mean:.3e}; point does not match the estimator",
+            f"influence values average to {float(np.mean(values)):.3e}; point does not match"
+            " the estimator",
             estimand=estimand,
             method=method,
         )
     return IFVector(values=values, estimand=estimand, method=method)
+
+
+def uncentred(values: np.ndarray, point):
+    """Whether influence values at ``point`` average further from zero than
+    IF_MEAN_TOL times their mean magnitude plus |point| (each value holds
+    point*D, so the point's rounding moves the mean by about eps*|point|);
+    one verdict per row of a block's (K, n) values, none for a NaN mean."""
+    scale = np.mean(np.abs(values), axis=-1) + np.abs(point)
+    return np.abs(np.mean(values, axis=-1)) > IF_MEAN_TOL * scale
 
 
 def point_and_influence(
@@ -431,7 +440,7 @@ def point_and_influence(
     table: RowTable | None = None,
 ):
     """The named estimator's point and its influence values at that point, from
-    one computation of its rows, without ``influence_values``' mean-zero check.
+    one computation of its rows, unchecked (``uncentred`` is the check).
 
     On a DatasetBlock with its ``BlockTable`` they are (K,) points and (K, n)
     values, one row per dataset.

@@ -18,6 +18,7 @@ bias bound under a source-specific control-mean shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -307,8 +308,9 @@ def _summarize(outcomes: list, level: float, max_failure_rate: float) -> Bootstr
             messages=[m for _, m in outcomes if m is not None][:5],
         )
     variance = float(np.var(points, ddof=1)) if points.size > 1 else 0.0
-    lo = float(np.quantile(points, (1.0 - level) / 2.0))
-    hi = float(np.quantile(points, (1.0 + level) / 2.0))
+    ordered = np.sort(points)
+    lo, hi = (_linear_quantile(ordered, prob)
+              for prob in ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
     return BootstrapResult(
         variance=variance,
         ci=(lo, hi),
@@ -316,6 +318,17 @@ def _summarize(outcomes: list, level: float, max_failure_rate: float) -> Bootstr
         failures=int(failures),
         points=points,
     )
+
+
+def _linear_quantile(ordered: np.ndarray, prob: float) -> float:
+    """``np.quantile(ordered, prob)`` ("linear") bit for bit on sorted finite values, up
+    to the sign of a zero, without the ``np.unique`` call that imports numpy.ma."""
+    last = ordered.size - 1
+    virtual = last * prob
+    below = -1 if virtual >= last else math.floor(virtual)  # numpy's index at the end
+    a, b = float(ordered[below]), float(ordered[below + 1 if below >= 0 else -1])
+    gamma, diff = virtual - below, b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def bootstrap_variance(

@@ -19,9 +19,9 @@ holds by construction.
 The Monte Carlo engine fits replicates a block at a time on the block path
 that also serves the bootstrap's resamples: a block's draws are stacked
 into a ``DatasetBlock``, ``nuisance.BlockFitter`` fits every working model
-of every replicate at once, and the estimators' own moments give each
-replicate's points, influence values and analytic gain from (K, n) arrays.
-A replicate the block cannot stand in for is fit alone (``_mc_replicate``).
+of every replicate at once, and one scorer (``_record_columns``) turns the
+fits into each replicate's row of points, IF variances and analytic gain. A
+replicate the block cannot stand in for is fit alone and scored by it at K = 1.
 """
 
 from __future__ import annotations
@@ -35,19 +35,17 @@ import numpy as np
 
 from ._normal import ndtri
 from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, DatasetBlock, is_finite_number
-from .errors import ConfigError, EcborrowError, NonConvergence, ReplicateFailure
+from .errors import ConfigError, EcborrowError, NonConvergence, NonFiniteResult, ReplicateFailure
 from .estimators import (
-    IF_MEAN_TOL,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
     IFVector,
     efficiency_gain_analytic,
-    estimate_point,
-    influence_values,
     point_and_influence,
+    uncentred,
 )
-from .inference import _block_points, block_ranges, if_variance, ordered_map
+from .inference import _block_points, _describe, block_ranges, if_variance, ordered_map
 from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
@@ -75,7 +73,8 @@ _D2_SD = float(np.sqrt(_INV_SQ_LOGISTIC + 2.0))
 # Gauss-Hermite nodes per covariate for the scenario truths. On the four
 # default scenarios 120 nodes agree with 60 to 2.4e-14; a steeper selection
 # index on the distorted features converges more slowly, so a truth that
-# moves by more than TRUTH_TOL under twice the nodes is an error.
+# moves by more than TRUTH_TOL times max(1, |truth|) under twice the nodes is
+# an error.
 QUADRATURE_NODES = 60
 TRUTH_TOL = 1e-8
 
@@ -157,6 +156,14 @@ def distort(x: np.ndarray) -> np.ndarray:
     return np.column_stack([(w1 - _D1_MEAN) / _D1_SD, (w2 - _D2_MEAN) / _D2_SD])
 
 
+def _features(cfg: ScenarioConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The propensity and the outcome features of covariates ``x``: ``distort(x)``
+    in the scenario's misspecified arms, computed once, and ``x`` itself otherwise."""
+    distorted = distort(x) if cfg.propensity_distorted or cfg.outcome_distorted else x
+    return (distorted if cfg.propensity_distorted else x,
+            distorted if cfg.outcome_distorted else x)
+
+
 def _linear(coefs: tuple[float, float, float], z: np.ndarray) -> np.ndarray:
     return coefs[0] + coefs[1] * z[:, 0] + coefs[2] * z[:, 1]
 
@@ -173,8 +180,7 @@ def generate(cfg: ScenarioConfig, seed) -> tuple[CompositeDataset, TruthFrame]:
     """Draw one synthetic composite dataset plus its hidden truth."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((cfg.n, 2))
-    z_ps = distort(x) if cfg.propensity_distorted else x
-    z_out = distort(x) if cfg.outcome_distorted else x
+    z_ps, z_out = _features(cfg, x)
 
     pi_true = expit(_linear(cfg.selection_coefs, z_ps))
     d = (rng.random(cfg.n) < pi_true).astype(int)
@@ -233,16 +239,18 @@ def true_effects(cfg: ScenarioConfig) -> TrueEffects:
     pi conditions on the data source without drawing it. Sample size and
     engagement shift do not enter. The rule has QUADRATURE_NODES per
     covariate; one of twice as many checks it, and a truth that moves by
-    more than TRUTH_TOL between them raises NonConvergence. The check rule's
-    sums skip BLAS, whose multithreaded dot products cost more than they save
+    more than TRUTH_TOL times max(1, |truth|) between them raises
+    NonConvergence, so the check scales with the effects' units. The check
+    rule's sums skip BLAS, whose multithreaded dot products cost more than they save
     at its size; their last bits reach only the gap.
     """
     truth = _quadrature_effects(cfg, QUADRATURE_NODES, np.dot)
     check = _quadrature_effects(cfg, 2 * QUADRATURE_NODES, _sum_of_products)
     gaps = {name: abs(getattr(truth, name) - getattr(check, name))
             for name in ("tau", "psi", "xi", "q")}
-    if not all(gap <= TRUTH_TOL for gap in gaps.values()):
-        name = max(gaps, key=gaps.get)
+    scaled = {name: gap / max(1.0, abs(getattr(truth, name))) for name, gap in gaps.items()}
+    if not all(miss <= TRUTH_TOL for miss in scaled.values()):
+        name = max(scaled, key=scaled.get)
         raise NonConvergence(
             f"quadrature truth {name} moves by {gaps[name]:.2g} between {QUADRATURE_NODES} and"
             f" {2 * QUADRATURE_NODES} nodes per covariate", estimand=name, gap=gaps[name])
@@ -259,8 +267,7 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int, expect) -> TrueEffects:
     nodes, weights = _normal_rule(k)
     x = np.column_stack([np.repeat(nodes, k), np.tile(nodes, k)])
     w = np.outer(weights, weights).ravel()
-    z_ps = distort(x) if cfg.propensity_distorted else x
-    z_out = distort(x) if cfg.outcome_distorted else x
+    z_ps, z_out = _features(cfg, x)
     pi = expit(_linear(cfg.selection_coefs, z_ps))
     g = _linear(cfg.effect_coefs, z_out)
     q = float(expect(w, pi))
@@ -275,100 +282,70 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int, expect) -> TrueEffects:
 # --------------------------- Monte Carlo core --------------------------
 
 
-def _with_constant_ratio(fitted: tuple) -> tuple[dict, RowTable]:
-    """A bundle's sets, plus "pooled_const" (the pooled set with a constant ratio), and its table."""
-    sets, table = fitted
-    sets["pooled_const"] = replace(sets["pooled"], r=sets["pooled"].r.constant)
-    return sets, table
-
-
 def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
-    """The replicate's bundle with "pooled_const" (``_with_constant_ratio``), fit alone.
+    """The replicate's working models and their ``RowTable``, fit alone by ``fit_bundle``.
 
     The analyst's working models are linear in the raw covariates, so they
     are correct in the undistorted arms only.
     """
-    return _with_constant_ratio(fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR))
-
-
-def _failure(exc: EcborrowError) -> dict:
-    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    return fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
 
 
 def _mc_block(args) -> list:
     """Draw each replicate of a block once (a failed draw is its failure), score
     the drawn ones the block stands in for at once, then finish each in order."""
     cfg, master_seed, reps, estimators = args
-    results, drawn = [], []  # results: a failed draw's failure, None where it drew
+    results, drawn = [], []  # results: a failed draw's message, None where it drew
     for rep in reps:
         try:
             drawn.append(generate(cfg, [master_seed, rep])[0])
             results.append(None)
         except EcborrowError as exc:
-            results.append(_failure(exc))
+            results.append(_describe(exc))
     # only the block's stacked columns outlive the draws: a replicate it cannot
     # stand in for is taken back out of it
     block = DatasetBlock(drawn) if drawn else None
     del drawn
-    finished = (_mc_replicate(block.dataset(k) if record is None else None, estimators, record)
-                for k, record in enumerate(_block_records(block, estimators) if block else ()))
+    rows = _block_points(BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR),
+                         (partial(_record_columns, estimators),)) if block else ()
+    finished = (_mc_replicate(None if row is not None else block.dataset(k), estimators, row)
+                for k, row in enumerate(rows))
     return [result or next(finished) for result in results]
 
 
-def _block_records(block: DatasetBlock, estimators: tuple) -> list:
-    """Each replicate's record from one stacked fit of the block, or None to fit it alone.
-
-    ``inference._block_points`` scores the block's replicates: a replicate
-    whose stacked fit is not ``ok``, or whose point, IF variance or gain is
-    not finite, gets None, and ``_mc_replicate`` refits it and reports its
-    failure, if any, as a replicate fit alone does.
-    """
-    rows = _block_points(BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR),
-                         (partial(_record_columns, estimators),))
-    return [None if row is None else {
-        **dict(zip(estimators, zip(row[:-1:2].tolist(), row[1::2].tolist()))),
-        "analytic_gain": row[-1].item()} for row in rows]
-
-
-def _record_columns(estimators: tuple, block: DatasetBlock, fitted: tuple) -> np.ndarray:
-    """Each estimator's points and IF variances, then the analytic gain, as (K, 2E + 1).
-
-    A variance is NaN where its influence values do not average to within
-    IF_MEAN_TOL of zero, so that its replicate is fit alone.
-    """
-    sets, table = _with_constant_ratio(fitted)
-    gains, columns = efficiency_gain_analytic(block, sets["pooled"], table), []
+def _record_columns(estimators: tuple, data: CompositeDataset | DatasetBlock,
+                    fitted: tuple) -> np.ndarray:
+    """Each estimator's point and IF variance, then the analytic gain, as (K, 2E + 1), on
+    a DatasetBlock with its ``BlockFitter`` fit or on one replicate with its own (K = 1).
+    A variance is NaN where its influence values are ``uncentred``: its row is not used."""
+    sets, table = fitted
+    sets["pooled_const"] = replace(sets["pooled"], r=sets["pooled"].r.constant)
+    columns = []
     for name in estimators:
         estimand, method, _, set_name = _ESTIMATOR_META[name]
-        points, values = point_and_influence(block, sets[set_name], estimand, method, table)
+        points, values = point_and_influence(data, sets[set_name], estimand, method, table)
         variances = if_variance(IFVector(values, estimand, method))
-        centred = np.abs(np.mean(values, axis=-1)) <= IF_MEAN_TOL
-        columns += [points, np.where(centred, variances, np.nan)]
-    return np.column_stack([*columns, gains])
+        columns += [points, np.where(uncentred(values, points), np.nan, variances)]
+    # the gain comes last, so that a replicate fit alone raises an estimator's error first
+    columns.append(efficiency_gain_analytic(data, sets["pooled"], table))
+    return np.column_stack(columns)
 
 
-def _mc_replicate(ds: CompositeDataset | None, estimators: tuple, record: dict | None = None) -> dict:
-    """Finish the replicate drawn as ``ds``: its record from the block, or its own fit.
-
-    Without a ``record`` the replicate ``ds`` is fit alone by ``fit_bundle`` and
-    scored estimator by estimator, so a failure keeps its type and message.
-    """
-    if record is not None:
-        return {"ok": True, "record": record}
-    try:
-        # one table: every estimator below shares its predictions and pieces
-        sets, table = _fit_replicate_nuisances(ds)
-        record = {}
-        for name in estimators:
-            estimand, method, _, set_name = _ESTIMATOR_META[name]
-            nuis = sets[set_name]
-            point = estimate_point(ds, nuis, estimand, method, table=table)
-            ifv = influence_values(ds, nuis, estimand, method, point, table=table)
-            record[name] = (point, if_variance(ifv))
-        record["analytic_gain"] = efficiency_gain_analytic(ds, sets["pooled"], table=table)
-        return {"ok": True, "record": record}
-    except EcborrowError as exc:
-        return _failure(exc)
+def _mc_replicate(ds: CompositeDataset | None, estimators: tuple, row: np.ndarray | None = None):
+    """Finish the replicate drawn as ``ds``: its ``_record_columns`` row from the block,
+    or from its own fit alone, or its failure as "Type: message"; a row fit alone
+    that holds a non-finite value is a NonFiniteResult naming the first such column."""
+    if row is None:
+        try:
+            row = _record_columns(estimators, ds, _fit_replicate_nuisances(ds))[0]
+            if not np.isfinite(row).all():
+                labels = [f"{name} {kind}" for name in estimators
+                          for kind in ("point", "IF variance")] + ["analytic gain"]
+                column = int(np.argmin(np.isfinite(row)))
+                raise NonFiniteResult(f"replicate {labels[column]} is {row[column]}")
+        except EcborrowError as exc:
+            return _describe(exc)
+    return row
 
 
 @dataclass
@@ -437,22 +414,21 @@ def run_monte_carlo(
     tasks = [(cfg, master_seed, replicates, tuple(estimators))
              for replicates in block_ranges(reps, cfg.n)]
     raw = [item for block in ordered_map(_mc_block, tasks, jobs) for item in block]
-    failures = [item for item in raw if not item["ok"]]
+    failures = [item for item in raw if isinstance(item, str)]
     if len(failures) > 0.02 * reps:
         raise ReplicateFailure(
-            f"{len(failures)}/{reps} Monte Carlo replicates failed",
-            messages=[f["error"] for f in failures[:5]],
-        )
-    records = [item["record"] for item in raw if item["ok"]]
-    n_ok = len(records)
+            f"{len(failures)}/{reps} Monte Carlo replicates failed", messages=failures[:5])
+    # one row per replicate that succeeded: each estimator's point and IF
+    # variance, then the analytic gain (``_record_columns``)
+    rows = np.stack([item for item in raw if not isinstance(item, str)])
+    n_ok = len(rows)
     crit = ndtri(0.5 + level / 2.0)
     truths = truth.by_estimand()
     summaries: dict = {}
     draws: dict = {} if keep_draws else None
-    for name in estimators:
+    for i, name in enumerate(estimators):
         estimand, method, ratio, _ = _ESTIMATOR_META[name]
-        points = np.array([rec[name][0] for rec in records])
-        variances = np.array([rec[name][1] for rec in records])
+        points, variances = rows[:, 2 * i], rows[:, 2 * i + 1]
         target = truths[estimand]
         errors = points - target
         ses = np.sqrt(variances)
@@ -475,7 +451,6 @@ def run_monte_carlo(
         )
         if keep_draws:
             draws[name] = points
-    gains = np.array([rec["analytic_gain"] for rec in records])
     return MCResult(
         config=cfg,
         reps=reps,
@@ -484,8 +459,8 @@ def run_monte_carlo(
         truth=truth,
         summaries=summaries,
         failures=len(failures),
-        failure_messages=[f["error"] for f in failures],
-        mean_analytic_gain=float(np.mean(gains)),
+        failure_messages=failures,
+        mean_analytic_gain=float(np.mean(rows[:, -1])),
         draws=draws,
     )
 

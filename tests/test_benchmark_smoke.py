@@ -20,21 +20,34 @@ from ecborrow.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cold_estimate_run_prints_a_correct_result(tmp_path):
+def _cold_estimate_result(tmp_path, trace: int) -> dict:
+    """The last line of a 1 s ``cold_estimate`` harness run, read as its result."""
     # a copy, so the run's scratch directory and bytecode stay out of the checkout
     for name in ("perfbench", "src", "schemas", "tests/data"):
         shutil.copytree(ROOT / name, tmp_path / name,
                         ignore=shutil.ignore_patterns(".work", "__pycache__"))
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "cold_estimate", "--seed", "1",
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", "1", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    assert set(result["metrics"]) == {metric["name"] for metric in declared}
+    return result
+
+
+def _declared(section: str) -> set:
+    return {metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())[section]}
+
+
+def test_cold_estimate_run_prints_a_correct_result(tmp_path):
+    assert set(_cold_estimate_result(tmp_path, 0)["metrics"]) == _declared("end_to_end")
+
+
+def test_traced_cold_estimate_run_holds_every_per_layer_metric(tmp_path):
+    # the traced run fills the layers cold_estimate never enters from its probe runs
+    assert set(_cold_estimate_result(tmp_path, 1)["metrics"]) == _declared("per_layer")
 
 
 def _workloads(monkeypatch):

@@ -56,6 +56,24 @@ def test_estimate_output_validates_against_schema(tmp_path, capsys):
     assert {e["estimand"] for e in payload["estimates"]} == {"tau", "psi", "xi"}
 
 
+def test_estimate_points_scale_with_the_outcome(tmp_path, capsys):
+    # the influence values' centring check is relative to their own scale, so
+    # an outcome in large units is no MISMATCHED_POINT; the variance ratio's
+    # VAR_FLOOR moves the unscaled points by about 4e-8, so two large scales
+    # are compared
+    header, *rows = (ROOT / "tests" / "data" / "golden_input.csv").read_text().splitlines()
+    points = {}
+    for scale in (1e8, 1e10):
+        path = tmp_path / f"scaled_{scale:g}.csv"
+        scaled = [line.split(",") for line in rows]
+        path.write_text("\n".join([header] + [",".join(
+            [d, t, repr(float(y) * scale), *x]) for d, t, y, *x in scaled]) + "\n")
+        code, out = run_cli(["estimate", "--input", str(path)], capsys)
+        assert code == 0, out
+        points[scale] = np.array([e["point"] for e in json.loads(out)["estimates"]])
+    assert np.allclose(points[1e10], 100.0 * points[1e8], rtol=1e-12, atol=0)
+
+
 def assert_golden_bytes(name, argv, tmp_path, capsys, monkeypatch):
     """The CLI run recorded by scripts/make_golden.py writes the golden file byte for byte."""
     monkeypatch.chdir(ROOT)
@@ -791,7 +809,8 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     """No scipy module nor the process pool loads with the CLI, estimate or simulate.
 
     Only diagnose's chi-square p-value (and the rank-failure QR) imports scipy,
-    and only simulate's quadrature truths import numpy.polynomial. Only
+    only simulate's quadrature truths import numpy.polynomial, and neither
+    estimate imports numpy.ma (the bootstrap interval takes no np.quantile). Only
     simulate runs ecborrow.simlab: until then the module may be entered in
     sys.modules, but its code has not run.
     """
@@ -821,7 +840,7 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
         f"run(['estimate', '--input', '{golden}', '--seed', '11'])\n"
         f"run(['estimate', '--input', '{golden}', '--estimand', 'tau', '--variance', 'bootstrap',"
         " '--B', '100', '--seed', '3'])\n"
-        "print(loaded(heavy + ('numpy.polynomial',)), simlab_ran())\n"
+        "print(loaded(heavy + ('numpy.polynomial', 'numpy.ma.')), simlab_ran())\n"
         "run(['simulate', '--scenario', 'i', '--reps', '4', '--n', '200', '--seed', '3'])\n"
         "print(loaded(heavy))\n"
         f"print(run(['diagnose', '--input', '{golden}'])['exchangeability']['p_value'])\n"

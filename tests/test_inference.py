@@ -35,6 +35,7 @@ from ecborrow.inference import (
     SharedFit,
     _block_points,
     _bootstrap_one,
+    _linear_quantile,
     bias_bound,
     bootstrap_variance,
     if_variance,
@@ -244,6 +245,19 @@ def test_if_variance_matches_formula(random_dataset):
 
 def _mean_diff_estimator(ds: CompositeDataset) -> float:
     return float(ds.y[ds.t == 1].mean() - ds.y[ds.t == 0].mean())
+
+
+def test_interval_quantile_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for size in [1, 2, 3, *rng.integers(4, 1200, 60)]:
+        points = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6)
+        if size % 3 == 0:
+            points = np.round(points, 1) + 0.0  # ties, without a signed zero
+        ordered = np.sort(points)
+        for level in (0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, *rng.uniform(0, 1, 5)):
+            for prob in ((1.0 - level) / 2.0, (1.0 + level) / 2.0):
+                want = np.float64(np.quantile(points, prob)).tobytes()
+                assert np.float64(_linear_quantile(ordered, prob)).tobytes() == want, (size, prob)
 
 
 def test_bootstrap_deterministic(random_dataset):

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_sixty_nodes_agree_with_one_hundred_twenty(monkeypatch):
         high = true_effects(cfg)
         for name in ("tau", "psi", "xi", "q"):
             assert getattr(low, name) == pytest.approx(getattr(high, name), abs=bound)
+
+
+def test_truth_check_scales_with_the_effects(tmp_path, capsys):
+    # effects near 1e9 move by rounding alone (3.6e-7 for xi) between the two rules
+    dgp = {"control_mean_coefs": [1e9, 1.0, 0.5], "effect_coefs": [1e9, 0.5, 0.0]}
+    config = tmp_path / "large.json"
+    config.write_text(json.dumps({"dgp": dgp}))
+    code = main(["simulate", "--scenario", "i", "--reps", "20", "--n", "300",
+                 "--config", str(config)])
+    result = json.loads(capsys.readouterr().out)
+    assert code == 0, result
+    study = result["scenarios"]["i"]
+    assert study["failures"] == 0
+    assert study["truth"]["psi"] == pytest.approx(1e9, rel=1e-9)
 
 
 @pytest.mark.parametrize("selection, effect, name", [
@@ -284,8 +299,8 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
     monkeypatch.setattr(nuisance, "fit_glm", counting_fit_glm)
     monkeypatch.setattr(nuisance.ModelSpec, "design", counting_design)
     monkeypatch.setattr(nuisance.FittedGLM, "predict", counting_predict)
-    result = sl._mc_replicate(ds, sl.ALL_ESTIMATORS)
-    assert result["ok"]
+    row = sl._mc_replicate(ds, sl.ALL_ESTIMATORS)
+    assert row.shape == (2 * len(sl.ALL_ESTIMATORS) + 1,) and np.isfinite(row).all()
     # m1, pooled m0, p, pi, the two log-variance fits and trial m0
     assert fits == ["identity"] * 2 + ["logit"] * 2 + ["identity"] * 3
     # every fit, the variance ratio's too, reads its rows of the table's one all-row
@@ -296,11 +311,14 @@ def test_replicate_fits_seven_models_and_predicts_each_once(monkeypatch):
 
 
 def _block_and_alone(cfg, seed, reps):
-    """Each replicate's record from one block of ``reps``, and from _mc_replicate alone."""
+    """Each replicate's row from one block of ``reps`` (None where the block hands
+    it back), and its row or failure message from _mc_replicate alone."""
     drawn = [generate(cfg, [seed, rep])[0] for rep in reps]
-    records = sl._block_records(DatasetBlock(drawn), sl.ALL_ESTIMATORS)
+    block = DatasetBlock(drawn)
+    rows = sl._block_points(sl.BlockFitter(block, sl.linear_specs(block.k), sl.RATIO_LOGLINEAR),
+                            (partial(sl._record_columns, sl.ALL_ESTIMATORS),))
     alone = [sl._mc_replicate(ds, sl.ALL_ESTIMATORS) for ds in drawn]
-    return records, alone
+    return rows, alone
 
 
 def test_block_gives_back_each_drawn_dataset_bit_for_bit():
@@ -322,20 +340,20 @@ def test_block_gives_back_each_drawn_dataset_bit_for_bit():
 def test_block_matches_each_replicate_fit_alone(scenario, n):
     cfg = ScenarioConfig(scenario=scenario, n=n)
     for seed in (0, 1, 2):
-        records, alone = _block_and_alone(cfg, seed, range(12))
-        for block, own in zip(records, alone):
+        rows, alone = _block_and_alone(cfg, seed, range(12))
+        for block, own in zip(rows, alone):
             # the block stands in for every replicate here, so each is compared
-            assert block is not None and own["ok"]
-            own = own["record"]
-            for name in sl.ALL_ESTIMATORS:
-                (point, variance), (own_point, own_variance) = block[name], own[name]
+            assert block is not None and not isinstance(own, str)
+            for column in range(0, 2 * len(sl.ALL_ESTIMATORS), 2):
+                (point, variance), (own_point, own_variance) = (
+                    block[column:column + 2], own[column:column + 2])
                 # a point near zero is compared on the scale of its standard error
                 assert abs(point - own_point) <= 1e-12 * max(abs(own_point), own_variance**0.5)
                 assert variance == pytest.approx(own_variance, rel=1e-12, abs=0)
             # the gain reads the log-variance fits, whose responses log(r^2 + floor)
             # magnify the last bits in which m0 from normal equations and from lstsq
             # differ by 2/|r| where a residual r is near zero (2.6e-12 seen at n = 60)
-            assert block["analytic_gain"] == pytest.approx(own["analytic_gain"], rel=1e-11, abs=0)
+            assert block[-1] == pytest.approx(own[-1], rel=1e-11, abs=0)
 
 
 def _outcome(cfg, reps):
@@ -352,12 +370,12 @@ def _outcome(cfg, reps):
 ])
 def test_block_failures_match_replicates_fit_alone(monkeypatch, n, scenario, reps, failures):
     cfg = ScenarioConfig(scenario=scenario, n=n)
-    records, alone = _block_and_alone(cfg, 7, range(reps))
+    rows, alone = _block_and_alone(cfg, 7, range(reps))
     # the block hands back exactly the replicates that fail alone
-    assert [record is None for record in records] == [not own["ok"] for own in alone]
+    assert [row is None for row in rows] == [isinstance(own, str) for own in alone]
     with_block = _outcome(cfg, reps)
     # with the block disabled every replicate is fit alone
-    monkeypatch.setattr(sl, "_block_records", lambda block, estimators: [None] * len(block.y))
+    monkeypatch.setattr(sl, "_block_points", lambda fitter, points: [None] * len(fitter.base.y))
     fit_alone = _outcome(cfg, reps)
     if failures is None:
         assert with_block == fit_alone
@@ -372,6 +390,23 @@ def test_block_failures_match_replicates_fit_alone(monkeypatch, n, scenario, rep
             assert summary[key] == pytest.approx(own[key], rel=1e-11, abs=1e-12 * own["sd"])
     assert with_block["mean_analytic_gain"] == pytest.approx(
         fit_alone["mean_analytic_gain"], rel=1e-11)
+
+
+@pytest.mark.parametrize("patch, message", [
+    (("efficiency_gain_analytic", lambda gain: lambda *args: gain(*args) + np.inf),
+     "replicate analytic gain is inf"),
+    (("uncentred", lambda check: lambda values, points: np.ones_like(points, dtype=bool)),
+     "replicate tau_full IF variance is nan"),
+], ids=["gain", "variance"])
+def test_replicate_fit_alone_with_a_non_finite_value_is_a_typed_failure(monkeypatch, patch,
+                                                                         message):
+    # every row holds a non-finite value: the block hands each replicate back,
+    # and each one fit alone is a failure that names the first such column
+    name, wrap = patch
+    monkeypatch.setattr(sl, name, wrap(getattr(sl, name)))
+    with pytest.raises(ReplicateFailure) as failed:
+        run_monte_carlo(ScenarioConfig(scenario="i", n=200), reps=3, master_seed=1)
+    assert failed.value.details["messages"] == [f"NonFiniteResult: {message}"] * 3
 
 
 def test_failed_draw_is_its_replicates_failure(tmp_path, capsys):
