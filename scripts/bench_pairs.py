@@ -12,7 +12,9 @@ many rounds the change read better (ties count for neither side), and
 whether that is a gain by the benchmark's rule: better in at least nine
 tenths of the rounds, with the medians further apart than the parent's
 quartiles. Given the same checkout twice it is an A/A calibration: what
-the rule reads on noise alone.
+the rule reads on noise alone. The summary's first line also gives each
+checkout's ``src/`` line count, by the harness's ``src_lines`` rule, so a
+change's line count stands next to its timings.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: harness exit {done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/**/*.py``, as perfbench's ``src_lines`` counts them."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted((checkout / "src").rglob("*.py")))
+
+
+def line_counts(parent: Path, change: Path) -> str:
+    """Each checkout's ``src/`` line count and the change's difference."""
+    before, after = src_lines(parent), src_lines(change)
+    return f"src/ lines: parent {before}, change {after} ({after - before:+d})"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -92,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
                              for m in metrics)
             print(f"round {round_ + 1} {side}: {shown}", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.seconds} s, {args.rounds} rounds"
-          " (median [quartiles])")
+          f" (median [quartiles]); {line_counts(sides['parent'], sides['change'])}")
     for metric in metrics:
         print(summarize(metric, values["parent"][metric["name"]],
                         values["change"][metric["name"]]))

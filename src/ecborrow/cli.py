@@ -30,9 +30,9 @@ from .dataset import (
 )
 from .errors import ConfigError, EcborrowError, NonFiniteResult, OutOfMemory, OverlapNoExternal
 from .estimators import (
-    ESTIMAND_PSI,
     ESTIMAND_TAU,
-    ESTIMAND_XI,
+    ESTIMANDS,
+    ESTIMATORS,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TREATED_ONLY,
@@ -179,7 +179,7 @@ class RunConfig:
             raw = ",".join(map(str, raw))
         names = [e.strip() for e in str(raw).split(",") if e.strip()]
         for name in names:
-            if name not in (ESTIMAND_TAU, ESTIMAND_PSI, ESTIMAND_XI):
+            if name not in ESTIMANDS:
                 raise ConfigError(f"unknown estimand {name!r}")
         if not names:
             raise ConfigError("no estimand requested")
@@ -264,11 +264,7 @@ class EstimatorPlan:
     method: str
 
     def nuisances_for(self, sets: dict) -> NuisanceSet:
-        if self.method == METHOD_TREATED_ONLY:
-            return sets["treated_only"]
-        if self.method in (METHOD_TRIAL, METHOD_BASELINE):
-            return sets["unpooled"]
-        return sets["pooled"]
+        return sets[ESTIMATORS[self.estimand, self.method]]
 
     def evaluate(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]) -> Estimate:
         sets, table = fitted

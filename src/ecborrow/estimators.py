@@ -58,10 +58,15 @@ METHOD_FULL = "full_data"
 METHOD_TREATED_ONLY = "treated_only"
 METHOD_BASELINE = "baseline"
 
-VALID_METHODS = {
-    ESTIMAND_TAU: (METHOD_FULL, METHOD_TRIAL, METHOD_TREATED_ONLY),
-    ESTIMAND_PSI: (METHOD_FULL, METHOD_BASELINE),
-    ESTIMAND_XI: (METHOD_FULL, METHOD_BASELINE),
+# every estimator, (estimand, method), and the ``nuisance.fit_bundle`` set it reads
+ESTIMATORS = {
+    (ESTIMAND_TAU, METHOD_FULL): "pooled",
+    (ESTIMAND_TAU, METHOD_TRIAL): "unpooled",
+    (ESTIMAND_TAU, METHOD_TREATED_ONLY): "treated_only",
+    (ESTIMAND_PSI, METHOD_FULL): "pooled",
+    (ESTIMAND_PSI, METHOD_BASELINE): "unpooled",
+    (ESTIMAND_XI, METHOD_FULL): "pooled",
+    (ESTIMAND_XI, METHOD_BASELINE): "unpooled",
 }
 
 
@@ -77,7 +82,7 @@ class Estimate:
     def __post_init__(self):
         if self.estimand not in ESTIMANDS:
             raise ConfigError(f"unknown estimand {self.estimand!r}")
-        if self.method not in VALID_METHODS[self.estimand]:
+        if (self.estimand, self.method) not in ESTIMATORS:
             raise ConfigError(
                 f"method {self.method!r} is not valid for estimand {self.estimand!r}"
             )
@@ -93,6 +98,12 @@ class IFVector:
 # --------------------------- control weight ---------------------------
 
 
+def weight_denominator(pi, p, r):
+    """pi * (1 - p) + (1 - pi) * r, unfloored: the denominator of the borrowing
+    weights, of the variance gaps, of the bias bound and in the overlap report."""
+    return pi * (1.0 - p) + (1.0 - pi) * r
+
+
 def control_weight(
     pi_x: np.ndarray,
     p_x: np.ndarray,
@@ -103,7 +114,7 @@ def control_weight(
     """Weight attached to control residuals in the full-data moments.
 
     Trial controls get pi / denom, external rows pi * r / denom, everything
-    else zero, with denom = pi * (1 - p) + (1 - pi) * r. The denominator is
+    else zero, with denom the ``weight_denominator``. The denominator is
     floored at DENOM_EPS; the number of floored rows is returned.
     """
     pi_x = np.asarray(pi_x, dtype=float)
@@ -112,7 +123,7 @@ def control_weight(
     d = np.asarray(d)
     t = np.asarray(t)
     numer = d * (1 - t) * pi_x + (1 - d) * pi_x * r_x
-    denom = pi_x * (1.0 - p_x) + (1.0 - pi_x) * r_x
+    denom = weight_denominator(pi_x, p_x, r_x)
     floored = int(np.sum(denom < DENOM_EPS))
     denom = np.maximum(denom, DENOM_EPS)
     return numer / denom, floored
@@ -225,7 +236,7 @@ def _treated_only_moment(table: RowTable, m0_model, pi_model) -> _Moment:
 
 
 def _check_pair(estimand: str, method: str) -> None:
-    if estimand not in ESTIMANDS or method not in VALID_METHODS[estimand]:
+    if (estimand, method) not in ESTIMATORS:
         raise ConfigError(f"no estimator for estimand {estimand!r} with method {method!r}")
 
 
@@ -504,14 +515,13 @@ def _gap_pieces(ds: CompositeDataset, nuis: NuisanceSet):
     pi = table.propensity(nuis.pi)[0]
     r = table.ratio(nuis.r)
     v1 = _var_trial_controls(ds, nuis, table)
-    base = pi * (1.0 - p)
-    return base, pi, r, v1
+    return pi * (1.0 - p), weight_denominator(pi, p, r), pi, v1
 
 
 def variance_gap_psi(ds: CompositeDataset, nuis: NuisanceSet) -> float:
     """Asymptotic variance advantage of the full-data psi estimator."""
-    base, pi, r, v1 = _gap_pieces(ds, nuis)
-    gap = 1.0 / np.maximum(base, DENOM_EPS) - 1.0 / np.maximum(base + (1.0 - pi) * r, DENOM_EPS)
+    base, denom, _, v1 = _gap_pieces(ds, nuis)
+    gap = 1.0 / np.maximum(base, DENOM_EPS) - 1.0 / np.maximum(denom, DENOM_EPS)
     return float(np.mean(gap * v1))
 
 
@@ -519,9 +529,8 @@ def variance_gap_xi(ds: CompositeDataset, nuis: NuisanceSet) -> float:
     """Asymptotic variance advantage of the full-data xi estimator."""
     if ds.q_hat >= 1.0:
         raise OverlapNoExternal("gap for the external-population effect needs external rows")
-    base, pi, r, v1 = _gap_pieces(ds, nuis)
+    base, denom, pi, v1 = _gap_pieces(ds, nuis)
     one_minus_pi_sq = (1.0 - pi) ** 2
     gap = one_minus_pi_sq / np.maximum(base, DENOM_EPS) - one_minus_pi_sq / np.maximum(
-        base + (1.0 - pi) * r, DENOM_EPS
-    )
+        denom, DENOM_EPS)
     return float(np.mean(gap * v1 / (1.0 - ds.q_hat) ** 2))

@@ -27,7 +27,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .dataset import OUTCOME_BINARY, CompositeDataset
 from .errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
-from .estimators import DENOM_EPS, Estimate, IFVector
+from .estimators import DENOM_EPS, Estimate, IFVector, weight_denominator
 from .nuisance import (
     IDENTITY,
     LOGIT,
@@ -321,8 +321,8 @@ def _summarize(outcomes: list, level: float, max_failure_rate: float) -> Bootstr
 
 
 def _linear_quantile(ordered: np.ndarray, prob: float) -> float:
-    """``np.quantile(ordered, prob)`` ("linear") bit for bit on sorted finite values, up
-    to the sign of a zero, without the ``np.unique`` call that imports numpy.ma."""
+    """numpy's default ("linear") quantile at ``prob``, bit for bit on sorted finite values,
+    up to the sign of a zero, without the ``np.unique`` call that imports numpy.ma."""
     last = ordered.size - 1
     virtual = last * prob
     below = -1 if virtual >= last else math.floor(virtual)  # numpy's index at the end
@@ -501,7 +501,7 @@ def bias_bound(
     pi = table.propensity(nuis.pi)[0]
     p = np.ones(ds.n) if nuis.p is None else table.propensity(nuis.p)[0]
     r = table.ratio(nuis.r)
-    denom = np.maximum(pi * (1.0 - p) + (1.0 - pi) * r, DENOM_EPS)
+    denom = np.maximum(weight_denominator(pi, p, r), DENOM_EPS)
     weight = (pi / ds.q_hat) * ((1.0 - pi) * r / denom)
     mean_weight = float(np.mean(weight))
     lambda_estimate = None
@@ -533,14 +533,9 @@ class OverlapReport:
 
 
 def _five_numbers(values: np.ndarray) -> dict:
-    qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return {
-        "min": float(qs[0]),
-        "q25": float(qs[1]),
-        "median": float(qs[2]),
-        "q75": float(qs[3]),
-        "max": float(qs[4]),
-    }
+    ordered = np.sort(values)
+    return {name: _linear_quantile(ordered, prob) for name, prob in
+            (("min", 0.0), ("q25", 0.25), ("median", 0.5), ("q75", 0.75), ("max", 1.0))}
 
 
 def overlap_diagnostics(
@@ -577,7 +572,7 @@ def overlap_diagnostics(
     product = pi * p
     summaries["propensity_product"] = _five_numbers(product)
     r = table.ratio(nuis.r)
-    denom = pi * (1.0 - p) + (1.0 - pi) * r
+    denom = weight_denominator(pi, p, r)
     summaries["weight_denominator"] = _five_numbers(denom)
     trim_counts["denominator_floored"] = int(np.sum(denom < DENOM_EPS))
     flagged = np.where(product > 1.0 - DENOM_EPS)[0]

@@ -471,29 +471,20 @@ class NuisanceSet:
     m1: FittedGLM | None = None
     p: FittedGLM | None = None
     pi: FittedGLM | None = None
-    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __setattr__(self, name, value):
-        # a model swapped in after construction must not keep a stale fingerprint
-        if name != "_fingerprint":
-            object.__setattr__(self, "_fingerprint", None)
-        object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
-        """Short SHA-256 of every model; hashed on the first call only."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            for model in (self.m1, self.m0, self.p, self.pi):
-                if model is None:
-                    h.update(b"absent")
-                else:
-                    h.update(model.family.encode())
-                    h.update(np.ascontiguousarray(model.coef, dtype=float).tobytes())
-            h.update(self.r.mode.encode())
-            h.update(np.ascontiguousarray(self.r.params, dtype=float).tobytes())
-            h.update(b"pooled" if self.m0_pooled else b"unpooled")
-            self._fingerprint = h.hexdigest()[:16]
-        return self._fingerprint
+        """Short SHA-256 of every model."""
+        h = hashlib.sha256()
+        for model in (self.m1, self.m0, self.p, self.pi):
+            if model is None:
+                h.update(b"absent")
+            else:
+                h.update(model.family.encode())
+                h.update(np.ascontiguousarray(model.coef, dtype=float).tobytes())
+        h.update(self.r.mode.encode())
+        h.update(np.ascontiguousarray(self.r.params, dtype=float).tobytes())
+        h.update(b"pooled" if self.m0_pooled else b"unpooled")
+        return h.hexdigest()[:16]
 
 
 # ------------------------------ row table ------------------------------

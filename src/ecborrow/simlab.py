@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from ._normal import ndtri
 from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, DatasetBlock, is_finite_number
 from .errors import ConfigError, EcborrowError, NonConvergence, NonFiniteResult, ReplicateFailure
 from .estimators import (
+    ESTIMATORS,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
@@ -80,26 +81,18 @@ TRUTH_TOL = 1e-8
 
 DRAW_RETENTION_CAP = 1_000_000
 
-ALL_ESTIMATORS = (
-    "tau_full",
-    "tau_full_const",
-    "tau_trial",
-    "psi_full",
-    "psi_base",
-    "xi_full",
-    "xi_base",
-)
-
-# name -> (estimand, method, ratio mode, nuisance set it reads)
+# name -> (estimand, method, ratio mode); a constant-ratio estimator reads the
+# constant model that its set's loglinear ratio carries
 _ESTIMATOR_META = {
-    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR, "pooled"),
-    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT, "pooled_const"),
-    "tau_trial": ("tau", METHOD_TRIAL, None, "unpooled"),
-    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR, "pooled"),
-    "psi_base": ("psi", METHOD_BASELINE, None, "unpooled"),
-    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR, "pooled"),
-    "xi_base": ("xi", METHOD_BASELINE, None, "unpooled"),
+    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR),
+    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT),
+    "tau_trial": ("tau", METHOD_TRIAL, None),
+    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR),
+    "psi_base": ("psi", METHOD_BASELINE, None),
+    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR),
+    "xi_base": ("xi", METHOD_BASELINE, None),
 }
+ALL_ESTIMATORS = tuple(_ESTIMATOR_META)
 
 
 @dataclass(frozen=True)
@@ -219,15 +212,20 @@ class TrueEffects:
         return {"tau": self.tau, "psi": self.psi, "xi": self.xi}
 
 
+@cache
 def _normal_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes for the standard normal, and weights that sum to one.
+    """Gauss-Hermite nodes for the standard normal, and weights that sum to one,
+    computed once per process and read-only, since every scenario shares them.
 
     ``numpy.polynomial`` is imported here, so that only ``simulate`` loads it.
     """
     from numpy.polynomial.hermite_e import hermegauss
 
     nodes, weights = hermegauss(k)
-    return nodes, weights / weights.sum()
+    rule = nodes, weights / weights.sum()
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def true_effects(cfg: ScenarioConfig) -> TrueEffects:
@@ -319,11 +317,13 @@ def _record_columns(estimators: tuple, data: CompositeDataset | DatasetBlock,
     a DatasetBlock with its ``BlockFitter`` fit or on one replicate with its own (K = 1).
     A variance is NaN where its influence values are ``uncentred``: its row is not used."""
     sets, table = fitted
-    sets["pooled_const"] = replace(sets["pooled"], r=sets["pooled"].r.constant)
     columns = []
     for name in estimators:
-        estimand, method, _, set_name = _ESTIMATOR_META[name]
-        points, values = point_and_influence(data, sets[set_name], estimand, method, table)
+        estimand, method, ratio = _ESTIMATOR_META[name]
+        nuis = sets[ESTIMATORS[estimand, method]]
+        if ratio == RATIO_CONSTANT:
+            nuis = replace(nuis, r=nuis.r.constant)
+        points, values = point_and_influence(data, nuis, estimand, method, table)
         variances = if_variance(IFVector(values, estimand, method))
         columns += [points, np.where(uncentred(values, points), np.nan, variances)]
     # the gain comes last, so that a replicate fit alone raises an estimator's error first
@@ -427,7 +427,7 @@ def run_monte_carlo(
     summaries: dict = {}
     draws: dict = {} if keep_draws else None
     for i, name in enumerate(estimators):
-        estimand, method, ratio, _ = _ESTIMATOR_META[name]
+        estimand, method, ratio = _ESTIMATOR_META[name]
         points, variances = rows[:, 2 * i], rows[:, 2 * i + 1]
         target = truths[estimand]
         errors = points - target

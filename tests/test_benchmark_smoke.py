@@ -74,10 +74,15 @@ def test_block_workloads_pass_the_harness_checks(tmp_path, capsys, monkeypatch):
         assert workloads.inner_failures(payload) >= 0
 
 
-def test_bench_pairs_applies_the_gain_rule_and_the_bound():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_applies_the_gain_rule_and_the_bound():
+    module = _bench_pairs()
     metric = {"name": "op_p50_s", "better": "lower", "bound": 0.25}
     parent = [0.78, 0.79, 0.77, 0.80, 0.78, 0.79, 0.77, 0.78, 0.80, 0.79]
     # better in 9 of 10 rounds, by more than the parent's quartile spread
@@ -88,3 +93,18 @@ def test_bench_pairs_applies_the_gain_rule_and_the_bound():
     # a median 30% slower is past the bound
     slower = [value * 1.3 for value in parent]
     assert module.summarize(metric, parent, slower).endswith("0/10  WORSE THAN BOUND")
+
+
+def test_bench_pairs_reports_each_checkouts_src_lines(tmp_path):
+    files = {"parent": {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n",
+                        "src/pkg/notes.txt": "not code\n", "tests/t.py": "t = 0\n"},
+             "change": {"src/pkg/a.py": "x = 1\n", "src/c.py": ""}}
+    for side, tree in files.items():
+        for name, text in tree.items():
+            path = tmp_path / side / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    module = _bench_pairs()
+    assert module.src_lines(tmp_path / "parent") == 3
+    assert module.line_counts(tmp_path / "parent", tmp_path / "change") == (
+        "src/ lines: parent 3, change 1 (-2)")

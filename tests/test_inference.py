@@ -35,6 +35,7 @@ from ecborrow.inference import (
     SharedFit,
     _block_points,
     _bootstrap_one,
+    _five_numbers,
     _linear_quantile,
     bias_bound,
     bootstrap_variance,
@@ -258,6 +259,9 @@ def test_interval_quantile_equals_numpy_bit_for_bit():
             for prob in ((1.0 - level) / 2.0, (1.0 + level) / 2.0):
                 want = np.float64(np.quantile(points, prob)).tobytes()
                 assert np.float64(_linear_quantile(ordered, prob)).tobytes() == want, (size, prob)
+        # the overlap diagnostics' five-number summaries read the same rule
+        five = np.array(list(_five_numbers(points).values()))
+        assert five.tobytes() == np.quantile(points, [0.0, 0.25, 0.5, 0.75, 1.0]).tobytes(), size
 
 
 def test_bootstrap_deterministic(random_dataset):
