@@ -2,6 +2,7 @@
 """Paired benchmark runs of two checkouts: medians, quartiles and wins per metric.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload bootstrap_estimate --rounds 10
+    python scripts/bench_pairs.py PARENT CHANGE --workload all --rounds 10
 
 Each round runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in each checkout, one after the other, and alternates which side runs
@@ -14,7 +15,9 @@ tenths of the rounds, with the medians further apart than the parent's
 quartiles. Given the same checkout twice it is an A/A calibration: what
 the rule reads on noise alone. The summary's first line also gives each
 checkout's ``src/`` line count, by the harness's ``src_lines`` rule, so a
-change's line count stands next to its timings.
+change's line count stands next to its timings. ``--workload all`` runs each
+workload BENCHMARK.json gates, in its order, one after the other, and prints
+one summary block per workload.
 """
 
 from __future__ import annotations
@@ -76,12 +79,35 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
             f"better in {wins}/{len(parent)}  {verdict}")
 
 
+def workloads(name: str, benchmark: dict) -> list[str]:
+    """The workloads ``--workload name`` runs: BENCHMARK.json's, in order, for "all"."""
+    return [w["name"] for w in benchmark["workloads"]] if name == "all" else [name]
+
+
+def pair_runs(sides: dict, workload: str, args, metrics: list) -> dict:
+    """Each side's values per metric over ``args.rounds`` rounds, alternating which runs first."""
+    values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    for round_ in range(args.rounds):
+        order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
+        for side in order:
+            result = run_once(sides[side], workload, args.seed, args.seconds)
+            if not result["correct"] or result["failed"]:
+                print(f"{workload} round {round_ + 1} {side}: correct={result['correct']}"
+                      f" failed={result['failed']}/{result['attempted']}", file=sys.stderr)
+            for name, m in result["metrics"].items():
+                values[side].setdefault(name, []).append(m["value"])
+            shown = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                             for m in metrics)
+            print(f"{workload} round {round_ + 1} {side}: {shown}", file=sys.stderr)
+    return values
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help='a workload name, or "all"')
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=benchmark["run_seconds"])
@@ -92,24 +118,13 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if sides["parent"] == sides["change"]:
         print(f"A/A calibration: {sides['parent']} against itself", file=sys.stderr)
-    values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
-    for round_ in range(args.rounds):
-        order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
-        for side in order:
-            result = run_once(sides[side], args.workload, args.seed, args.seconds)
-            if not result["correct"] or result["failed"]:
-                print(f"round {round_ + 1} {side}: correct={result['correct']}"
-                      f" failed={result['failed']}/{result['attempted']}", file=sys.stderr)
-            for name, m in result["metrics"].items():
-                values[side].setdefault(name, []).append(m["value"])
-            shown = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
-                             for m in metrics)
-            print(f"round {round_ + 1} {side}: {shown}", file=sys.stderr)
-    print(f"{args.workload}, seed {args.seed}, {args.seconds} s, {args.rounds} rounds"
-          f" (median [quartiles]); {line_counts(sides['parent'], sides['change'])}")
-    for metric in metrics:
-        print(summarize(metric, values["parent"][metric["name"]],
-                        values["change"][metric["name"]]))
+    for workload in workloads(args.workload, benchmark):
+        values = pair_runs(sides, workload, args, metrics)
+        print(f"{workload}, seed {args.seed}, {args.seconds} s, {args.rounds} rounds"
+              f" (median [quartiles]); {line_counts(sides['parent'], sides['change'])}")
+        for metric in metrics:
+            print(summarize(metric, values["parent"][metric["name"]],
+                            values["change"][metric["name"]]), flush=True)
     return 0
 
 

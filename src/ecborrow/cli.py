@@ -13,7 +13,7 @@ import importlib.util
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from numbers import Integral
 from pathlib import Path
@@ -58,7 +58,6 @@ from .nuisance import (
     IDENTITY,
     LOGIT,
     RATIO_KNOWN_ONE,
-    RATIO_MODES,
     BlockFitter,
     ModelSpec,
     NuisanceSet,
@@ -88,21 +87,28 @@ simlab = _lazy_submodule("simlab")  # only simulate runs it
 
 _RATIO_FLAGS = {"known1": "known_one", "constant": "constant", "loglinear": "loglinear"}
 _SIDE_FLAGS = {"greater": "greater", "less": "less", "two-sided": "two_sided"}
+_RUN = ("estimate", "diagnose", "simulate")  # the commands that compute
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+def _read_json(path, what: str, text: str | None = None):
+    """The JSON value in ``text``, or in the file at ``path`` when no text is
+    given; ``what`` ("config file", "schema", ...) names it in a CONFIG error."""
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        if text is None:
+            if not Path(path).is_file():
+                raise ConfigError(f"{what.removesuffix(' file')} file not found: {path}")
+            text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return data
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _option(default, commands=(), choices=None, help=None):
+    """A RunConfig field, offered as ``--name`` (``_`` read as ``-``) by the
+    parsers of ``commands``; no commands makes it config-only. A value outside
+    ``choices`` is a CONFIG error, from a flag and from a config file alike."""
+    return field(default=default,
+                 metadata={"commands": commands, "choices": choices, "help": help})
 
 
 # each declared option type past int and float, and the JSON values it takes
@@ -111,30 +117,33 @@ _TYPES = {"str": str, "list": list, "bool": bool, "dict": dict, "None": type(Non
 
 @dataclass
 class RunConfig:
-    """One command's resolved options, after CLI/file/default merging."""
+    """One command's resolved options, after CLI/file/default merging. Each
+    field past ``command`` is one option; the parser is built from them
+    (``build_parser``), in their order."""
 
     command: str
-    input: str | None = None
-    schema: object = None
-    estimand: str | list = "tau,psi,xi"
-    method: str = "both"
-    ratio: str | None = None
-    variance: str = "if"
-    B: int | None = None
-    null: float = 0.0
-    side: str = "greater"
-    level: float = 0.95
-    seed: int = 0
-    jobs: int = 1
-    models: dict | None = None
-    bias_bound: float | None = None
-    scenario: str = "i"
-    reps: int = 200
-    n: int = 1000
-    dgp: dict | None = None
-    boxplot_csv: str | None = None
-    out: str | None = None
-    results: str | None = None
+    seed: int = _option(0, _RUN)
+    jobs: int = _option(1, _RUN)
+    out: str | None = _option(None, _RUN, help="write the JSON report here as well as stdout")
+    input: str | None = _option(None, ("estimate", "diagnose"))
+    schema: object = _option(None, ("estimate", "diagnose"),
+                             help="JSON column map, inline or @file")
+    estimand: str | list = _option("tau,psi,xi", ("estimate",), help="comma list from tau,psi,xi")
+    method: str = _option("both", ("estimate",), choices=("full", "trial", "treated-only", "both"))
+    ratio: str | None = _option(None, ("estimate", "diagnose"), choices=tuple(_RATIO_FLAGS))
+    variance: str = _option("if", ("estimate",), choices=("if", "bootstrap"))
+    B: int | None = _option(None, ("estimate",))
+    null: float = _option(0.0, ("estimate",))
+    side: str = _option("greater", ("estimate",), choices=tuple(_SIDE_FLAGS))
+    level: float = _option(0.95, ("estimate",))
+    models: dict | None = _option(None)
+    bias_bound: float | None = _option(None, ("diagnose",))
+    scenario: str = _option("i", ("simulate",), help="i, ii, iii, iv or all")
+    reps: int = _option(200, ("simulate",))
+    n: int = _option(1000, ("simulate",))
+    dgp: dict | None = _option(None)
+    boxplot_csv: str | None = _option(None, ("simulate",))
+    results: str | None = _option(None, ("report",))
 
     def __post_init__(self):
         for f in fields(self):
@@ -150,12 +159,11 @@ class RunConfig:
                     raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
             elif kinds[0] in _TYPES and not isinstance(value, tuple(_TYPES[k] for k in kinds)):
                 raise ConfigError(f"{f.name} must be of type {' or '.join(kinds)}, got {value!r}")
-        if self.side not in _SIDE_FLAGS:
-            raise ConfigError(f"unknown sidedness {self.side!r}")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
         if not 0.0 < float(self.level) < 1.0:
             raise ConfigError(f"level must be in (0,1), got {self.level}")
-        if self.variance not in ("if", "bootstrap"):
-            raise ConfigError(f"unknown variance method {self.variance!r}")
         if self.variance == "if" and self.B is not None:
             raise ConfigError("--B is only meaningful with --variance bootstrap")
         if self.variance == "bootstrap":
@@ -193,7 +201,11 @@ DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 def _merge_options(args: argparse.Namespace) -> RunConfig:
     """Precedence: explicit CLI flags > config file > defaults."""
     merged = dict(DEFAULTS)
-    merged.update(_load_config_file(getattr(args, "config", None)))
+    if args.config is not None:
+        config = _read_json(args.config, "config file")
+        if not isinstance(config, dict):
+            raise ConfigError("config file must hold a JSON object")
+        merged.update(config)
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -210,19 +222,10 @@ def _parse_schema(raw) -> ColumnSchema | None:
     if isinstance(raw, dict):
         return ColumnSchema.from_mapping(raw)
     text = str(raw)
-    path = None  # "@path" or a value ending in ".json" names a file, else inline JSON
-    if text.startswith("@"):
-        path = Path(text[1:])
-    elif text.endswith(".json"):
-        path = Path(text)
-    if path is not None and not path.is_file():
-        raise ConfigError(f"schema file not found: {path}")
-    try:
-        if path is not None:
-            text = path.read_text(encoding="utf-8")
-        return ColumnSchema.from_mapping(json.loads(text))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"schema is not valid JSON: {exc}") from None
+    # "@path" or a value ending in ".json" names a file, else it is inline JSON
+    path = (Path(text[1:]) if text.startswith("@")
+            else Path(text) if text.endswith(".json") else None)
+    return ColumnSchema.from_mapping(_read_json(path, "schema", None if path else text))
 
 
 def _model_specs(ds: CompositeDataset, cfg: RunConfig) -> dict:
@@ -242,17 +245,12 @@ def _model_specs(ds: CompositeDataset, cfg: RunConfig) -> dict:
 
 
 def _resolve_ratio(ds: CompositeDataset, cfg: RunConfig) -> str:
-    raw = cfg.ratio
+    mode = "loglinear" if cfg.ratio is None else _RATIO_FLAGS[cfg.ratio]
     if ds.outcome_kind == OUTCOME_BINARY:
-        forced = raw is not None and _RATIO_FLAGS.get(raw, raw) != RATIO_KNOWN_ONE
+        forced = mode != RATIO_KNOWN_ONE and cfg.ratio is not None
         sys.stderr.write(f"outcome is binary: variance ratio {'forced' if forced else 'set'}"
                          " to one (known1)\n")
         return RATIO_KNOWN_ONE
-    if raw is None:
-        return "loglinear"
-    mode = _RATIO_FLAGS.get(raw, raw)
-    if mode not in RATIO_MODES:
-        raise ConfigError(f"unknown ratio mode {raw!r}")
     return mode
 
 
@@ -285,15 +283,9 @@ def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[tuple[str, st
             pairs.append((estimand, METHOD_TREATED_ONLY))
             continue
         comparator = METHOD_TRIAL if estimand == ESTIMAND_TAU else METHOD_BASELINE
-        if cfg.method == "full":
-            pairs.append((estimand, METHOD_FULL))
-        elif cfg.method == "trial":
-            pairs.append((estimand, comparator))
-        elif cfg.method == "both":
-            pairs.append((estimand, METHOD_FULL))
-            pairs.append((estimand, comparator))
-        else:
-            raise ConfigError(f"unknown method flag {cfg.method!r}")
+        methods = {"full": (METHOD_FULL,), "trial": (comparator,),
+                   "both": (METHOD_FULL, comparator)}[cfg.method]
+        pairs += [(estimand, method) for method in methods]
     if ds.n2 == 0:
         for estimand, method in pairs:
             if method != METHOD_TRIAL:
@@ -430,13 +422,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 def cmd_report(cfg: RunConfig) -> dict:
     if not cfg.results:
         raise ConfigError("report needs --results pointing at an estimate JSON")
-    path = Path(cfg.results)
-    if not path.is_file():
-        raise ConfigError(f"results file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"results file is not valid JSON: {exc}") from None
+    payload = _read_json(Path(cfg.results), "results file")
     lines = render_report(payload)
     print("\n".join(lines))
     return {"command": "report", "lines": lines}
@@ -502,49 +488,24 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's flags, one per RunConfig field it is offered on."""
     parser = _ArgumentParser(
         prog="ecborrow",
         description="Treatment-effect estimation with external control borrowing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--out", help="write the JSON report here as well as stdout")
-
-    p_est = sub.add_parser("estimate", help="analyze a CSV dataset")
-    common(p_est)
-    p_est.add_argument("--input")
-    p_est.add_argument("--schema", help="JSON column map, inline or @file")
-    p_est.add_argument("--estimand", help="comma list from tau,psi,xi")
-    p_est.add_argument("--method", choices=["full", "trial", "treated-only", "both"])
-    p_est.add_argument("--ratio", choices=list(_RATIO_FLAGS))
-    p_est.add_argument("--variance", choices=["if", "bootstrap"])
-    p_est.add_argument("--B", type=int, dest="B")
-    p_est.add_argument("--null", type=float)
-    p_est.add_argument("--side", choices=list(_SIDE_FLAGS))
-    p_est.add_argument("--level", type=float)
-
-    p_diag = sub.add_parser("diagnose", help="exchangeability test and overlap diagnostics")
-    common(p_diag)
-    p_diag.add_argument("--input")
-    p_diag.add_argument("--schema")
-    p_diag.add_argument("--ratio", choices=list(_RATIO_FLAGS))
-    p_diag.add_argument("--bias-bound", dest="bias_bound", type=float)
-
-    p_sim = sub.add_parser("simulate", help="run scenario replications")
-    common(p_sim)
-    p_sim.add_argument("--scenario", help="i, ii, iii, iv or all")
-    p_sim.add_argument("--reps", type=int)
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--boxplot-csv", dest="boxplot_csv")
-
-    p_rep = sub.add_parser("report", help="render an estimate JSON as a text table")
-    p_rep.add_argument("--results")
-    p_rep.add_argument("--config", help=argparse.SUPPRESS)
-
+    for command, text in (("estimate", "analyze a CSV dataset"),
+                          ("diagnose", "exchangeability test and overlap diagnostics"),
+                          ("simulate", "run scenario replications"),
+                          ("report", "render an estimate JSON as a text table")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file; flags override it"
+                       if command in _RUN else argparse.SUPPRESS)
+        for f in fields(RunConfig):
+            if command in f.metadata.get("commands", ()):
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type={"int": int, "float": float}.get(f.type.split(" | ")[0]),
+                               choices=f.metadata["choices"], help=f.metadata["help"])
     return parser
 
 

@@ -37,6 +37,7 @@ IDENTITY = "identity"
 LOGIT = "logit"
 
 GLM_TOL = 1e-10          # sup-norm of the score at convergence
+DECREMENT_TOL = 1e-20    # or a whole Newton step's s'H^-1 s, relative to 1 + |loglik|
 MAX_ITER = 100
 MAX_HALVINGS = 40
 SEPARATION_BOUND = 30.0  # |coef| beyond this on the logit scale flags separation
@@ -299,6 +300,8 @@ def fit_glm(
 
     coef, iterations, loglik, status = _stacked_logit(
         design, w[None], response, np.ones(1, dtype=bool))
+    if status[0] == _ONE_CLASS:
+        raise SeparationDetected("response holds one class; the logit likelihood has no maximum")
     if status[0] == _SINGULAR:
         raise SeparationDetected("singular information matrix; fitted probabilities degenerate")
     if status[0] == _DIVERGED:
@@ -743,7 +746,8 @@ def _stacked_wls(design: np.ndarray, weights: np.ndarray,
     return coef, ok
 
 
-_CONVERGED, _SINGULAR, _DIVERGED, _UNCONVERGED = range(4)  # how a stacked logit fit ends
+# how a stacked logit fit ends
+_CONVERGED, _SINGULAR, _DIVERGED, _UNCONVERGED, _ONE_CLASS = range(5)
 
 
 def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray,
@@ -751,12 +755,17 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     """Logit IRLS for each fit (row of ``weights``) that ``run`` marks: coef,
     iterations, loglik and a status per fit.
 
-    Every fit starts at zero, stops once its score sup-norm is at most GLM_TOL
-    (_CONVERGED), halves a step that lowers its log-likelihood by more than
-    1e-12 (1 + |loglik|), past that sum's rounding, and fails past
-    SEPARATION_BOUND (_DIVERGED) or after MAX_ITER iterations (_UNCONVERGED,
-    as does a fit not run). A singular information matrix fails every fit
-    still iterating (_SINGULAR): the batched solve does not say whose.
+    A fit whose response holds one class under its weights has no maximum and
+    is not run (_ONE_CLASS). Every other fit starts at zero and stops once its
+    score sup-norm is at most GLM_TOL, or once it has taken a whole Newton
+    step whose decrement s'H^-1 s is at most DECREMENT_TOL (1 + |loglik|)
+    (_CONVERGED; Boyd & Vandenberghe, Convex Optimization, 9.5), a test that
+    holds at any row count, where the sup-norm one grows with the sum. It
+    halves a step that lowers its log-likelihood by more than 1e-12
+    (1 + |loglik|), past that sum's rounding, and fails past SEPARATION_BOUND
+    (_DIVERGED) or after MAX_ITER iterations (_UNCONVERGED, as does a fit not
+    run). A singular information matrix fails every fit still iterating
+    (_SINGULAR): the batched solve does not say whose.
     """
     k, p = weights.shape[0], design.shape[-1]
 
@@ -775,8 +784,11 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     mu, loglik = fitted(np.zeros(weights.shape), weights, response)
     iterations = np.zeros(k, dtype=int)
     status = np.full(k, _UNCONVERGED)
+    one_class = run & ~((np.sum(weights * response, axis=-1) > 0)
+                        & (np.sum(weights * (1.0 - response), axis=-1) > 0))
+    status[one_class] = _ONE_CLASS
     # the batch of fits still iterating, narrowed (copied) only when one leaves it
-    rows = np.flatnonzero(run)
+    rows = np.flatnonzero(run & ~one_class)
     w, m = _at(rows, weights, mu)
     x, y = _fits(rows, design, response)
     for iteration in range(1, MAX_ITER + 1):
@@ -793,10 +805,13 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         except np.linalg.LinAlgError:
             status[rows] = _SINGULAR
             break
-        floor = loglik[rows] - 1e-12 * (1.0 + np.abs(loglik[rows]))
+        scale = 1.0 + np.abs(loglik[rows])
+        floor = loglik[rows] - 1e-12 * scale
         candidate = coef[rows] + step
         new_mu, new_loglik = fitted(_eta(x, candidate), w, y)
         worse = new_loglik < floor
+        # a step that is halved is no evidence of convergence
+        settled = ~worse & (np.sum(score * step, axis=1) <= DECREMENT_TOL * scale)
         for _ in range(MAX_HALVINGS):
             if not worse.any():
                 break
@@ -808,8 +823,12 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         coef[rows], mu[rows], loglik[rows], m = candidate, new_mu, new_loglik, new_mu
         diverged = np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND
         status[rows[diverged]] = _DIVERGED
-        rows, w, m = _at(~diverged, rows, w, m)
-        x, y = _fits(~diverged, x, y)
+        settled &= ~diverged
+        iterations[rows[settled]] = iteration
+        status[rows[settled]] = _CONVERGED
+        going = ~(diverged | settled)
+        rows, w, m = _at(going, rows, w, m)
+        x, y = _fits(going, x, y)
     return coef, iterations, loglik, status
 
 
@@ -922,12 +941,9 @@ class BlockFitter:
                     rss = (weights * (response - _eta(design, coef)) ** 2).sum(axis=1)
                     iterations, loglik = 1, _gaussian_loglik(rss, wsum)
                 else:
-                    # a fit past the Gram guards, on a response of two classes
-                    _, run = _guarded_gram(design, weights)
-                    run &= (np.sum(weights * response, axis=-1) > 0) & (
-                        np.sum(weights * (1.0 - response), axis=-1) > 0)
+                    # a fit past the Gram guards
                     coef, iterations, loglik, status = _stacked_logit(
-                        design, weights, response, run)
+                        design, weights, response, _guarded_gram(design, weights)[1])
                     good = status == _CONVERGED
                 ok &= good
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,

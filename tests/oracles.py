@@ -76,11 +76,15 @@ def newton_logit(design: np.ndarray, response: np.ndarray,
 # One rule has moved since on purpose: the stacked loop calls a step worse
 # only when the log-likelihood falls by more than 1e-12 * (1 + |loglik|),
 # where this loop's absolute 1e-12 sits below the rounding of a large fit's
-# log-likelihood; the two agree wherever |loglik| stays small.
+# log-likelihood; the two agree wherever |loglik| stays small. Two rules were
+# added to both since: a response of one class under its weights fails at
+# once, and a fit also ends converged after a whole (unhalved) Newton step
+# whose decrement score . step is at most IRLS_DECREMENT_TOL (1 + |loglik|).
 IRLSOutcome = namedtuple("IRLSOutcome",
                          "outcome message coef iterations loglik max_coef halvings")
 
 IRLS_TOL = 1e-10
+IRLS_DECREMENT_TOL = 1e-20
 IRLS_MAX_ITER = 100
 IRLS_MAX_HALVINGS = 40
 IRLS_SEPARATION_BOUND = 30.0
@@ -103,6 +107,12 @@ def irls_logit(design: np.ndarray, response: np.ndarray,
     n, p = design.shape
     w = None if weights is None else np.asarray(weights, dtype=float)
 
+    ones = np.sum(response if w is None else w * response)
+    zeros = np.sum(1.0 - response if w is None else w * (1.0 - response))
+    if not (ones > 0 and zeros > 0):
+        return IRLSOutcome("SeparationDetected",
+                           "response holds one class; the logit likelihood has no maximum",
+                           None, 0, None, None, 0)
     coef = np.zeros(p)
     eta = design @ coef
     loglik = _irls_loglik(eta, response, w)
@@ -122,6 +132,7 @@ def irls_logit(design: np.ndarray, response: np.ndarray,
             return IRLSOutcome("SeparationDetected",
                                "singular information matrix; fitted probabilities degenerate",
                                None, iteration, None, None, total_halvings)
+        decrement = float(score @ step)
         candidate = coef + step
         candidate_eta = design @ candidate
         new_loglik = _irls_loglik(candidate_eta, response, w)
@@ -133,12 +144,15 @@ def irls_logit(design: np.ndarray, response: np.ndarray,
             new_loglik = _irls_loglik(candidate_eta, response, w)
             halvings += 1
         total_halvings += halvings
+        settled = halvings == 0 and decrement <= IRLS_DECREMENT_TOL * (1.0 + abs(loglik))
         coef, eta, loglik = candidate, candidate_eta, new_loglik
         if float(np.max(np.abs(coef))) > IRLS_SEPARATION_BOUND:
             return IRLSOutcome(
                 "SeparationDetected",
                 "coefficients diverging on the logit scale; data likely separated",
                 coef, iteration, loglik, float(np.max(np.abs(coef))), total_halvings)
+        if settled:
+            return IRLSOutcome("converged", "", coef, iteration, loglik, None, total_halvings)
     return IRLSOutcome("NonConvergence", f"IRLS did not converge in {IRLS_MAX_ITER} iterations",
                        coef, IRLS_MAX_ITER, loglik, None, total_halvings)
 

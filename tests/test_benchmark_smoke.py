@@ -95,6 +95,13 @@ def test_bench_pairs_applies_the_gain_rule_and_the_bound():
     assert module.summarize(metric, parent, slower).endswith("0/10  WORSE THAN BOUND")
 
 
+def test_bench_pairs_all_runs_each_gated_workload_in_order():
+    module = _bench_pairs()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert module.workloads("all", benchmark) == [w["name"] for w in benchmark["workloads"]]
+    assert module.workloads("registry_estimate", benchmark) == ["registry_estimate"]
+
+
 def test_bench_pairs_reports_each_checkouts_src_lines(tmp_path):
     files = {"parent": {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n",
                         "src/pkg/notes.txt": "not code\n", "tests/t.py": "t = 0\n"},

@@ -322,6 +322,62 @@ def test_usage_errors_are_config_json(capsys, argv, message):
     assert captured.err.startswith("usage: ecborrow")
 
 
+# each subcommand's flags, as the parser offered them before it was built
+# from RunConfig's fields
+_FLAGS = {
+    "estimate": {"--config", "--seed", "--jobs", "--out", "--input", "--schema", "--estimand",
+                 "--method", "--ratio", "--variance", "--B", "--null", "--side", "--level"},
+    "diagnose": {"--config", "--seed", "--jobs", "--out", "--input", "--schema", "--ratio",
+                 "--bias-bound"},
+    "simulate": {"--config", "--seed", "--jobs", "--out", "--scenario", "--reps", "--n",
+                 "--boxplot-csv"},
+    "report": {"--config", "--results"},
+}
+
+
+def test_each_subcommand_offers_its_flag_set():
+    import argparse
+
+    from ecborrow.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {command: {flag for action in parser._actions for flag in action.option_strings}
+               - {"-h", "--help"} for command, parser in sub.choices.items()}
+    assert offered == _FLAGS
+
+
+def _runnable_argv(command: str, tmp_path) -> list[str]:
+    """Arguments on which ``command`` exits 0, so that only the option added can fail it."""
+    if command in ("estimate", "diagnose"):
+        return [command, "--input", str(make_input(tmp_path, n=200))]
+    if command == "simulate":
+        return [command, "--reps", "2", "--n", "200"]
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps({"command": "estimate", "estimates": []}))
+    return [command, "--results", str(results)]
+
+
+@pytest.mark.parametrize("option, value", [("method", "bogus"), ("ratio", "known_one"),
+                                           ("variance", "bogus"), ("side", "two_sided")])
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_a_value_outside_an_options_choices_is_config_as_flag_and_in_config(
+        tmp_path, capsys, command, option, value):
+    # a config value takes the flag's spellings only; before, {"ratio":
+    # "known_one"} ran and simulate ignored {"method": "bogus"}
+    argv = _runnable_argv(command, tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: value}))
+    runs = [argv + ["--config", str(config)]]
+    if f"--{option}" in _FLAGS[command]:
+        runs.append(argv + [f"--{option}", value])
+    for run in runs:
+        code = main(run)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2 and payload["error"]["code"] == "CONFIG", run
+        assert option in payload["error"]["message"] and repr(value) in payload["error"][
+            "message"], run
+
+
 def test_estimate_b_without_bootstrap_is_config_error(tmp_path, capsys):
     path = make_input(tmp_path)
     code, out = run_cli(

@@ -165,6 +165,23 @@ def test_separation_detected():
         fit_glm(design, response, LOGIT)
 
 
+@pytest.mark.parametrize("weights", ["none", "counts", "none_on_the_other_class"])
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_one_class_logit_fit_raises_separation(label, weights):
+    # a response of one class under its weights has no finite maximum; the
+    # IRLS used to run on until the score fell under GLM_TOL near |coef| = 27
+    rng = np.random.default_rng(2)
+    design = np.column_stack([np.ones(50), rng.standard_normal(50)])
+    response = np.full(50, label)
+    w = {"none": None, "counts": rng.integers(1, 4, 50).astype(float),
+         "none_on_the_other_class": np.r_[np.ones(40), np.zeros(10)]}[weights]
+    if w is not None and not w.all():
+        response[40:] = 1.0 - label
+    with pytest.raises(SeparationDetected, match="response holds one class") as err:
+        fit_glm(design, response, LOGIT, weights=w)
+    assert "max_coef" not in err.value.details
+
+
 def test_stacked_logit_on_a_singular_information_matrix_fails_every_fit_it_runs():
     rng = np.random.default_rng(0)
     x = np.column_stack([np.ones(50), rng.standard_normal(50)])
@@ -390,9 +407,10 @@ def _compare_with_frozen_irls() -> dict:
 
 
 def test_logit_fit_matches_the_frozen_single_fit_irls():
-    # 720 cases: 468 converge and 252 separate, 5 of them after halving a
-    # step; none reaches the iteration cap
-    assert _compare_with_frozen_irls() == {"converged": 468, "SeparationDetected": 252,
+    # 720 cases: 302 converge, 53 of them one iteration early on the Newton
+    # decrement, and 418 separate, 195 on a response of one class; 5 halve a
+    # step, and none reaches the iteration cap
+    assert _compare_with_frozen_irls() == {"converged": 302, "SeparationDetected": 418,
                                            "halved": 5}
 
 
@@ -406,20 +424,62 @@ def test_logit_fit_at_the_iteration_cap_raises_non_convergence(monkeypatch):
     assert outcomes["NonConvergence"] > 0 and outcomes["converged"] > 0
 
 
+def _registry_covariates(seed: int, n: int = 40_000):
+    """Raw-unit registry covariates (age, sex, eGFR, ECOG) and the stream that drew them."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.round(rng.normal(62.0, 10.0, n), 1), rng.random(n) < 0.5,
+                         np.round(rng.normal(80.0, 20.0, n), 1),
+                         rng.choice([0.0, 1.0, 2.0], n, p=[0.5, 0.35, 0.15])])
+    return rng, x
+
+
 def test_registry_scale_logit_fits_converge():
     # 40k rows, |loglik| about 2.7e4: near the optimum a Newton step moves the
     # log-likelihood by less than its rounding, which an absolute halving
     # test of 1e-12 could read as a worse step (draw 17 then stalled until
     # MAX_ITER)
-    n = 40_000
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        x = np.column_stack([np.round(rng.normal(62.0, 10.0, n), 1), rng.random(n) < 0.5,
-                             np.round(rng.normal(80.0, 20.0, n), 1),
-                             rng.choice([0.0, 1.0, 2.0], n, p=[0.5, 0.35, 0.15])])
-        response = (rng.random(n) < 0.5).astype(float)
-        fit = fit_glm(np.column_stack([np.ones(n), x]), response, LOGIT)
+        rng, x = _registry_covariates(seed)
+        response = (rng.random(len(x)) < 0.5).astype(float)
+        fit = fit_glm(np.column_stack([np.ones(len(x)), x]), response, LOGIT)
         assert fit.iterations <= 6 and abs(fit.loglik) > 2e4
+
+
+def test_registry_scale_bootstrap_logits_converge_in_their_block(monkeypatch):
+    # at 40k rows a block holds one resample, so p and pi are count-weighted
+    # fits; their score sup-norm sits near GLM_TOL in rounding alone, and
+    # before the Newton-decrement stop they took up to 83 iterations here
+    from functools import partial
+
+    from ecborrow.cli import EstimatorPlan
+    from ecborrow.inference import SharedFit, bootstrap_variance
+
+    rng, x = _registry_covariates(0)
+    n = len(x)
+    d = (rng.random(n) < 0.2).astype(int)
+    t = ((d == 1) & (rng.random(n) < 0.5)).astype(int)
+    y = 0.03 * x[:, 0] + x[:, 1] - x[:, 3] + 1.5 * t + rng.standard_normal(n)
+    ds = CompositeDataset(y, x, t, d)
+    bundle = {"specs": linear_specs(ds.k), "ratio_mode": RATIO_LOGLINEAR}
+    fits, alone = [], []
+    stacked = nuisance._stacked_logit
+
+    def recorded(*args):
+        coef, iterations, loglik, status = stacked(*args)
+        fits.extend(zip(iterations.tolist(), status.tolist()))
+        return coef, iterations, loglik, status
+
+    def fit_alone(resample):
+        alone.append(resample.n)
+        return fit_bundle(resample, **bundle)
+
+    monkeypatch.setattr(nuisance, "_stacked_logit", recorded)
+    shared = SharedFit(fit_alone, (EstimatorPlan("tau", "full_data").point,),
+                       block=partial(BlockFitter, **bundle))
+    bootstrap_variance(ds, shared, 4, seed=1)
+    assert alone == [] and len(fits) == 8  # p and pi of each resample
+    assert all(status == nuisance._CONVERGED and iterations <= 15
+               for iterations, status in fits), fits
 
 
 # ----------------------------- transforms ------------------------------
@@ -847,8 +907,9 @@ def test_block_fitter_failures_match_fit_bundle():
 
 def test_block_leaves_a_one_class_logit_response_unfit():
     # a treated-only resample with no external row: its selection propensity
-    # has one class, on which IRLS would converge near |coef| = 28, inside
-    # SEPARATION_BOUND, and the block would stand in for a fit_bundle failure
+    # has one class, which the IRLS does not run (it would converge near
+    # |coef| = 28, inside SEPARATION_BOUND), so the block does not stand in
+    # for a fit_bundle failure
     ds = _failure_base()
     specs = linear_specs(2)
     rng = np.random.default_rng(1)
@@ -860,6 +921,30 @@ def test_block_leaves_a_one_class_logit_response_unfit():
     assert pi.iterations[1] == 0 and not pi.coef[1].any()
     with pytest.raises(EmptyCell, match="no external rows"):
         fit_bundle(ds.take(indices[1]), specs, RATIO_LOGLINEAR, treated_only=True)
+
+
+def test_block_and_fit_bundle_agree_on_a_treated_arm_of_one_class():
+    # a binary outcome whose treated arm holds one failure, row 0: a resample
+    # without it fits m1 on successes alone, which fit_bundle fails as
+    # separation and the block leaves to it
+    rng = np.random.default_rng(4)
+    n11, n10, n00 = 30, 30, 40
+    n = n11 + n10 + n00
+    x = rng.standard_normal((n, 2))
+    d = np.r_[np.ones(n11 + n10), np.zeros(n00)]
+    t = np.r_[np.ones(n11), np.zeros(n10 + n00)]
+    y = np.r_[0.0, np.ones(n11 - 1), (rng.random(n10 + n00) < 0.5)]
+    ds = CompositeDataset(y, x, t, d)
+    specs = linear_specs(2, LOGIT)
+    with_failure = rng.integers(0, n, n)
+    with_failure[:3] = 0
+    indices = [with_failure, rng.integers(1, n, n)]
+    ok, (sets, _) = BlockFitter(ds, specs, RATIO_KNOWN_ONE).solve(_counts(indices, n))
+    assert ok.tolist() == [True, False]
+    _assert_bundles_close((_resample_sets(sets, 0), None),
+                          (fit_bundle(ds.take(indices[0]), specs, RATIO_KNOWN_ONE)[0], None))
+    with pytest.raises(SeparationDetected, match="response holds one class"):
+        fit_bundle(ds.take(indices[1]), specs, RATIO_KNOWN_ONE)
 
 
 # trial-treated, trial-control and external row counts of the degenerate grid;
