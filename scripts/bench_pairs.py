@@ -12,12 +12,14 @@ median and quartiles, the change's median relative to the parent's, in how
 many rounds the change read better (ties count for neither side), and
 whether that is a gain by the benchmark's rule: better in at least nine
 tenths of the rounds, with the medians further apart than the parent's
-quartiles. Given the same checkout twice it is an A/A calibration: what
-the rule reads on noise alone. The summary's first line also gives each
-checkout's ``src/`` line count, by the harness's ``src_lines`` rule, so a
-change's line count stands next to its timings. ``--workload all`` runs each
-workload BENCHMARK.json gates, in its order, one after the other, and prints
-one summary block per workload.
+quartiles. A metric that is no gain and whose parent quartiles lie further
+apart than its bound reads UNRESOLVED: its runs cannot tell a change within
+the bound from noise. Given the same checkout twice it is an A/A
+calibration: what the rule reads on noise alone. The summary's first line
+also gives each checkout's ``src/`` line count, by the harness's
+``src_lines`` rule, so a change's line count stands next to its timings.
+``--workload all`` runs each workload BENCHMARK.json gates, in its order,
+one after the other, and prints one summary block per workload.
 """
 
 from __future__ import annotations
@@ -72,8 +74,10 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
     c1, c_med, c3 = quartiles(change)
     rel = (c_med - p_med) / abs(p_med) if p_med else 0.0
     gain = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p3 - p1
+    unresolved = p3 - p1 > metric["bound"] * abs(p_med)
     worse = -sign * rel > metric["bound"]
-    verdict = "GAIN" if gain else "WORSE THAN BOUND" if worse else "-"
+    verdict = ("GAIN" if gain else "UNRESOLVED" if unresolved
+               else "WORSE THAN BOUND" if worse else "-")
     return (f"{metric['name']:<12} parent {p_med:.6g} [{p1:.6g}, {p3:.6g}]  "
             f"change {c_med:.6g} [{c1:.6g}, {c3:.6g}]  {rel:+.1%}  "
             f"better in {wins}/{len(parent)}  {verdict}")

@@ -557,10 +557,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _steady_heap() -> None:
-    """Pins glibc malloc's trim and mmap thresholds (mallopt -1 and -3) at 32
-    blocks, room for the twenty or so arrays a block keeps alive. At the
-    default 128 KiB, just over one block array, the heap top is returned to the
-    system and faulted back in for each block temporary. A ``MALLOC_*_``
+    """Pins glibc malloc's trim and mmap thresholds (mallopt -1 and -3) at
+    4 MiB: 32 Monte Carlo block arrays or 16 bootstrap ones, room for most of
+    the twenty or so arrays a block keeps alive. At the default 128 KiB, about
+    one Monte Carlo block array and half a bootstrap one, the heap top is
+    returned to the system and faulted back in for each block temporary, and
+    a bootstrap block array is mapped afresh each time. A ``MALLOC_*_``
     variable or ``GLIBC_TUNABLES`` the user set wins. No result moves."""
     if sys.platform != "linux" or any(
         name == "GLIBC_TUNABLES" or (name.startswith("MALLOC_") and name.endswith("_"))

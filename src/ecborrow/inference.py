@@ -9,9 +9,11 @@ fitter (``SharedFit.block``) can fit a whole block's working models and
 points from the counts without building a dataset per resample; a resample
 it cannot stand in for is fit alone on its own rows. The same block path
 (``nuisance.BlockFitter``, the estimators' moments and the block scorer
-``_block_points``), sized by the same BLOCK_BYTES rule, serves the Monte
-Carlo replicates of ``simlab``, whose blocks stack the replicates' own rows
-instead of counts. Also here: the specification test for equal
+``_block_points``), sized by the same rule (``block_ranges``), serves the
+Monte Carlo replicates of ``simlab``, whose blocks stack the replicates' own
+rows instead of counts. A bootstrap block's (resamples, rows) arrays stay
+under 256 KiB and a Monte Carlo block's under 128 KiB, in blocks of a
+multiple of 4 units. Also here: the specification test for equal
 control-outcome means across data sources, overlap diagnostics, and the
 bias bound under a source-specific control-mean shift.
 """
@@ -160,17 +162,25 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
     return np.lexsort(tuple(keys))
 
 
-# a block's (resamples or replicates, rows) arrays stay under this many
-# bytes; a block fit keeps some twenty of them alive at once (predictions
-# and estimator rows)
+# a block's (resamples or replicates, rows) arrays stay under its caller's
+# budget; a block fit keeps some twenty of them alive at once (predictions
+# and estimator rows). A Monte Carlo replicate stacks its own design and
+# covariates too, so the Monte Carlo keeps BLOCK_BYTES (16 replicates at
+# n = 1000); bootstrap resamples share one design, and take twice the bytes
+# (32 resamples at n = 1000).
 BLOCK_BYTES = 1 << 17
+BOOTSTRAP_BLOCK_BYTES = 2 * BLOCK_BYTES
 
 
-def block_ranges(units: int, rows: int) -> list[range]:
+def block_ranges(units: int, rows: int, array_bytes: int) -> list[range]:
     """Consecutive ranges of ``units`` resamples or replicates, sized from the
     row count alone so that each block's (units, rows) arrays stay under
-    BLOCK_BYTES."""
-    size = max(1, BLOCK_BYTES // (8 * rows))
+    ``array_bytes``. A size of 4 or more is rounded down to a multiple of 4,
+    the rows a BLAS matrix-vector kernel takes at a time. A point's last bits
+    can still depend on the size of its block, since the matrix products
+    tile a block's fits by it, so the size never depends on ``jobs``."""
+    size = array_bytes // (8 * rows)
+    size = size - size % 4 if size >= 4 else max(1, size)
     return [range(start, min(start + size, units)) for start in range(0, units, size)]
 
 
@@ -365,7 +375,7 @@ def bootstrap_variance(
     base = ds.take(_canonical_order(ds))
     fitter = None if shared.block is None else shared.block(base)
     tasks = [(base, shared, fitter, seed, reps, stratified)
-             for reps in block_ranges(n_replicates, base.n)]
+             for reps in block_ranges(n_replicates, base.n, BOOTSTRAP_BLOCK_BYTES)]
     blocks = ordered_map(_bootstrap_block, tasks, jobs)
     outcomes = [outcome for block in blocks for outcome in block]
     results = BootstrapResults(

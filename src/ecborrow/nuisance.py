@@ -216,9 +216,17 @@ def _expit_parts(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     branches see the same bits as a masked split, without the gather/scatter;
     the numerator exp(min(eta, 0)) is exactly 1 or that same exp(eta), which
     gives the bits of a select between 1/(1 + e) and e/(1 + e) without one.
+    Both are built in place, which a 0-d array's scalar results do not allow.
     """
-    e = np.exp(-np.abs(eta))
-    return np.exp(np.minimum(eta, 0.0)) / (1.0 + e), e
+    if eta.ndim == 0:
+        mu, e = _expit_parts(eta.reshape(1))
+        return mu[0], e[0]
+    e = np.abs(eta)
+    np.exp(np.negative(e, out=e), out=e)
+    mu = np.minimum(eta, 0.0)
+    np.exp(mu, out=mu)
+    mu /= 1.0 + e
+    return mu, e
 
 
 def _check_rank(design: np.ndarray, column_names: list[str] | None, rank=None) -> None:
@@ -781,7 +789,8 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         return mu, np.sum(terms, axis=-1)
 
     coef = np.zeros((k, p))
-    mu, loglik = fitted(np.zeros(weights.shape), weights, response)
+    # at eta = 0 each term of the log-likelihood is exactly -log(2) w
+    loglik = np.sum(weights * -np.log1p(1.0), axis=-1)
     iterations = np.zeros(k, dtype=int)
     status = np.full(k, _UNCONVERGED)
     one_class = run & ~((np.sum(weights * response, axis=-1) > 0)
@@ -789,10 +798,15 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     status[one_class] = _ONE_CLASS
     # the batch of fits still iterating, narrowed (copied) only when one leaves it
     rows = np.flatnonzero(run & ~one_class)
-    w, m = _at(rows, weights, mu)
+    (w,) = _at(rows, weights)
+    m = np.full(w.shape, 0.5)
     x, y = _fits(rows, design, response)
     for iteration in range(1, MAX_ITER + 1):
-        score = _xt(x, w * (y - m))
+        # w (y - m) and w m (1 - m) in the operand order of the expressions,
+        # with one temporary each
+        residual = y - m
+        residual *= w
+        score = _xt(x, residual)
         done = np.max(np.abs(score), axis=1) <= GLM_TOL
         iterations[rows[done]] = iteration
         status[rows[done]] = _CONVERGED
@@ -801,7 +815,9 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         if rows.size == 0:
             break
         try:
-            step = np.linalg.solve(_gram(x, w * m * (1.0 - m)), score[:, :, None])[:, :, 0]
+            info = w * m
+            info *= 1.0 - m
+            step = np.linalg.solve(_gram(x, info), score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             status[rows] = _SINGULAR
             break
@@ -820,7 +836,7 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
             xw, yw = _fits(worse, x, y)
             new_mu[worse], new_loglik[worse] = fitted(_eta(xw, candidate[worse]), w[worse], yw)
             worse &= new_loglik < floor
-        coef[rows], mu[rows], loglik[rows], m = candidate, new_mu, new_loglik, new_mu
+        coef[rows], loglik[rows], m = candidate, new_loglik, new_mu
         diverged = np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND
         status[rows[diverged]] = _DIVERGED
         settled &= ~diverged

@@ -46,7 +46,14 @@ from .estimators import (
     point_and_influence,
     uncentred,
 )
-from .inference import _block_points, _describe, block_ranges, if_variance, ordered_map
+from .inference import (
+    BLOCK_BYTES,
+    _block_points,
+    _describe,
+    block_ranges,
+    if_variance,
+    ordered_map,
+)
 from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
@@ -396,10 +403,11 @@ def run_monte_carlo(
     Replicate r draws from the RNG stream (master_seed, r), and aggregation
     runs in replicate order. Replicates go to the fit in blocks of
     consecutive replicates, sized from ``cfg.n`` alone by the bootstrap's
-    rule (``block_ranges``), and with ``jobs > 1`` the worker processes take
-    whole blocks, so results are identical for any ``jobs``. Each block fits every
-    working model of its replicates at once (``BlockFitter``); a replicate
-    the block cannot stand in for is fit alone (``_mc_replicate``).
+    rule (``block_ranges``) at half its budget (BLOCK_BYTES), since each
+    replicate stacks its own design. With ``jobs > 1`` the worker processes
+    take whole blocks, so results are identical for any ``jobs``. Each block
+    fits every working model of its replicates at once (``BlockFitter``); a
+    replicate the block cannot stand in for is fit alone (``_mc_replicate``).
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
@@ -412,7 +420,7 @@ def run_monte_carlo(
         )
     truth = true_effects(cfg)
     tasks = [(cfg, master_seed, replicates, tuple(estimators))
-             for replicates in block_ranges(reps, cfg.n)]
+             for replicates in block_ranges(reps, cfg.n, BLOCK_BYTES)]
     raw = [item for block in ordered_map(_mc_block, tasks, jobs) for item in block]
     failures = [item for item in raw if isinstance(item, str)]
     if len(failures) > 0.02 * reps:

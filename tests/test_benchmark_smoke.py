@@ -95,6 +95,19 @@ def test_bench_pairs_applies_the_gain_rule_and_the_bound():
     assert module.summarize(metric, parent, slower).endswith("0/10  WORSE THAN BOUND")
 
 
+def test_bench_pairs_reads_a_metric_spread_past_its_bound_as_unresolved():
+    module = _bench_pairs()
+    metric = {"name": "setup_s", "better": "lower", "bound": 0.25}
+    # quartiles 0.2725 and 0.4075 around a median of 0.325: 42% apart
+    parent = [0.259, 0.30, 0.427, 0.27, 0.41, 0.26, 0.40, 0.28, 0.42, 0.35]
+    assert module.summarize(metric, parent, parent).endswith("0/10  UNRESOLVED")
+    slower = [value * 1.3 for value in parent]
+    assert module.summarize(metric, parent, slower).endswith("0/10  UNRESOLVED")
+    # a gain past the spread still reads as one
+    faster = [value * 0.5 for value in parent]
+    assert module.summarize(metric, parent, faster).endswith("10/10  GAIN")
+
+
 def test_bench_pairs_all_runs_each_gated_workload_in_order():
     module = _bench_pairs()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -27,7 +27,10 @@ from ecborrow.estimators import (
     estimate_tau_full,
     influence_values,
 )
+from ecborrow import inference, simlab
 from ecborrow.inference import (
+    BLOCK_BYTES,
+    BOOTSTRAP_BLOCK_BYTES,
     GREATER,
     LESS,
     TWO_SIDED,
@@ -38,6 +41,7 @@ from ecborrow.inference import (
     _five_numbers,
     _linear_quantile,
     bias_bound,
+    block_ranges,
     bootstrap_variance,
     if_variance,
     overlap_diagnostics,
@@ -604,21 +608,85 @@ _STRATIFIED_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_stratified_bootstrap_of_the_cli_pairs_is_pinned(jobs):
-    # the CLI never stratifies, so the library's stratified bootstrap has no
-    # golden output: its figures are pinned here, for any number of jobs
+def _golden_cli_pairs() -> tuple[CompositeDataset, SharedFit]:
+    """The golden input and the SharedFit of its six CLI pairs, as ``estimate`` builds it."""
     path = "tests/data/golden_input.csv"
     ds = load_csv(path)
     cfg = RunConfig(command="estimate", input=path)
     plans = [EstimatorPlan(estimand, method) for estimand, method in _requested_pairs(ds, cfg)]
     bundle = {"specs": _model_specs(ds, cfg), "ratio_mode": _resolve_ratio(ds, cfg),
               "treated_only": False}
-    shared = SharedFit(partial(fit_bundle, **bundle), tuple(plan.point for plan in plans),
-                       block=partial(BlockFitter, **bundle))
+    return ds, SharedFit(partial(fit_bundle, **bundle), tuple(plan.point for plan in plans),
+                         block=partial(BlockFitter, **bundle))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stratified_bootstrap_of_the_cli_pairs_is_pinned(jobs):
+    # the CLI never stratifies, so the library's stratified bootstrap has no
+    # golden output: its figures are pinned here, for any number of jobs
+    ds, shared = _golden_cli_pairs()
     results = bootstrap_variance(ds, shared, 100, seed=11, stratified=True, jobs=jobs)
     got = [(r.variance, r.ci, r.replicates, r.failures) for r in results]
     assert got == _STRATIFIED_GOLDEN
+
+
+def test_golden_bootstrap_points_are_the_same_at_blocks_of_16_32_and_80(monkeypatch):
+    # golden_bootstrap.json's resamples (B=100, seed 3) in blocks of 16, 32 and
+    # 80 rows of counts: the same points, bit for bit. Like the goldens this
+    # holds on the host they were made on, and for this input only: on others
+    # a stacked BLAS product can round a row by its block's size, and a point
+    # move by an ulp.
+    ds, shared = _golden_cli_pairs()
+    points = []
+    for size in (16, 32, 80):
+        monkeypatch.setattr(inference, "BOOTSTRAP_BLOCK_BYTES", size * 8 * ds.n)
+        assert len(block_ranges(100, ds.n, inference.BOOTSTRAP_BLOCK_BYTES)[0]) == size
+        results = bootstrap_variance(ds, shared, 100, seed=3)
+        assert [r.replicates for r in results] == [100] * 6
+        points.append(np.stack([r.points for r in results]).view(np.int64))
+    assert np.array_equal(points[0], points[1]) and np.array_equal(points[0], points[2])
+
+
+@pytest.mark.parametrize("rows", [40, 200, 400, 1000])
+@pytest.mark.parametrize("budget", [BLOCK_BYTES, BOOTSTRAP_BLOCK_BYTES])
+def test_block_ranges_cut_the_largest_multiple_of_4_under_the_budget(rows, budget):
+    ranges = block_ranges(1001, rows, budget)
+    size = len(ranges[0])
+    assert size % 4 == 0 and 8 * rows * size <= budget < 8 * rows * (size + 4)
+    assert [r.start for r in ranges] == list(range(0, 1001, size))
+    assert ranges[-1].stop == 1001 and all(len(r) == size for r in ranges[:-1])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_block_ranges_keep_blocks_of_fewer_than_4_units(size):
+    ranges = block_ranges(7, BLOCK_BYTES // (8 * size), BLOCK_BYTES)
+    assert [r.start for r in ranges] == list(range(0, 7, size)) and ranges[-1].stop == 7
+    # rows past the budget still make blocks of one
+    assert len(block_ranges(3, BLOCK_BYTES, BLOCK_BYTES)) == 3
+
+
+class _Recorded(Exception):
+    pass
+
+
+def test_blocks_at_n_1000_hold_32_resamples_and_16_monte_carlo_replicates(monkeypatch):
+    sizes = {}
+
+    def recording(module):
+        def ordered_map(fn, tasks, jobs):
+            sizes[module] = [len(next(a for a in task if isinstance(a, range))) for task in tasks]
+            raise _Recorded
+
+        return ordered_map
+
+    monkeypatch.setattr(inference, "ordered_map", recording("bootstrap"))
+    monkeypatch.setattr(simlab, "ordered_map", recording("monte_carlo"))
+    ds, _ = generate(ScenarioConfig(scenario="ii", n=1000), 1)
+    with pytest.raises(_Recorded):
+        bootstrap_variance(ds, lambda resample: 0.0, 500)
+    with pytest.raises(_Recorded):
+        simlab.run_monte_carlo(ScenarioConfig(scenario="ii", n=1000), 250)
+    assert sizes == {"bootstrap": [32] * 15 + [20], "monte_carlo": [16] * 15 + [10]}
 
 
 def _separable_dataset() -> CompositeDataset:
