@@ -6,7 +6,8 @@
 
 Each round runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in each checkout, one after the other, and alternates which side runs
-first. Only the harness's last stdout line (its result JSON) is read. For
+first. Only the harness's last two stdout lines are read: its details JSON,
+for the hashes of the operations' stdout, and its result JSON. For
 each end-to-end metric of BENCHMARK.json the summary gives each side's
 median and quartiles, the change's median relative to the parent's, in how
 many rounds the change read better (ties count for neither side), and
@@ -17,7 +18,10 @@ apart than its bound reads UNRESOLVED: its runs cannot tell a change within
 the bound from noise. Given the same checkout twice it is an A/A
 calibration: what the rule reads on noise alone. The summary's first line
 also gives each checkout's ``src/`` line count, by the harness's
-``src_lines`` rule, so a change's line count stands next to its timings.
+``src_lines`` rule, so a change's line count stands next to its timings,
+and whether the two checkouts' outputs over all rounds hashed alike
+("output bytes: same" or "DIFFER"), so each paired run also checks for
+byte moves.
 ``--workload all`` runs each workload BENCHMARK.json gates, in its order,
 one after the other, and prints one summary block per workload.
 """
@@ -34,17 +38,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The harness's result line for one run in ``checkout``."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+    """The harness's details and result lines for one run in ``checkout``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{checkout}: harness exit {done.returncode}\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-2]), json.loads(lines[-1])
 
 
 def src_lines(checkout: Path) -> int:
@@ -57,6 +61,11 @@ def line_counts(parent: Path, change: Path) -> str:
     """Each checkout's ``src/`` line count and the change's difference."""
     before, after = src_lines(parent), src_lines(change)
     return f"src/ lines: parent {before}, change {after} ({after - before:+d})"
+
+
+def output_bytes(parent: set[str], change: set[str]) -> str:
+    """Whether the two checkouts' stdout hashes, over all their rounds, agree."""
+    return f"output bytes: {'same' if parent == change else 'DIFFER'}"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,13 +97,16 @@ def workloads(name: str, benchmark: dict) -> list[str]:
     return [w["name"] for w in benchmark["workloads"]] if name == "all" else [name]
 
 
-def pair_runs(sides: dict, workload: str, args, metrics: list) -> dict:
-    """Each side's values per metric over ``args.rounds`` rounds, alternating which runs first."""
+def pair_runs(sides: dict, workload: str, args, metrics: list) -> tuple[dict, dict]:
+    """Each side's values per metric, and the set of its stdout hashes, over
+    ``args.rounds`` rounds, alternating which runs first."""
     values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    outputs: dict[str, set[str]] = {side: set() for side in sides}
     for round_ in range(args.rounds):
         order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
         for side in order:
-            result = run_once(sides[side], workload, args.seed, args.seconds)
+            details, result = run_once(sides[side], workload, args.seed, args.seconds)
+            outputs[side].update(details["stdout_sha256"])
             if not result["correct"] or result["failed"]:
                 print(f"{workload} round {round_ + 1} {side}: correct={result['correct']}"
                       f" failed={result['failed']}/{result['attempted']}", file=sys.stderr)
@@ -103,7 +115,7 @@ def pair_runs(sides: dict, workload: str, args, metrics: list) -> dict:
             shown = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                              for m in metrics)
             print(f"{workload} round {round_ + 1} {side}: {shown}", file=sys.stderr)
-    return values
+    return values, outputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,9 +135,10 @@ def main(argv: list[str] | None = None) -> int:
     if sides["parent"] == sides["change"]:
         print(f"A/A calibration: {sides['parent']} against itself", file=sys.stderr)
     for workload in workloads(args.workload, benchmark):
-        values = pair_runs(sides, workload, args, metrics)
+        values, outputs = pair_runs(sides, workload, args, metrics)
         print(f"{workload}, seed {args.seed}, {args.seconds} s, {args.rounds} rounds"
-              f" (median [quartiles]); {line_counts(sides['parent'], sides['change'])}")
+              f" (median [quartiles]); {line_counts(sides['parent'], sides['change'])};"
+              f" {output_bytes(outputs['parent'], outputs['change'])}")
         for metric in metrics:
             print(summarize(metric, values["parent"][metric["name"]],
                             values["change"][metric["name"]]), flush=True)

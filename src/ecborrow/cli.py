@@ -398,15 +398,9 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         scenario_cfgs = [simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp) for sc in scenarios]
     except TypeError as exc:
         raise ConfigError(f"bad 'dgp' config: {exc}") from None
-    runs = {}
-    results = []
-    for scenario_cfg in scenario_cfgs:
-        result = simlab.run_monte_carlo(
-            scenario_cfg, int(cfg.reps), master_seed=cfg.seed, jobs=cfg.jobs,
-            keep_draws=keep,
-        )
-        results.append(result)
-        runs[scenario_cfg.scenario] = result.to_dict()
+    results = simlab.run_study(scenario_cfgs, int(cfg.reps), master_seed=cfg.seed, jobs=cfg.jobs,
+                               keep_draws=keep)
+    runs = {result.config.scenario: result.to_dict() for result in results}
     if keep:
         rows = simlab.export_boxplot_data(results, cfg.boxplot_csv)
         sys.stderr.write(f"wrote {rows} boxplot rows to {cfg.boxplot_csv}\n")

@@ -20,6 +20,7 @@ from .errors import ConfigError, InvariantViolation, MissingColumn, ParseError
 
 OUTCOME_BINARY = "binary"
 OUTCOME_CONTINUOUS = "continuous"
+NO_TRIAL_ROWS = "no trial rows (d=1) present"
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class CompositeDataset:
             raise InvariantViolation("d must be coded 0/1")
         n1 = int(d.sum())
         if n1 < 1:
-            raise InvariantViolation("no trial rows (d=1) present")
+            raise InvariantViolation(NO_TRIAL_ROWS)
         if outcome_kind is None:
             outcome_kind = detect_outcome_kind(y)
         elif outcome_kind not in (OUTCOME_BINARY, OUTCOME_CONTINUOUS):
@@ -166,19 +167,30 @@ class DatasetBlock:
     dataset.
     """
 
-    def __init__(self, datasets: Sequence[CompositeDataset]):
+    def __init__(self, y: np.ndarray, x: np.ndarray, t: np.ndarray, d: np.ndarray,
+                 covariate_names: tuple, outcome_kind: str):
+        self.y, self.x = y, x
+        # 0/1 codes fit in a byte, which keeps the block's integer rows small
+        self.t, self.d = t.astype(np.int8), d.astype(np.int8)
+        self.n1 = self.d.sum(axis=1, keepdims=True)
+        self.covariate_names = covariate_names
+        self.outcome_kind = outcome_kind
+
+    @classmethod
+    def stack(cls, datasets: Sequence[CompositeDataset]) -> "DatasetBlock":
+        """The block of ``datasets``, which share one row count, covariate set and outcome kind."""
         first = datasets[0]
         if any((ds.n, ds.covariate_names, ds.outcome_kind)
                != (first.n, first.covariate_names, first.outcome_kind) for ds in datasets):
             raise InvariantViolation(
                 "a dataset block needs one row count, covariate set and outcome kind")
-        self.y, self.x = (np.stack([getattr(ds, name) for ds in datasets]) for name in "yx")
-        # 0/1 codes fit in a byte, which keeps the block's integer rows small
-        self.t, self.d = (np.stack([getattr(ds, name) for ds in datasets]).astype(np.int8)
-                          for name in "td")
-        self.n1 = self.d.sum(axis=1, keepdims=True)
-        self.covariate_names = first.covariate_names
-        self.outcome_kind = first.outcome_kind
+        return cls(*(np.stack([getattr(ds, name) for ds in datasets]) for name in "yxtd"),
+                   first.covariate_names, first.outcome_kind)
+
+    def select(self, keep: np.ndarray) -> "DatasetBlock":
+        """The block of the datasets where the (K,) mask ``keep`` holds."""
+        return DatasetBlock(self.y[keep], self.x[keep], self.t[keep], self.d[keep],
+                            self.covariate_names, self.outcome_kind)
 
     def dataset(self, index: int) -> CompositeDataset:
         """Dataset ``index`` of the block, its columns copied out with the bits stacked."""

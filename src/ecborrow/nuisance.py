@@ -905,11 +905,19 @@ class BlockFitter:
     check that ``fit_bundle`` makes before a model's fit (a propensity spec
     that is not logit, an empty arm or source in every dataset), every one is
     left to ``fit_bundle``.
+
+    ``fits``, when given, holds the propensity fits (p and pi, whose rows and
+    response are d and t alone) as name -> (stacked model, its ``ok`` mask),
+    made by another fitter of a base with the same covariates, d and t, the
+    same specs and the same counts. ``solve`` takes each it holds instead of
+    fitting it, and adds those it fits itself, so that a twin block can take
+    them after.
     """
 
     def __init__(self, base: CompositeDataset | DatasetBlock, specs: dict, ratio_mode: str,
-                 treated_only: bool = False):
+                 treated_only: bool = False, fits: dict | None = None):
         self.base = base
+        self.fits = fits
         self._table = RowTable(base)
         self._models: list | None = None
         self._variance = None
@@ -950,6 +958,10 @@ class BlockFitter:
         # its values are never read
         with np.errstate(all="ignore"):
             for name, rows, design, response, spec, names in self._models:
+                if self.fits is not None and name in self.fits:
+                    models[name], good = self.fits[name]
+                    ok &= good
+                    continue
                 weights = _row_weights(counts, rows)
                 wsum = weights.sum(axis=1)
                 if spec.family == IDENTITY:
@@ -964,6 +976,8 @@ class BlockFitter:
                 ok &= good
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
                                          wsum.astype(int), spec, names)
+                if self.fits is not None and _BUNDLE_MODELS[name].response != "y":
+                    self.fits[name] = models[name], good
             r = self._solve_ratio(counts, models["m0_pooled"], ok)
         return ok, (_bundle_sets(models, r), BlockTable(self._table, counts))
 

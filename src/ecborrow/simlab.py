@@ -17,11 +17,16 @@ source (unless an engagement shift is injected), so mean exchangeability
 holds by construction.
 
 The Monte Carlo engine fits replicates a block at a time on the block path
-that also serves the bootstrap's resamples: a block's draws are stacked
-into a ``DatasetBlock``, ``nuisance.BlockFitter`` fits every working model
-of every replicate at once, and one scorer (``_record_columns``) turns the
-fits into each replicate's row of points, IF variances and analytic gain. A
-replicate the block cannot stand in for is fit alone and scored by it at K = 1.
+that also serves the bootstrap's resamples: a block's datasets are built
+at once as a ``DatasetBlock``, ``nuisance.BlockFitter`` fits every working
+model of every replicate at once, and one scorer (``_record_columns``) turns
+the fits into each replicate's row of points, IF variances and analytic
+gain. A replicate the block cannot stand in for is fit alone and scored by
+it at K = 1. A study (``run_study``) runs its scenarios in one pass, block by
+block: each replicate's stream is drawn once for every scenario
+(``draw_streams``), each scenario builds its block from those draws
+(``generate``), and scenarios whose blocks hold equal d and t fit their
+propensity models once.
 """
 
 from __future__ import annotations
@@ -34,8 +39,21 @@ from pathlib import Path
 import numpy as np
 
 from ._normal import ndtri
-from .dataset import OUTCOME_CONTINUOUS, CompositeDataset, DatasetBlock, is_finite_number
-from .errors import ConfigError, EcborrowError, NonConvergence, NonFiniteResult, ReplicateFailure
+from .dataset import (
+    NO_TRIAL_ROWS,
+    OUTCOME_CONTINUOUS,
+    CompositeDataset,
+    DatasetBlock,
+    is_finite_number,
+)
+from .errors import (
+    ConfigError,
+    EcborrowError,
+    InvariantViolation,
+    NonConvergence,
+    NonFiniteResult,
+    ReplicateFailure,
+)
 from .estimators import (
     ESTIMATORS,
     METHOD_BASELINE,
@@ -151,9 +169,9 @@ def distort(x: np.ndarray) -> np.ndarray:
     approximated by anything linear in x, so raw-x working models stay
     meaningfully wrong in the distorted arms.
     """
-    w1 = np.exp(x[:, 0] / 2.0) + x[:, 1] ** 2 - 1.0
-    w2 = x[:, 1] / (1.0 + np.exp(x[:, 0])) + 10.0 - (x[:, 0] ** 2 - 1.0)
-    return np.column_stack([(w1 - _D1_MEAN) / _D1_SD, (w2 - _D2_MEAN) / _D2_SD])
+    w1 = np.exp(x[..., 0] / 2.0) + x[..., 1] ** 2 - 1.0
+    w2 = x[..., 1] / (1.0 + np.exp(x[..., 0])) + 10.0 - (x[..., 0] ** 2 - 1.0)
+    return np.stack([(w1 - _D1_MEAN) / _D1_SD, (w2 - _D2_MEAN) / _D2_SD], axis=-1)
 
 
 def _features(cfg: ScenarioConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +183,7 @@ def _features(cfg: ScenarioConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _linear(coefs: tuple[float, float, float], z: np.ndarray) -> np.ndarray:
-    return coefs[0] + coefs[1] * z[:, 0] + coefs[2] * z[:, 1]
+    return coefs[0] + coefs[1] * z[..., 0] + coefs[2] * z[..., 1]
 
 
 @dataclass
@@ -176,33 +194,60 @@ class TruthFrame:
     y1: np.ndarray
 
 
-def generate(cfg: ScenarioConfig, seed) -> tuple[CompositeDataset, TruthFrame]:
-    """Draw one synthetic composite dataset plus its hidden truth."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((cfg.n, 2))
+def draw_streams(seeds: list, n: int) -> tuple[np.ndarray, ...]:
+    """The draws of each RNG stream in ``seeds`` that ``generate`` builds a dataset
+    from, stacked over a leading axis of K streams, in the order each stream
+    gives them: the covariates (K, n, 2), the selection and the treatment
+    uniforms (K, n) and the noise normals (K, n)."""
+    k = len(seeds)
+    x, u_select, u_treat, noise = (np.empty((k, n, 2)), np.empty((k, n)), np.empty((k, n)),
+                                   np.empty((k, n)))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=x[i])
+        rng.random(out=u_select[i])
+        rng.random(out=u_treat[i])
+        rng.standard_normal(out=noise[i])
+    return x, u_select, u_treat, noise
+
+
+def generate(cfg: ScenarioConfig, seed, draws: tuple | None = None
+             ) -> tuple[CompositeDataset | DatasetBlock, TruthFrame]:
+    """Draw one synthetic composite dataset from the RNG stream ``seed``, plus its
+    hidden truth.
+
+    Given the ``draws`` of K streams (``draw_streams``), ``seed`` is not read:
+    it builds the K datasets at once, by the same arithmetic over the leading
+    axis, as a DatasetBlock with (K, n) truths. A dataset of the block may hold
+    no trial row, which ``CompositeDataset`` refuses.
+    """
+    x, u_select, u_treat, noise = draw_streams([seed], cfg.n) if draws is None else draws
     z_ps, z_out = _features(cfg, x)
 
     pi_true = expit(_linear(cfg.selection_coefs, z_ps))
-    d = (rng.random(cfg.n) < pi_true).astype(int)
+    d = (u_select < pi_true).astype(int)
     p_true = expit(_linear(cfg.treatment_coefs, z_ps))
-    t = (d == 1) & (rng.random(cfg.n) < p_true)
+    t = (d == 1) & (u_treat < p_true)
     t = t.astype(int)
 
     sd = np.where(
         d == 1,
-        np.exp(0.5 * (cfg.log_var_trial[0] + cfg.log_var_trial[1] * x[:, 0])),
-        np.exp(0.5 * (cfg.log_var_external[0] + cfg.log_var_external[1] * x[:, 0])),
+        np.exp(0.5 * (cfg.log_var_trial[0] + cfg.log_var_trial[1] * x[..., 0])),
+        np.exp(0.5 * (cfg.log_var_external[0] + cfg.log_var_external[1] * x[..., 0])),
     )
-    noise = rng.standard_normal(cfg.n) * sd
+    noise = noise * sd
     engagement = _linear(cfg.engagement_coefs, x)
     y0 = _linear(cfg.control_mean_coefs, z_out) + d * engagement + noise
     y1 = y0 + _linear(cfg.effect_coefs, z_out)
     y = np.where(t == 1, y1, y0)
 
+    if draws is not None:
+        return (DatasetBlock(y, x, t, d, ("x1", "x2"), OUTCOME_CONTINUOUS),
+                TruthFrame(y0=y0, y1=y1))
     ds = CompositeDataset(
-        y, x, t, d, covariate_names=("x1", "x2"), outcome_kind=OUTCOME_CONTINUOUS
+        y[0], x[0], t[0], d[0], covariate_names=("x1", "x2"), outcome_kind=OUTCOME_CONTINUOUS
     )
-    return ds, TruthFrame(y0=y0, y1=y1)
+    return ds, TruthFrame(y0=y0[0], y1=y1[0])
 
 
 # ------------------------------ true effects ----------------------------
@@ -296,23 +341,42 @@ def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
     return fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
 
 
-def _mc_block(args) -> list:
-    """Draw each replicate of a block once (a failed draw is its failure), score
-    the drawn ones the block stands in for at once, then finish each in order."""
-    cfg, master_seed, reps, estimators = args
-    results, drawn = [], []  # results: a failed draw's message, None where it drew
-    for rep in reps:
-        try:
-            drawn.append(generate(cfg, [master_seed, rep])[0])
-            results.append(None)
-        except EcborrowError as exc:
-            results.append(_describe(exc))
-    # only the block's stacked columns outlive the draws: a replicate it cannot
-    # stand in for is taken back out of it
-    block = DatasetBlock(drawn) if drawn else None
-    del drawn
-    rows = _block_points(BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR),
-                         (partial(_record_columns, estimators),)) if block else ()
+def _mc_block(args) -> list[list]:
+    """One block of replicates for every scenario of a study: each replicate's
+    stream is drawn once, and each scenario builds its block from those draws
+    (``generate``) and scores it (``_score_block``). A scenario whose block holds
+    the d and t of an earlier one's, on the same covariates, takes that block's
+    propensity fits instead of fitting them again."""
+    cfgs, master_seed, reps, estimators = args
+    draws = draw_streams([[master_seed, rep] for rep in reps], cfgs[0].n)
+    outcomes, seen = [], []  # seen: each distinct block's d and t, and its propensity fits
+    for cfg in cfgs:
+        block = generate(cfg, None, draws)[0]
+        fits = next((fits for d, t, fits in seen
+                     if np.array_equal(d, block.d) and np.array_equal(t, block.t)), None)
+        if fits is None:
+            fits = {}
+            seen.append((block.d, block.t, fits))
+        outcomes.append(_score_block(block, estimators, fits))
+        del block  # one scenario's block at a time
+    return outcomes
+
+
+def _score_block(block: DatasetBlock, estimators: tuple, fits: dict) -> list:
+    """Score a scenario's block of replicates at once, then finish each in order.
+
+    A replicate drawn without a trial row is left out of the block and fails as
+    its dataset alone does; one the block cannot stand in for is fit alone.
+    """
+    drawn = block.n1[:, 0] > 0
+    results = [None if ok else _describe(InvariantViolation(NO_TRIAL_ROWS)) for ok in drawn]
+    rows = ()
+    if drawn.any():
+        # only the drawn replicates' columns stay: a replicate the block cannot
+        # stand in for is taken back out of it
+        block = block if drawn.all() else block.select(drawn)
+        rows = _block_points(BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR, fits=fits),
+                             (partial(_record_columns, estimators),))
     finished = (_mc_replicate(None if row is not None else block.dataset(k), estimators, row)
                 for k, row in enumerate(rows))
     return [result or next(finished) for result in results]
@@ -389,6 +453,45 @@ class MCResult:
         return out
 
 
+def run_study(
+    cfgs: list[ScenarioConfig],
+    reps: int,
+    master_seed: int = 0,
+    jobs: int = 1,
+    estimators: tuple[str, ...] = ALL_ESTIMATORS,
+    level: float = 0.95,
+    keep_draws: bool = False,
+) -> list[MCResult]:
+    """``run_monte_carlo`` of each scenario of a study, from one Monte Carlo pass.
+
+    The scenarios share one sample size and so one block rule. Each task is a
+    block of replicates for every scenario (``_mc_block``): replicate r's
+    stream (master_seed, r) is drawn once for all of them, and scenarios with
+    equal d and t (i and iii, ii and iv under the default ``dgp``) fit their
+    propensity models once. Each scenario is then summarised in order, its
+    truth checked before its replicate failures, so each scenario's result and
+    the first error are those of ``run_monte_carlo`` run on it alone.
+    """
+    if reps < 1:
+        raise ConfigError("reps must be at least 1")
+    unknown = set(estimators) - set(ALL_ESTIMATORS)
+    if unknown:
+        raise ConfigError(f"unknown estimators: {sorted(unknown)}")
+    if keep_draws and reps * len(estimators) > DRAW_RETENTION_CAP:
+        raise ConfigError(
+            "draw retention above the in-memory cap; lower reps or drop estimators"
+        )
+    if len({cfg.n for cfg in cfgs}) != 1:
+        raise ConfigError("the scenarios of a study share one sample size")
+    tasks = [(tuple(cfgs), master_seed, replicates, tuple(estimators))
+             for replicates in block_ranges(reps, cfgs[0].n, BLOCK_BYTES)]
+    blocks = ordered_map(_mc_block, tasks, jobs)
+    return [run_monte_carlo(cfg, reps, master_seed, estimators=estimators, level=level,
+                            keep_draws=keep_draws,
+                            outcomes=[item for block in blocks for item in block[s]])
+            for s, cfg in enumerate(cfgs)]
+
+
 def run_monte_carlo(
     cfg: ScenarioConfig,
     reps: int,
@@ -397,6 +500,7 @@ def run_monte_carlo(
     estimators: tuple[str, ...] = ALL_ESTIMATORS,
     level: float = 0.95,
     keep_draws: bool = False,
+    outcomes: list | None = None,
 ) -> MCResult:
     """Replicate generate-fit-estimate and aggregate bias, mse, coverage.
 
@@ -408,27 +512,19 @@ def run_monte_carlo(
     take whole blocks, so results are identical for any ``jobs``. Each block
     fits every working model of its replicates at once (``BlockFitter``); a
     replicate the block cannot stand in for is fit alone (``_mc_replicate``).
+    ``outcomes``, each replicate's ``_mc_replicate`` row or failure message
+    from a study's pass (``run_study``), skips that pass.
     """
-    if reps < 1:
-        raise ConfigError("reps must be at least 1")
-    unknown = set(estimators) - set(ALL_ESTIMATORS)
-    if unknown:
-        raise ConfigError(f"unknown estimators: {sorted(unknown)}")
-    if keep_draws and reps * len(estimators) > DRAW_RETENTION_CAP:
-        raise ConfigError(
-            "draw retention above the in-memory cap; lower reps or drop estimators"
-        )
+    if outcomes is None:
+        return run_study([cfg], reps, master_seed, jobs, estimators, level, keep_draws)[0]
     truth = true_effects(cfg)
-    tasks = [(cfg, master_seed, replicates, tuple(estimators))
-             for replicates in block_ranges(reps, cfg.n, BLOCK_BYTES)]
-    raw = [item for block in ordered_map(_mc_block, tasks, jobs) for item in block]
-    failures = [item for item in raw if isinstance(item, str)]
+    failures = [item for item in outcomes if isinstance(item, str)]
     if len(failures) > 0.02 * reps:
         raise ReplicateFailure(
             f"{len(failures)}/{reps} Monte Carlo replicates failed", messages=failures[:5])
     # one row per replicate that succeeded: each estimator's point and IF
     # variance, then the analytic gain (``_record_columns``)
-    rows = np.stack([item for item in raw if not isinstance(item, str)])
+    rows = np.stack([item for item in outcomes if not isinstance(item, str)])
     n_ok = len(rows)
     crit = ndtri(0.5 + level / 2.0)
     truths = truth.by_estimand()

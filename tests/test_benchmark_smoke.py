@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 
@@ -128,3 +129,26 @@ def test_bench_pairs_reports_each_checkouts_src_lines(tmp_path):
     assert module.src_lines(tmp_path / "parent") == 3
     assert module.line_counts(tmp_path / "parent", tmp_path / "change") == (
         "src/ lines: parent 3, change 1 (-2)")
+
+
+def test_bench_pairs_reports_whether_the_outputs_hash_alike(tmp_path):
+    # each fake harness prints a metric line, its details line, then its result line
+    module = _bench_pairs()
+    metrics = [{"name": "work_per_s", "better": "higher", "bound": 0.25}]
+    result = {"correct": True, "failed": 0, "attempted": 1,
+              "metrics": {"work_per_s": {"value": 1.0, "unit": "units/s"}}}
+    sides = {}
+    for side, hashes in (("a", ["aa"]), ("b", ["aa", "bb"]), ("c", ["aa"])):
+        harness = tmp_path / side / "perfbench" / "run.py"
+        harness.parent.mkdir(parents=True)
+        lines = ["work_per_s 1 units/s", json.dumps({"stdout_sha256": hashes}), json.dumps(result)]
+        harness.write_text("".join(f"print({line!r})\n" for line in lines), encoding="utf-8")
+        sides[side] = tmp_path / side
+    args = SimpleNamespace(rounds=2, seed=1, seconds=1)
+    values, outputs = module.pair_runs({"parent": sides["a"], "change": sides["b"]}, "w", args,
+                                       metrics)
+    assert values["change"]["work_per_s"] == [1.0, 1.0]
+    assert outputs == {"parent": {"aa"}, "change": {"aa", "bb"}}
+    assert module.output_bytes(outputs["parent"], outputs["change"]) == "output bytes: DIFFER"
+    _, outputs = module.pair_runs({"parent": sides["a"], "change": sides["c"]}, "w", args, metrics)
+    assert module.output_bytes(outputs["parent"], outputs["change"]) == "output bytes: same"

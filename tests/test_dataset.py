@@ -32,13 +32,13 @@ def test_load_csv_counts(tmp_path):
 
 def test_dataset_block_stacks_columns_and_counts():
     a, b, c = (make_random_dataset(seed, n=50) for seed in (1, 2, 3))
-    block = DatasetBlock([a, b, c])
+    block = DatasetBlock.stack([a, b, c])
     assert (block.y.shape, block.x.shape, block.n, block.k) == ((3, 50), (3, 50, a.k), 50, a.k)
     np.testing.assert_array_equal(block.d[1], b.d)
     np.testing.assert_array_equal(block.n1[:, 0], [a.n1, b.n1, c.n1])
     np.testing.assert_array_equal(block.q_hat[:, 0], [a.q_hat, b.q_hat, c.q_hat])
     with pytest.raises(InvariantViolation, match="one row count"):
-        DatasetBlock([a, make_random_dataset(4, n=51)])
+        DatasetBlock.stack([a, make_random_dataset(4, n=51)])
 
 
 def test_load_csv_external_treated_rejected(tmp_path):

@@ -138,10 +138,11 @@ def test_errors_keep_their_exit_code_and_json(tmp_path, capsys, monkeypatch, arg
     [
         # three blocks of replicates, and of resamples, for the two workers
         ["simulate", "--scenario", "i", "--reps", "37", "--n", "1000", "--seed", "3"],
+        ["simulate", "--scenario", "all", "--reps", "37", "--n", "1000", "--seed", "3"],
         ["estimate", "--input", GOLDEN_INPUT, "--variance", "bootstrap", "--B", "100",
          "--seed", "3"],
     ],
-    ids=["simulate", "bootstrap"],
+    ids=["simulate", "study", "bootstrap"],
 )
 def test_two_jobs_exit_zero_with_the_one_job_bytes(argv):
     runs = [run_child([*argv, "--jobs", jobs]) for jobs in ("1", "2")]

@@ -1021,7 +1021,7 @@ def test_block_fitter_stands_in_for_fit_bundle_on_the_degenerate_grid():
             except EcborrowError:
                 want = None
             case = (sizes, collinear, family, treated_only, mode)
-            for base, counts in ((ds, np.ones((1, ds.n))), (DatasetBlock([ds]), None)):
+            for base, counts in ((ds, np.ones((1, ds.n))), (DatasetBlock.stack([ds]), None)):
                 ok, block = BlockFitter(base, specs, mode, treated_only).solve(counts)
                 assert ok.shape == (1,), case
                 if want is None:

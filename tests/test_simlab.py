@@ -9,7 +9,7 @@ from scipy.special import expit as sp_expit
 import ecborrow.simlab as sl
 from ecborrow.cli import main
 from ecborrow.dataset import DatasetBlock
-from ecborrow.errors import ConfigError, NonConvergence, ReplicateFailure
+from ecborrow.errors import ConfigError, InvariantViolation, NonConvergence, ReplicateFailure
 from ecborrow.simlab import (
     ScenarioConfig,
     export_boxplot_data,
@@ -314,7 +314,7 @@ def _block_and_alone(cfg, seed, reps):
     """Each replicate's row from one block of ``reps`` (None where the block hands
     it back), and its row or failure message from _mc_replicate alone."""
     drawn = [generate(cfg, [seed, rep])[0] for rep in reps]
-    block = DatasetBlock(drawn)
+    block = DatasetBlock.stack(drawn)
     rows = sl._block_points(sl.BlockFitter(block, sl.linear_specs(block.k), sl.RATIO_LOGLINEAR),
                             (partial(sl._record_columns, sl.ALL_ESTIMATORS),))
     alone = [sl._mc_replicate(ds, sl.ALL_ESTIMATORS) for ds in drawn]
@@ -324,7 +324,7 @@ def _block_and_alone(cfg, seed, reps):
 def test_block_gives_back_each_drawn_dataset_bit_for_bit():
     # a replicate the block cannot stand in for is fit alone on what the block holds
     drawn = [generate(ScenarioConfig(scenario="iii", n=60), [4, rep])[0] for rep in range(5)]
-    block = DatasetBlock(drawn)
+    block = DatasetBlock.stack(drawn)
     for k, ds in enumerate(drawn):
         back = block.dataset(k)
         for name in ("y", "x", "t", "d"):
@@ -427,6 +427,102 @@ def test_failed_draw_is_its_replicates_failure(tmp_path, capsys):
         "InvariantViolation: no trial rows (d=1) present",
         "InvariantViolation: no trial rows (d=1) present",
     ]
+
+
+# the engagement shift with a treatment index that differs from the default's
+ENGAGEMENT_DGP = {"engagement_coefs": [0.5, 0.2, 0.0], "treatment_coefs": [0.3, 0.1, -0.2]}
+FAILED_DRAW_DGP = {"selection_coefs": [-4.0, 0.0, 0.0]}
+
+
+def _simulate(capsys, tmp_path, argv, dgp=None):
+    if dgp is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dgp": dgp}))
+        argv = [*argv, "--config", str(config)]
+    code = main(["simulate", *argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, dgp", [
+    (["--reps", "20", "--n", "200", "--seed", "5"], None),
+    (["--reps", "12", "--n", "150", "--seed", "2"], ENGAGEMENT_DGP),
+], ids=["default", "engagement"])
+def test_study_gives_each_scenario_the_bytes_of_its_run_alone(capsys, tmp_path, argv, dgp):
+    code, out = _simulate(capsys, tmp_path, ["--scenario", "all", *argv], dgp)
+    study = json.loads(out)
+    assert code == 0
+    for scenario in sl.SCENARIOS:
+        code, alone = _simulate(capsys, tmp_path, ["--scenario", scenario, *argv], dgp)
+        assert code == 0
+        assert json.dumps({**study, "scenarios": {scenario: study["scenarios"][scenario]}}) == (
+            json.dumps(json.loads(alone)))
+
+
+def test_study_fails_with_the_first_scenarios_error_bytes(capsys, tmp_path):
+    argv = ["--reps", "50", "--n", "40"]
+    study = _simulate(capsys, tmp_path, ["--scenario", "all", *argv], FAILED_DRAW_DGP)
+    assert study == _simulate(capsys, tmp_path, ["--scenario", "i", *argv], FAILED_DRAW_DGP)
+    assert study[0] == 4
+
+
+def test_study_draws_each_stream_once_and_fits_twin_propensities_once(monkeypatch, capsys):
+    import ecborrow.nuisance as nuisance
+
+    seeds, logits = [], []
+    default_rng, stacked_logit = np.random.default_rng, nuisance._stacked_logit
+
+    def counting_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    def counting_logit(*args, **kwargs):
+        logits.append(args[0].shape)
+        return stacked_logit(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(nuisance, "_stacked_logit", counting_logit)
+    assert main(["simulate", "--scenario", "all", "--reps", "20", "--n", "1000",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    blocks = sl.block_ranges(20, 1000, sl.BLOCK_BYTES)
+    assert [len(block) for block in blocks] == [16, 4]
+    assert seeds == [[5, rep] for rep in range(20)]
+    # every fit is a block's: p and pi once for i and iii and once for ii and iv
+    assert logits == [(len(block), 1000, 3) for block in blocks for _ in range(4)]
+
+
+@pytest.mark.parametrize("dgp, n, seed", [
+    ({}, 60, 3),
+    (ENGAGEMENT_DGP, 60, 3),
+    (FAILED_DRAW_DGP, 40, 0),
+], ids=["default", "engagement", "failed-draws"])
+def test_study_blocks_hold_the_bytes_of_each_replicate_drawn_alone(monkeypatch, dgp, n, seed):
+    overrides = {key: tuple(value) for key, value in dgp.items()}
+    cfgs = [ScenarioConfig(scenario=scenario, n=n, **overrides) for scenario in sl.SCENARIOS]
+    reps = range(8)
+    bases, block_points = [], sl._block_points
+
+    def recording(fitter, points):
+        bases.append(fitter.base)
+        return block_points(fitter, points)
+
+    monkeypatch.setattr(sl, "_block_points", recording)
+    outcomes = sl._mc_block((cfgs, seed, reps, sl.ALL_ESTIMATORS))
+    assert len(bases) == len(cfgs)
+    for cfg, block, scored in zip(cfgs, bases, outcomes):
+        drawn, failed = [], []
+        for rep in reps:
+            try:
+                drawn.append(generate(cfg, [seed, rep])[0])
+            except InvariantViolation as exc:
+                failed.append((rep, f"InvariantViolation: {exc}"))
+        assert bool(failed) == (dgp is FAILED_DRAW_DGP) and drawn
+        alone = DatasetBlock.stack(drawn)
+        for name in ("y", "x", "t", "d", "n1"):
+            mine, theirs = getattr(block, name), getattr(alone, name)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                theirs.dtype, theirs.shape, theirs.tobytes())
+        assert [(rep, scored[rep]) for rep, _ in failed] == failed
 
 
 def test_draw_retention_cap():
