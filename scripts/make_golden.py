@@ -32,6 +32,15 @@ from ecborrow.simlab import ScenarioConfig, generate
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 INPUT = "tests/data/golden_input.csv"
+WORKLOAD_INPUT = "tests/data/golden_input_ii_n1000.csv"
+
+# drawn input -> the scenario and seed it is drawn from
+DRAWN = {
+    INPUT: (ScenarioConfig(scenario="i", n=400), 20_260_101),
+    # the bootstrap_estimate benchmark workload's shape at seed 10: ulp moves in
+    # the bootstrap's block path that the n = 400 input misses show here
+    WORKLOAD_INPUT: (ScenarioConfig(scenario="ii", n=1000), [10, 2]),
+}
 
 
 def _binary(ds: CompositeDataset) -> CompositeDataset:
@@ -71,16 +80,20 @@ GOLDENS = {
         "estimate", "--input", TRIAL_ONLY, "--method", "trial", "--estimand", "tau",
     ],
     "golden_ratio_constant.json": ["estimate", "--input", INPUT, "--ratio", "constant"],
+    "golden_bootstrap_n1000.json": [
+        "estimate", "--input", WORKLOAD_INPUT, "--variance", "bootstrap", "--B", "100",
+        "--seed", "10",
+    ],
 }
 
 
-def write(out: Path, input_path: Path) -> None:
-    """The golden input at ``input_path``, the inputs derived from it and every
+def write(out: Path) -> None:
+    """The drawn inputs, the inputs derived from the golden input and every
     golden file under ``out``."""
-    ds, _ = generate(ScenarioConfig(scenario="i", n=400), 20_260_101)
-    write_csv(ds, input_path)
+    for path, (cfg, seed) in DRAWN.items():
+        write_csv(generate(cfg, seed)[0], out / Path(path).name)
     for path, derive in DERIVED.items():
-        write_csv(derive(load_csv(input_path)), out / Path(path).name)
+        write_csv(derive(load_csv(out / Path(INPUT).name)), out / Path(path).name)
     # the input path is recorded in the JSON: keep it repo-relative so the
     # golden bytes are portable across checkouts
     os.chdir(ROOT)
@@ -122,8 +135,8 @@ def check() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         # the CLI runs read the committed inputs, whose paths the JSON records
-        write(out, out / Path(INPUT).name)
-        for name in [Path(INPUT).name, *(Path(path).name for path in DERIVED), *GOLDENS]:
+        write(out)
+        for name in [*(Path(path).name for path in (*DRAWN, *DERIVED)), *GOLDENS]:
             old, new = DATA / name, out / name
             same = old.read_bytes() == new.read_bytes()
             differ |= not same
@@ -135,8 +148,8 @@ def check() -> int:
 
 def run() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
-    write(DATA, ROOT / INPUT)
-    print(f"wrote {INPUT}, {', '.join(DERIVED)} and {', '.join(GOLDENS)}")
+    write(DATA)
+    print(f"wrote {', '.join([*DRAWN, *DERIVED])} and {', '.join(GOLDENS)}")
 
 
 if __name__ == "__main__":

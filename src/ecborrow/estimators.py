@@ -80,12 +80,7 @@ class Estimate:
     trim_count: int
 
     def __post_init__(self):
-        if self.estimand not in ESTIMANDS:
-            raise ConfigError(f"unknown estimand {self.estimand!r}")
-        if (self.estimand, self.method) not in ESTIMATORS:
-            raise ConfigError(
-                f"method {self.method!r} is not valid for estimand {self.estimand!r}"
-            )
+        _check_pair(self.estimand, self.method)
 
 
 @dataclass
@@ -486,6 +481,16 @@ def _var_trial_controls(ds: CompositeDataset, nuis: NuisanceSet, table: RowTable
     return table.var_trial(nuis.r)
 
 
+def _gap_pieces(ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None):
+    """p, pi, r and V1 on every row: what the gain and gap formulas read."""
+    if nuis.p is None or nuis.pi is None:
+        raise EmptyCell("gain and gap formulas need fitted treatment and selection propensities")
+    table = row_table(ds, table)
+    p = table.propensity(nuis.p)[0]
+    pi = table.propensity(nuis.pi)[0]
+    return p, pi, table.ratio(nuis.r), _var_trial_controls(ds, nuis, table)
+
+
 def efficiency_gain_analytic(
     ds: CompositeDataset, nuis: NuisanceSet, table: RowTable | None = None
 ) -> float:
@@ -495,33 +500,17 @@ def efficiency_gain_analytic(
     borrowing-adjusted inverse control-variance weights times V1(x)/q. On a
     DatasetBlock with its ``BlockTable`` it is one gain per dataset.
     """
-    if nuis.p is None or nuis.pi is None:
-        raise EmptyCell("gain formula needs fitted treatment and selection propensities")
-    table = row_table(ds, table)
-    p = table.propensity(nuis.p)[0]
-    pi = table.propensity(nuis.pi)[0]
-    r = table.ratio(nuis.r)
-    v1 = _var_trial_controls(ds, nuis, table)
+    p, pi, r, v1 = _gap_pieces(ds, nuis, table)
     gap = 1.0 / (1.0 - p) - 1.0 / (1.0 - p + (1.0 - pi) / pi * r)
     gain = np.mean(gap * v1 / ds.q_hat, axis=-1, where=ds.d == 1)
     return float(gain) if gain.ndim == 0 else gain
 
 
-def _gap_pieces(ds: CompositeDataset, nuis: NuisanceSet):
-    if nuis.p is None or nuis.pi is None:
-        raise EmptyCell("gap formulas need fitted treatment and selection propensities")
-    table = RowTable(ds)
-    p = table.propensity(nuis.p)[0]
-    pi = table.propensity(nuis.pi)[0]
-    r = table.ratio(nuis.r)
-    v1 = _var_trial_controls(ds, nuis, table)
-    return pi * (1.0 - p), weight_denominator(pi, p, r), pi, v1
-
-
 def variance_gap_psi(ds: CompositeDataset, nuis: NuisanceSet) -> float:
     """Asymptotic variance advantage of the full-data psi estimator."""
-    base, denom, _, v1 = _gap_pieces(ds, nuis)
-    gap = 1.0 / np.maximum(base, DENOM_EPS) - 1.0 / np.maximum(denom, DENOM_EPS)
+    p, pi, r, v1 = _gap_pieces(ds, nuis)
+    gap = 1.0 / np.maximum(pi * (1.0 - p), DENOM_EPS) - 1.0 / np.maximum(
+        weight_denominator(pi, p, r), DENOM_EPS)
     return float(np.mean(gap * v1))
 
 
@@ -529,8 +518,8 @@ def variance_gap_xi(ds: CompositeDataset, nuis: NuisanceSet) -> float:
     """Asymptotic variance advantage of the full-data xi estimator."""
     if ds.q_hat >= 1.0:
         raise OverlapNoExternal("gap for the external-population effect needs external rows")
-    base, denom, pi, v1 = _gap_pieces(ds, nuis)
+    p, pi, r, v1 = _gap_pieces(ds, nuis)
     one_minus_pi_sq = (1.0 - pi) ** 2
-    gap = one_minus_pi_sq / np.maximum(base, DENOM_EPS) - one_minus_pi_sq / np.maximum(
-        denom, DENOM_EPS)
+    gap = one_minus_pi_sq / np.maximum(pi * (1.0 - p), DENOM_EPS) - one_minus_pi_sq / np.maximum(
+        weight_denominator(pi, p, r), DENOM_EPS)
     return float(np.mean(gap * v1 / (1.0 - ds.q_hat) ** 2))

@@ -501,10 +501,12 @@ def bias_bound(
     The bias is the mean of w(x) * b(x) with w the borrowing weight; if only
     a magnitude bound on b is supplied (or derived from a supplied b), the
     reported absolute bound is bound * mean(w), which never exceeds the
-    bound itself.
+    bound itself. A negative bound is a ConfigError.
     """
     if b is None and bound is None:
         raise ConfigError("bias_bound needs b(x), a bound, or both")
+    if bound is not None and bound < 0:
+        raise ConfigError(f"bias bound must be non-negative, got {bound}")
     if nuis.pi is None:
         raise EmptyCell("bias bound needs a fitted selection propensity")
     table = row_table(ds, table)

@@ -416,6 +416,14 @@ def _loglinear_ratio(spec: ModelSpec, coefs, scales,
     )
 
 
+def _variance_spec(spec: ModelSpec | None, k: int) -> ModelSpec:
+    """The loglinear ratio's log-variance spec: ``spec``, or linear in x1..xk when None."""
+    spec = ModelSpec.linear_in(k, IDENTITY) if spec is None else spec
+    if spec.family != IDENTITY:
+        raise ConfigError("loglinear variance regression must use the identity family")
+    return spec
+
+
 def fit_variance_ratio(
     ds: CompositeDataset,
     m0: FittedGLM,
@@ -425,8 +433,9 @@ def fit_variance_ratio(
 ) -> VarianceRatioModel:
     """Estimate the control-outcome variance ratio from m0 residuals.
 
-    Each source group reads its rows of ``table``'s all-row designs, of m0's
-    spec and of ``spec``; a table of its own is made when none is passed.
+    Each source group reads its rows of ``table``'s prediction of m0, the one
+    the estimators read, and of its design of ``spec``; a table of its own is
+    made when none is passed.
     """
     if mode not in RATIO_MODES:
         raise ConfigError(f"unknown ratio mode {mode!r}")
@@ -440,9 +449,8 @@ def fit_variance_ratio(
     if m0.spec is None:
         raise ConfigError("m0 was fit on a raw design; the variance ratio needs its spec")
     table = row_table(ds, table)
-    xs = [ds.x[rows] for rows in groups]
-    resid2 = [(ds.y[rows] - m0.predict(x, design=table.design(m0.spec)[rows])) ** 2
-              for rows, x in zip(groups, xs)]
+    m0_values = table.predict(m0)
+    resid2 = [(ds.y[rows] - m0_values[rows]) ** 2 for rows in groups]
     if any(np.all(r2 < VAR_FLOOR) for r2 in resid2):
         raise DegenerateVariance(
             "all squared residuals below the variance floor in one source group"
@@ -451,17 +459,14 @@ def fit_variance_ratio(
     constant = _constant_ratio(v1, v0)
     if mode == RATIO_CONSTANT:
         return constant
-    if spec is None:
-        spec = ModelSpec.linear_in(ds.k, IDENTITY)
-    if spec.family != IDENTITY:
-        raise ConfigError("loglinear variance regression must use the identity family")
+    spec = _variance_spec(spec, ds.k)
     names = spec.column_names(ds.covariate_names)
     coefs, scales = [], []
-    for rows, x, r2, v in zip(groups, xs, resid2, (v1, v0)):
+    for rows, r2, v in zip(groups, resid2, (v1, v0)):
         design = table.design(spec)[rows]
         fit = fit_glm(design, np.log(r2 + VAR_FLOOR), IDENTITY, spec=spec, column_names=names)
         coefs.append(fit.coef)
-        scales.append(float(np.log(v / np.mean(np.exp(fit.predict(x, design=design))))))
+        scales.append(float(np.log(v / np.mean(np.exp(fit.predict(None, design))))))
     return _loglinear_ratio(spec, coefs, scales, constant)
 
 
@@ -903,8 +908,9 @@ class BlockFitter:
     source for the ratio, or every squared residual of a source under
     VAR_FLOOR. Where a design holds a non-finite value, or ``base`` fails a
     check that ``fit_bundle`` makes before a model's fit (a propensity spec
-    that is not logit, an empty arm or source in every dataset), every one is
-    left to ``fit_bundle``.
+    that is not logit, an empty arm or source in every dataset) or a ratio
+    setting it raises on (an unknown mode, a variance spec that is not of the
+    identity family), every one is left to ``fit_bundle``.
 
     ``fits``, when given, holds the propensity fits (p and pi, whose rows and
     response are d and t alone) as name -> (stacked model, its ``ok`` mask),
@@ -920,31 +926,24 @@ class BlockFitter:
         self.fits = fits
         self._table = RowTable(base)
         self._models: list | None = None
-        self._variance = None
         try:
             models = list(_bundle_models(base, self._table, specs, treated_only))
         except (ConfigError, EmptyCell):
             return  # every resample is fit alone, and fails as the base does
         if not all(np.isfinite(self._table.design(spec)).all() for *_, spec, _ in models):
             return  # nothing to stack: every resample is fit alone
-        self._models = models
-        if treated_only or ratio_mode not in (RATIO_CONSTANT, RATIO_LOGLINEAR) or not np.any(
-                base.n2 > 0):
-            return
-        spec = None
-        if ratio_mode == RATIO_LOGLINEAR:
-            spec = specs["variance"] or ModelSpec.linear_in(base.k, IDENTITY)
-            if spec.family != IDENTITY or not np.isfinite(self._table.design(spec)).all():
-                self._models = None
+        # the ratio fit_bundle fits: known_one, or constant or loglinear with its spec
+        self._ratio = RATIO_KNOWN_ONE if treated_only or not np.any(base.n2 > 0) else ratio_mode
+        self._variance = None
+        if self._ratio == RATIO_LOGLINEAR:
+            try:
+                self._variance = _variance_spec(specs["variance"], base.k)
+            except ConfigError:
+                return  # fit_bundle raises on it: every resample is fit alone
+            if not np.isfinite(self._table.design(self._variance)).all():
                 return
-        # per source group: its rows, m0's design on them for the residuals,
-        # and the variance spec's design for the log-variance fit
-        self._variance = spec, [
-            (source, _rows_of(self._table.design(specs["m0"]), source),
-             None if spec is None else _rows_of(self._table.design(spec), source))
-            for source in (_BUNDLE_ROWS[name](base.d, base.t)
-                           for name in ("trial_controls", "external"))
-        ]
+        if self._ratio in RATIO_MODES:
+            self._models = models
 
     def solve(self, counts: np.ndarray | None = None
               ) -> tuple[np.ndarray, tuple[dict, BlockTable] | None]:
@@ -983,13 +982,16 @@ class BlockFitter:
 
     def _solve_ratio(self, counts, m0: FittedGLM, ok) -> VarianceRatioModel:
         """The stacked variance ratio; clears ``ok`` where it fails."""
-        if self._variance is None:
+        if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
-        spec, groups = self._variance
+        spec, base = self._variance, self.base
         v, coefs, scales = [], [], []
-        for rows, m0_design, design in groups:
+        for name in ("trial_controls", "external"):
+            rows = _BUNDLE_ROWS[name](base.d, base.t)
+            m0_design = _rows_of(self._table.design(m0.spec), rows)
+            design = None if spec is None else _rows_of(self._table.design(spec), rows)
             weights = _row_weights(counts, rows)
-            r2 = (_rows_of(self.base.y, rows) - m0.predict(None, m0_design)) ** 2
+            r2 = (_rows_of(base.y, rows) - m0.predict(None, m0_design)) ** 2
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)

@@ -275,6 +275,15 @@ def test_seed_b_and_jobs_must_be_non_negative_integers(tmp_path, capsys, argv, c
     assert "Traceback" not in captured.err
 
 
+def test_negative_bias_bound_is_config_error(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out = run_cli(["diagnose", "--input", "tests/data/golden_input.csv",
+                         "--bias-bound", "-0.1"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "CONFIG", "message": "bias bound must be non-negative, got -0.1"}
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [

@@ -470,6 +470,24 @@ def test_bootstrap_with_a_non_logit_propensity_fails_every_resample_alone(
     assert failed.value.details["messages"] == [message] * 5
 
 
+@pytest.mark.parametrize("ratio_mode, variance, message", [
+    ("bogus", IDENTITY, "unknown ratio mode 'bogus'"),
+    (RATIO_LOGLINEAR, LOGIT, "loglinear variance regression must use the identity family"),
+], ids=["unknown_mode", "logit_variance"])
+def test_bootstrap_with_a_ratio_setting_fit_bundle_rejects_fails_every_resample_alone(
+        random_dataset, ratio_mode, variance, message):
+    specs = {**linear_specs(2), "variance": ModelSpec.linear_in(2, variance)}
+    bundle = {"specs": specs, "ratio_mode": ratio_mode}
+    ok, fitted = BlockFitter(random_dataset, **bundle).solve(np.ones((3, random_dataset.n)))
+    assert not ok.any() and fitted is None
+    shared = SharedFit(partial(fit_bundle, **bundle), (_tau_full,),
+                       block=partial(BlockFitter, **bundle))
+    with pytest.raises(ReplicateFailure) as failed:
+        bootstrap_variance(random_dataset, shared, 100, seed=1)
+    assert failed.value.details["failures"] == 100
+    assert failed.value.details["messages"] == [f"ConfigError: {message}"] * 5
+
+
 def test_bootstrap_counts_a_non_finite_point_as_failed():
     # on these 21 rows a loglinear ratio overflows on some resamples
     ds = _tiny_dataset(treated=8, controls=8, external=5)
