@@ -170,8 +170,9 @@ class DatasetBlock:
     def __init__(self, y: np.ndarray, x: np.ndarray, t: np.ndarray, d: np.ndarray,
                  covariate_names: tuple, outcome_kind: str):
         self.y, self.x = y, x
-        # 0/1 codes fit in a byte, which keeps the block's integer rows small
-        self.t, self.d = t.astype(np.int8), d.astype(np.int8)
+        # 0/1 codes fit in a byte, which keeps the block's integer rows small;
+        # int8 codes are taken as they are, so that twin blocks share them
+        self.t, self.d = t.astype(np.int8, copy=False), d.astype(np.int8, copy=False)
         self.n1 = self.d.sum(axis=1, keepdims=True)
         self.covariate_names = covariate_names
         self.outcome_kind = outcome_kind

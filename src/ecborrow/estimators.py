@@ -25,7 +25,7 @@ c = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -164,11 +164,16 @@ class _Moment:
     trim_count: int
     counts: np.ndarray | None = None
 
-    @property
+    @cached_property
     def denom_sum(self):
-        if self.counts is None:
-            return np.sum(np.broadcast_to(self.denom, self.numer.shape), axis=-1)
-        return self.counts @ np.broadcast_to(self.denom, self.numer.shape[-1:])
+        """sum(c*D) per point, summed once: an exact count, so no summation order
+        moves its bits; the row count, or a resample's total count, where D is 1.0."""
+        if self.counts is not None:
+            return self.counts.sum(axis=-1) if np.ndim(self.denom) == 0 else (
+                self.counts @ self.denom)
+        if np.ndim(self.denom) == 0:
+            return np.full(self.numer.shape[:-1], float(self.numer.shape[-1]))
+        return np.sum(self.denom, axis=-1)
 
     @property
     def point(self):

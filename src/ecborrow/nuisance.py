@@ -514,23 +514,28 @@ class RowTable:
     through ``cached``. Passing one table to every call on ``ds`` shares that
     work between them; every value is the one the call computes with a table
     of its own. Models must not change after a table has read them.
+    ``designs`` and ``propensities`` may pass the stores of another table on
+    the same covariates, which then shares them.
     """
 
     counts = None  # each row once; a BlockTable holds K resamples' counts
 
-    def __init__(self, ds: CompositeDataset):
+    def __init__(self, ds: CompositeDataset, designs: dict | None = None,
+                 propensities: dict | None = None):
         self.ds = ds
-        self._designs: dict = {}
+        self._designs = {} if designs is None else designs
+        self._propensities = {} if propensities is None else propensities
         self._values: dict = {}
 
-    def cached(self, key: tuple, owners, compute):
+    def cached(self, key: tuple, owners, compute, store: dict | None = None):
         """``compute()`` on the first call with ``key``, the stored value after.
 
         ``owners`` stay referenced, so the ids in ``key`` cannot be reused.
         """
-        hit = self._values.get(key)
+        store = self._values if store is None else store
+        hit = store.get(key)
         if hit is None:
-            hit = self._values[key] = (owners, compute())
+            hit = store[key] = (owners, compute())
         return hit[1]
 
     def design(self, spec: ModelSpec | None) -> np.ndarray | None:
@@ -557,7 +562,7 @@ class RowTable:
             clipped = np.clip(raw, TRIM_EPS, 1.0 - TRIM_EPS)
             return clipped, clipped != raw
 
-        return self.cached(("propensity", id(model)), model, compute)
+        return self.cached(("propensity", id(model)), model, compute, self._propensities)
 
     def ratio(self, r: VarianceRatioModel) -> np.ndarray:
         return self.cached(
@@ -743,15 +748,16 @@ def _guarded_gram(design: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     return gram, (eig[:, 0] > 0) & (eig[:, -1] <= GRAM_COND_MAX * eig[:, 0])
 
 
-def _stacked_wls(design: np.ndarray, weights: np.ndarray,
-                 response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_wls(design: np.ndarray, weights: np.ndarray, response: np.ndarray,
+                 guarded: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares for each row of ``weights``, from the normal equations.
 
     ``response`` is one vector for every row of ``weights`` or one row each.
+    ``guarded`` may pass ``_guarded_gram(design, weights)`` computed beforehand.
     Returns the coefficients and where ``_guarded_gram`` lets them stand in
     for ``fit_glm``.
     """
-    gram, ok = _guarded_gram(design, weights)
+    gram, ok = _guarded_gram(design, weights) if guarded is None else guarded
     coef = np.zeros((weights.shape[0], design.shape[-1]))
     if ok.any():
         rhs = _xt(_fits(ok, design)[0], (weights * response)[ok])
@@ -865,9 +871,9 @@ class BlockTable(RowTable):
     non-finite point.
     """
 
-    def __init__(self, table: RowTable, counts: np.ndarray | None):
-        super().__init__(table.ds)
-        self._designs = table._designs
+    def __init__(self, table: RowTable, counts: np.ndarray | None,
+                 propensities: dict | None = None):
+        super().__init__(table.ds, table._designs, propensities)
         self.counts = counts
 
     def ratio(self, r: VarianceRatioModel) -> np.ndarray:
@@ -912,19 +918,22 @@ class BlockFitter:
     setting it raises on (an unknown mode, a variance spec that is not of the
     identity family), every one is left to ``fit_bundle``.
 
-    ``fits``, when given, holds the propensity fits (p and pi, whose rows and
-    response are d and t alone) as name -> (stacked model, its ``ok`` mask),
-    made by another fitter of a base with the same covariates, d and t, the
-    same specs and the same counts. ``solve`` takes each it holds instead of
-    fitting it, and adds those it fits itself, so that a twin block can take
-    them after.
+    ``fits``, when given, is shared by the fitters of twin bases (the same
+    covariates, d and t, specs and counts; one ``solve`` each). It holds what
+    depends on nothing else, made by the first fitter and taken by the others:
+    "p" and "pi" as (stacked model, its ``ok`` mask); "designs" and
+    "propensity", the ``RowTable`` stores of all-row designs and of clipped p
+    and pi predictions with their trim masks; and "grams", ``_guarded_gram``'s
+    result by (spec terms, intercept, row-set name). Without ``fits`` a
+    ``solve`` keeps these for itself, so trial m0 and the trial controls'
+    log-variance fit still share one Gram.
     """
 
     def __init__(self, base: CompositeDataset | DatasetBlock, specs: dict, ratio_mode: str,
                  treated_only: bool = False, fits: dict | None = None):
         self.base = base
         self.fits = fits
-        self._table = RowTable(base)
+        self._table = RowTable(base, None if fits is None else fits.setdefault("designs", {}))
         self._models: list | None = None
         try:
             models = list(_bundle_models(base, self._table, specs, treated_only))
@@ -953,35 +962,47 @@ class BlockFitter:
         if not ok.any():
             return ok, None
         models = {}
+        shared = {} if self.fits is None else self.fits
+        grams = shared.setdefault("grams", {})
+
+        def guarded(spec: ModelSpec, row_set: str, design, weights) -> tuple:
+            key = (spec.terms, spec.include_intercept, row_set)
+            if key not in grams:
+                grams[key] = _guarded_gram(design, weights)
+            return grams[key]
+
         # a fit cleared from ``ok`` may divide by a zero count or overflow;
         # its values are never read
         with np.errstate(all="ignore"):
             for name, rows, design, response, spec, names in self._models:
-                if self.fits is not None and name in self.fits:
-                    models[name], good = self.fits[name]
+                if name in shared:
+                    models[name], good = shared[name]
                     ok &= good
                     continue
+                row_set = _BUNDLE_MODELS[name].rows
                 weights = _row_weights(counts, rows)
                 wsum = weights.sum(axis=1)
+                gram = guarded(spec, row_set, design, weights)
                 if spec.family == IDENTITY:
-                    coef, good = _stacked_wls(design, weights, response)
+                    coef, good = _stacked_wls(design, weights, response, gram)
                     rss = (weights * (response - _eta(design, coef)) ** 2).sum(axis=1)
                     iterations, loglik = 1, _gaussian_loglik(rss, wsum)
                 else:
                     # a fit past the Gram guards
                     coef, iterations, loglik, status = _stacked_logit(
-                        design, weights, response, _guarded_gram(design, weights)[1])
+                        design, weights, response, gram[1])
                     good = status == _CONVERGED
                 ok &= good
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
                                          wsum.astype(int), spec, names)
-                if self.fits is not None and _BUNDLE_MODELS[name].response != "y":
-                    self.fits[name] = models[name], good
-            r = self._solve_ratio(counts, models["m0_pooled"], ok)
-        return ok, (_bundle_sets(models, r), BlockTable(self._table, counts))
+                if _BUNDLE_MODELS[name].response != "y":
+                    shared[name] = models[name], good
+            r = self._solve_ratio(counts, models["m0_pooled"], ok, guarded)
+        return ok, (_bundle_sets(models, r),
+                    BlockTable(self._table, counts, shared.setdefault("propensity", {})))
 
-    def _solve_ratio(self, counts, m0: FittedGLM, ok) -> VarianceRatioModel:
-        """The stacked variance ratio; clears ``ok`` where it fails."""
+    def _solve_ratio(self, counts, m0: FittedGLM, ok, guarded) -> VarianceRatioModel:
+        """The stacked variance ratio, its Grams from ``guarded``; clears ``ok`` where it fails."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
         spec, base = self._variance, self.base
@@ -996,7 +1017,8 @@ class BlockFitter:
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
             if design is not None:
-                coef, good = _stacked_wls(design, weights, np.log(r2 + VAR_FLOOR))
+                coef, good = _stacked_wls(design, weights, np.log(r2 + VAR_FLOOR),
+                                          guarded(spec, name, design, weights))
                 ok &= good
                 smoothed = (weights * np.exp(_eta(design, coef))).sum(axis=1) / count
                 coefs.append(coef)

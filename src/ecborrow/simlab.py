@@ -25,8 +25,8 @@ gain. A replicate the block cannot stand in for is fit alone and scored by
 it at K = 1. A study (``run_study``) runs its scenarios in one pass, block by
 block: each replicate's stream is drawn once for every scenario
 (``draw_streams``), each scenario builds its block from those draws
-(``generate``), and scenarios whose blocks hold equal d and t fit their
-propensity models once.
+(``generate``), and twins, the scenarios that draw the same d and t, compute
+once what depends only on those: the arm, designs, Grams and propensity fits.
 """
 
 from __future__ import annotations
@@ -174,10 +174,20 @@ def distort(x: np.ndarray) -> np.ndarray:
     return np.stack([(w1 - _D1_MEAN) / _D1_SD, (w2 - _D2_MEAN) / _D2_SD], axis=-1)
 
 
-def _features(cfg: ScenarioConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _once(memo: dict, key, compute):
+    """``memo[key]``, set to ``compute()`` on the first call with ``key``."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _features(cfg: ScenarioConfig, x: np.ndarray, memo: dict
+              ) -> tuple[np.ndarray, np.ndarray]:
     """The propensity and the outcome features of covariates ``x``: ``distort(x)``
-    in the scenario's misspecified arms, computed once, and ``x`` itself otherwise."""
-    distorted = distort(x) if cfg.propensity_distorted or cfg.outcome_distorted else x
+    in the scenario's misspecified arms, computed once per ``memo``, and ``x``
+    itself otherwise."""
+    distorted = (_once(memo, "distort", partial(distort, x))
+                 if cfg.propensity_distorted or cfg.outcome_distorted else x)
     return (distorted if cfg.propensity_distorted else x,
             distorted if cfg.outcome_distorted else x)
 
@@ -211,7 +221,29 @@ def draw_streams(seeds: list, n: int) -> tuple[np.ndarray, ...]:
     return x, u_select, u_treat, noise
 
 
-def generate(cfg: ScenarioConfig, seed, draws: tuple | None = None
+def _arm_key(cfg: ScenarioConfig) -> tuple:
+    """The fields of ``cfg`` that ``_arm`` reads. Scenarios with one key are twins:
+    on the same draws they draw the same arm (i and iii, ii and iv by default)."""
+    return (cfg.propensity_distorted, cfg.selection_coefs, cfg.treatment_coefs,
+            cfg.log_var_trial, cfg.log_var_external, cfg.engagement_coefs)
+
+
+def _arm(cfg: ScenarioConfig, x, z_ps, u_select, u_treat, noise) -> tuple:
+    """Source d and arm t (int8), the engagement shift d * engagement, the scaled noise."""
+    pi_true = expit(_linear(cfg.selection_coefs, z_ps))
+    d = (u_select < pi_true).astype(np.int8)
+    p_true = expit(_linear(cfg.treatment_coefs, z_ps))
+    t = ((d == 1) & (u_treat < p_true)).astype(np.int8)
+
+    sd = np.where(
+        d == 1,
+        np.exp(0.5 * (cfg.log_var_trial[0] + cfg.log_var_trial[1] * x[..., 0])),
+        np.exp(0.5 * (cfg.log_var_external[0] + cfg.log_var_external[1] * x[..., 0])),
+    )
+    return d, t, d * _linear(cfg.engagement_coefs, x), noise * sd
+
+
+def generate(cfg: ScenarioConfig, seed, draws: tuple | None = None, memo: dict | None = None
              ) -> tuple[CompositeDataset | DatasetBlock, TruthFrame]:
     """Draw one synthetic composite dataset from the RNG stream ``seed``, plus its
     hidden truth.
@@ -219,25 +251,16 @@ def generate(cfg: ScenarioConfig, seed, draws: tuple | None = None
     Given the ``draws`` of K streams (``draw_streams``), ``seed`` is not read:
     it builds the K datasets at once, by the same arithmetic over the leading
     axis, as a DatasetBlock with (K, n) truths. A dataset of the block may hold
-    no trial row, which ``CompositeDataset`` refuses.
+    no trial row, which ``CompositeDataset`` refuses. A ``memo`` kept across the
+    scenarios of one ``draws`` computes ``distort(x)`` and each ``_arm_key``'s arm once.
     """
     x, u_select, u_treat, noise = draw_streams([seed], cfg.n) if draws is None else draws
-    z_ps, z_out = _features(cfg, x)
-
-    pi_true = expit(_linear(cfg.selection_coefs, z_ps))
-    d = (u_select < pi_true).astype(int)
-    p_true = expit(_linear(cfg.treatment_coefs, z_ps))
-    t = (d == 1) & (u_treat < p_true)
-    t = t.astype(int)
-
-    sd = np.where(
-        d == 1,
-        np.exp(0.5 * (cfg.log_var_trial[0] + cfg.log_var_trial[1] * x[..., 0])),
-        np.exp(0.5 * (cfg.log_var_external[0] + cfg.log_var_external[1] * x[..., 0])),
-    )
-    noise = noise * sd
-    engagement = _linear(cfg.engagement_coefs, x)
-    y0 = _linear(cfg.control_mean_coefs, z_out) + d * engagement + noise
+    memo = {} if memo is None else memo
+    z_ps, z_out = _features(cfg, x, memo)
+    d, t, shift, scaled = _once(memo, _arm_key(cfg),
+                                partial(_arm, cfg, x, z_ps, u_select, u_treat, noise))
+    # in the operand order (mean + shift) + noise, which fixes the bits
+    y0 = _linear(cfg.control_mean_coefs, z_out) + shift + scaled
     y1 = y0 + _linear(cfg.effect_coefs, z_out)
     y = np.where(t == 1, y1, y0)
 
@@ -317,7 +340,7 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int, expect) -> TrueEffects:
     nodes, weights = _normal_rule(k)
     x = np.column_stack([np.repeat(nodes, k), np.tile(nodes, k)])
     w = np.outer(weights, weights).ravel()
-    z_ps, z_out = _features(cfg, x)
+    z_ps, z_out = _features(cfg, x, {})
     pi = expit(_linear(cfg.selection_coefs, z_ps))
     g = _linear(cfg.effect_coefs, z_out)
     q = float(expect(w, pi))
@@ -344,21 +367,25 @@ def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
 def _mc_block(args) -> list[list]:
     """One block of replicates for every scenario of a study: each replicate's
     stream is drawn once, and each scenario builds its block from those draws
-    (``generate``) and scores it (``_score_block``). A scenario whose block holds
-    the d and t of an earlier one's, on the same covariates, takes that block's
-    propensity fits instead of fitting them again."""
+    (``generate``, with one memo for the block) and scores it (``_score_block``).
+
+    Twins (one ``_arm_key``) hold the same covariates, d and t, so they are scored
+    back to back on one ``BlockFitter`` ``fits``, dropped with their arm after
+    them. The outcomes stay in scenario order.
+    """
     cfgs, master_seed, reps, estimators = args
     draws = draw_streams([[master_seed, rep] for rep in reps], cfgs[0].n)
-    outcomes, seen = [], []  # seen: each distinct block's d and t, and its propensity fits
-    for cfg in cfgs:
-        block = generate(cfg, None, draws)[0]
-        fits = next((fits for d, t, fits in seen
-                     if np.array_equal(d, block.d) and np.array_equal(t, block.t)), None)
-        if fits is None:
-            fits = {}
-            seen.append((block.d, block.t, fits))
-        outcomes.append(_score_block(block, estimators, fits))
-        del block  # one scenario's block at a time
+    twins: dict = {}
+    for s, cfg in enumerate(cfgs):
+        twins.setdefault(_arm_key(cfg), []).append(s)
+    outcomes, memo = [None] * len(cfgs), {}
+    for key, scenarios in twins.items():
+        fits: dict = {}
+        for s in scenarios:
+            block = generate(cfgs[s], None, draws, memo)[0]
+            outcomes[s] = _score_block(block, estimators, fits)
+            del block  # one scenario's block at a time
+        del memo[key]
     return outcomes
 
 
@@ -466,9 +493,8 @@ def run_study(
 
     The scenarios share one sample size and so one block rule. Each task is a
     block of replicates for every scenario (``_mc_block``): replicate r's
-    stream (master_seed, r) is drawn once for all of them, and scenarios with
-    equal d and t (i and iii, ii and iv under the default ``dgp``) fit their
-    propensity models once. Each scenario is then summarised in order, its
+    stream (master_seed, r) is drawn once for all of them, and twins (i and
+    iii, ii and iv under the default ``dgp``) share their arm and propensity work. Each scenario is then summarised in order, its
     truth checked before its replicate failures, so each scenario's result and
     the first error are those of ``run_monte_carlo`` run on it alone.
     """

@@ -12,6 +12,7 @@ from ecborrow.cli import (
     _model_specs,
     _requested_pairs,
     _resolve_ratio,
+    main,
 )
 from ecborrow.dataset import CompositeDataset, load_csv
 from ecborrow.errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
@@ -663,6 +664,26 @@ def test_golden_bootstrap_points_are_the_same_at_blocks_of_16_32_and_80(monkeypa
         assert [r.replicates for r in results] == [100] * 6
         points.append(np.stack([r.points for r in results]).view(np.int64))
     assert np.array_equal(points[0], points[1]) and np.array_equal(points[0], points[2])
+
+
+def test_each_bootstrap_block_builds_one_gram_per_design_and_row_set(monkeypatch, capsys):
+    # B = 500 at n = 400 is 7 blocks of 80 resamples; each builds the Grams of m1,
+    # pooled m0, p, pi, trial m0 and the external log-variance fit, and the trial
+    # controls' log-variance fit takes trial m0's (the same design and weights)
+    from ecborrow import nuisance
+
+    grams, guarded_gram = [], nuisance._guarded_gram
+
+    def counting(design, weights):
+        grams.append(weights.shape)
+        return guarded_gram(design, weights)
+
+    monkeypatch.setattr(nuisance, "_guarded_gram", counting)
+    assert main(["estimate", "--input", "tests/data/golden_input.csv", "--variance",
+                 "bootstrap", "--seed", "11"]) == 0
+    capsys.readouterr()
+    assert len(block_ranges(500, 400, BOOTSTRAP_BLOCK_BYTES)) == 7
+    assert len(grams) == 7 * 6
 
 
 @pytest.mark.parametrize("rows", [40, 200, 400, 1000])

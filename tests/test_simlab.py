@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -492,6 +493,38 @@ def test_study_draws_each_stream_once_and_fits_twin_propensities_once(monkeypatc
     assert logits == [(len(block), 1000, 3) for block in blocks for _ in range(4)]
 
 
+def _scored(monkeypatch, cfgs, seed, reps):
+    """``_mc_block``'s outcomes over ``reps``, and the fitter of each scenario block
+    it scores, in the order it scores them."""
+    fitters, block_points = [], sl._block_points
+
+    def recording(fitter, points):
+        fitters.append(fitter)
+        return block_points(fitter, points)
+
+    monkeypatch.setattr(sl, "_block_points", recording)
+    return sl._mc_block((cfgs, seed, reps, sl.ALL_ESTIMATORS)), fitters
+
+
+def _assert_block_holds_each_replicate_drawn_alone(cfg, block, scored, seed, reps) -> list:
+    """The failed draws of ``reps``, once ``block`` holds the bytes of the others drawn
+    alone and ``scored`` each failed draw's message."""
+    drawn, failed = [], []
+    for rep in reps:
+        try:
+            drawn.append(generate(cfg, [seed, rep])[0])
+        except InvariantViolation as exc:
+            failed.append((rep, f"InvariantViolation: {exc}"))
+    assert drawn
+    alone = DatasetBlock.stack(drawn)
+    for name in ("y", "x", "t", "d", "n1"):
+        mine, theirs = getattr(block, name), getattr(alone, name)
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (
+            theirs.dtype, theirs.shape, theirs.tobytes())
+    assert [(rep, scored[rep]) for rep, _ in failed] == failed
+    return failed
+
+
 @pytest.mark.parametrize("dgp, n, seed", [
     ({}, 60, 3),
     (ENGAGEMENT_DGP, 60, 3),
@@ -501,29 +534,67 @@ def test_study_blocks_hold_the_bytes_of_each_replicate_drawn_alone(monkeypatch, 
     overrides = {key: tuple(value) for key, value in dgp.items()}
     cfgs = [ScenarioConfig(scenario=scenario, n=n, **overrides) for scenario in sl.SCENARIOS]
     reps = range(8)
-    bases, block_points = [], sl._block_points
+    outcomes, fitters = _scored(monkeypatch, cfgs, seed, reps)
+    # twins are scored back to back: i and iii, then ii and iv
+    order = [sl.SCENARIOS.index(scenario) for scenario in ("i", "iii", "ii", "iv")]
+    assert len(fitters) == len(cfgs)
+    for s, fitter in zip(order, fitters):
+        failed = _assert_block_holds_each_replicate_drawn_alone(
+            cfgs[s], fitter.base, outcomes[s], seed, reps)
+        assert bool(failed) == (dgp is FAILED_DRAW_DGP)
 
-    def recording(fitter, points):
-        bases.append(fitter.base)
-        return block_points(fitter, points)
 
-    monkeypatch.setattr(sl, "_block_points", recording)
-    outcomes = sl._mc_block((cfgs, seed, reps, sl.ALL_ESTIMATORS))
-    assert len(bases) == len(cfgs)
-    for cfg, block, scored in zip(cfgs, bases, outcomes):
-        drawn, failed = [], []
-        for rep in reps:
-            try:
-                drawn.append(generate(cfg, [seed, rep])[0])
-            except InvariantViolation as exc:
-                failed.append((rep, f"InvariantViolation: {exc}"))
-        assert bool(failed) == (dgp is FAILED_DRAW_DGP) and drawn
-        alone = DatasetBlock.stack(drawn)
-        for name in ("y", "x", "t", "d", "n1"):
-            mine, theirs = getattr(block, name), getattr(alone, name)
-            assert (mine.dtype, mine.shape, mine.tobytes()) == (
-                theirs.dtype, theirs.shape, theirs.tobytes())
-        assert [(rep, scored[rep]) for rep, _ in failed] == failed
+def _count_stacked_work(monkeypatch) -> dict:
+    """Counts, as the run goes, of ``_guarded_gram`` calls and of the predictions of
+    stacked logit models (the propensities the block tables read)."""
+    import ecborrow.nuisance as nuisance
+
+    counts = {"grams": 0, "propensities": 0}
+    guarded_gram, predict = nuisance._guarded_gram, nuisance.FittedGLM.predict
+
+    def counting_gram(design, weights):
+        counts["grams"] += 1
+        return guarded_gram(design, weights)
+
+    def counting_predict(model, x, design=None):
+        counts["propensities"] += model.family == nuisance.LOGIT and np.ndim(model.coef) == 2
+        return predict(model, x, design=design)
+
+    monkeypatch.setattr(nuisance, "_guarded_gram", counting_gram)
+    monkeypatch.setattr(nuisance.FittedGLM, "predict", counting_predict)
+    return counts
+
+
+def test_study_builds_each_gram_and_propensity_once_per_twin_pair(monkeypatch, capsys):
+    counts = _count_stacked_work(monkeypatch)
+    assert main(["simulate", "--scenario", "all", "--reps", "20", "--n", "1000",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    # 2 blocks of 2 twin pairs, each building the Grams of m1, pooled m0, p, pi,
+    # trial m0 (which the trial controls' log-variance fit shares) and the external
+    # log-variance fit, and predicting p and pi
+    assert counts == {"grams": 2 * 2 * 6, "propensities": 2 * 2 * 2}
+
+
+def test_twins_follow_the_draw_fields_not_the_scenario_names(monkeypatch):
+    # iii selects on other coefficients than i, so its d is not i's: each is
+    # scored alone, after ii and iv, which are still twins
+    cfgs = [ScenarioConfig(scenario=scenario, n=200) for scenario in sl.SCENARIOS]
+    cfgs[2] = replace(cfgs[2], selection_coefs=(0.2, 0.5, -0.3))
+    counts = _count_stacked_work(monkeypatch)
+    seed, reps = 3, range(8)
+    outcomes, fitters = _scored(monkeypatch, cfgs, seed, reps)
+    order = [sl.SCENARIOS.index(scenario) for scenario in ("i", "ii", "iv", "iii")]
+    assert len(fitters) == len(cfgs)
+    for s, fitter in zip(order, fitters):
+        assert not _assert_block_holds_each_replicate_drawn_alone(
+            cfgs[s], fitter.base, outcomes[s], seed, reps)
+    first, twin, other_twin, third = (fitter.fits for fitter in fitters)
+    assert twin is other_twin and first is not third
+    assert not np.array_equal(fitters[0].base.d, fitters[3].base.d)
+    # i and iii share no Gram or propensity: each twin set builds its own
+    assert counts == {"grams": 3 * 6, "propensities": 3 * 2}
+    assert first["p"][0] is not third["p"][0] and first["pi"][0] is not third["pi"][0]
 
 
 def test_draw_retention_cap():
