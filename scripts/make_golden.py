@@ -98,7 +98,8 @@ def write(out: Path) -> None:
     # golden bytes are portable across checkouts
     os.chdir(ROOT)
     for name, argv in GOLDENS.items():
-        with contextlib.redirect_stdout(io.StringIO()):  # each run also prints its JSON
+        # each run also prints its JSON, and some a note: --check prints one line per file
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--out", str(out / name)])
         if code != 0:
             raise SystemExit(f"{argv[0]} for {name} failed with exit code {code}")

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write the same output bytes, one line per output.
+
+    python scripts/same_bytes.py PARENT CHANGE
+
+Each gate runs in both checkouts, with that checkout's ``src`` first on the
+path, and each of its outputs is compared byte for byte:
+
+- ``scripts/make_golden.py --check``: one output per golden file, its line of
+  the check (whether the regenerated bytes match the checkout's tests/data,
+  and the largest relative change of a number);
+- ``simulate --scenario all --reps 250 --n 1000`` at seeds 1 and 2, each under
+  ``--jobs 1`` and ``--jobs 2``;
+- ``estimate --variance bootstrap`` on the bootstrap_estimate benchmark input
+  (scenario ii, n = 1000, stream [seed, 2]) at seeds 1, 2, 5 and 10;
+- ``estimate`` on the cold_estimate benchmark input (scenario i, n = 400,
+  stream [1, 1]).
+
+A CLI output is its stdout, and its exit code where that is not 0. A byte
+move at one seed can hide at another, so the gates take more than one. The
+inputs are drawn once, by PARENT's code, into one temporary directory, so
+the input path each JSON records is the same on both sides. Each line reads "same" or "DIFFER", with
+the first 8 hex digits of the SHA-256 of each side's output; the exit code is
+1 if any output differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIMULATE_SEEDS = (1, 2)
+BOOTSTRAP_SEEDS = (1, 2, 5, 10)
+
+# writes the dataset a scenario draws from one stream: scenario n seed stream path
+DRAW = """\
+import sys
+from ecborrow.dataset import write_csv
+from ecborrow.simlab import ScenarioConfig, generate
+scenario, n, seed, stream, path = sys.argv[1:]
+write_csv(generate(ScenarioConfig(scenario=scenario, n=int(n)), [int(seed), int(stream)])[0],
+          path)
+"""
+
+
+def _run(checkout: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    return subprocess.run([sys.executable, *argv], cwd=checkout, env=env, capture_output=True,
+                          check=False)
+
+
+def cli_output(checkout: Path, argv: list[str]) -> bytes:
+    """The stdout of one CLI run in ``checkout``, followed by its exit code if not 0."""
+    done = _run(checkout, ["-m", "ecborrow.cli", *argv])
+    return done.stdout + (b"exit %d\n" % done.returncode if done.returncode else b"")
+
+
+def golden_outputs(checkout: Path) -> dict[str, bytes]:
+    """``make_golden.py --check``'s line for each golden file, by file name."""
+    done = _run(checkout, ["scripts/make_golden.py", "--check"])
+    lines = done.stdout.splitlines()
+    if not lines:
+        raise SystemExit(f"{checkout}: make_golden.py --check printed nothing\n"
+                         f"{done.stderr.decode(errors='replace')[-2000:]}")
+    return {f"golden {line.split(b':')[0].decode()}": line for line in lines}
+
+
+def draw(checkout: Path, scenario: str, n: int, seed: int, stream: int, out: Path) -> Path:
+    path = out / f"scenario_{scenario}_n{n}_seed{seed}.csv"
+    done = _run(checkout, ["-c", DRAW, scenario, str(n), str(seed), str(stream), str(path)])
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: drawing {path.name} failed\n"
+                         f"{done.stderr.decode(errors='replace')[-2000:]}")
+    return path
+
+
+def cli_gates(checkout: Path, work: Path) -> dict[str, list[str]]:
+    """Each CLI gate's argv by label, on inputs drawn by ``checkout`` into ``work``."""
+    gates = {}
+    for seed in SIMULATE_SEEDS:
+        for jobs in (1, 2):
+            gates[f"simulate seed {seed} jobs {jobs}"] = [
+                "simulate", "--scenario", "all", "--reps", "250", "--n", "1000",
+                "--seed", str(seed), "--jobs", str(jobs)]
+    for seed in BOOTSTRAP_SEEDS:
+        path = draw(checkout, "ii", 1000, seed, 2, work)
+        gates[f"bootstrap_estimate seed {seed}"] = [
+            "estimate", "--input", str(path), "--variance", "bootstrap", "--seed", str(seed),
+            "--jobs", "1"]
+    path = draw(checkout, "i", 400, 1, 1, work)
+    gates["cold_estimate seed 1"] = ["estimate", "--input", str(path), "--jobs", "1"]
+    return gates
+
+
+def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> tuple[list[str], bool]:
+    """One line per output label, in the parent's order, and whether any output
+    differs; a label on one side only differs."""
+    lines, differ = [], False
+    for label in [*parent, *(label for label in change if label not in parent)]:
+        sides = [outputs.get(label) for outputs in (parent, change)]
+        same = sides[0] is not None and sides[0] == sides[1]
+        differ |= not same
+        digests = [hashlib.sha256(side).hexdigest()[:8] if side is not None else "missing"
+                   for side in sides]
+        lines.append(f"{label}: {'same' if same else 'DIFFER'} "
+                     f"(parent {digests[0]}, change {digests[1]})")
+    return lines, differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    args = parser.parse_args(argv)
+    sides = (args.parent.resolve(), args.change.resolve())
+    outputs: tuple[dict, dict] = ({}, {})
+    with tempfile.TemporaryDirectory() as tmp:
+        gates = cli_gates(sides[0], Path(tmp))
+        for checkout, found in zip(sides, outputs):
+            found.update(golden_outputs(checkout))
+            found.update((label, cli_output(checkout, gate)) for label, gate in gates.items())
+    lines, differ = compare(*outputs)
+    print("\n".join(lines))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,8 +14,9 @@ the ``estimate_*`` functions, ``estimate``, ``estimate_point``,
 ``influence_values`` and ``point_and_influence`` all read them; through the
 row table, when one is passed, they share every prediction and the pieces
 of the full-data rows. psi's rows are tau's plus xi's, so
-psi = q*tau + (1 - q)*xi holds row by row. On a ``nuisance.BlockTable`` the
-same rows are (K, n): for K bootstrap resamples each point is
+psi = q*tau + (1 - q)*xi holds row by row. On a block's row table
+(``nuisance.RowTable`` with counts, or of a ``DatasetBlock``) the same rows
+are (K, n): for K bootstrap resamples each point is
 sum(c*N)/sum(c*D), c the resample's count of each row, and for a
 ``DatasetBlock`` of K Monte Carlo replicates, whose columns are (K, n) too,
 it is each replicate's sum(N)/sum(D). A plain table is the case K = 1,
@@ -401,8 +402,8 @@ def estimate_point(
 ):
     """The named estimator's point alone, with no Estimate or fingerprint.
 
-    On a ``BlockTable`` of stacked models it is one point per resample or
-    dataset of the block.
+    On a block's ``RowTable`` of stacked models it is one point per resample
+    or dataset of the block.
     """
     return _moment(ds, nuis, estimand, method, table).point
 
@@ -453,7 +454,7 @@ def point_and_influence(
     """The named estimator's point and its influence values at that point, from
     one computation of its rows, unchecked (``uncentred`` is the check).
 
-    On a DatasetBlock with its ``BlockTable`` they are (K,) points and (K, n)
+    On a DatasetBlock with its ``RowTable`` they are (K,) points and (K, n)
     values, one row per dataset.
     """
     moment = _moment(ds, nuis, estimand, method, table)
@@ -503,7 +504,7 @@ def efficiency_gain_analytic(
 
     Averages, over trial rows, the gap between the trial-only and
     borrowing-adjusted inverse control-variance weights times V1(x)/q. On a
-    DatasetBlock with its ``BlockTable`` it is one gain per dataset.
+    DatasetBlock with its ``RowTable`` it is one gain per dataset.
     """
     p, pi, r, v1 = _gap_pieces(ds, nuis, table)
     gap = 1.0 / (1.0 - p) - 1.0 / (1.0 - p + (1.0 - pi) / pi * r)

@@ -192,13 +192,13 @@ class SharedFit:
     fitted)`` in ``points`` turns its result into one estimate. ``block``,
     when given, makes a block fitter of the canonical base rows,
     ``block(base)``, that fits many resamples together (``nuisance.
-    BlockFitter`` is one). Its ``solve(counts)`` takes K resamples as rows
-    of frequency counts on the base rows and returns ``(ok, fitted)``: where
-    it stands in for ``fit``, and a value on which each ``point(base,
-    fitted)`` returns the K points at once, equal up to rounding to
-    ``point(resample, fit(resample))`` wherever ``ok`` holds. A resample
-    outside ``ok``, or with a non-finite block point, is fit alone. With
-    ``jobs > 1`` every function must be picklable.
+    BlockFitter`` is one). Its ``solve(counts, base)`` takes K resamples as
+    rows of frequency counts on the rows of ``base``, the base it was made
+    of, and returns ``(ok, fitted)``: where it stands in for ``fit``, and a
+    value on which each ``point(base, fitted)`` returns the K points at once,
+    equal up to rounding to ``point(resample, fit(resample))`` wherever
+    ``ok`` holds. A resample outside ``ok``, or with a non-finite block
+    point, is fit alone. With ``jobs > 1`` every function must be picklable.
     """
 
     fit: Callable[[CompositeDataset], object]
@@ -245,18 +245,18 @@ def _bootstrap_block(args) -> list:
     return [_bootstrap_one(base, shared, idx, state) for idx, state in zip(indices, states)]
 
 
-def _block_points(fitter, points, counts: np.ndarray | None = None) -> list:
+def _block_points(fitter, points, counts: np.ndarray | None = None, base=None) -> list:
     """Each unit's values from one fit of the block, or None to fit it alone.
 
-    The units are the resamples in ``counts``, or without counts the datasets
-    of a DatasetBlock base; each ``point(base, fitted)`` gives one value or
-    one row of values per unit.
+    The units are the resamples in ``counts`` of the fitter's base, or without
+    counts the datasets of a DatasetBlock: the fitter's base, or ``base``, a
+    twin of it (``BlockFitter.solve``). Each ``point(base, fitted)`` gives one
+    value or one row of values per unit.
     """
-    base = fitter.base
+    base = fitter.base if base is None else base
     k = len(base.y if counts is None else counts)
     try:
-        ok, fitted = fitter.solve(counts)
-        del fitter  # the block's stacked rows are freed before scoring where no caller holds it
+        ok, fitted = fitter.solve(counts, base)
         if not ok.any():
             return [None] * k
         # a unit cleared from ``ok``, or one whose rows the block's values

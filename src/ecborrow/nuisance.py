@@ -8,8 +8,8 @@ the transform, never the fitting code. ``fit_bundle`` fits every working
 model of one dataset once and hands back the nuisance sets with the
 ``RowTable`` that holds each design and prediction once; ``BlockFitter``
 does the same for a block of bootstrap resamples written as row counts, or
-for a ``DatasetBlock`` of Monte Carlo replicates, with stacked models and a
-``BlockTable``.
+for a ``DatasetBlock`` of Monte Carlo replicates and its twins, with stacked
+models and the block's ``RowTable``.
 """
 
 from __future__ import annotations
@@ -507,7 +507,7 @@ class NuisanceSet:
 
 
 class RowTable:
-    """Per-row values of one dataset, each computed once.
+    """Per-row values of one dataset, or of a block, each computed once.
 
     The table holds one design per distinct covariate transform, one
     prediction per fitted model, and whatever the estimators keep in it
@@ -516,13 +516,19 @@ class RowTable:
     of its own. Models must not change after a table has read them.
     ``designs`` and ``propensities`` may pass the stores of another table on
     the same covariates, which then shares them.
+
+    A table is on a block when it holds ``counts``, where ``counts[k, i]`` is
+    how often bootstrap resample k of ``ds`` holds row i, or when ``ds`` is a
+    DatasetBlock, whose dataset k holds each of its rows once. The models read
+    through it are stacked (``BlockFitter``), so every prediction is (K, n),
+    and an estimator's point is one per resample or dataset: sum(c*N) /
+    sum(c*D) with c the resample's counts. A ratio that overflows on a block
+    is left as inf, so that only the fits it reaches get a non-finite point.
     """
 
-    counts = None  # each row once; a BlockTable holds K resamples' counts
-
-    def __init__(self, ds: CompositeDataset, designs: dict | None = None,
-                 propensities: dict | None = None):
-        self.ds = ds
+    def __init__(self, ds: CompositeDataset | DatasetBlock, counts: np.ndarray | None = None,
+                 designs: dict | None = None, propensities: dict | None = None):
+        self.ds, self.counts = ds, counts
         self._designs = {} if designs is None else designs
         self._propensities = {} if propensities is None else propensities
         self._values: dict = {}
@@ -565,9 +571,9 @@ class RowTable:
         return self.cached(("propensity", id(model)), model, compute, self._propensities)
 
     def ratio(self, r: VarianceRatioModel) -> np.ndarray:
-        return self.cached(
-            ("ratio", id(r)), r, lambda: r.predict_r(self.ds.x, self.design(r.spec))
-        )
+        on_block = self.counts is not None or isinstance(self.ds, DatasetBlock)
+        predict = r._unchecked_r if on_block else r.predict_r
+        return self.cached(("ratio", id(r)), r, lambda: predict(self.ds.x, self.design(r.spec)))
 
     def var_trial(self, r: VarianceRatioModel) -> np.ndarray:
         # read once per table (by the efficiency formulas), so not kept
@@ -859,29 +865,6 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     return coef, iterations, loglik, status
 
 
-class BlockTable(RowTable):
-    """The row table of a block: K resamples of one dataset, or a DatasetBlock.
-
-    ``counts[k, i]`` is how often resample k holds row i; on a DatasetBlock
-    ``counts`` is None and dataset k holds each of its rows once. The models
-    read through the table are stacked (``BlockFitter``), so every prediction
-    is (K, n), and an estimator's point is one per resample or dataset:
-    sum(c*N) / sum(c*D) with c the resample's counts. A ratio that
-    overflows is left as inf, so that only the fits it reaches get a
-    non-finite point.
-    """
-
-    def __init__(self, table: RowTable, counts: np.ndarray | None,
-                 propensities: dict | None = None):
-        super().__init__(table.ds, table._designs, propensities)
-        self.counts = counts
-
-    def ratio(self, r: VarianceRatioModel) -> np.ndarray:
-        return self.cached(
-            ("ratio", id(r)), r, lambda: r._unchecked_r(self.ds.x, self.design(r.spec))
-        )
-
-
 def _row_weights(counts: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     """Each fit's weight on a model's rows (``_rows_of``): a resample's counts on
     the row set (n,), or, without counts, 1 on each row of each dataset's own
@@ -903,8 +886,9 @@ class BlockFitter:
     resample weights the rows of a model's row set by its counts; a dataset
     of a block weights its own row set's rows by 1 and every other row by 0.
     It returns ``ok``, where the block stands in for ``fit_bundle``, and the
-    block's bundle: nuisance sets of stacked models with a ``BlockTable``, on
-    which each estimator gives one point per resample or dataset.
+    block's bundle: nuisance sets of stacked models with the block's
+    ``RowTable``, on which each estimator gives one point per resample or
+    dataset.
 
     A resample or dataset with ``ok`` False is left to ``fit_bundle`` on its
     own rows, so each failure keeps its type, message and count: a weighted
@@ -918,52 +902,50 @@ class BlockFitter:
     setting it raises on (an unknown mode, a variance spec that is not of the
     identity family), every one is left to ``fit_bundle``.
 
-    ``fits``, when given, is shared by the fitters of twin bases (the same
-    covariates, d and t, specs and counts; one ``solve`` each). It holds what
-    depends on nothing else, made by the first fitter and taken by the others:
-    "p" and "pi" as (stacked model, its ``ok`` mask); "designs" and
-    "propensity", the ``RowTable`` stores of all-row designs and of clipped p
-    and pi predictions with their trim masks; and "grams", ``_guarded_gram``'s
-    result by (spec terms, intercept, row-set name). Without ``fits`` a
-    ``solve`` keeps these for itself, so trial m0 and the trial controls'
-    log-variance fit still share one Gram.
+    ``solve(base=twin)`` fits a twin of a DatasetBlock ``base``: a block of the
+    same covariates, d and t, with its own y. The solves without counts share
+    what depends on nothing else, made by the first of them: the p and pi fits
+    with their ``ok`` masks, the clipped p and pi predictions with their trims,
+    and each guarded Gram. A ``solve(counts)`` keeps these for itself, so
+    trial m0 and the trial controls' log-variance fit still share one Gram.
     """
 
     def __init__(self, base: CompositeDataset | DatasetBlock, specs: dict, ratio_mode: str,
-                 treated_only: bool = False, fits: dict | None = None):
+                 treated_only: bool = False):
         self.base = base
-        self.fits = fits
-        self._table = RowTable(base, None if fits is None else fits.setdefault("designs", {}))
+        self._table = RowTable(base)
+        # what the solves without counts share: the fits that read no y by model
+        # name, the guarded Grams and the table's propensity store
+        self._twins: tuple[dict, dict, dict] = ({}, {}, {})
         self._models: list | None = None
-        try:
-            models = list(_bundle_models(base, self._table, specs, treated_only))
-        except (ConfigError, EmptyCell):
-            return  # every resample is fit alone, and fails as the base does
-        if not all(np.isfinite(self._table.design(spec)).all() for *_, spec, _ in models):
-            return  # nothing to stack: every resample is fit alone
         # the ratio fit_bundle fits: known_one, or constant or loglinear with its spec
         self._ratio = RATIO_KNOWN_ONE if treated_only or not np.any(base.n2 > 0) else ratio_mode
-        self._variance = None
-        if self._ratio == RATIO_LOGLINEAR:
-            try:
-                self._variance = _variance_spec(specs["variance"], base.k)
-            except ConfigError:
-                return  # fit_bundle raises on it: every resample is fit alone
-            if not np.isfinite(self._table.design(self._variance)).all():
-                return
-        if self._ratio in RATIO_MODES:
+        try:
+            models = list(_bundle_models(base, self._table, specs, treated_only))
+            self._variance = (_variance_spec(specs["variance"], base.k)
+                              if self._ratio == RATIO_LOGLINEAR else None)
+        except (ConfigError, EmptyCell):
+            return  # every resample is fit alone, and fails as fit_bundle does
+        self._table.design(self._variance)
+        # a non-finite design (each distinct one checked once) leaves every resample
+        # to its own fit, as does a ratio mode fit_bundle raises on
+        if self._ratio in RATIO_MODES and all(
+                np.isfinite(design).all() for design in self._table._designs.values()):
             self._models = models
 
-    def solve(self, counts: np.ndarray | None = None
-              ) -> tuple[np.ndarray, tuple[dict, BlockTable] | None]:
-        """Where the block stands in for ``fit_bundle``, and the block's bundle."""
+    def solve(self, counts: np.ndarray | None = None,
+              base: CompositeDataset | DatasetBlock | None = None
+              ) -> tuple[np.ndarray, tuple[dict, RowTable] | None]:
+        """Where the block stands in for ``fit_bundle``, and the block's bundle;
+        ``base`` may pass a twin of the fitter's own DatasetBlock."""
+        base = self.base if base is None else base
         counts = None if counts is None else np.asarray(counts, dtype=float)
-        ok = np.full(len(self.base.y if counts is None else counts), self._models is not None)
+        ok = np.full(len(base.y if counts is None else counts), self._models is not None)
         if not ok.any():
             return ok, None
+        kept, grams, propensities = self._twins if counts is None else ({}, {}, {})
+        table = RowTable(base, counts, self._table._designs, propensities)
         models = {}
-        shared = {} if self.fits is None else self.fits
-        grams = shared.setdefault("grams", {})
 
         def guarded(spec: ModelSpec, row_set: str, design, weights) -> tuple:
             key = (spec.terms, spec.include_intercept, row_set)
@@ -975,10 +957,13 @@ class BlockFitter:
         # its values are never read
         with np.errstate(all="ignore"):
             for name, rows, design, response, spec, names in self._models:
-                if name in shared:
-                    models[name], good = shared[name]
+                if name in kept:
+                    models[name], good = kept[name]
                     ok &= good
                     continue
+                reads_y = _BUNDLE_MODELS[name].response == "y"
+                if reads_y and base is not self.base:
+                    response = base.y  # a twin's own y; a block's weights pick its rows
                 row_set = _BUNDLE_MODELS[name].rows
                 weights = _row_weights(counts, rows)
                 wsum = weights.sum(axis=1)
@@ -995,24 +980,29 @@ class BlockFitter:
                 ok &= good
                 models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
                                          wsum.astype(int), spec, names)
-                if _BUNDLE_MODELS[name].response != "y":
-                    shared[name] = models[name], good
-            r = self._solve_ratio(counts, models["m0_pooled"], ok, guarded)
-        return ok, (_bundle_sets(models, r),
-                    BlockTable(self._table, counts, shared.setdefault("propensity", {})))
+                if not reads_y:
+                    kept[name] = models[name], good
+            r = self._solve_ratio(table, models["m0_pooled"], ok, guarded)
+        return ok, (_bundle_sets(models, r), table)
 
-    def _solve_ratio(self, counts, m0: FittedGLM, ok, guarded) -> VarianceRatioModel:
-        """The stacked variance ratio, its Grams from ``guarded``; clears ``ok`` where it fails."""
+    def _solve_ratio(self, table: RowTable, m0: FittedGLM, ok, guarded) -> VarianceRatioModel:
+        """The stacked variance ratio, its Grams from ``guarded``; clears ``ok`` where it fails.
+
+        On a DatasetBlock both source groups read the table's one prediction of
+        m0, which the estimators read too. A resample reads m0 on its group's
+        rows alone: an all-row product on the shared design rounds those rows'
+        last bits differently."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
-        spec, base = self._variance, self.base
+        spec, base, counts = self._variance, table.ds, table.counts
         v, coefs, scales = [], [], []
         for name in ("trial_controls", "external"):
             rows = _BUNDLE_ROWS[name](base.d, base.t)
-            m0_design = _rows_of(self._table.design(m0.spec), rows)
-            design = None if spec is None else _rows_of(self._table.design(spec), rows)
+            design = None if spec is None else _rows_of(table.design(spec), rows)
             weights = _row_weights(counts, rows)
-            r2 = (_rows_of(base.y, rows) - m0.predict(None, m0_design)) ** 2
+            m0_values = (table.predict(m0) if counts is None
+                         else m0.predict(None, table.design(m0.spec)[rows]))
+            r2 = (_rows_of(base.y, rows) - m0_values) ** 2
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)

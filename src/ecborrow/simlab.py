@@ -25,8 +25,9 @@ gain. A replicate the block cannot stand in for is fit alone and scored by
 it at K = 1. A study (``run_study``) runs its scenarios in one pass, block by
 block: each replicate's stream is drawn once for every scenario
 (``draw_streams``), each scenario builds its block from those draws
-(``generate``), and twins, the scenarios that draw the same d and t, compute
-once what depends only on those: the arm, designs, Grams and propensity fits.
+(``generate``), and twins, the scenarios that draw the same d and t, are fit
+on one ``BlockFitter``, which computes once what depends only on those: the
+designs, Grams and propensity fits; ``generate`` draws their arm once.
 """
 
 from __future__ import annotations
@@ -370,30 +371,31 @@ def _mc_block(args) -> list[list]:
     (``generate``, with one memo for the block) and scores it (``_score_block``).
 
     Twins (one ``_arm_key``) hold the same covariates, d and t, so they are scored
-    back to back on one ``BlockFitter`` ``fits``, dropped with their arm after
-    them. The outcomes stay in scenario order.
+    back to back on one ``BlockFitter``, dropped with their arm after them. The
+    outcomes stay in scenario order.
     """
     cfgs, master_seed, reps, estimators = args
     draws = draw_streams([[master_seed, rep] for rep in reps], cfgs[0].n)
     twins: dict = {}
     for s, cfg in enumerate(cfgs):
         twins.setdefault(_arm_key(cfg), []).append(s)
-    outcomes, memo = [None] * len(cfgs), {}
+    outcomes, memo, fitters = [None] * len(cfgs), {}, {}
     for key, scenarios in twins.items():
-        fits: dict = {}
         for s in scenarios:
             block = generate(cfgs[s], None, draws, memo)[0]
-            outcomes[s] = _score_block(block, estimators, fits)
+            outcomes[s] = _score_block(block, estimators, fitters, key)
             del block  # one scenario's block at a time
         del memo[key]
+        fitters.pop(key, None)
     return outcomes
 
 
-def _score_block(block: DatasetBlock, estimators: tuple, fits: dict) -> list:
+def _score_block(block: DatasetBlock, estimators: tuple, fitters: dict, key) -> list:
     """Score a scenario's block of replicates at once, then finish each in order.
 
     A replicate drawn without a trial row is left out of the block and fails as
-    its dataset alone does; one the block cannot stand in for is fit alone.
+    its dataset alone does; one the block cannot stand in for is fit alone. The
+    block is fit on ``fitters[key]``, made of the first twin block it scores.
     """
     drawn = block.n1[:, 0] > 0
     results = [None if ok else _describe(InvariantViolation(NO_TRIAL_ROWS)) for ok in drawn]
@@ -402,8 +404,9 @@ def _score_block(block: DatasetBlock, estimators: tuple, fits: dict) -> list:
         # only the drawn replicates' columns stay: a replicate the block cannot
         # stand in for is taken back out of it
         block = block if drawn.all() else block.select(drawn)
-        rows = _block_points(BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR, fits=fits),
-                             (partial(_record_columns, estimators),))
+        if key not in fitters:
+            fitters[key] = BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR)
+        rows = _block_points(fitters[key], (partial(_record_columns, estimators),), base=block)
     finished = (_mc_replicate(None if row is not None else block.dataset(k), estimators, row)
                 for k, row in enumerate(rows))
     return [result or next(finished) for result in results]

@@ -75,15 +75,15 @@ def test_block_workloads_pass_the_harness_checks(tmp_path, capsys, monkeypatch):
         assert workloads.inner_failures(payload) >= 0
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_bench_pairs_applies_the_gain_rule_and_the_bound():
-    module = _bench_pairs()
+    module = _script("bench_pairs")
     metric = {"name": "op_p50_s", "better": "lower", "bound": 0.25}
     parent = [0.78, 0.79, 0.77, 0.80, 0.78, 0.79, 0.77, 0.78, 0.80, 0.79]
     # better in 9 of 10 rounds, by more than the parent's quartile spread
@@ -97,7 +97,7 @@ def test_bench_pairs_applies_the_gain_rule_and_the_bound():
 
 
 def test_bench_pairs_reads_a_metric_spread_past_its_bound_as_unresolved():
-    module = _bench_pairs()
+    module = _script("bench_pairs")
     metric = {"name": "setup_s", "better": "lower", "bound": 0.25}
     # quartiles 0.2725 and 0.4075 around a median of 0.325: 42% apart
     parent = [0.259, 0.30, 0.427, 0.27, 0.41, 0.26, 0.40, 0.28, 0.42, 0.35]
@@ -110,7 +110,7 @@ def test_bench_pairs_reads_a_metric_spread_past_its_bound_as_unresolved():
 
 
 def test_bench_pairs_all_runs_each_gated_workload_in_order():
-    module = _bench_pairs()
+    module = _script("bench_pairs")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert module.workloads("all", benchmark) == [w["name"] for w in benchmark["workloads"]]
     assert module.workloads("registry_estimate", benchmark) == ["registry_estimate"]
@@ -125,7 +125,7 @@ def test_bench_pairs_reports_each_checkouts_src_lines(tmp_path):
             path = tmp_path / side / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
-    module = _bench_pairs()
+    module = _script("bench_pairs")
     assert module.src_lines(tmp_path / "parent") == 3
     assert module.line_counts(tmp_path / "parent", tmp_path / "change") == (
         "src/ lines: parent 3, change 1 (-2)")
@@ -133,7 +133,7 @@ def test_bench_pairs_reports_each_checkouts_src_lines(tmp_path):
 
 def test_bench_pairs_reports_whether_the_outputs_hash_alike(tmp_path):
     # each fake harness prints a metric line, its details line, then its result line
-    module = _bench_pairs()
+    module = _script("bench_pairs")
     metrics = [{"name": "work_per_s", "better": "higher", "bound": 0.25}]
     result = {"correct": True, "failed": 0, "attempted": 1,
               "metrics": {"work_per_s": {"value": 1.0, "unit": "units/s"}}}
@@ -152,3 +152,18 @@ def test_bench_pairs_reports_whether_the_outputs_hash_alike(tmp_path):
     assert module.output_bytes(outputs["parent"], outputs["change"]) == "output bytes: DIFFER"
     _, outputs = module.pair_runs({"parent": sides["a"], "change": sides["c"]}, "w", args, metrics)
     assert module.output_bytes(outputs["parent"], outputs["change"]) == "output bytes: same"
+
+
+def test_same_bytes_reads_a_moved_or_missing_output_as_differing():
+    module = _script("same_bytes")
+    parent = {"golden a.json": b"a.json: bytes match", "simulate seed 1": b"{}\n"}
+    lines, differ = module.compare(parent, dict(parent))
+    assert not differ
+    assert [line.split(" (")[0] for line in lines] == [
+        "golden a.json: same", "simulate seed 1: same"]
+    lines, differ = module.compare(parent, {"simulate seed 1": b"{} \n", "cold": b""})
+    assert differ
+    assert [line.split(" (")[0] for line in lines] == [
+        "golden a.json: DIFFER", "simulate seed 1: DIFFER", "cold: DIFFER"]
+    assert lines[0].endswith("change missing)")
+    assert lines[2].startswith("cold: DIFFER (parent missing")

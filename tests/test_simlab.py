@@ -377,7 +377,7 @@ def test_block_failures_match_replicates_fit_alone(monkeypatch, n, scenario, rep
     assert [row is None for row in rows] == [isinstance(own, str) for own in alone]
     with_block = _outcome(cfg, reps)
     # with the block disabled every replicate is fit alone
-    monkeypatch.setattr(sl, "_block_points", lambda fitter, points: [None] * len(fitter.base.y))
+    monkeypatch.setattr(sl, "_block_points", lambda fitter, points, base: [None] * len(base.y))
     fit_alone = _outcome(cfg, reps)
     if failures is None:
         assert with_block == fit_alone
@@ -494,16 +494,16 @@ def test_study_draws_each_stream_once_and_fits_twin_propensities_once(monkeypatc
 
 
 def _scored(monkeypatch, cfgs, seed, reps):
-    """``_mc_block``'s outcomes over ``reps``, and the fitter of each scenario block
-    it scores, in the order it scores them."""
-    fitters, block_points = [], sl._block_points
+    """``_mc_block``'s outcomes over ``reps``, and the (fitter, block) of each scenario
+    block it scores, in the order it scores them."""
+    scored, block_points = [], sl._block_points
 
-    def recording(fitter, points):
-        fitters.append(fitter)
-        return block_points(fitter, points)
+    def recording(fitter, points, base):
+        scored.append((fitter, base))
+        return block_points(fitter, points, base=base)
 
     monkeypatch.setattr(sl, "_block_points", recording)
-    return sl._mc_block((cfgs, seed, reps, sl.ALL_ESTIMATORS)), fitters
+    return sl._mc_block((cfgs, seed, reps, sl.ALL_ESTIMATORS)), scored
 
 
 def _assert_block_holds_each_replicate_drawn_alone(cfg, block, scored, seed, reps) -> list:
@@ -534,32 +534,41 @@ def test_study_blocks_hold_the_bytes_of_each_replicate_drawn_alone(monkeypatch, 
     overrides = {key: tuple(value) for key, value in dgp.items()}
     cfgs = [ScenarioConfig(scenario=scenario, n=n, **overrides) for scenario in sl.SCENARIOS]
     reps = range(8)
-    outcomes, fitters = _scored(monkeypatch, cfgs, seed, reps)
+    outcomes, scored = _scored(monkeypatch, cfgs, seed, reps)
     # twins are scored back to back: i and iii, then ii and iv
     order = [sl.SCENARIOS.index(scenario) for scenario in ("i", "iii", "ii", "iv")]
-    assert len(fitters) == len(cfgs)
-    for s, fitter in zip(order, fitters):
+    assert len(scored) == len(cfgs)
+    for s, (_, block) in zip(order, scored):
         failed = _assert_block_holds_each_replicate_drawn_alone(
-            cfgs[s], fitter.base, outcomes[s], seed, reps)
+            cfgs[s], block, outcomes[s], seed, reps)
         assert bool(failed) == (dgp is FAILED_DRAW_DGP)
 
 
 def _count_stacked_work(monkeypatch) -> dict:
-    """Counts, as the run goes, of ``_guarded_gram`` calls and of the predictions of
-    stacked logit models (the propensities the block tables read)."""
+    """Counts, as the run goes, of ``BlockFitter`` constructions, ``_guarded_gram``
+    calls and the predictions of stacked models: logit ones (the propensities the
+    block tables read) and identity ones (the outcome means)."""
     import ecborrow.nuisance as nuisance
 
-    counts = {"grams": 0, "propensities": 0}
-    guarded_gram, predict = nuisance._guarded_gram, nuisance.FittedGLM.predict
+    counts = {"fitters": 0, "grams": 0, "propensities": 0, "identities": 0}
+    init, guarded_gram = nuisance.BlockFitter.__init__, nuisance._guarded_gram
+    predict = nuisance.FittedGLM.predict
+
+    def counting_init(fitter, *args, **kwargs):
+        counts["fitters"] += 1
+        init(fitter, *args, **kwargs)
 
     def counting_gram(design, weights):
         counts["grams"] += 1
         return guarded_gram(design, weights)
 
     def counting_predict(model, x, design=None):
-        counts["propensities"] += model.family == nuisance.LOGIT and np.ndim(model.coef) == 2
+        stacked = np.ndim(model.coef) == 2
+        counts["propensities"] += stacked and model.family == nuisance.LOGIT
+        counts["identities"] += stacked and model.family == nuisance.IDENTITY
         return predict(model, x, design=design)
 
+    monkeypatch.setattr(nuisance.BlockFitter, "__init__", counting_init)
     monkeypatch.setattr(nuisance, "_guarded_gram", counting_gram)
     monkeypatch.setattr(nuisance.FittedGLM, "predict", counting_predict)
     return counts
@@ -570,10 +579,13 @@ def test_study_builds_each_gram_and_propensity_once_per_twin_pair(monkeypatch, c
     assert main(["simulate", "--scenario", "all", "--reps", "20", "--n", "1000",
                  "--seed", "5"]) == 0
     capsys.readouterr()
-    # 2 blocks of 2 twin pairs, each building the Grams of m1, pooled m0, p, pi,
-    # trial m0 (which the trial controls' log-variance fit shares) and the external
-    # log-variance fit, and predicting p and pi
-    assert counts == {"grams": 2 * 2 * 6, "propensities": 2 * 2 * 2}
+    # 2 blocks of 2 twin pairs, each pair on one fitter building the Grams of m1,
+    # pooled m0, p, pi, trial m0 (which the trial controls' log-variance fit shares)
+    # and the external log-variance fit, and predicting p and pi; each of the 2 x 4
+    # scenario blocks predicts m1, pooled m0 (which the ratio's residuals read too)
+    # and trial m0 once
+    assert counts == {"fitters": 2 * 2, "grams": 2 * 2 * 6, "propensities": 2 * 2 * 2,
+                      "identities": 2 * 4 * 3}
 
 
 def test_twins_follow_the_draw_fields_not_the_scenario_names(monkeypatch):
@@ -583,18 +595,18 @@ def test_twins_follow_the_draw_fields_not_the_scenario_names(monkeypatch):
     cfgs[2] = replace(cfgs[2], selection_coefs=(0.2, 0.5, -0.3))
     counts = _count_stacked_work(monkeypatch)
     seed, reps = 3, range(8)
-    outcomes, fitters = _scored(monkeypatch, cfgs, seed, reps)
+    outcomes, scored = _scored(monkeypatch, cfgs, seed, reps)
     order = [sl.SCENARIOS.index(scenario) for scenario in ("i", "ii", "iv", "iii")]
-    assert len(fitters) == len(cfgs)
-    for s, fitter in zip(order, fitters):
+    assert len(scored) == len(cfgs)
+    for s, (_, block) in zip(order, scored):
         assert not _assert_block_holds_each_replicate_drawn_alone(
-            cfgs[s], fitter.base, outcomes[s], seed, reps)
-    first, twin, other_twin, third = (fitter.fits for fitter in fitters)
-    assert twin is other_twin and first is not third
-    assert not np.array_equal(fitters[0].base.d, fitters[3].base.d)
-    # i and iii share no Gram or propensity: each twin set builds its own
-    assert counts == {"grams": 3 * 6, "propensities": 3 * 2}
-    assert first["p"][0] is not third["p"][0] and first["pi"][0] is not third["pi"][0]
+            cfgs[s], block, outcomes[s], seed, reps)
+    first, twin, other_twin, third = (fitter for fitter, _ in scored)
+    assert twin is other_twin and len({id(first), id(twin), id(third)}) == 3
+    assert not np.array_equal(scored[0][1].d, scored[3][1].d)
+    # i and iii share no fitter, Gram or propensity: each twin set builds its own
+    assert counts == {"fitters": 3, "grams": 3 * 6, "propensities": 3 * 2,
+                      "identities": 4 * 3}
 
 
 def test_draw_retention_cap():
