@@ -14,7 +14,12 @@ path, and each of its outputs is compared byte for byte:
 - ``estimate --variance bootstrap`` on the bootstrap_estimate benchmark input
   (scenario ii, n = 1000, stream [seed, 2]) at seeds 1, 2, 5 and 10;
 - ``estimate`` on the cold_estimate benchmark input (scenario i, n = 400,
-  stream [1, 1]).
+  stream [1, 1]);
+- ``estimate --variance bootstrap --B 100 --seed 4`` on three golden inputs,
+  one per path of the bootstrap's block fitter that no golden file checks:
+  treated-only (``golden_input_treated_only.csv``), logit outcome models
+  (``golden_input_binary.csv``) and the constant ratio (``golden_input.csv
+  --ratio constant``).
 
 A CLI output is its stdout, and its exit code where that is not 0. A byte
 move at one seed can hide at another, so the gates take more than one. The
@@ -36,6 +41,13 @@ from pathlib import Path
 
 SIMULATE_SEEDS = (1, 2)
 BOOTSTRAP_SEEDS = (1, 2, 5, 10)
+# the block fitter's paths without a golden file: label and the estimate arguments
+BOOTSTRAP_PATHS = {
+    "treated_only": ["tests/data/golden_input_treated_only.csv", "--method", "treated-only",
+                     "--estimand", "tau"],
+    "binary": ["tests/data/golden_input_binary.csv"],
+    "constant_ratio": ["tests/data/golden_input.csv", "--ratio", "constant"],
+}
 
 # writes the dataset a scenario draws from one stream: scenario n seed stream path
 DRAW = """\
@@ -94,6 +106,10 @@ def cli_gates(checkout: Path, work: Path) -> dict[str, list[str]]:
             "--jobs", "1"]
     path = draw(checkout, "i", 400, 1, 1, work)
     gates["cold_estimate seed 1"] = ["estimate", "--input", str(path), "--jobs", "1"]
+    for label, args in BOOTSTRAP_PATHS.items():
+        gates[f"bootstrap {label} seed 4"] = [
+            "estimate", "--input", *args, "--variance", "bootstrap", "--B", "100", "--seed", "4",
+            "--jobs", "1"]
     return gates
 
 

@@ -160,19 +160,17 @@ class DatasetBlock:
     """K datasets with one row count, covariate set and outcome kind, stacked.
 
     Each column gains a leading axis of K: ``y``, ``t`` and ``d`` are (K, n),
-    with ``t`` and ``d`` held as int8, and ``x`` is (K, n, k). ``n1``, ``n2``
-    and ``q_hat`` hold one count per dataset as (K, 1), so that they
-    broadcast against the columns. Working models fit on a block are stacked
-    (``nuisance.BlockFitter``), and each estimator then gives one point per
-    dataset.
+    and ``x`` is (K, n, k). ``n1``, ``n2`` and ``q_hat`` hold one count per
+    dataset as (K, 1), so that they broadcast against the columns. Working
+    models fit on a block are stacked (``nuisance.BlockFitter``), and each
+    estimator then gives one point per dataset.
     """
 
     def __init__(self, y: np.ndarray, x: np.ndarray, t: np.ndarray, d: np.ndarray,
                  covariate_names: tuple, outcome_kind: str):
         self.y, self.x = y, x
-        # 0/1 codes fit in a byte, which keeps the block's integer rows small;
-        # int8 codes are taken as they are, so that twin blocks share them
-        self.t, self.d = t.astype(np.int8, copy=False), d.astype(np.int8, copy=False)
+        # float codes are taken as they are, so that twin blocks share them
+        self.t, self.d = t.astype(float, copy=False), d.astype(float, copy=False)
         self.n1 = self.d.sum(axis=1, keepdims=True)
         self.covariate_names = covariate_names
         self.outcome_kind = outcome_kind

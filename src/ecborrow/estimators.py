@@ -311,9 +311,7 @@ def _moment(
     if nuis.pi is None:
         raise EmptyCell("full-data moments need a fitted selection propensity")
     models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
-    pieces = table.cached(
-        ("pieces", *map(id, models)), models, partial(_full_pieces, table, *models)
-    )
+    pieces = table.cached(("pieces", *models), partial(_full_pieces, table, *models))
     return _full_moment(table, pieces, estimand)
 
 

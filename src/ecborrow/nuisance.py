@@ -18,6 +18,7 @@ import hashlib
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -166,7 +167,7 @@ class ModelSpec:
 # ------------------------------- fitting -------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FittedGLM:
     """One fitted GLM.
 
@@ -326,7 +327,7 @@ def fit_glm(
 # --------------------------- variance ratio ---------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class VarianceRatioModel:
     """Ratio of control-outcome variance, trial over external.
 
@@ -441,7 +442,7 @@ def fit_variance_ratio(
         raise ConfigError(f"unknown ratio mode {mode!r}")
     if mode == RATIO_KNOWN_ONE:
         return VarianceRatioModel(RATIO_KNOWN_ONE)
-    groups = tuple(_BUNDLE_ROWS[name](ds.d, ds.t) for name in ("trial_controls", "external"))
+    groups = tuple(_BUNDLE_ROWS[name](ds.d, ds.t) for name in _RATIO_GROUPS)
     if any(int(rows.sum()) < 2 for rows in groups):
         raise EmptyCell(
             "variance-ratio estimation needs at least two control rows per source"
@@ -509,11 +510,11 @@ class NuisanceSet:
 class RowTable:
     """Per-row values of one dataset, or of a block, each computed once.
 
-    The table holds one design per distinct covariate transform, one
-    prediction per fitted model, and whatever the estimators keep in it
-    through ``cached``. Passing one table to every call on ``ds`` shares that
-    work between them; every value is the one the call computes with a table
-    of its own. Models must not change after a table has read them.
+    The table holds one design per distinct covariate transform, one mask per
+    row set, one prediction per fitted model, and whatever the estimators keep
+    in it through ``cached``. Passing one table to every call on ``ds`` shares
+    that work between them; every value is the one the call computes with a
+    table of its own. Models must not change after a table has read them.
     ``designs`` and ``propensities`` may pass the stores of another table on
     the same covariates, which then shares them.
 
@@ -533,16 +534,14 @@ class RowTable:
         self._propensities = {} if propensities is None else propensities
         self._values: dict = {}
 
-    def cached(self, key: tuple, owners, compute, store: dict | None = None):
-        """``compute()`` on the first call with ``key``, the stored value after.
-
-        ``owners`` stay referenced, so the ids in ``key`` cannot be reused.
-        """
+    def cached(self, key: tuple, compute, store: dict | None = None):
+        """``compute()`` on the first call with ``key``, the stored value after; a model
+        in ``key`` hashes by identity (``eq=False``), and the key keeps it alive."""
         store = self._values if store is None else store
         hit = store.get(key)
         if hit is None:
-            hit = store[key] = (owners, compute())
-        return hit[1]
+            hit = store[key] = compute()
+        return hit
 
     def design(self, spec: ModelSpec | None) -> np.ndarray | None:
         """Design of ``spec`` on every row; the family does not enter it."""
@@ -553,11 +552,13 @@ class RowTable:
             self._designs[key] = spec.design(self.ds.x)
         return self._designs[key]
 
+    def rows(self, name: str) -> np.ndarray:
+        """Row set ``name`` of ``_BUNDLE_ROWS``: (n,), or (K, n) on a DatasetBlock."""
+        return self.cached(("rows", name), lambda: _BUNDLE_ROWS[name](self.ds.d, self.ds.t))
+
     def predict(self, model: FittedGLM) -> np.ndarray:
-        return self.cached(
-            ("predict", id(model)), model,
-            lambda: model.predict(self.ds.x, self.design(model.spec)),
-        )
+        return self.cached(("predict", model),
+                           lambda: model.predict(self.ds.x, self.design(model.spec)))
 
     def propensity(self, model: FittedGLM) -> tuple[np.ndarray, np.ndarray]:
         """Predictions trimmed into [TRIM_EPS, 1-TRIM_EPS], and the rows trimmed."""
@@ -568,12 +569,12 @@ class RowTable:
             clipped = np.clip(raw, TRIM_EPS, 1.0 - TRIM_EPS)
             return clipped, clipped != raw
 
-        return self.cached(("propensity", id(model)), model, compute, self._propensities)
+        return self.cached(("propensity", model), compute, self._propensities)
 
     def ratio(self, r: VarianceRatioModel) -> np.ndarray:
         on_block = self.counts is not None or isinstance(self.ds, DatasetBlock)
         predict = r._unchecked_r if on_block else r.predict_r
-        return self.cached(("ratio", id(r)), r, lambda: predict(self.ds.x, self.design(r.spec)))
+        return self.cached(("ratio", r), lambda: predict(self.ds.x, self.design(r.spec)))
 
     def var_trial(self, r: VarianceRatioModel) -> np.ndarray:
         # read once per table (by the efficiency formulas), so not kept
@@ -612,6 +613,7 @@ _BUNDLE_ROWS = {
     "external": lambda d, t: d == 0,
     "all": lambda d, t: np.ones(d.shape, dtype=bool),
 }
+_RATIO_GROUPS = ("trial_controls", "external")  # the variance ratio's source groups
 _NO_TREATED = "no treated trial rows to fit the treated outcome model"
 _NO_CONTROLS = "no control rows to fit the control outcome model"
 _BOTH_ARMS = "trial needs both arms to fit the treatment propensity"
@@ -636,15 +638,15 @@ _BUNDLE_MODELS = {
 
 
 def _rows_of(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``values``' rows in a row set of one dataset (n,); on a ``DatasetBlock``,
-    whose row sets are (K, n), every row, since 0/1 weights pick them."""
-    return values[rows] if rows.ndim == 1 else values
+    """``values``' rows in a row set of one dataset (n,), or ``values`` itself when the
+    set holds every row or is a DatasetBlock's (K, n), whose 0/1 weights pick its rows."""
+    return values if rows.ndim == 2 or rows.all() else values[rows]
 
 
 def _bundle_models(ds: CompositeDataset | DatasetBlock, table: RowTable, specs: dict,
                    treated_only: bool):
     """Each working model of the bundle in fit order, once its checks pass:
-    (name, rows, design, response, spec, column names), the design and the
+    (name, row set, design, response, spec, column names), the design and the
     response being their rows (``_rows_of``) of ``table``'s design of its spec
     and of the modelled column. Without external rows pi is left out; with
     ``treated_only`` the models are the pooled m0 and pi. On a block each
@@ -657,11 +659,11 @@ def _bundle_models(ds: CompositeDataset | DatasetBlock, table: RowTable, specs: 
         if model.logit_as and spec.family != LOGIT:
             raise ConfigError(f"{model.logit_as} propensity model must use the logit family")
         for guard, message in model.guards.items():
-            if not _BUNDLE_ROWS[guard](ds.d, ds.t).any():
+            if not table.rows(guard).any():
                 raise EmptyCell(message)
-        rows = _BUNDLE_ROWS[model.rows](ds.d, ds.t)
+        rows = table.rows(model.rows)
         response = _rows_of(getattr(ds, model.response), rows)
-        yield (name, rows, _rows_of(table.design(spec), rows), response, spec,
+        yield (name, model.rows, _rows_of(table.design(spec), rows), response, spec,
                spec.column_names(ds.covariate_names))
 
 
@@ -865,30 +867,25 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
     return coef, iterations, loglik, status
 
 
-def _row_weights(counts: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """Each fit's weight on a model's rows (``_rows_of``): a resample's counts on
-    the row set (n,), or, without counts, 1 on each row of each dataset's own
-    row set (K, n) of a DatasetBlock."""
-    return rows.astype(float) if counts is None else counts[:, rows]
-
-
 class BlockFitter:
     """``fit_bundle`` for a block at a time: bootstrap resamples of ``base``, or
     the datasets of ``base`` when it is a DatasetBlock.
 
     ``solve(counts)`` takes one row of frequency counts on ``base``'s rows
     per resample (``solve()`` takes each dataset of a DatasetBlock once) and
-    fits every working model of the bundle for all of them at once, on one
-    design per spec built once on ``base``: the identity-family models (m1,
-    both m0, and the variance ratio with its two log-variance fits and their
-    calibration) from weighted normal equations, the logit ones (p, pi, and
-    binary-outcome m1 and m0) by the weighted IRLS ``fit_glm`` runs on one fit. A
-    resample weights the rows of a model's row set by its counts; a dataset
-    of a block weights its own row set's rows by 1 and every other row by 0.
-    It returns ``ok``, where the block stands in for ``fit_bundle``, and the
+    fits every working model of the bundle for all of them at once: the
+    identity-family models (m1, both m0, and the variance ratio with its two
+    log-variance fits and their calibration) from weighted normal equations,
+    the logit ones (p, pi, and binary-outcome m1 and m0) by the weighted IRLS
+    ``fit_glm`` runs on one fit. A resample weights the rows of a model's row
+    set by its counts, a dataset of a block its own row set's rows by 1 and
+    every other row by 0; a solve takes each row set's weights once. It
+    returns ``ok``, where the block stands in for ``fit_bundle``, and the
     block's bundle: nuisance sets of stacked models with the block's
     ``RowTable``, on which each estimator gives one point per resample or
-    dataset.
+    dataset. The fitter derives once what its solves read of ``base``: one
+    design per spec, each row set, and the rows (``_rows_of``) of these and of
+    the modelled column that each fit and each ratio source group reads.
 
     A resample or dataset with ``ok`` False is left to ``fit_bundle`` on its
     own rows, so each failure keeps its type, message and count: a weighted
@@ -926,11 +923,19 @@ class BlockFitter:
                               if self._ratio == RATIO_LOGLINEAR else None)
         except (ConfigError, EmptyCell):
             return  # every resample is fit alone, and fails as fit_bundle does
-        self._table.design(self._variance)
+        m0_design = self._table.design(specs["m0"])
+        design, self._groups = self._table.design(self._variance or specs["m0"]), []
+        # each ratio source group's rows of the variance and m0 designs (one array
+        # when they are one design, as without a variance spec) and of y
+        for name in _RATIO_GROUPS if self._ratio != RATIO_KNOWN_ONE else ():
+            rows = self._table.rows(name)
+            m0_rows = _rows_of(m0_design, rows)
+            self._groups.append((name, m0_rows if design is m0_design else _rows_of(design, rows),
+                                 m0_rows, _rows_of(base.y, rows)))
         # a non-finite design (each distinct one checked once) leaves every resample
         # to its own fit, as does a ratio mode fit_bundle raises on
         if self._ratio in RATIO_MODES and all(
-                np.isfinite(design).all() for design in self._table._designs.values()):
+                np.isfinite(values).all() for values in self._table._designs.values()):
             self._models = models
 
     def solve(self, counts: np.ndarray | None = None,
@@ -947,6 +952,14 @@ class BlockFitter:
         table = RowTable(base, counts, self._table._designs, propensities)
         models = {}
 
+        @lru_cache(maxsize=1)  # a row set's fits come one after another
+        def weigh(row_set: str) -> np.ndarray:
+            # each fit's weight on the rows of ``row_set`` (``_rows_of``): a resample's
+            # counts, or 1 on each dataset's own rows of a DatasetBlock
+            rows = self._table.rows(row_set)
+            return (rows.astype(float) if counts is None
+                    else counts if rows.all() else counts[:, rows])
+
         def guarded(spec: ModelSpec, row_set: str, design, weights) -> tuple:
             key = (spec.terms, spec.include_intercept, row_set)
             if key not in grams:
@@ -956,7 +969,7 @@ class BlockFitter:
         # a fit cleared from ``ok`` may divide by a zero count or overflow;
         # its values are never read
         with np.errstate(all="ignore"):
-            for name, rows, design, response, spec, names in self._models:
+            for name, row_set, design, response, spec, names in self._models:
                 if name in kept:
                     models[name], good = kept[name]
                     ok &= good
@@ -964,8 +977,7 @@ class BlockFitter:
                 reads_y = _BUNDLE_MODELS[name].response == "y"
                 if reads_y and base is not self.base:
                     response = base.y  # a twin's own y; a block's weights pick its rows
-                row_set = _BUNDLE_MODELS[name].rows
-                weights = _row_weights(counts, rows)
+                weights = weigh(row_set)
                 wsum = weights.sum(axis=1)
                 gram = guarded(spec, row_set, design, weights)
                 if spec.family == IDENTITY:
@@ -982,11 +994,11 @@ class BlockFitter:
                                          wsum.astype(int), spec, names)
                 if not reads_y:
                     kept[name] = models[name], good
-            r = self._solve_ratio(table, models["m0_pooled"], ok, guarded)
+            r = self._solve_ratio(table, models["m0_pooled"], ok, weigh, guarded)
         return ok, (_bundle_sets(models, r), table)
 
-    def _solve_ratio(self, table: RowTable, m0: FittedGLM, ok, guarded) -> VarianceRatioModel:
-        """The stacked variance ratio, its Grams from ``guarded``; clears ``ok`` where it fails.
+    def _solve_ratio(self, table, m0: FittedGLM, ok, weigh, guarded) -> VarianceRatioModel:
+        """The stacked variance ratio from ``weigh`` and ``guarded``; clears ``ok`` where it fails.
 
         On a DatasetBlock both source groups read the table's one prediction of
         m0, which the estimators read too. A resample reads m0 on its group's
@@ -994,19 +1006,15 @@ class BlockFitter:
         last bits differently."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
-        spec, base, counts = self._variance, table.ds, table.counts
-        v, coefs, scales = [], [], []
-        for name in ("trial_controls", "external"):
-            rows = _BUNDLE_ROWS[name](base.d, base.t)
-            design = None if spec is None else _rows_of(table.design(spec), rows)
-            weights = _row_weights(counts, rows)
-            m0_values = (table.predict(m0) if counts is None
-                         else m0.predict(None, table.design(m0.spec)[rows]))
-            r2 = (_rows_of(base.y, rows) - m0_values) ** 2
+        spec, v, coefs, scales = self._variance, [], [], []
+        for name, design, m0_design, y in self._groups:
+            weights = weigh(name)
+            m0_values = table.predict(m0) if table.counts is None else m0.predict(None, m0_design)
+            r2 = ((y if table.ds is self.base else table.ds.y) - m0_values) ** 2
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
-            if design is not None:
+            if spec is not None:
                 coef, good = _stacked_wls(design, weights, np.log(r2 + VAR_FLOOR),
                                           guarded(spec, name, design, weights))
                 ok &= good

@@ -77,7 +77,6 @@ from .nuisance import (
     RATIO_CONSTANT,
     RATIO_LOGLINEAR,
     BlockFitter,
-    RowTable,
     expit,
     fit_bundle,
     linear_specs,
@@ -230,11 +229,11 @@ def _arm_key(cfg: ScenarioConfig) -> tuple:
 
 
 def _arm(cfg: ScenarioConfig, x, z_ps, u_select, u_treat, noise) -> tuple:
-    """Source d and arm t (int8), the engagement shift d * engagement, the scaled noise."""
+    """Source d and arm t (float codes), the engagement shift d * engagement, the scaled noise."""
     pi_true = expit(_linear(cfg.selection_coefs, z_ps))
-    d = (u_select < pi_true).astype(np.int8)
+    d = (u_select < pi_true).astype(float)
     p_true = expit(_linear(cfg.treatment_coefs, z_ps))
-    t = ((d == 1) & (u_treat < p_true)).astype(np.int8)
+    t = ((d == 1) & (u_treat < p_true)).astype(float)
 
     sd = np.where(
         d == 1,
@@ -356,13 +355,10 @@ def _quadrature_effects(cfg: ScenarioConfig, k: int, expect) -> TrueEffects:
 # --------------------------- Monte Carlo core --------------------------
 
 
-def _fit_replicate_nuisances(ds: CompositeDataset) -> tuple[dict, RowTable]:
-    """The replicate's working models and their ``RowTable``, fit alone by ``fit_bundle``.
-
-    The analyst's working models are linear in the raw covariates, so they
-    are correct in the undistorted arms only.
-    """
-    return fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
+def _fit_replicate_nuisances(data: CompositeDataset | DatasetBlock, fit=None):
+    """``fit`` (``fit_bundle`` if None, ``BlockFitter`` on a block) on the analyst's working models:
+    linear in the raw covariates, so correct in the undistorted arms only; the loglinear ratio."""
+    return (fit or fit_bundle)(data, linear_specs(data.k), RATIO_LOGLINEAR)
 
 
 def _mc_block(args) -> list[list]:
@@ -405,7 +401,7 @@ def _score_block(block: DatasetBlock, estimators: tuple, fitters: dict, key) -> 
         # stand in for is taken back out of it
         block = block if drawn.all() else block.select(drawn)
         if key not in fitters:
-            fitters[key] = BlockFitter(block, linear_specs(block.k), RATIO_LOGLINEAR)
+            fitters[key] = _fit_replicate_nuisances(block, BlockFitter)
         rows = _block_points(fitters[key], (partial(_record_columns, estimators),), base=block)
     finished = (_mc_replicate(None if row is not None else block.dataset(k), estimators, row)
                 for k, row in enumerate(rows))

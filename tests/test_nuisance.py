@@ -694,7 +694,7 @@ def test_variance_ratio_builds_one_design_per_spec_and_carries_constant(monkeypa
     monkeypatch.undo()
     np.testing.assert_array_equal(with_table.params, ratio.params)
     constant = fit_variance_ratio(ds, m0, RATIO_CONSTANT)
-    assert ratio.constant == constant and other.constant == constant
+    assert vars(ratio.constant) == vars(constant) and vars(other.constant) == vars(constant)
 
 
 def test_loglinear_smoothed_variance_calibrated():
@@ -873,6 +873,30 @@ def _outcome(fit):
     except Exception as exc:  # noqa: BLE001 - the failure is what is compared
         return type(exc).__name__, str(exc), exc.to_dict()
     return sets
+
+
+def test_block_fitter_evaluates_each_row_set_once(monkeypatch):
+    # each fitter evaluates each row set of the bundle once; its solves, on
+    # counts or on a twin block, read the row sets it holds and evaluate none
+    calls = dict.fromkeys(nuisance._BUNDLE_ROWS, 0)
+    for name, rows in list(nuisance._BUNDLE_ROWS.items()):
+        def counted(d, t, name=name, rows=rows):
+            calls[name] += 1
+            return rows(d, t)
+
+        monkeypatch.setitem(nuisance._BUNDLE_ROWS, name, counted)
+    ds, _ = generate(ScenarioConfig(scenario="i", n=40), 11)
+    block = DatasetBlock.stack([ds, ds])
+    twin = DatasetBlock(block.y + 1.0, block.x, block.t, block.d, block.covariate_names,
+                        block.outcome_kind)
+    resamples = BlockFitter(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
+    datasets = BlockFitter(block, linear_specs(ds.k), RATIO_LOGLINEAR)
+    assert calls == dict.fromkeys(calls, 2)
+    counts = _counts(_resample_indices(ds.n, 2, seed=3), ds.n)
+    for ok, _ in (resamples.solve(counts), resamples.solve(counts[::-1]), datasets.solve(),
+                  datasets.solve(base=twin)):
+        assert ok.all()
+    assert calls == dict.fromkeys(calls, 2)
 
 
 def test_block_fitter_failures_match_fit_bundle():
