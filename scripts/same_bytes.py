@@ -11,6 +11,9 @@ path, and each of its outputs is compared byte for byte:
   and the largest relative change of a number);
 - ``simulate --scenario all --reps 250 --n 1000`` at seeds 1 and 2, each under
   ``--jobs 1`` and ``--jobs 2``;
+- ``simulate --scenario all --reps 100 --n 40 --seed 1``, where some
+  replicates are left out of their block and fit alone, so the Monte Carlo's
+  scoring of one replicate (K = 1) is gated too;
 - ``estimate --variance bootstrap`` on the bootstrap_estimate benchmark input
   (scenario ii, n = 1000, stream [seed, 2]) at seeds 1, 2, 5 and 10;
 - ``estimate`` on the cold_estimate benchmark input (scenario i, n = 400,
@@ -99,6 +102,8 @@ def cli_gates(checkout: Path, work: Path) -> dict[str, list[str]]:
             gates[f"simulate seed {seed} jobs {jobs}"] = [
                 "simulate", "--scenario", "all", "--reps", "250", "--n", "1000",
                 "--seed", str(seed), "--jobs", str(jobs)]
+    gates["simulate n 40 seed 1"] = ["simulate", "--scenario", "all", "--reps", "100", "--n", "40",
+                                     "--seed", "1"]
     for seed in BOOTSTRAP_SEEDS:
         path = draw(checkout, "ii", 1000, seed, 2, work)
         gates[f"bootstrap_estimate seed {seed}"] = [

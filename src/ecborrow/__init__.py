@@ -11,8 +11,8 @@ from importlib import import_module
 _EXPORTS = {
     "dataset": "ColumnSchema CompositeDataset load_csv summarize validate write_csv",
     "errors": "EcborrowError",
-    "estimators": "Estimate IFVector control_weight efficiency_bound_plugin"
-    " efficiency_gain_analytic estimate estimate_point estimate_psi estimate_tau_full"
+    "estimators": "Estimate Estimator IFVector control_weight efficiency_bound_plugin"
+    " efficiency_gain_analytic estimate estimate_psi estimate_tau_full"
     " estimate_tau_treated_only estimate_tau_trial estimate_xi influence_values"
     " variance_gap_psi variance_gap_xi",
     "inference": "BiasBound ExchangeabilityTest InferenceResult SharedFit bias_bound"

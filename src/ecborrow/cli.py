@@ -32,14 +32,11 @@ from .errors import ConfigError, EcborrowError, NonFiniteResult, OutOfMemory, Ov
 from .estimators import (
     ESTIMAND_TAU,
     ESTIMANDS,
-    ESTIMATORS,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TREATED_ONLY,
     METHOD_TRIAL,
-    Estimate,
-    estimate,
-    estimate_point,
+    Estimator,
     influence_values,
 )
 from .inference import (
@@ -60,8 +57,6 @@ from .nuisance import (
     RATIO_KNOWN_ONE,
     BlockFitter,
     ModelSpec,
-    NuisanceSet,
-    RowTable,
     fit_bundle,
     linear_specs,
 )
@@ -254,41 +249,21 @@ def _resolve_ratio(ds: CompositeDataset, cfg: RunConfig) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class EstimatorPlan:
-    """One requested (estimand, method) pair and the nuisance set it reads."""
-
-    estimand: str
-    method: str
-
-    def nuisances_for(self, sets: dict) -> NuisanceSet:
-        return sets[ESTIMATORS[self.estimand, self.method]]
-
-    def evaluate(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]) -> Estimate:
-        sets, table = fitted
-        return estimate(ds, self.nuisances_for(sets), self.estimand, self.method, table=table)
-
-    def point(self, ds: CompositeDataset, fitted: tuple[dict, RowTable]):
-        """The point alone; one per resample on a bootstrap block's table."""
-        sets, table = fitted
-        return estimate_point(ds, self.nuisances_for(sets), self.estimand, self.method, table)
-
-
-def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
+def _requested_pairs(ds: CompositeDataset, cfg: RunConfig) -> list[Estimator]:
+    pairs: list[Estimator] = []
     for estimand in cfg.estimands:
         if cfg.method == "treated-only":
             if estimand != ESTIMAND_TAU:
                 raise ConfigError("treated-only mode only estimates tau")
-            pairs.append((estimand, METHOD_TREATED_ONLY))
+            pairs.append(Estimator(estimand, METHOD_TREATED_ONLY))
             continue
         comparator = METHOD_TRIAL if estimand == ESTIMAND_TAU else METHOD_BASELINE
         methods = {"full": (METHOD_FULL,), "trial": (comparator,),
                    "both": (METHOD_FULL, comparator)}[cfg.method]
-        pairs += [(estimand, method) for method in methods]
+        pairs += [Estimator(estimand, method) for method in methods]
     if ds.n2 == 0:
-        for estimand, method in pairs:
-            if method != METHOD_TRIAL:
+        for pair in pairs:
+            if pair.method != METHOD_TRIAL:
                 raise OverlapNoExternal(
                     "dataset has no external rows; only the trial-based tau "
                     "estimator is available"
@@ -306,30 +281,25 @@ def cmd_estimate(cfg: RunConfig) -> dict:
     level = float(cfg.level)
     null_value = float(cfg.null)
 
-    plans = [EstimatorPlan(est, meth) for est, meth in pairs]
     # one fit, and one row table of its predictions, serves every requested
     # pair: once for the primary analysis and once per bootstrap resample,
     # whose models and points are fit a block of resamples at a time
     bundle = {"specs": specs, "ratio_mode": ratio_mode,
-              "treated_only": any(p.method == METHOD_TREATED_ONLY for p in plans)}
+              "treated_only": any(p.method == METHOD_TREATED_ONLY for p in pairs)}
     fit = partial(fit_bundle, **bundle)
     sets, table = fitted = fit(ds)
-    estimates = [plan.evaluate(ds, fitted) for plan in plans]
+    estimates = [pair.estimate(ds, fitted) for pair in pairs]
     if cfg.variance == "if":
         method_label = VARIANCE_IF
         variances = [
-            if_variance(
-                influence_values(
-                    ds, plan.nuisances_for(sets), plan.estimand, plan.method, est.point,
-                    table=table,
-                )
-            )
-            for plan, est in zip(plans, estimates)
+            if_variance(influence_values(ds, pair.nuisances(sets), pair.estimand, pair.method,
+                                         est.point, table=table))
+            for pair, est in zip(pairs, estimates)
         ]
-        extras = [{} for _ in plans]
+        extras = [{} for _ in pairs]
     else:
         method_label = VARIANCE_BOOTSTRAP
-        shared = SharedFit(fit, tuple(plan.point for plan in plans),
+        shared = SharedFit(fit, tuple(pair.point for pair in pairs),
                            block=partial(BlockFitter, **bundle))
         boots = bootstrap_variance(
             ds, shared, n_replicates=cfg.B, seed=cfg.seed, level=level, jobs=cfg.jobs
@@ -395,7 +365,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     dgp = {key: tuple(val) if isinstance(val, list) else val
            for key, val in (cfg.dgp or {}).items()}
     try:
-        scenario_cfgs = [simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp) for sc in scenarios]
+        scenario_cfgs = [simlab.ScenarioConfig(scenario=sc, n=int(cfg.n), **dgp)
+                         for sc in scenarios]
     except TypeError as exc:
         raise ConfigError(f"bad 'dgp' config: {exc}") from None
     results = simlab.run_study(scenario_cfgs, int(cfg.reps), master_seed=cfg.seed, jobs=cfg.jobs,

@@ -10,13 +10,13 @@ ratio and refitting the control mean on trial controls only).
 Every (estimand, method) is one ratio of means: per-row numerators N and
 denominators D give point = sum(N)/sum(D) and influence values
 (N - point*D)/mean(D). ``_moment`` writes each estimator's rows once, and
-the ``estimate_*`` functions, ``estimate``, ``estimate_point``,
-``influence_values`` and ``point_and_influence`` all read them; through the
-row table, when one is passed, they share every prediction and the pieces
-of the full-data rows. psi's rows are tau's plus xi's, so
-psi = q*tau + (1 - q)*xi holds row by row. On a block's row table
-(``nuisance.RowTable`` with counts, or of a ``DatasetBlock``) the same rows
-are (K, n): for K bootstrap resamples each point is
+the ``estimate_*`` functions, ``estimate``, ``influence_values`` and the
+``Estimator`` record, one (estimand, method) that the CLI and the Monte Carlo
+both run, all read them; through the row table, when one is passed, they
+share every prediction and the pieces of the full-data rows. psi's rows are
+tau's plus xi's, so psi = q*tau + (1 - q)*xi holds row by row. On a block's
+row table (``nuisance.RowTable`` with counts, or of a ``DatasetBlock``) the
+same rows are (K, n): for K bootstrap resamples each point is
 sum(c*N)/sum(c*D), c the resample's count of each row, and for a
 ``DatasetBlock`` of K Monte Carlo replicates, whose columns are (K, n) too,
 it is each replicate's sum(N)/sum(D). A plain table is the case K = 1,
@@ -25,12 +25,12 @@ c = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
 
-from .dataset import OUTCOME_BINARY, CompositeDataset, DatasetBlock
+from .dataset import OUTCOME_BINARY, CompositeDataset
 from .errors import (
     ConfigError,
     EmptyCell,
@@ -391,19 +391,39 @@ def estimate(
     return _estimate(ds, nuis, estimand, method, table)
 
 
-def estimate_point(
-    ds: CompositeDataset,
-    nuis: NuisanceSet,
-    estimand: str,
-    method: str,
-    table: RowTable | None = None,
-):
-    """The named estimator's point alone, with no Estimate or fingerprint.
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator: an (estimand, method) pair of ``ESTIMATORS``. With
+    ``constant`` it reads, in place of its set's loglinear ratio, the constant
+    ratio that one carries (the Monte Carlo's ``tau_full_const``).
 
-    On a block's ``RowTable`` of stacked models it is one point per resample
-    or dataset of the block.
+    Each method reads ``fitted``, the (sets, table) that ``fit_bundle`` or a
+    ``BlockFitter`` solve returns; on a block's table ``moment`` holds (K, n)
+    rows and ``point`` is one point per resample or dataset of the block.
     """
-    return _moment(ds, nuis, estimand, method, table).point
+
+    estimand: str
+    method: str
+    constant: bool = False
+
+    def __post_init__(self):
+        _check_pair(self.estimand, self.method)
+
+    def nuisances(self, sets: dict) -> NuisanceSet:
+        nuis = sets[ESTIMATORS[self.estimand, self.method]]
+        return replace(nuis, r=nuis.r.constant) if self.constant else nuis
+
+    def moment(self, ds: CompositeDataset, fitted: tuple) -> _Moment:
+        sets, table = fitted
+        return _moment(ds, self.nuisances(sets), self.estimand, self.method, table)
+
+    def point(self, ds: CompositeDataset, fitted: tuple):
+        """The point alone, with no Estimate or fingerprint."""
+        return self.moment(ds, fitted).point
+
+    def estimate(self, ds: CompositeDataset, fitted: tuple) -> Estimate:
+        sets, table = fitted
+        return estimate(ds, self.nuisances(sets), self.estimand, self.method, table)
 
 
 # -------------------------- influence values --------------------------
@@ -440,24 +460,6 @@ def uncentred(values: np.ndarray, point):
     one verdict per row of a block's (K, n) values, none for a NaN mean."""
     scale = np.mean(np.abs(values), axis=-1) + np.abs(point)
     return np.abs(np.mean(values, axis=-1)) > IF_MEAN_TOL * scale
-
-
-def point_and_influence(
-    ds: CompositeDataset | DatasetBlock,
-    nuis: NuisanceSet,
-    estimand: str,
-    method: str,
-    table: RowTable | None = None,
-):
-    """The named estimator's point and its influence values at that point, from
-    one computation of its rows, unchecked (``uncentred`` is the check).
-
-    On a DatasetBlock with its ``RowTable`` they are (K,) points and (K, n)
-    values, one row per dataset.
-    """
-    moment = _moment(ds, nuis, estimand, method, table)
-    point = moment.point
-    return point, moment.influence(point)
 
 
 def efficiency_bound_plugin(

@@ -136,7 +136,8 @@ def ordered_map(fn: Callable, tasks: list, jobs: int) -> list:
     """
     if jobs <= 1:
         return [fn(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415 - kept off the CLI's import path
+    # imported here, which keeps it off the CLI's import path
+    from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
@@ -411,7 +412,8 @@ class ExchangeabilityTest:
         return asdict(self)
 
 
-def test_mean_exchangeability(ds: CompositeDataset, spec: ModelSpec | None = None) -> ExchangeabilityTest:
+def test_mean_exchangeability(ds: CompositeDataset,
+                              spec: ModelSpec | None = None) -> ExchangeabilityTest:
     """Wald test of source-by-covariate interactions on control outcomes.
 
     Fits one outcome model on all control rows with source main effect and

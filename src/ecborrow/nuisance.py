@@ -124,7 +124,8 @@ class ModelSpec:
             raise ConfigError("a model spec needs at least one term or the intercept")
 
     @classmethod
-    def linear_in(cls, k: int, family: str = IDENTITY, include_intercept: bool = True) -> "ModelSpec":
+    def linear_in(cls, k: int, family: str = IDENTITY,
+                  include_intercept: bool = True) -> "ModelSpec":
         """Intercept plus raw covariates x1..xk."""
         return cls(family, tuple(Term("raw", i) for i in range(k)), include_intercept)
 
@@ -434,22 +435,22 @@ def fit_variance_ratio(
 ) -> VarianceRatioModel:
     """Estimate the control-outcome variance ratio from m0 residuals.
 
-    Each source group reads its rows of ``table``'s prediction of m0, the one
-    the estimators read, and of its design of ``spec``; a table of its own is
-    made when none is passed.
+    Each source group reads its rows (``table.rows``) of ``table``'s prediction
+    of m0, the one the estimators read, and of its design of ``spec``; a table
+    of its own is made when none is passed.
     """
     if mode not in RATIO_MODES:
         raise ConfigError(f"unknown ratio mode {mode!r}")
     if mode == RATIO_KNOWN_ONE:
         return VarianceRatioModel(RATIO_KNOWN_ONE)
-    groups = tuple(_BUNDLE_ROWS[name](ds.d, ds.t) for name in _RATIO_GROUPS)
+    table = row_table(ds, table)
+    groups = tuple(table.rows(name) for name in _RATIO_GROUPS)
     if any(int(rows.sum()) < 2 for rows in groups):
         raise EmptyCell(
             "variance-ratio estimation needs at least two control rows per source"
         )
     if m0.spec is None:
         raise ConfigError("m0 was fit on a raw design; the variance ratio needs its spec")
-    table = row_table(ds, table)
     m0_values = table.predict(m0)
     resid2 = [(ds.y[rows] - m0_values[rows]) ** 2 for rows in groups]
     if any(np.all(r2 < VAR_FLOOR) for r2 in resid2):

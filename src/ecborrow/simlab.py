@@ -19,8 +19,9 @@ holds by construction.
 The Monte Carlo engine fits replicates a block at a time on the block path
 that also serves the bootstrap's resamples: a block's datasets are built
 at once as a ``DatasetBlock``, ``nuisance.BlockFitter`` fits every working
-model of every replicate at once, and one scorer (``_record_columns``) turns
-the fits into each replicate's row of points, IF variances and analytic
+model of every replicate at once, and one scorer (``_record_columns``) reads
+the moment of each ``estimators.Estimator`` record, the CLI's estimators too,
+off the fits: each replicate's row of points, IF variances and analytic
 gain. A replicate the block cannot stand in for is fit alone and scored by
 it at K = 1. A study (``run_study``) runs its scenarios in one pass, block by
 block: each replicate's stream is drawn once for every scenario
@@ -56,13 +57,12 @@ from .errors import (
     ReplicateFailure,
 )
 from .estimators import (
-    ESTIMATORS,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TRIAL,
+    Estimator,
     IFVector,
     efficiency_gain_analytic,
-    point_and_influence,
     uncentred,
 )
 from .inference import (
@@ -106,18 +106,18 @@ TRUTH_TOL = 1e-8
 
 DRAW_RETENTION_CAP = 1_000_000
 
-# name -> (estimand, method, ratio mode); a constant-ratio estimator reads the
-# constant model that its set's loglinear ratio carries
-_ESTIMATOR_META = {
-    "tau_full": ("tau", METHOD_FULL, RATIO_LOGLINEAR),
-    "tau_full_const": ("tau", METHOD_FULL, RATIO_CONSTANT),
-    "tau_trial": ("tau", METHOD_TRIAL, None),
-    "psi_full": ("psi", METHOD_FULL, RATIO_LOGLINEAR),
-    "psi_base": ("psi", METHOD_BASELINE, None),
-    "xi_full": ("xi", METHOD_FULL, RATIO_LOGLINEAR),
-    "xi_base": ("xi", METHOD_BASELINE, None),
+# each estimator the study scores, by name; the replicates fit the loglinear
+# ratio, and a constant-ratio estimator reads the constant one it carries
+_ESTIMATOR_RECORDS = {
+    "tau_full": Estimator("tau", METHOD_FULL),
+    "tau_full_const": Estimator("tau", METHOD_FULL, constant=True),
+    "tau_trial": Estimator("tau", METHOD_TRIAL),
+    "psi_full": Estimator("psi", METHOD_FULL),
+    "psi_base": Estimator("psi", METHOD_BASELINE),
+    "xi_full": Estimator("xi", METHOD_FULL),
+    "xi_base": Estimator("xi", METHOD_BASELINE),
 }
-ALL_ESTIMATORS = tuple(_ESTIMATOR_META)
+ALL_ESTIMATORS = tuple(_ESTIMATOR_RECORDS)
 
 
 @dataclass(frozen=True)
@@ -416,12 +416,11 @@ def _record_columns(estimators: tuple, data: CompositeDataset | DatasetBlock,
     sets, table = fitted
     columns = []
     for name in estimators:
-        estimand, method, ratio = _ESTIMATOR_META[name]
-        nuis = sets[ESTIMATORS[estimand, method]]
-        if ratio == RATIO_CONSTANT:
-            nuis = replace(nuis, r=nuis.r.constant)
-        points, values = point_and_influence(data, nuis, estimand, method, table)
-        variances = if_variance(IFVector(values, estimand, method))
+        record = _ESTIMATOR_RECORDS[name]
+        moment = record.moment(data, fitted)
+        points = moment.point
+        values = moment.influence(points)
+        variances = if_variance(IFVector(values, record.estimand, record.method))
         columns += [points, np.where(uncentred(values, points), np.nan, variances)]
     # the gain comes last, so that a replicate fit alone raises an estimator's error first
     columns.append(efficiency_gain_analytic(data, sets["pooled"], table))
@@ -493,9 +492,10 @@ def run_study(
     The scenarios share one sample size and so one block rule. Each task is a
     block of replicates for every scenario (``_mc_block``): replicate r's
     stream (master_seed, r) is drawn once for all of them, and twins (i and
-    iii, ii and iv under the default ``dgp``) share their arm and propensity work. Each scenario is then summarised in order, its
-    truth checked before its replicate failures, so each scenario's result and
-    the first error are those of ``run_monte_carlo`` run on it alone.
+    iii, ii and iv under the default ``dgp``) share their arm and propensity
+    work. Each scenario is then summarised in order, its truth checked before
+    its replicate failures, so each scenario's result and the first error are
+    those of ``run_monte_carlo`` run on it alone.
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
@@ -556,9 +556,9 @@ def run_monte_carlo(
     summaries: dict = {}
     draws: dict = {} if keep_draws else None
     for i, name in enumerate(estimators):
-        estimand, method, ratio = _ESTIMATOR_META[name]
+        record = _ESTIMATOR_RECORDS[name]
         points, variances = rows[:, 2 * i], rows[:, 2 * i + 1]
-        target = truths[estimand]
+        target = truths[record.estimand]
         errors = points - target
         ses = np.sqrt(variances)
         cover = np.abs(errors) <= crit * ses
@@ -567,9 +567,11 @@ def run_monte_carlo(
         mse = float(np.mean(errors**2))
         summaries[name] = MCSummary(
             name=name,
-            estimand=estimand,
-            method=method,
-            ratio_mode=ratio,
+            estimand=record.estimand,
+            method=record.method,
+            # the ratio the estimator reads; a comparator reads none
+            ratio_mode=(RATIO_CONSTANT if record.constant else
+                        RATIO_LOGLINEAR if record.method == METHOD_FULL else None),
             reps=n_ok,
             truth=float(target),
             mean_bias=mean_bias,
@@ -607,8 +609,8 @@ def export_boxplot_data(results: list[MCResult], path: str | Path) -> int:
                     "boxplot export needs raw draws; run with keep_draws=True"
                 )
             truths = result.truth.by_estimand()
-            for name in result.summaries:
-                target = truths[_ESTIMATOR_META[name][0]]
+            for name, summary in result.summaries.items():
+                target = truths[summary.estimand]
                 for rep, point in enumerate(result.draws[name]):
                     writer.writerow(
                         [result.config.scenario, name, rep, repr(float(point - target))]

@@ -32,10 +32,11 @@ EXPORTS = {
     "dataset": ["ColumnSchema", "CompositeDataset", "load_csv", "summarize", "validate",
                 "write_csv"],
     "errors": ["EcborrowError"],
-    "estimators": ["Estimate", "IFVector", "control_weight", "efficiency_bound_plugin",
-                   "efficiency_gain_analytic", "estimate", "estimate_point", "estimate_psi",
-                   "estimate_tau_full", "estimate_tau_treated_only", "estimate_tau_trial",
-                   "estimate_xi", "influence_values", "variance_gap_psi", "variance_gap_xi"],
+    "estimators": ["Estimate", "Estimator", "IFVector", "control_weight",
+                   "efficiency_bound_plugin", "efficiency_gain_analytic", "estimate",
+                   "estimate_psi", "estimate_tau_full", "estimate_tau_treated_only",
+                   "estimate_tau_trial", "estimate_xi", "influence_values", "variance_gap_psi",
+                   "variance_gap_xi"],
     "inference": ["BiasBound", "ExchangeabilityTest", "InferenceResult", "SharedFit",
                   "bias_bound", "bootstrap_variance", "if_variance", "overlap_diagnostics",
                   "test", "test_mean_exchangeability"],

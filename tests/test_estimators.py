@@ -14,6 +14,7 @@ from ecborrow.estimators import (
     METHOD_TRIAL,
     METHOD_TREATED_ONLY,
     Estimate,
+    Estimator,
     RowTable,
     _moment,
     control_weight,
@@ -523,6 +524,8 @@ def test_fit_bundle_and_dispatch(random_dataset):
     assert np.isfinite(est.point)
     with pytest.raises(ConfigError):
         dispatch(random_dataset, nuis, "tau", "baseline")
+    with pytest.raises(ConfigError):
+        Estimator("tau", "baseline")
 
 
 def test_fit_bundle_treated_only_path():
@@ -539,13 +542,13 @@ def test_fit_bundle_treated_only_path():
 
 def test_estimator_table_names_sets_fit_bundle_returns(random_dataset):
     from ecborrow import simlab
-    from ecborrow.cli import EstimatorPlan, RunConfig, _requested_pairs
+    from ecborrow.cli import RunConfig, _requested_pairs
     from ecborrow.estimators import ESTIMANDS, ESTIMATORS
 
     fitted = fit_bundle(random_dataset, linear_specs(2), RATIO_LOGLINEAR)
     for name in simlab.ALL_ESTIMATORS:
-        estimand, method, _ = simlab._ESTIMATOR_META[name]
-        assert ESTIMATORS[estimand, method] in fitted[0], name
+        record = simlab._ESTIMATOR_RECORDS[name]
+        assert ESTIMATORS[record.estimand, record.method] in fitted[0], name
     cases = [(random_dataset, fitted, flag, estimand)
              for flag in ("full", "trial", "both") for estimand in ESTIMANDS]
     # treated-only runs on a trial without controls, whose bundle is the treated-only set
@@ -555,9 +558,9 @@ def test_estimator_table_names_sets_fit_bundle_returns(random_dataset):
     for ds, fitted, flag, estimand in cases:
         cfg = RunConfig(command="estimate", input="data.csv", estimand=estimand, method=flag)
         for pair in _requested_pairs(ds, cfg):
-            assert ESTIMATORS[pair] in fitted[0], (flag, pair)
+            assert ESTIMATORS[pair.estimand, pair.method] in fitted[0], (flag, pair)
             # the set passes the estimator's own check that it matches the method
-            assert np.isfinite(EstimatorPlan(*pair).evaluate(ds, fitted).point), (flag, pair)
+            assert np.isfinite(pair.estimate(ds, fitted).point), (flag, pair)
 
 
 def _reference_fingerprint(nuis: NuisanceSet) -> str:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecborrow.cli import (
-    EstimatorPlan,
     RunConfig,
     _model_specs,
     _requested_pairs,
@@ -22,9 +21,9 @@ from ecborrow.estimators import (
     METHOD_TREATED_ONLY,
     METHOD_TRIAL,
     Estimate,
+    Estimator,
     IFVector,
     estimate,
-    estimate_point,
     estimate_tau_full,
     influence_values,
 )
@@ -548,8 +547,9 @@ _PAIRS = (
 
 
 def _pair_point(estimand, method, set_name, resample, fitted):
-    sets, table = fitted
-    return estimate_point(resample, sets[set_name], estimand, method, table)
+    record = Estimator(estimand, method)
+    assert record.nuisances(fitted[0]) is fitted[0][set_name]
+    return record.point(resample, fitted)
 
 
 def _block_case(case: str):
@@ -632,10 +632,10 @@ def _golden_cli_pairs() -> tuple[CompositeDataset, SharedFit]:
     path = "tests/data/golden_input.csv"
     ds = load_csv(path)
     cfg = RunConfig(command="estimate", input=path)
-    plans = [EstimatorPlan(estimand, method) for estimand, method in _requested_pairs(ds, cfg)]
+    pairs = _requested_pairs(ds, cfg)
     bundle = {"specs": _model_specs(ds, cfg), "ratio_mode": _resolve_ratio(ds, cfg),
               "treated_only": False}
-    return ds, SharedFit(partial(fit_bundle, **bundle), tuple(plan.point for plan in plans),
+    return ds, SharedFit(partial(fit_bundle, **bundle), tuple(pair.point for pair in pairs),
                          block=partial(BlockFitter, **bundle))
 
 

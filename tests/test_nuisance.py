@@ -451,7 +451,7 @@ def test_registry_scale_bootstrap_logits_converge_in_their_block(monkeypatch):
     # before the Newton-decrement stop they took up to 83 iterations here
     from functools import partial
 
-    from ecborrow.cli import EstimatorPlan
+    from ecborrow.estimators import Estimator
     from ecborrow.inference import SharedFit, bootstrap_variance
 
     rng, x = _registry_covariates(0)
@@ -474,7 +474,7 @@ def test_registry_scale_bootstrap_logits_converge_in_their_block(monkeypatch):
         return fit_bundle(resample, **bundle)
 
     monkeypatch.setattr(nuisance, "_stacked_logit", recorded)
-    shared = SharedFit(fit_alone, (EstimatorPlan("tau", "full_data").point,),
+    shared = SharedFit(fit_alone, (Estimator("tau", "full_data").point,),
                        block=partial(BlockFitter, **bundle))
     bootstrap_variance(ds, shared, 4, seed=1)
     assert alone == [] and len(fits) == 8  # p and pi of each resample
@@ -877,7 +877,8 @@ def _outcome(fit):
 
 def test_block_fitter_evaluates_each_row_set_once(monkeypatch):
     # each fitter evaluates each row set of the bundle once; its solves, on
-    # counts or on a twin block, read the row sets it holds and evaluate none
+    # counts or on a twin block, read the row sets it holds and evaluate none;
+    # fit_bundle evaluates each once on its table, the ratio's groups included
     calls = dict.fromkeys(nuisance._BUNDLE_ROWS, 0)
     for name, rows in list(nuisance._BUNDLE_ROWS.items()):
         def counted(d, t, name=name, rows=rows):
@@ -897,6 +898,8 @@ def test_block_fitter_evaluates_each_row_set_once(monkeypatch):
                   datasets.solve(base=twin)):
         assert ok.all()
     assert calls == dict.fromkeys(calls, 2)
+    fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
+    assert calls == dict.fromkeys(calls, 3)
 
 
 def test_block_fitter_failures_match_fit_bundle():
