@@ -10,7 +10,9 @@ path, and each of its outputs is compared byte for byte:
   the check (whether the regenerated bytes match the checkout's tests/data,
   and the largest relative change of a number);
 - ``simulate --scenario all --reps 250 --n 1000`` at seeds 1 and 2, each under
-  ``--jobs 1`` and ``--jobs 2``;
+  ``--jobs 1`` and ``--jobs 2``; the ``--jobs 1`` runs also write
+  ``--boxplot-csv``, whose bytes hold each replicate's points to 17 digits
+  where the stdout holds their summaries;
 - ``simulate --scenario all --reps 100 --n 40 --seed 1``, where some
   replicates are left out of their block and fit alone, so the Monte Carlo's
   scoring of one replicate (K = 1) is gated too;
@@ -24,7 +26,8 @@ path, and each of its outputs is compared byte for byte:
   (``golden_input_binary.csv``) and the constant ratio (``golden_input.csv
   --ratio constant``).
 
-A CLI output is its stdout, and its exit code where that is not 0. A byte
+A CLI output is its stdout, then the bytes of the ``--boxplot-csv`` file it
+was given, if any, and its exit code where that is not 0. A byte
 move at one seed can hide at another, so the gates take more than one. The
 inputs are drawn once, by PARENT's code, into one temporary directory, so
 the input path each JSON records is the same on both sides. Each line reads "same" or "DIFFER", with
@@ -70,9 +73,15 @@ def _run(checkout: Path, argv: list[str]) -> subprocess.CompletedProcess:
 
 
 def cli_output(checkout: Path, argv: list[str]) -> bytes:
-    """The stdout of one CLI run in ``checkout``, followed by its exit code if not 0."""
+    """The stdout of one CLI run in ``checkout``, followed by the bytes of the
+    ``--boxplot-csv`` file it wrote, if any, and its exit code if not 0."""
     done = _run(checkout, ["-m", "ecborrow.cli", *argv])
-    return done.stdout + (b"exit %d\n" % done.returncode if done.returncode else b"")
+    output = done.stdout
+    if "--boxplot-csv" in argv:
+        boxplot = Path(argv[argv.index("--boxplot-csv") + 1])
+        output += boxplot.read_bytes() if boxplot.exists() else b"no boxplot csv\n"
+        boxplot.unlink(missing_ok=True)
+    return output + (b"exit %d\n" % done.returncode if done.returncode else b"")
 
 
 def golden_outputs(checkout: Path) -> dict[str, bytes]:
@@ -99,9 +108,10 @@ def cli_gates(checkout: Path, work: Path) -> dict[str, list[str]]:
     gates = {}
     for seed in SIMULATE_SEEDS:
         for jobs in (1, 2):
+            boxplot = ["--boxplot-csv", str(work / f"boxplot_seed{seed}.csv")] if jobs == 1 else []
             gates[f"simulate seed {seed} jobs {jobs}"] = [
                 "simulate", "--scenario", "all", "--reps", "250", "--n", "1000",
-                "--seed", str(seed), "--jobs", str(jobs)]
+                "--seed", str(seed), "--jobs", str(jobs), *boxplot]
     gates["simulate n 40 seed 1"] = ["simulate", "--scenario", "all", "--reps", "100", "--n", "40",
                                      "--seed", "1"]
     for seed in BOOTSTRAP_SEEDS:

@@ -9,11 +9,14 @@ ratio and refitting the control mean on trial controls only).
 
 Every (estimand, method) is one ratio of means: per-row numerators N and
 denominators D give point = sum(N)/sum(D) and influence values
-(N - point*D)/mean(D). ``_moment`` writes each estimator's rows once, and
-the ``estimate_*`` functions, ``estimate``, ``influence_values`` and the
-``Estimator`` record, one (estimand, method) that the CLI and the Monte Carlo
-both run, all read them; through the row table, when one is passed, they
-share every prediction and the pieces of the full-data rows. psi's rows are
+(N - point*D)/mean(D), written over the moment's own N. ``_moment`` writes
+each estimator's rows once, and the ``estimate_*`` functions, ``estimate``,
+``influence_values`` and the ``Estimator`` record, one (estimand, method)
+that the CLI and the Monte Carlo both run, all read them. A row table, when
+one is passed, holds each prediction and each ratio variant's full-data
+pieces once; a DatasetBlock's table also keeps each outcome model's residual
+and builds every variant's pieces in one call, which alone holds the
+products the variants share (``_full_pieces``). psi's rows are
 tau's plus xi's, so psi = q*tau + (1 - q)*xi holds row by row. On a block's
 row table (``nuisance.RowTable`` with counts, or of a ``DatasetBlock``) the
 same rows are (K, n): for K bootstrap resamples each point is
@@ -26,11 +29,11 @@ c = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .dataset import OUTCOME_BINARY, CompositeDataset
+from .dataset import OUTCOME_BINARY, CompositeDataset, DatasetBlock
 from .errors import (
     ConfigError,
     EmptyCell,
@@ -130,20 +133,15 @@ def control_weight(
 
 @dataclass
 class _Pieces:
-    """Per-row ingredients shared by every full-data moment.
+    """One ratio variant's (m0, r) full-data rows, which a table forms once:
+    core = d*t*resid1/p - w*resid0 and delta = m1 - m0 (one array per m0,
+    which variants share), with the table's pi. The products the variants
+    share are held only by the ``_full_pieces`` call that builds them."""
 
-    m1 and m0 are the table's predictions, so only ``core`` is held here.
-    """
-
-    m1: np.ndarray
-    m0: np.ndarray
     pi: np.ndarray
-    core: np.ndarray  # d*t*resid1/p - weight*resid0
+    delta: np.ndarray
+    core: np.ndarray
     trim_count: int
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.m1 - self.m0
 
 
 @dataclass
@@ -183,26 +181,61 @@ class _Moment:
         return float(point) if self.numer.ndim == 1 else point
 
     def influence(self, point) -> np.ndarray:
-        """(N - point*D)/mean(D), each row of a block at its own point."""
-        mean_denom = self.denom_sum / self.numer.shape[-1]
-        return (self.numer - np.expand_dims(point, -1) * self.denom) / np.expand_dims(
-            mean_denom, -1)
+        """(N - point*D)/mean(D), each row of a block at its own point, written
+        over N, which is each moment's own and read no more once its point is."""
+        self.numer -= np.expand_dims(point, -1) * self.denom
+        self.numer /= np.expand_dims(self.denom_sum / self.numer.shape[-1], -1)
+        return self.numer
 
 
-def _full_pieces(table: RowTable, m1_model, m0_model, p_model, pi_model, r_model) -> _Pieces:
-    """Full-data moment pieces; without ``r_model`` the ratio is zero."""
-    ds = table.ds
-    m1 = table.predict(m1_model)
-    m0 = table.predict(m0_model)
-    p, trimmed_p = table.propensity(p_model)
-    pi, trimmed_pi = table.propensity(pi_model)
-    r = np.zeros(ds.n) if r_model is None else table.ratio(r_model)
-    weight, floored_w = control_weight(pi, p, r, ds.d, ds.t)
-    # core is built in place, which keeps the temporaries of a block few
-    core = ds.d * ds.t * (ds.y - m1) / p
-    core -= weight * (ds.y - m0)
-    trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
-    return _Pieces(m1=m1, m0=m0, pi=pi, core=core, trim_count=trims + floored_w)
+def _full_pieces(table: RowTable, nuis: NuisanceSet, r_model, sets: dict | None) -> _Pieces:
+    """The table's pieces of ``nuis`` with the ratio ``r_model`` (None for zero).
+
+    A DatasetBlock's first request builds every variant ``sets`` reads: a pooled
+    set's ratio and its constant one, an unpooled set's zero. Elsewhere each is
+    built on its own request: one dataset's ratio may raise, and a resample
+    block's heap would outgrow the allocator's trim threshold. A build forms
+    ``control_weight``'s products, in its operand order, the treated term
+    d*t*resid1/p and each m0's delta once, and keeps none past its end.
+    """
+    ds, arm, requested = table.ds, (nuis.m1, nuis.p, nuis.pi), (nuis.m0, r_model)
+
+    def build():
+        variants, built = [requested], {}
+        for other in sets.values() if sets and isinstance(ds, DatasetBlock) else ():
+            if (other.m1, other.p, other.pi) == arm:
+                ratios = ([r for r in (other.r, other.r.constant) if r] if other.m0_pooled
+                          else [None])
+                variants += [(other.m0, r) for r in ratios if (other.m0, r) != requested]
+        p, trimmed_p = table.propensity(nuis.p)
+        pi, trimmed_pi = table.propensity(nuis.pi)
+        trims, m1 = int(trimmed_p.sum()) + int(trimmed_pi.sum()), table.predict(nuis.m1)
+        # one variant alone keeps nothing it forms, so its temporaries go as they are read
+        memo = {} if len(variants) > 1 else None
+
+        def shared(key, compute):
+            return compute() if memo is None else table.cached(key, compute, memo)
+
+        for m0_model, ratio in variants:
+            numer = shared("trial numer", lambda: ds.d * (1 - ds.t) * pi)
+            denom = shared("trial denom", lambda: pi * (1.0 - p))
+            if ratio is not None:  # x + 0.0 is x
+                r = table.ratio(ratio)
+                numer = numer + shared("external numer", lambda: (1 - ds.d) * pi) * r
+                denom = denom + shared("1 - pi", lambda: 1.0 - pi) * r
+            floored = int(np.sum(denom < DENOM_EPS))
+            # core = treated - weight*resid0, over the weight's own array
+            weight = numer / np.maximum(denom, DENOM_EPS)
+            del numer, denom
+            weight *= table.residual(m0_model)
+            core = np.subtract(shared("treated", lambda: ds.d * ds.t * table.residual(nuis.m1) / p),
+                               weight, out=weight)
+            delta = shared(m0_model, lambda: m1 - table.predict(m0_model))
+            built[m0_model, ratio] = table.cached(("pieces", *arm, m0_model, ratio),
+                                                  lambda: _Pieces(pi, delta, core, trims + floored))
+        return built[requested]
+
+    return table.cached(("pieces", *arm, *requested), build)
 
 
 def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
@@ -219,19 +252,19 @@ def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
 
 def _trial_moment(table: RowTable, m1_model, m0_model, p_model) -> _Moment:
     ds = table.ds
-    trial = ds.d == 1
     m1 = table.predict(m1_model)
     m0 = table.predict(m0_model)
     p, trimmed = table.propensity(p_model)
-    row = (m1 - m0) + ds.t * (ds.y - m1) / p - (1 - ds.t) * (ds.y - m0) / (1.0 - p)
-    return _Moment(ds.d * row, ds.d, ds.n1, int(trimmed[..., trial].sum()),
+    row = ((m1 - m0) + ds.t * table.residual(m1_model) / p
+           - (1 - ds.t) * table.residual(m0_model) / (1.0 - p))
+    return _Moment(ds.d * row, ds.d, ds.n1, int(np.count_nonzero(trimmed & (ds.d == 1))),
                    table.counts)
 
 
 def _treated_only_moment(table: RowTable, m0_model, pi_model) -> _Moment:
     ds = table.ds
     pi, trimmed = table.propensity(pi_model)
-    resid0 = ds.y - table.predict(m0_model)
+    resid0 = table.residual(m0_model)
     numer = ds.d * resid0 - (1 - ds.d) * (pi / (1.0 - pi)) * resid0
     return _Moment(numer, ds.d, ds.n, int(trimmed.sum()), table.counts)
 
@@ -259,8 +292,11 @@ def _moment(
     method: str,
     table: RowTable | None = None,
     zero_ratio: bool = False,
+    sets: dict | None = None,
 ) -> _Moment:
-    """The (N, D) rows of one (estimand, method), from the table's shared pieces.
+    """The (N, D) rows of one (estimand, method), from the table's shared pieces;
+    on a DatasetBlock they are built for every ratio variant of ``sets``, the
+    bundle ``nuis`` is one of, at once.
 
     With delta = m1 - m0 and core = d*t*(y - m1)/p - w*(y - m0), w the
     control weight:
@@ -310,8 +346,7 @@ def _moment(
         raise EmptyCell("full-data moments need fitted treated-arm models")
     if nuis.pi is None:
         raise EmptyCell("full-data moments need a fitted selection propensity")
-    models = (nuis.m1, nuis.m0, nuis.p, nuis.pi, None if zero_ratio else nuis.r)
-    pieces = table.cached(("pieces", *models), partial(_full_pieces, table, *models))
+    pieces = _full_pieces(table, nuis, None if zero_ratio else nuis.r, sets)
     return _full_moment(table, pieces, estimand)
 
 
@@ -415,7 +450,7 @@ class Estimator:
 
     def moment(self, ds: CompositeDataset, fitted: tuple) -> _Moment:
         sets, table = fitted
-        return _moment(ds, self.nuisances(sets), self.estimand, self.method, table)
+        return _moment(ds, self.nuisances(sets), self.estimand, self.method, table, sets=sets)
 
     def point(self, ds: CompositeDataset, fitted: tuple):
         """The point alone, with no Estimate or fingerprint."""
@@ -507,8 +542,15 @@ def efficiency_gain_analytic(
     DatasetBlock with its ``RowTable`` it is one gain per dataset.
     """
     p, pi, r, v1 = _gap_pieces(ds, nuis, table)
-    gap = 1.0 / (1.0 - p) - 1.0 / (1.0 - p + (1.0 - pi) / pi * r)
-    gain = np.mean(gap * v1 / ds.q_hat, axis=-1, where=ds.d == 1)
+    # gap = 1/(1 - p) - 1/(1 - p + (1 - pi)/pi*r), over two arrays of its own
+    gap, borrowed = 1.0 - p, (1.0 - pi) / pi
+    borrowed *= r
+    borrowed += gap
+    np.divide(1.0, gap, out=gap)
+    gap -= np.divide(1.0, borrowed, out=borrowed)
+    gap *= v1
+    gap /= ds.q_hat
+    gain = np.mean(gap, axis=-1, where=ds.d == 1)
     return float(gain) if gain.ndim == 0 else gain
 
 

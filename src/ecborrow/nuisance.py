@@ -435,9 +435,9 @@ def fit_variance_ratio(
 ) -> VarianceRatioModel:
     """Estimate the control-outcome variance ratio from m0 residuals.
 
-    Each source group reads its rows (``table.rows``) of ``table``'s prediction
-    of m0, the one the estimators read, and of its design of ``spec``; a table
-    of its own is made when none is passed.
+    Each source group reads its rows (``table.rows``) of the residuals of
+    ``table``'s prediction of m0, the one the estimators read, and of its
+    design of ``spec``; a table of its own is made when none is passed.
     """
     if mode not in RATIO_MODES:
         raise ConfigError(f"unknown ratio mode {mode!r}")
@@ -451,8 +451,8 @@ def fit_variance_ratio(
         )
     if m0.spec is None:
         raise ConfigError("m0 was fit on a raw design; the variance ratio needs its spec")
-    m0_values = table.predict(m0)
-    resid2 = [(ds.y[rows] - m0_values[rows]) ** 2 for rows in groups]
+    resid = table.residual(m0)
+    resid2 = [resid[rows] ** 2 for rows in groups]
     if any(np.all(r2 < VAR_FLOOR) for r2 in resid2):
         raise DegenerateVariance(
             "all squared residuals below the variance floor in one source group"
@@ -512,12 +512,13 @@ class RowTable:
     """Per-row values of one dataset, or of a block, each computed once.
 
     The table holds one design per distinct covariate transform, one mask per
-    row set, one prediction per fitted model, and whatever the estimators keep
-    in it through ``cached``. Passing one table to every call on ``ds`` shares
-    that work between them; every value is the one the call computes with a
-    table of its own. Models must not change after a table has read them.
-    ``designs`` and ``propensities`` may pass the stores of another table on
-    the same covariates, which then shares them.
+    row set, one prediction per fitted model (and on a DatasetBlock its
+    residual), and whatever the estimators keep in it through ``cached``.
+    Passing one table to every call on ``ds`` shares that work between them;
+    every value is the one the call computes with a table of its own. Models
+    must not change after a table has read them. ``designs`` and
+    ``propensities`` may pass the stores of another table on the same
+    covariates, which then shares them.
 
     A table is on a block when it holds ``counts``, where ``counts[k, i]`` is
     how often bootstrap resample k of ``ds`` holds row i, or when ``ds`` is a
@@ -560,6 +561,14 @@ class RowTable:
     def predict(self, model: FittedGLM) -> np.ndarray:
         return self.cached(("predict", model),
                            lambda: model.predict(self.ds.x, self.design(model.spec)))
+
+    def residual(self, model: FittedGLM) -> np.ndarray:
+        """y minus ``model``'s prediction; kept on a DatasetBlock's table, where
+        ``BlockFitter`` forms its fits' residuals (three more kept (K, n) arrays
+        push a resample block's heap past the allocator's trim threshold)."""
+        if not isinstance(self.ds, DatasetBlock):
+            return self.ds.y - self.predict(model)
+        return self.cached(("residual", model), lambda: self.ds.y - self.predict(model))
 
     def propensity(self, model: FittedGLM) -> tuple[np.ndarray, np.ndarray]:
         """Predictions trimmed into [TRIM_EPS, 1-TRIM_EPS], and the rows trimmed."""
@@ -983,16 +992,19 @@ class BlockFitter:
                 gram = guarded(spec, row_set, design, weights)
                 if spec.family == IDENTITY:
                     coef, good = _stacked_wls(design, weights, response, gram)
-                    rss = (weights * (response - _eta(design, coef)) ** 2).sum(axis=1)
-                    iterations, loglik = 1, _gaussian_loglik(rss, wsum)
+                    iterations, loglik = 1, None  # from the fit's residuals, below
                 else:
                     # a fit past the Gram guards
                     coef, iterations, loglik, status = _stacked_logit(
                         design, weights, response, gram[1])
                     good = status == _CONVERGED
                 ok &= good
-                models[name] = FittedGLM(spec.family, coef, True, iterations, loglik,
-                                         wsum.astype(int), spec, names)
+                models[name] = model = FittedGLM(spec.family, coef, True, iterations, loglik,
+                                                 wsum.astype(int), spec, names)
+                if loglik is None:  # a DatasetBlock's fit reads its table's residuals
+                    resid = (table.residual(model) if counts is None
+                             else response - _eta(design, coef))
+                    model.loglik = _gaussian_loglik((weights * resid ** 2).sum(axis=1), wsum)
                 if not reads_y:
                     kept[name] = models[name], good
             r = self._solve_ratio(table, models["m0_pooled"], ok, weigh, guarded)
@@ -1001,22 +1013,28 @@ class BlockFitter:
     def _solve_ratio(self, table, m0: FittedGLM, ok, weigh, guarded) -> VarianceRatioModel:
         """The stacked variance ratio from ``weigh`` and ``guarded``; clears ``ok`` where it fails.
 
-        On a DatasetBlock both source groups read the table's one prediction of
-        m0, which the estimators read too. A resample reads m0 on its group's
-        rows alone: an all-row product on the shared design rounds those rows'
-        last bits differently."""
+        On a DatasetBlock, whose weights pick each group's rows, both source
+        groups read one squared residual of the table's m0, the residual the
+        estimators read, and one log-variance response. A resample reads m0 on
+        its group's rows alone: an all-row product on the shared design rounds
+        those rows' last bits differently."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
         spec, v, coefs, scales = self._variance, [], [], []
+
+        def responses(r2):
+            # squared residuals of m0 and, for a loglinear ratio, the log-variance response
+            return r2, None if spec is None else np.log(r2 + VAR_FLOOR)
+
+        block = responses(table.residual(m0) ** 2) if table.counts is None else None
         for name, design, m0_design, y in self._groups:
             weights = weigh(name)
-            m0_values = table.predict(m0) if table.counts is None else m0.predict(None, m0_design)
-            r2 = ((y if table.ds is self.base else table.ds.y) - m0_values) ** 2
+            r2, log_r2 = block or responses((y - m0.predict(None, m0_design)) ** 2)
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
             if spec is not None:
-                coef, good = _stacked_wls(design, weights, np.log(r2 + VAR_FLOOR),
+                coef, good = _stacked_wls(design, weights, log_r2,
                                           guarded(spec, name, design, weights))
                 ok &= good
                 smoothed = (weights * np.exp(_eta(design, coef))).sum(axis=1) / count

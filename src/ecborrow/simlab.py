@@ -470,7 +470,7 @@ class MCResult:
     failures: int
     failure_messages: list[str]
     mean_analytic_gain: float
-    draws: dict | None = None
+    draws: dict | None = None  # each estimator's points by replicate number
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -547,9 +547,10 @@ def run_monte_carlo(
     if len(failures) > 0.02 * reps:
         raise ReplicateFailure(
             f"{len(failures)}/{reps} Monte Carlo replicates failed", messages=failures[:5])
-    # one row per replicate that succeeded: each estimator's point and IF
-    # variance, then the analytic gain (``_record_columns``)
-    rows = np.stack([item for item in outcomes if not isinstance(item, str)])
+    # one row per replicate that succeeded, and its number: each estimator's
+    # point and IF variance, then the analytic gain (``_record_columns``)
+    kept = [rep for rep, item in enumerate(outcomes) if not isinstance(item, str)]
+    rows = np.stack([outcomes[rep] for rep in kept])
     n_ok = len(rows)
     crit = ndtri(0.5 + level / 2.0)
     truths = truth.by_estimand()
@@ -581,7 +582,7 @@ def run_monte_carlo(
             mean_variance_estimate=float(np.mean(variances)),
         )
         if keep_draws:
-            draws[name] = points
+            draws[name] = dict(zip(kept, points))
     return MCResult(
         config=cfg,
         reps=reps,
@@ -597,7 +598,8 @@ def run_monte_carlo(
 
 
 def export_boxplot_data(results: list[MCResult], path: str | Path) -> int:
-    """Write per-replicate biases in long format for external plotting."""
+    """Write per-replicate biases in long format for external plotting, each
+    with the number of its replicate."""
     path = Path(path)
     rows = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -611,7 +613,7 @@ def export_boxplot_data(results: list[MCResult], path: str | Path) -> int:
             truths = result.truth.by_estimand()
             for name, summary in result.summaries.items():
                 target = truths[summary.estimand]
-                for rep, point in enumerate(result.draws[name]):
+                for rep, point in result.draws[name].items():
                     writer.writerow(
                         [result.config.scenario, name, rep, repr(float(point - target))]
                     )

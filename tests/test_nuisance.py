@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -38,7 +39,7 @@ from ecborrow.nuisance import (
     fit_variance_ratio,
     linear_specs,
 )
-from ecborrow.simlab import ScenarioConfig, generate
+from ecborrow.simlab import ALL_ESTIMATORS, ScenarioConfig, _record_columns, generate
 
 import oracles
 from oracles import newton_logit, wls_normal_equations
@@ -900,6 +901,60 @@ def test_block_fitter_evaluates_each_row_set_once(monkeypatch):
     assert calls == dict.fromkeys(calls, 2)
     fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)
     assert calls == dict.fromkeys(calls, 3)
+
+
+class _Counted(np.ndarray):
+    """A view that counts the ufuncs it takes part in, by its ``role`` and the
+    ufunc's name, and hands back plain arrays."""
+
+    counts: collections.Counter = collections.Counter()
+    role = ""
+
+    def __array_finalize__(self, obj):
+        self.role = getattr(obj, "role", "")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        roles = {a.role for a in inputs if isinstance(a, _Counted)}
+        type(self).counts.update((role, ufunc.__name__) for role in roles)
+        plain = [a.view(np.ndarray) if isinstance(a, _Counted) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_block_solve_and_scoring_form_each_shared_product_once(monkeypatch):
+    # one solve and one scoring of a DatasetBlock form each outcome model's
+    # residual once (y - m), one log-variance response for both ratio groups,
+    # and each of control_weight's products d(1 - t)pi, (1 - d)pi and pi(1 - p)
+    # once, for the loglinear, constant and zero ratios alike
+    ds, _ = generate(ScenarioConfig(scenario="i", n=40), 11)
+    block = DatasetBlock.stack([ds, ds])
+    block.y = block.y.view(_Counted)
+    block.y.role = "y"
+    propensity = RowTable.propensity
+
+    def counted_propensity(table, model):
+        clipped, trimmed = propensity(table, model)
+        clipped = clipped.view(_Counted)
+        clipped.role = "propensity"
+        return clipped, trimmed
+
+    responses = []
+
+    def recorded_wls(design, weights, response, guarded=None):
+        responses.append(response)
+        return stacked_wls(design, weights, response, guarded)
+
+    stacked_wls = nuisance._stacked_wls
+    monkeypatch.setattr(RowTable, "propensity", counted_propensity)
+    monkeypatch.setattr(nuisance, "_stacked_wls", recorded_wls)
+    monkeypatch.setattr(_Counted, "counts", collections.Counter())
+    ok, fitted = BlockFitter(block, linear_specs(ds.k), RATIO_LOGLINEAR).solve()
+    assert ok.all()
+    _record_columns(ALL_ESTIMATORS, block, fitted)
+    assert _Counted.counts["y", "subtract"] == 3  # m1, pooled m0, trial m0
+    assert _Counted.counts["propensity", "multiply"] == 3
+    # both ratio groups fit the one log-variance response
+    assert len([r for r in responses if r is not block.y]) == 2
+    assert len({id(r) for r in responses if r is not block.y}) == 1
 
 
 def test_block_fitter_failures_match_fit_bundle():

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from functools import partial
@@ -630,6 +631,25 @@ def test_boxplot_export_shape_and_determinism(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
     assert header == "scenario,estimator,replicate,bias"
+
+
+def test_boxplot_ids_are_each_points_replicate(tmp_path):
+    # at n = 40, scenarios ii and iv each lose one replicate to RankDeficient;
+    # the points after it keep their own replicate numbers
+    cfgs = [ScenarioConfig(scenario=scenario, n=40) for scenario in sl.SCENARIOS]
+    outcomes = sl._mc_block((tuple(cfgs), 1, range(100), sl.ALL_ESTIMATORS))
+    failed = {cfg.scenario: [rep for rep, item in enumerate(items) if isinstance(item, str)]
+              for cfg, items in zip(cfgs, outcomes)}
+    path = tmp_path / "boxplot.csv"
+    export_boxplot_data(sl.run_study(cfgs, 100, master_seed=1, keep_draws=True), path)
+    ids: dict = {}
+    for row in csv.DictReader(path.open()):
+        if row["estimator"] == "tau_full":
+            ids.setdefault(row["scenario"], []).append(int(row["replicate"]))
+    assert failed["i"] == [] and ids["i"] == list(range(100))
+    for scenario in ("ii", "iv"):
+        assert len(failed[scenario]) == 1
+        assert ids[scenario] == [rep for rep in ids["i"] if rep not in failed[scenario]]
 
 
 def test_boxplot_export_requires_draws(tmp_path):
