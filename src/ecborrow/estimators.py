@@ -9,21 +9,18 @@ ratio and refitting the control mean on trial controls only).
 
 Every (estimand, method) is one ratio of means: per-row numerators N and
 denominators D give point = sum(N)/sum(D) and influence values
-(N - point*D)/mean(D), written over the moment's own N. ``_moment`` writes
-each estimator's rows once, and the ``estimate_*`` functions, ``estimate``,
-``influence_values`` and the ``Estimator`` record, one (estimand, method)
-that the CLI and the Monte Carlo both run, all read them. A row table, when
-one is passed, holds each prediction and each ratio variant's full-data
-pieces once; a DatasetBlock's table also keeps each outcome model's residual
-and builds every variant's pieces in one call, which alone holds the
-products the variants share (``_full_pieces``). psi's rows are
-tau's plus xi's, so psi = q*tau + (1 - q)*xi holds row by row. On a block's
-row table (``nuisance.RowTable`` with counts, or of a ``DatasetBlock``) the
-same rows are (K, n): for K bootstrap resamples each point is
-sum(c*N)/sum(c*D), c the resample's count of each row, and for a
-``DatasetBlock`` of K Monte Carlo replicates, whose columns are (K, n) too,
-it is each replicate's sum(N)/sum(D). A plain table is the case K = 1,
-c = 1.
+(N - point*D)/mean(D). ``_moment`` writes each estimator's rows once, and
+the ``estimate_*`` functions, ``estimate``, ``influence_values`` and the
+``Estimator`` record, one (estimand, method) that the CLI and the Monte Carlo
+both run, all read them. A row table, when one is passed, holds each prediction
+and each ratio variant's full-data pieces once; the products the variants share
+live in their one build alone (``_full_pieces``). psi's rows are tau's plus
+xi's, so psi = q*tau + (1 - q)*xi holds row by row. On a block's row table
+(``nuisance.RowTable`` with counts, or of a ``DatasetBlock``) the same rows are
+(K, n): for K bootstrap resamples each point is sum(c*N)/sum(c*D), c the
+resample's count of each row, and for a ``DatasetBlock`` of K Monte Carlo
+replicates, whose columns are (K, n) too, it is each replicate's sum(N)/sum(D);
+a plain table is the case K = 1, c = 1.
 """
 
 from __future__ import annotations
@@ -97,10 +94,11 @@ class IFVector:
 # --------------------------- control weight ---------------------------
 
 
-def weight_denominator(pi, p, r):
-    """pi * (1 - p) + (1 - pi) * r, unfloored: the denominator of the borrowing
-    weights, of the variance gaps, of the bias bound and in the overlap report."""
-    return pi * (1.0 - p) + (1.0 - pi) * r
+def weight_denominator(pi, p, r, product=lambda key, compute: compute()):
+    """pi * (1 - p) + (1 - pi) * r, unfloored (r None is 0; ``product`` makes each product):
+    the denominator of the borrowing weights, variance gaps, bias bound and overlap report."""
+    denom = product("trial denom", lambda: pi * (1.0 - p))
+    return denom if r is None else denom + product("1 - pi", lambda: 1.0 - pi) * r
 
 
 def control_weight(
@@ -116,16 +114,17 @@ def control_weight(
     else zero, with denom the ``weight_denominator``. The denominator is
     floored at DENOM_EPS; the number of floored rows is returned.
     """
-    pi_x = np.asarray(pi_x, dtype=float)
-    p_x = np.asarray(p_x, dtype=float)
-    r_x = np.asarray(r_x, dtype=float)
-    d = np.asarray(d)
-    t = np.asarray(t)
-    numer = d * (1 - t) * pi_x + (1 - d) * pi_x * r_x
-    denom = weight_denominator(pi_x, p_x, r_x)
+    return _weight(*map(np.asarray, (pi_x, p_x, r_x, d, t)))
+
+
+def _weight(pi, p, r, d, t, product=lambda key, compute: compute()) -> tuple[np.ndarray, int]:
+    """``control_weight``, each product that reads no r made by ``product``; r None is 0."""
+    numer = product("trial numer", lambda: d * (1 - t) * pi)
+    if r is not None:
+        numer = numer + product("external numer", lambda: (1 - d) * pi) * r
+    denom = weight_denominator(pi, p, r, product)
     floored = int(np.sum(denom < DENOM_EPS))
-    denom = np.maximum(denom, DENOM_EPS)
-    return numer / denom, floored
+    return numer / np.maximum(denom, DENOM_EPS), floored
 
 
 # ---------------------------- ratio moments ----------------------------
@@ -133,10 +132,7 @@ def control_weight(
 
 @dataclass
 class _Pieces:
-    """One ratio variant's (m0, r) full-data rows, which a table forms once:
-    core = d*t*resid1/p - w*resid0 and delta = m1 - m0 (one array per m0,
-    which variants share), with the table's pi. The products the variants
-    share are held only by the ``_full_pieces`` call that builds them."""
+    """The rows a table forms once per ratio variant (m0, r): core, delta = m1 - m0 and pi."""
 
     pi: np.ndarray
     delta: np.ndarray
@@ -181,61 +177,42 @@ class _Moment:
         return float(point) if self.numer.ndim == 1 else point
 
     def influence(self, point) -> np.ndarray:
-        """(N - point*D)/mean(D), each row of a block at its own point, written
-        over N, which is each moment's own and read no more once its point is."""
+        """(N - point*D)/mean(D), each row of a block at its own point, over N."""
         self.numer -= np.expand_dims(point, -1) * self.denom
         self.numer /= np.expand_dims(self.denom_sum / self.numer.shape[-1], -1)
         return self.numer
 
 
-def _full_pieces(table: RowTable, nuis: NuisanceSet, r_model, sets: dict | None) -> _Pieces:
-    """The table's pieces of ``nuis`` with the ratio ``r_model`` (None for zero).
-
-    A DatasetBlock's first request builds every variant ``sets`` reads: a pooled
-    set's ratio and its constant one, an unpooled set's zero. Elsewhere each is
-    built on its own request: one dataset's ratio may raise, and a resample
-    block's heap would outgrow the allocator's trim threshold. A build forms
-    ``control_weight``'s products, in its operand order, the treated term
-    d*t*resid1/p and each m0's delta once, and keeps none past its end.
-    """
-    ds, arm, requested = table.ds, (nuis.m1, nuis.p, nuis.pi), (nuis.m0, r_model)
+def _full_pieces(table: RowTable, nuis: NuisanceSet, r_model, also=()) -> _Pieces:
+    """The table's pieces of ``nuis`` with the ratio ``r_model`` (None for zero). A
+    DatasetBlock's build also builds those of ``also`` (``Estimator.full_data``) on
+    the same arm (m1, p, pi), forming ``_weight``'s products and the treated term once
+    for all and keeping none; elsewhere each ratio is read, and may raise, alone."""
+    ds, arm = table.ds, (nuis.m1, nuis.p, nuis.pi)
 
     def build():
-        variants, built = [requested], {}
-        for other in sets.values() if sets and isinstance(ds, DatasetBlock) else ():
-            if (other.m1, other.p, other.pi) == arm:
-                ratios = ([r for r in (other.r, other.r.constant) if r] if other.m0_pooled
-                          else [None])
-                variants += [(other.m0, r) for r in ratios if (other.m0, r) != requested]
-        p, trimmed_p = table.propensity(nuis.p)
-        pi, trimmed_pi = table.propensity(nuis.pi)
-        trims, m1 = int(trimmed_p.sum()) + int(trimmed_pi.sum()), table.predict(nuis.m1)
-        # one variant alone keeps nothing it forms, so its temporaries go as they are read
-        memo = {} if len(variants) > 1 else None
+        variants = dict.fromkeys([(nuis.m0, r_model)] + [
+            (other.m0, None if zero else other.r) for other, zero in filter(None, also)
+            if isinstance(ds, DatasetBlock) and (other.m1, other.p, other.pi) == arm])
+        (p, trimmed_p), (pi, trimmed_pi) = table.propensity(nuis.p), table.propensity(nuis.pi)
+        trims = int(trimmed_p.sum()) + int(trimmed_pi.sum())
+        memo = {} if len(variants) > 1 else None  # one variant alone keeps nothing it forms
 
-        def shared(key, compute):
+        def product(key, compute):
             return compute() if memo is None else table.cached(key, compute, memo)
 
-        for m0_model, ratio in variants:
-            numer = shared("trial numer", lambda: ds.d * (1 - ds.t) * pi)
-            denom = shared("trial denom", lambda: pi * (1.0 - p))
-            if ratio is not None:  # x + 0.0 is x
-                r = table.ratio(ratio)
-                numer = numer + shared("external numer", lambda: (1 - ds.d) * pi) * r
-                denom = denom + shared("1 - pi", lambda: 1.0 - pi) * r
-            floored = int(np.sum(denom < DENOM_EPS))
-            # core = treated - weight*resid0, over the weight's own array
-            weight = numer / np.maximum(denom, DENOM_EPS)
-            del numer, denom
-            weight *= table.residual(m0_model)
-            core = np.subtract(shared("treated", lambda: ds.d * ds.t * table.residual(nuis.m1) / p),
-                               weight, out=weight)
-            delta = shared(m0_model, lambda: m1 - table.predict(m0_model))
-            built[m0_model, ratio] = table.cached(("pieces", *arm, m0_model, ratio),
-                                                  lambda: _Pieces(pi, delta, core, trims + floored))
-        return built[requested]
+        for m0, ratio in variants:
+            weight, floored = _weight(pi, p, None if ratio is None else table.ratio(ratio),
+                                      ds.d, ds.t, product)
+            weight *= table.residual(m0)  # core = treated - weight*resid0, over the weight
+            treated = product("treated", lambda: ds.d * ds.t * table.residual(nuis.m1) / p)
+            delta = table.cached(("delta", nuis.m1, m0),
+                                 lambda: table.predict(nuis.m1) - table.predict(m0))
+            variants[m0, ratio] = table.cached(("pieces", *arm, m0, ratio), lambda: _Pieces(
+                pi, delta, np.subtract(treated, weight, out=weight), trims + floored))
+        return variants[nuis.m0, r_model]
 
-    return table.cached(("pieces", *arm, *requested), build)
+    return table.cached(("pieces", *arm, nuis.m0, r_model), build)
 
 
 def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
@@ -292,11 +269,9 @@ def _moment(
     method: str,
     table: RowTable | None = None,
     zero_ratio: bool = False,
-    sets: dict | None = None,
+    also=(),
 ) -> _Moment:
-    """The (N, D) rows of one (estimand, method), from the table's shared pieces;
-    on a DatasetBlock they are built for every ratio variant of ``sets``, the
-    bundle ``nuis`` is one of, at once.
+    """The (N, D) rows of one (estimand, method), from the table's shared pieces.
 
     With delta = m1 - m0 and core = d*t*(y - m1)/p - w*(y - m0), w the
     control weight:
@@ -346,7 +321,7 @@ def _moment(
         raise EmptyCell("full-data moments need fitted treated-arm models")
     if nuis.pi is None:
         raise EmptyCell("full-data moments need a fitted selection propensity")
-    pieces = _full_pieces(table, nuis, None if zero_ratio else nuis.r, sets)
+    pieces = _full_pieces(table, nuis, None if zero_ratio else nuis.r, also)
     return _full_moment(table, pieces, estimand)
 
 
@@ -448,9 +423,14 @@ class Estimator:
         nuis = sets[ESTIMATORS[self.estimand, self.method]]
         return replace(nuis, r=nuis.r.constant) if self.constant else nuis
 
-    def moment(self, ds: CompositeDataset, fitted: tuple) -> _Moment:
+    def full_data(self, sets: dict) -> tuple | None:
+        """The set of the full-data pieces it reads, and whether their ratio is zero."""
+        if self.method in (METHOD_FULL, METHOD_BASELINE):
+            return self.nuisances(sets), self.method == METHOD_BASELINE
+
+    def moment(self, ds: CompositeDataset, fitted: tuple, also=()) -> _Moment:
         sets, table = fitted
-        return _moment(ds, self.nuisances(sets), self.estimand, self.method, table, sets=sets)
+        return _moment(ds, self.nuisances(sets), self.estimand, self.method, table, False, also)
 
     def point(self, ds: CompositeDataset, fitted: tuple):
         """The point alone, with no Estimate or fingerprint."""
@@ -542,15 +522,11 @@ def efficiency_gain_analytic(
     DatasetBlock with its ``RowTable`` it is one gain per dataset.
     """
     p, pi, r, v1 = _gap_pieces(ds, nuis, table)
-    # gap = 1/(1 - p) - 1/(1 - p + (1 - pi)/pi*r), over two arrays of its own
-    gap, borrowed = 1.0 - p, (1.0 - pi) / pi
-    borrowed *= r
+    gap, borrowed = 1.0 - p, (1.0 - pi) / pi * r  # 1/(1-p) - 1/(1-p + (1-pi)/pi*r), in place
     borrowed += gap
-    np.divide(1.0, gap, out=gap)
-    gap -= np.divide(1.0, borrowed, out=borrowed)
+    np.subtract(np.divide(1.0, gap, out=gap), np.divide(1.0, borrowed, out=borrowed), out=gap)
     gap *= v1
-    gap /= ds.q_hat
-    gain = np.mean(gap, axis=-1, where=ds.d == 1)
+    gain = np.mean(np.divide(gap, ds.q_hat, out=gap), axis=-1, where=ds.d == 1)
     return float(gain) if gain.ndim == 0 else gain
 
 

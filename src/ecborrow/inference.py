@@ -241,7 +241,6 @@ def _bootstrap_block(args) -> list:
     indices = [_draw(base, seed, rep, stratified) for rep in reps]
     states = [None] * len(indices)
     if fitter is not None:
-        # float counts, which the block's table takes without a copy
         counts = np.array([np.bincount(idx, minlength=base.n) for idx in indices], dtype=float)
         states = _block_points(fitter, shared.points, counts)
     return [_bootstrap_one(base, shared, idx, state) for idx, state in zip(indices, states)]

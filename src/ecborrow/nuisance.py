@@ -512,13 +512,12 @@ class RowTable:
     """Per-row values of one dataset, or of a block, each computed once.
 
     The table holds one design per distinct covariate transform, one mask per
-    row set, one prediction per fitted model (and on a DatasetBlock its
-    residual), and whatever the estimators keep in it through ``cached``.
-    Passing one table to every call on ``ds`` shares that work between them;
-    every value is the one the call computes with a table of its own. Models
-    must not change after a table has read them. ``designs`` and
-    ``propensities`` may pass the stores of another table on the same
-    covariates, which then shares them.
+    row set, one prediction (on a DatasetBlock, residual too) per fitted model,
+    and whatever the estimators keep in it through ``cached``. Passing one table
+    to every call on ``ds`` shares that work between them; every value is the
+    one the call computes with a table of its own. Models must not change after
+    a table has read them. ``designs`` and ``propensities`` may pass the stores
+    of another table on the same covariates, which then shares them.
 
     A table is on a block when it holds ``counts``, where ``counts[k, i]`` is
     how often bootstrap resample k of ``ds`` holds row i, or when ``ds`` is a
@@ -563,12 +562,10 @@ class RowTable:
                            lambda: model.predict(self.ds.x, self.design(model.spec)))
 
     def residual(self, model: FittedGLM) -> np.ndarray:
-        """y minus ``model``'s prediction; kept on a DatasetBlock's table, where
-        ``BlockFitter`` forms its fits' residuals (three more kept (K, n) arrays
-        push a resample block's heap past the allocator's trim threshold)."""
-        if not isinstance(self.ds, DatasetBlock):
-            return self.ds.y - self.predict(model)
-        return self.cached(("residual", model), lambda: self.ds.y - self.predict(model))
+        """y minus ``model``'s prediction, kept on a DatasetBlock's table (not a resample's)."""
+        if isinstance(self.ds, DatasetBlock):
+            return self.cached(("residual", model), lambda: self.ds.y - self.predict(model))
+        return self.ds.y - self.predict(model)
 
     def propensity(self, model: FittedGLM) -> tuple[np.ndarray, np.ndarray]:
         """Predictions trimmed into [TRIM_EPS, 1-TRIM_EPS], and the rows trimmed."""
@@ -992,7 +989,8 @@ class BlockFitter:
                 gram = guarded(spec, row_set, design, weights)
                 if spec.family == IDENTITY:
                     coef, good = _stacked_wls(design, weights, response, gram)
-                    iterations, loglik = 1, None  # from the fit's residuals, below
+                    rss = (weights * (resid := response - _eta(design, coef)) ** 2).sum(axis=1)
+                    iterations, loglik = 1, _gaussian_loglik(rss, wsum)
                 else:
                     # a fit past the Gram guards
                     coef, iterations, loglik, status = _stacked_logit(
@@ -1001,10 +999,8 @@ class BlockFitter:
                 ok &= good
                 models[name] = model = FittedGLM(spec.family, coef, True, iterations, loglik,
                                                  wsum.astype(int), spec, names)
-                if loglik is None:  # a DatasetBlock's fit reads its table's residuals
-                    resid = (table.residual(model) if counts is None
-                             else response - _eta(design, coef))
-                    model.loglik = _gaussian_loglik((weights * resid ** 2).sum(axis=1), wsum)
+                if spec.family == IDENTITY and counts is None:  # on all rows: the table's
+                    table.cached(("residual", model), lambda: resid)
                 if not reads_y:
                     kept[name] = models[name], good
             r = self._solve_ratio(table, models["m0_pooled"], ok, weigh, guarded)
@@ -1013,19 +1009,15 @@ class BlockFitter:
     def _solve_ratio(self, table, m0: FittedGLM, ok, weigh, guarded) -> VarianceRatioModel:
         """The stacked variance ratio from ``weigh`` and ``guarded``; clears ``ok`` where it fails.
 
-        On a DatasetBlock, whose weights pick each group's rows, both source
-        groups read one squared residual of the table's m0, the residual the
-        estimators read, and one log-variance response. A resample reads m0 on
-        its group's rows alone: an all-row product on the shared design rounds
-        those rows' last bits differently."""
+        On a DatasetBlock both source groups read one squared residual of the
+        table's m0, the estimators' too, and one log-variance response. A resample
+        reads m0 on its group's rows alone: an all-row product on the shared
+        design rounds those rows' last bits differently."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
         spec, v, coefs, scales = self._variance, [], [], []
-
-        def responses(r2):
-            # squared residuals of m0 and, for a loglinear ratio, the log-variance response
+        def responses(r2):  # squared residuals of m0 and the log-variance response
             return r2, None if spec is None else np.log(r2 + VAR_FLOOR)
-
         block = responses(table.residual(m0) ** 2) if table.counts is None else None
         for name, design, m0_design, y in self._groups:
             weights = weigh(name)

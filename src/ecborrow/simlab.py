@@ -414,10 +414,10 @@ def _record_columns(estimators: tuple, data: CompositeDataset | DatasetBlock,
     a DatasetBlock with its ``BlockFitter`` fit or on one replicate with its own (K = 1).
     A variance is NaN where its influence values are ``uncentred``: its row is not used."""
     sets, table = fitted
-    columns = []
+    columns, also = [], [_ESTIMATOR_RECORDS[name].full_data(sets) for name in estimators]
     for name in estimators:
         record = _ESTIMATOR_RECORDS[name]
-        moment = record.moment(data, fitted)
+        moment = record.moment(data, fitted, also)
         points = moment.point
         values = moment.influence(points)
         variances = if_variance(IFVector(values, record.estimand, record.method))
@@ -470,11 +470,12 @@ class MCResult:
     failures: int
     failure_messages: list[str]
     mean_analytic_gain: float
-    draws: dict | None = None  # each estimator's points by replicate number
+    draws: dict | None = None  # each estimator's points, one per number in replicates
+    replicates: list | None = None
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        del out["draws"]
+        del out["draws"], out["replicates"]
         return out
 
 
@@ -547,8 +548,7 @@ def run_monte_carlo(
     if len(failures) > 0.02 * reps:
         raise ReplicateFailure(
             f"{len(failures)}/{reps} Monte Carlo replicates failed", messages=failures[:5])
-    # one row per replicate that succeeded, and its number: each estimator's
-    # point and IF variance, then the analytic gain (``_record_columns``)
+    # each replicate that succeeded, by number, and its row (``_record_columns``)
     kept = [rep for rep, item in enumerate(outcomes) if not isinstance(item, str)]
     rows = np.stack([outcomes[rep] for rep in kept])
     n_ok = len(rows)
@@ -582,7 +582,7 @@ def run_monte_carlo(
             mean_variance_estimate=float(np.mean(variances)),
         )
         if keep_draws:
-            draws[name] = dict(zip(kept, points))
+            draws[name] = points
     return MCResult(
         config=cfg,
         reps=reps,
@@ -594,12 +594,12 @@ def run_monte_carlo(
         failure_messages=failures,
         mean_analytic_gain=float(np.mean(rows[:, -1])),
         draws=draws,
+        replicates=kept if keep_draws else None,
     )
 
 
 def export_boxplot_data(results: list[MCResult], path: str | Path) -> int:
-    """Write per-replicate biases in long format for external plotting, each
-    with the number of its replicate."""
+    """Write per-replicate biases, by replicate number, in long format for plotting."""
     path = Path(path)
     rows = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -613,7 +613,7 @@ def export_boxplot_data(results: list[MCResult], path: str | Path) -> int:
             truths = result.truth.by_estimand()
             for name, summary in result.summaries.items():
                 target = truths[summary.estimand]
-                for rep, point in result.draws[name].items():
+                for rep, point in zip(result.replicates, result.draws[name]):
                     writer.writerow(
                         [result.config.scenario, name, rep, repr(float(point - target))]
                     )
