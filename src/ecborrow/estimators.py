@@ -98,7 +98,10 @@ def weight_denominator(pi, p, r, product=lambda key, compute: compute()):
     """pi * (1 - p) + (1 - pi) * r, unfloored (r None is 0; ``product`` makes each product):
     the denominator of the borrowing weights, variance gaps, bias bound and overlap report."""
     denom = product("trial denom", lambda: pi * (1.0 - p))
-    return denom if r is None else denom + product("1 - pi", lambda: 1.0 - pi) * r
+    if r is None:
+        return denom
+    external = product("1 - pi", lambda: 1.0 - pi) * r  # its own array, never a product's
+    return np.add(external, denom, out=external)
 
 
 def control_weight(
@@ -121,10 +124,12 @@ def _weight(pi, p, r, d, t, product=lambda key, compute: compute()) -> tuple[np.
     """``control_weight``, each product that reads no r made by ``product``; r None is 0."""
     numer = product("trial numer", lambda: d * (1 - t) * pi)
     if r is not None:
-        numer = numer + product("external numer", lambda: (1 - d) * pi) * r
+        external = product("external numer", lambda: (1 - d) * pi) * r
+        numer = np.add(external, numer, out=external)
     denom = weight_denominator(pi, p, r, product)
-    floored = int(np.sum(denom < DENOM_EPS))
-    return numer / np.maximum(denom, DENOM_EPS), floored
+    floored = int(np.count_nonzero(denom < DENOM_EPS))
+    weight = np.maximum(denom, DENOM_EPS)
+    return np.divide(numer, weight, out=weight), floored
 
 
 # ---------------------------- ratio moments ----------------------------
@@ -173,13 +178,13 @@ class _Moment:
     @property
     def point(self):
         numer = self.numer if self.counts is None else self.counts * self.numer
-        point = np.sum(numer, axis=-1) / self.denom_sum
+        point = np.add.reduce(numer, axis=-1) / self.denom_sum
         return float(point) if self.numer.ndim == 1 else point
 
     def influence(self, point) -> np.ndarray:
         """(N - point*D)/mean(D), each row of a block at its own point, over N."""
-        self.numer -= np.expand_dims(point, -1) * self.denom
-        self.numer /= np.expand_dims(self.denom_sum / self.numer.shape[-1], -1)
+        self.numer -= np.asarray(point)[..., None] * self.denom
+        self.numer /= (self.denom_sum / self.numer.shape[-1])[..., None]
         return self.numer
 
 
@@ -216,14 +221,20 @@ def _full_pieces(table: RowTable, nuis: NuisanceSet, r_model, also=()) -> _Piece
 
 
 def _full_moment(table: RowTable, pieces: _Pieces, estimand: str) -> _Moment:
+    """The rows of tau, psi or xi, each built in place over one array of its own
+    (a + b and a*b are b + a and b*a bit for bit; the pieces are shared)."""
     ds = table.ds
     if estimand == ESTIMAND_TAU:
-        numer, denom = ds.d * pieces.delta + pieces.core, ds.d
+        numer, denom = ds.d * pieces.delta, ds.d
+        numer += pieces.core
     elif estimand == ESTIMAND_PSI:
-        numer, denom = pieces.delta + pieces.core / pieces.pi, 1.0
+        numer, denom = pieces.core / pieces.pi, 1.0
+        numer += pieces.delta
     else:
-        denom = 1 - ds.d
-        numer = denom * pieces.delta + pieces.core * (1.0 - pieces.pi) / pieces.pi
+        numer, denom = 1.0 - pieces.pi, 1 - ds.d
+        numer *= pieces.core
+        numer /= pieces.pi
+        numer += denom * pieces.delta
     return _Moment(numer, denom, ds.n, pieces.trim_count, table.counts)
 
 
@@ -232,9 +243,15 @@ def _trial_moment(table: RowTable, m1_model, m0_model, p_model) -> _Moment:
     m1 = table.predict(m1_model)
     m0 = table.predict(m0_model)
     p, trimmed = table.propensity(p_model)
-    row = ((m1 - m0) + ds.t * table.residual(m1_model) / p
-           - (1 - ds.t) * table.residual(m0_model) / (1.0 - p))
-    return _Moment(ds.d * row, ds.d, ds.n1, int(np.count_nonzero(trimmed & (ds.d == 1))),
+    # d*((m1 - m0) + t*resid1/p - (1 - t)*resid0/(1 - p)), in place over two arrays
+    numer = ds.t * table.residual(m1_model)
+    numer /= p
+    numer += m1 - m0
+    control = (1 - ds.t) * table.residual(m0_model)
+    control /= 1.0 - p
+    numer -= control
+    numer *= ds.d
+    return _Moment(numer, ds.d, ds.n1, int(np.count_nonzero(trimmed & (ds.d == 1))),
                    table.counts)
 
 
@@ -293,8 +310,8 @@ def _moment(
     if estimand == ESTIMAND_TAU and method == METHOD_TRIAL:
         if nuis.m0_pooled:
             raise ConfigError("trial-based estimation needs m0 fit on trial controls only")
-        t = ds.t[ds.d == 1]
-        if nuis.m1 is None or nuis.p is None or not (t == 1).any() or not (t == 0).any():
+        if nuis.m1 is None or nuis.p is None or not table.rows("treated").any() or not (
+                table.rows("trial_controls").any()):
             raise EmptyCell("trial-based estimation needs both trial arms")
         return _trial_moment(table, nuis.m1, nuis.m0, nuis.p)
     if estimand == ESTIMAND_TAU and method == METHOD_TREATED_ONLY:
@@ -473,8 +490,9 @@ def uncentred(values: np.ndarray, point):
     IF_MEAN_TOL times their mean magnitude plus |point| (each value holds
     point*D, so the point's rounding moves the mean by about eps*|point|);
     one verdict per row of a block's (K, n) values, none for a NaN mean."""
-    scale = np.mean(np.abs(values), axis=-1) + np.abs(point)
-    return np.abs(np.mean(values, axis=-1)) > IF_MEAN_TOL * scale
+    n = values.shape[-1]  # np.mean's sum and division, without its Python-level wrapper
+    scale = np.add.reduce(np.abs(values), axis=-1) / n + np.abs(point)
+    return np.abs(np.add.reduce(values, axis=-1) / n) > IF_MEAN_TOL * scale
 
 
 def efficiency_bound_plugin(

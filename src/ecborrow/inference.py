@@ -80,7 +80,9 @@ def if_variance(ifv: IFVector) -> float:
     n = values.shape[-1]
     if n < 2:
         return 0.0
-    variance = np.var(values, axis=-1, ddof=1) / n
+    # np.var(values, axis=-1, ddof=1)'s own steps, without its Python-level wrapper
+    squares = values - np.add.reduce(values, axis=-1, keepdims=True) / n
+    variance = np.add.reduce(np.square(squares, out=squares), axis=-1) / (n - 1) / n
     return float(variance) if values.ndim == 1 else variance
 
 

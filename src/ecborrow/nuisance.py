@@ -14,7 +14,6 @@ models and the block's ``RowTable``.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -492,6 +491,8 @@ class NuisanceSet:
 
     def fingerprint(self) -> str:
         """Short SHA-256 of every model."""
+        import hashlib  # noqa: PLC0415 - keeps OpenSSL off the import path of the CLI
+
         h = hashlib.sha256()
         for model in (self.m1, self.m0, self.p, self.pi):
             if model is None:
@@ -742,11 +743,12 @@ def _xt(design: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """X'WX for each row of ``weights``: (K, p, p)."""
     k, p = weights.shape[0], design.shape[-1]
-    # one column product at a time keeps the extra memory at one row count
-    if design.ndim == 3:
-        return np.stack([_xt(design, weights * design[..., a]) for a in range(p)], axis=1)
     gram = np.empty((k, p, p))
+    # one column product at a time keeps the extra memory at one row count
     for a in range(p):
+        if design.ndim == 3:
+            gram[:, a] = _xt(design, weights * design[..., a])
+            continue
         for b in range(a, p):
             gram[:, a, b] = gram[:, b, a] = weights @ (design[:, a] * design[:, b])
     return gram
@@ -785,9 +787,12 @@ _CONVERGED, _SINGULAR, _DIVERGED, _UNCONVERGED, _ONE_CLASS = range(5)
 
 
 def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray,
-                   run: np.ndarray):
+                   run: np.ndarray, gram: np.ndarray | None = None):
     """Logit IRLS for each fit (row of ``weights``) that ``run`` marks: coef,
-    iterations, loglik and a status per fit.
+    iterations, loglik and a status per fit. ``gram`` may pass each fit's
+    ``_gram(design, weights)``: on per-fit (K, n, p) designs, whose products are
+    row-stable, the first information matrix is then 0.25 times its rows
+    (w m (1 - m) at m = 1/2 is w/4, exactly), not a second Gram.
 
     A fit whose response holds one class under its weights has no maximum and
     is not run (_ONE_CLASS). Every other fit starts at zero and stops once its
@@ -841,9 +846,13 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         if rows.size == 0:
             break
         try:
-            info = w * m
-            info *= 1.0 - m
-            step = np.linalg.solve(_gram(x, info), score[:, :, None])[:, :, 0]
+            if iteration == 1 and gram is not None and design.ndim == 3:
+                info = 0.25 * gram[rows]
+            else:
+                info = w * m
+                info *= 1.0 - m
+                info = _gram(x, info)
+            step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             status[rows] = _SINGULAR
             break
@@ -994,7 +1003,7 @@ class BlockFitter:
                 else:
                     # a fit past the Gram guards
                     coef, iterations, loglik, status = _stacked_logit(
-                        design, weights, response, gram[1])
+                        design, weights, response, gram[1], gram[0])
                     good = status == _CONVERGED
                 ok &= good
                 models[name] = model = FittedGLM(spec.family, coef, True, iterations, loglik,

@@ -167,3 +167,14 @@ def test_same_bytes_reads_a_moved_or_missing_output_as_differing():
         "golden a.json: DIFFER", "simulate seed 1: DIFFER", "cold: DIFFER"]
     assert lines[0].endswith("change missing)")
     assert lines[2].startswith("cold: DIFFER (parent missing")
+
+
+def test_time_inprocess_reads_an_aa_pair_by_the_gain_rule(capsys):
+    module = _script("time_inprocess")
+    golden = str(ROOT / "tests" / "data" / "golden_input.csv")
+    assert module.main([str(ROOT), str(ROOT), "--rounds", "2", "--ops", "1", "--",
+                        "estimate", "--input", golden, "--estimand", "tau"]) == 0
+    header, line = capsys.readouterr().out.strip().splitlines()
+    assert header.endswith("output bytes: same")
+    assert line.startswith("op_p50_s     parent ")
+    assert "better in" in line and "/2  " in line

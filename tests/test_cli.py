@@ -877,7 +877,8 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     only simulate's quadrature truths import numpy.polynomial, and neither
     estimate imports numpy.ma (the bootstrap interval takes no np.quantile). Only
     simulate runs ecborrow.simlab: until then the module may be entered in
-    sys.modules, but its code has not run.
+    sys.modules, but its code has not run. The import alone leaves OpenSSL's
+    _hashlib unloaded: only a nuisance fingerprint imports hashlib.
     """
     import os
     import subprocess
@@ -901,7 +902,7 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
         "    return module is not None and 'run_monte_carlo' in object.__getattribute__(\n"
         "        module, '__dict__')\n"
         "heavy = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
-        "print(loaded(heavy + ('numpy.polynomial',)), simlab_ran())\n"
+        "print(loaded(heavy + ('numpy.polynomial', '_hashlib')), simlab_ran())\n"
         f"run(['estimate', '--input', '{golden}', '--seed', '11'])\n"
         f"run(['estimate', '--input', '{golden}', '--estimand', 'tau', '--variance', 'bootstrap',"
         " '--B', '100', '--seed', '3'])\n"

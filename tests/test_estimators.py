@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ecborrow.dataset import CompositeDataset
+from ecborrow.dataset import CompositeDataset, DatasetBlock
 from ecborrow.errors import (
     ConfigError,
+    EmptyCell,
     InvariantViolation,
     MismatchedPoint,
     OverlapNoExternal,
@@ -36,6 +37,7 @@ from ecborrow.nuisance import (
     RATIO_CONSTANT,
     RATIO_KNOWN_ONE,
     RATIO_LOGLINEAR,
+    BlockFitter,
     FittedGLM,
     NuisanceSet,
     VarianceRatioModel,
@@ -500,6 +502,24 @@ def test_full_estimators_need_external_rows():
     assert nuis.pi is None
     with pytest.raises(OverlapNoExternal):
         estimate_tau_full(ds, nuis)
+
+
+def test_trial_based_estimation_needs_both_trial_arms():
+    # a dataset without trial controls or without treated rows raises; a
+    # DatasetBlock raises only where every dataset lacks an arm, since one
+    # dataset's missing arm already leaves its stacked fits not ok
+    ds, _ = generate(ScenarioConfig(scenario="i", n=40), 11)
+    sets = fit_bundle(ds, linear_specs(ds.k), RATIO_LOGLINEAR)[0]
+    no_controls = CompositeDataset(ds.y, ds.x, np.maximum(ds.t, ds.d), ds.d)
+    no_treated = CompositeDataset(ds.y, ds.x, np.zeros(ds.n, dtype=int), ds.d)
+    trial = Estimator("tau", METHOD_TRIAL)
+    for data in (no_controls, no_treated, DatasetBlock.stack([no_controls, no_controls])):
+        with pytest.raises(EmptyCell, match="^trial-based estimation needs both trial arms$"):
+            trial.moment(data, (sets, None))
+    block = DatasetBlock.stack([ds, no_controls])
+    ok, fitted = BlockFitter(block, linear_specs(ds.k), RATIO_LOGLINEAR).solve()
+    assert ok.tolist() == [True, False]
+    assert np.isfinite(trial.point(block, fitted)[0])
 
 
 def test_method_nuisance_consistency(random_dataset):

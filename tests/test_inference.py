@@ -16,6 +16,7 @@ from ecborrow.cli import (
 from ecborrow.dataset import CompositeDataset, load_csv
 from ecborrow.errors import ConfigError, EmptyCell, NonFiniteResult, ReplicateFailure
 from ecborrow.estimators import (
+    IF_MEAN_TOL,
     METHOD_BASELINE,
     METHOD_FULL,
     METHOD_TREATED_ONLY,
@@ -26,6 +27,7 @@ from ecborrow.estimators import (
     estimate,
     estimate_tau_full,
     influence_values,
+    uncentred,
 )
 from ecborrow import inference, simlab
 from ecborrow.inference import (
@@ -243,6 +245,39 @@ def test_if_variance_matches_formula(random_dataset):
     ifv = influence_values(random_dataset, sets["pooled"], "tau", METHOD_FULL, point)
     n = random_dataset.n
     assert if_variance(ifv) == pytest.approx(np.var(ifv.values, ddof=1) / n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 4), st.integers(-12, 12), st.integers(0, 2**32 - 1))
+def test_if_statistics_are_numpys_var_and_mean_byte_for_byte(n, k, exponent, seed):
+    # k = 0 draws one dataset's (n,) values, else a block's (k, n); the shared
+    # offset keeps the mean off zero, so the deviations carry its rounding
+    rng = np.random.default_rng(seed)
+    shape = (n,) if k == 0 else (k, n)
+    values = (rng.standard_normal(shape) + 3.0 * rng.standard_normal()) * 10.0**exponent
+    variance = if_variance(IFVector(values, "tau", METHOD_FULL))
+    assert type(variance) is (float if k == 0 else np.ndarray)
+    assert np.asarray(variance).tobytes() == np.asarray(
+        np.var(values, axis=-1, ddof=1) / n).tobytes()
+    # values that average to about 2 IF_MEAN_TOL times their magnitude are
+    # centred from a point near that magnitude on: uncentred flips between the
+    # two doubles where the np.mean form does, so one ulp of its means shows
+    values -= np.mean(values, axis=-1, keepdims=True)
+    values += 2.0 * IF_MEAN_TOL * np.mean(np.abs(values), axis=-1, keepdims=True)
+    mean, magnitude = np.mean(values, axis=-1), np.mean(np.abs(values), axis=-1)
+
+    def numpy_form(point):
+        return np.abs(mean) > IF_MEAN_TOL * (magnitude + np.abs(point))
+
+    point = np.abs(mean) / IF_MEAN_TOL - magnitude
+    for _ in range(64):
+        point = np.where(numpy_form(point), point, np.nextafter(point, 0.0))
+    for _ in range(64):
+        above = np.nextafter(point, np.inf)
+        point = np.where(numpy_form(above), above, point)
+    above = np.nextafter(point, np.inf)
+    assert numpy_form(point).all() and not numpy_form(above).any()
+    assert np.all(uncentred(values, point)) and not np.any(uncentred(values, above))
 
 
 # ------------------------------ bootstrap ------------------------------

@@ -196,6 +196,51 @@ def test_stacked_logit_on_a_singular_information_matrix_fails_every_fit_it_runs(
     assert not coef.any() and not iterations.any()
 
 
+def _counted_logits(monkeypatch, design, weights, response, run, gram):
+    """``_stacked_logit`` without and with ``gram``: both results, and the
+    ``_gram`` calls each made."""
+    calls, counted = [], nuisance._gram
+
+    def counting(*args):
+        calls.append(args[0].ndim)
+        return counted(*args)
+
+    monkeypatch.setattr(nuisance, "_gram", counting)
+    without = nuisance._stacked_logit(design, weights, response, run)
+    made = len(calls)
+    with_gram = nuisance._stacked_logit(design, weights, response, run, gram)
+    return without, with_gram, made, len(calls) - made
+
+
+def test_first_irls_step_from_the_guard_gram_moves_no_byte(monkeypatch):
+    # the treatment propensity of a DatasetBlock whose second dataset has no
+    # trial controls: its response is one class, so the IRLS batch starts
+    # narrowed, and the first step reads the other two rows of the guard's Gram
+    ds, _ = generate(ScenarioConfig(scenario="i", n=40), 11)
+    other, _ = generate(ScenarioConfig(scenario="i", n=40), 12)
+    no_controls = CompositeDataset(ds.y, ds.x, np.maximum(ds.t, ds.d), ds.d)
+    block = DatasetBlock.stack([ds, no_controls, other])
+    table, spec = RowTable(block), linear_specs(ds.k)["p"]
+    design, weights = table.design(spec), table.rows("trial").astype(float)
+    gram, ok = nuisance._guarded_gram(design, weights)
+    assert ok.all()
+    without, with_gram, made, fewer = _counted_logits(
+        monkeypatch, design, weights, block.t, ok, gram)
+    assert without[3].tolist() == [nuisance._CONVERGED, nuisance._ONE_CLASS,
+                                   nuisance._CONVERGED]
+    assert [a.tobytes() for a in without] == [a.tobytes() for a in with_gram]
+    assert fewer == made - 1
+    # the bootstrap's shared 2-D design takes every information matrix afresh
+    design = RowTable(ds).design(spec)
+    weights = (_counts(_resample_indices(ds.n, 3, seed=2), ds.n) * (ds.d == 1)).astype(float)
+    gram, ok = nuisance._guarded_gram(design, weights)
+    without, with_gram, made, again = _counted_logits(
+        monkeypatch, design, weights, ds.t.astype(float), ok, gram)
+    assert (without[3] == nuisance._CONVERGED).all()
+    assert [a.tobytes() for a in without] == [a.tobytes() for a in with_gram]
+    assert again == made > 0
+
+
 def test_rank_deficient_names_columns():
     rng = np.random.default_rng(3)
     col = rng.standard_normal(30)
