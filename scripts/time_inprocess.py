@@ -14,7 +14,9 @@ median of its child's op times, so interpreter start, imports and the
 warm-up never count. The summary reads each side's rounds by
 ``bench_pairs.py``'s rule, under ``op_p50_s``'s bound from BENCHMARK.json:
 median [quartiles], the change's median relative to the parent's, the
-rounds it read faster, and GAIN, UNRESOLVED, WORSE THAN BOUND or "-". With
+rounds it read faster, and GAIN, UNRESOLVED, WORSE THAN BOUND or "-". A
+second line reads each child's peak RSS (``ru_maxrss``, in MB as perfbench
+reports it) by the same rule, under ``peak_rss_mb``'s bound. With
 the process's start and import gone, it can size a gain smaller than the
 spread of perfbench's whole-process runs. The children run in the caller's
 directory, so a relative ``--input`` names one file for both sides, and
@@ -36,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, line_counts, output_bytes, summarize  # noqa: E402
 
 CHILD = """\
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 from ecborrow import cli
 argv, ops = json.loads(sys.argv[1]), int(sys.argv[2])
 cli._steady_heap()
@@ -50,12 +52,13 @@ op()
 times, codes, outs = zip(*(op() for _ in range(ops)))
 import hashlib
 print(json.dumps({"module": cli.__file__, "times": times, "codes": sorted(set(codes)),
-                  "stdout_sha256": sorted({hashlib.sha256(o.encode()).hexdigest() for o in outs})}))
+                  "stdout_sha256": sorted({hashlib.sha256(o.encode()).hexdigest() for o in outs}),
+                  "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
 def run_child(checkout: Path, argv: list[str], ops: int) -> dict:
-    """One child's report: its op times, exit codes and stdout hashes."""
+    """One child's report: its op times, exit codes, stdout hashes and peak RSS."""
     env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     src = checkout / "src"
@@ -85,22 +88,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.rounds < 1 or args.ops < 1:
         parser.error("--rounds and --ops must be at least 1")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metric = next(m for m in benchmark["end_to_end"] if m["name"] == "op_p50_s")
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     values = {side: [] for side in sides}
+    rss = {side: [] for side in sides}
     outputs = {side: set() for side in sides}
     for round_ in range(args.rounds):
         for side in list(sides) if round_ % 2 == 0 else list(reversed(sides)):
             report = run_child(sides[side], command, args.ops)
             values[side].append(statistics.median(report["times"]))
+            rss[side].append(report["maxrss_kb"] / 1024.0)
             outputs[side].update(report["stdout_sha256"])
             print(f"round {round_ + 1} {side}: op_p50_s={values[side][-1]:.6g}"
-                  f" exit {report['codes']}", file=sys.stderr)
+                  f" peak_rss_mb={rss[side][-1]:.6g} exit {report['codes']}", file=sys.stderr)
     print(f"in-process `{' '.join(command)}`, {args.rounds} rounds of {args.ops} ops after a"
           f" warm-up (median [quartiles] of the rounds' medians);"
           f" {line_counts(sides['parent'], sides['change'])};"
           f" {output_bytes(outputs['parent'], outputs['change'])}")
-    print(summarize(metric, values["parent"], values["change"]))
+    print(summarize(metrics["op_p50_s"], values["parent"], values["change"]))
+    print(summarize(metrics["peak_rss_mb"], rss["parent"], rss["change"]))
     return 0
 
 

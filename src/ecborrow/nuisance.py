@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -513,12 +512,13 @@ class RowTable:
     """Per-row values of one dataset, or of a block, each computed once.
 
     The table holds one design per distinct covariate transform, one mask per
-    row set, one prediction (on a DatasetBlock, residual too) per fitted model,
-    and whatever the estimators keep in it through ``cached``. Passing one table
-    to every call on ``ds`` shares that work between them; every value is the
-    one the call computes with a table of its own. Models must not change after
-    a table has read them. ``designs`` and ``propensities`` may pass the stores
-    of another table on the same covariates, which then shares them.
+    row set, one prediction per fitted model, and whatever the estimators keep
+    in it through ``cached``; a residual is formed afresh at each read. Passing
+    one table to every call on ``ds`` shares that work between them; every
+    value is the one the call computes with a table of its own. Models must not
+    change after a table has read them. ``designs`` and ``propensities`` may
+    pass the stores of another table on the same covariates, which then shares
+    them.
 
     A table is on a block when it holds ``counts``, where ``counts[k, i]`` is
     how often bootstrap resample k of ``ds`` holds row i, or when ``ds`` is a
@@ -537,8 +537,9 @@ class RowTable:
         self._values: dict = {}
 
     def cached(self, key: tuple, compute, store: dict | None = None):
-        """``compute()`` on the first call with ``key``, the stored value after; a model
-        in ``key`` hashes by identity (``eq=False``), and the key keeps it alive."""
+        """``compute()`` on the first call with ``key``, the stored value after, kept in
+        ``store`` or the table's own; a model in ``key`` hashes by identity
+        (``eq=False``), and the key keeps it alive."""
         store = self._values if store is None else store
         hit = store.get(key)
         if hit is None:
@@ -563,9 +564,6 @@ class RowTable:
                            lambda: model.predict(self.ds.x, self.design(model.spec)))
 
     def residual(self, model: FittedGLM) -> np.ndarray:
-        """y minus ``model``'s prediction, kept on a DatasetBlock's table (not a resample's)."""
-        if isinstance(self.ds, DatasetBlock):
-            return self.cached(("residual", model), lambda: self.ds.y - self.predict(model))
         return self.ds.y - self.predict(model)
 
     def propensity(self, model: FittedGLM) -> tuple[np.ndarray, np.ndarray]:
@@ -766,15 +764,14 @@ def _guarded_gram(design: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _stacked_wls(design: np.ndarray, weights: np.ndarray, response: np.ndarray,
-                 guarded: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 guarded: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares for each row of ``weights``, from the normal equations.
 
-    ``response`` is one vector for every row of ``weights`` or one row each.
-    ``guarded`` may pass ``_guarded_gram(design, weights)`` computed beforehand.
-    Returns the coefficients and where ``_guarded_gram`` lets them stand in
-    for ``fit_glm``.
+    ``response`` is one vector for every row of ``weights`` or one row each,
+    and ``guarded`` is ``_guarded_gram(design, weights)``. Returns the
+    coefficients and where ``_guarded_gram`` lets them stand in for ``fit_glm``.
     """
-    gram, ok = _guarded_gram(design, weights) if guarded is None else guarded
+    gram, ok = guarded
     coef = np.zeros((weights.shape[0], design.shape[-1]))
     if ok.any():
         rhs = _xt(_fits(ok, design)[0], (weights * response)[ok])
@@ -917,19 +914,18 @@ class BlockFitter:
 
     ``solve(base=twin)`` fits a twin of a DatasetBlock ``base``: a block of the
     same covariates, d and t, with its own y. The solves without counts share
-    what depends on nothing else, made by the first of them: the p and pi fits
-    with their ``ok`` masks, the clipped p and pi predictions with their trims,
-    and each guarded Gram. A ``solve(counts)`` keeps these for itself, so
-    trial m0 and the trial controls' log-variance fit still share one Gram.
+    one store (``RowTable.cached``) of what depends on nothing else, made by the
+    first of them: the p and pi fits with their ``ok`` masks, the clipped p and
+    pi predictions with their trims, and each guarded Gram. A
+    ``solve(counts)`` has a store of its own, so trial m0 and the trial
+    controls' log-variance fit still share one Gram.
     """
 
     def __init__(self, base: CompositeDataset | DatasetBlock, specs: dict, ratio_mode: str,
                  treated_only: bool = False):
         self.base = base
         self._table = RowTable(base)
-        # what the solves without counts share: the fits that read no y by model
-        # name, the guarded Grams and the table's propensity store
-        self._twins: tuple[dict, dict, dict] = ({}, {}, {})
+        self._shared: dict = {}  # what the solves without counts share
         self._models: list | None = None
         # the ratio fit_bundle fits: known_one, or constant or loglinear with its spec
         self._ratio = RATIO_KNOWN_ONE if treated_only or not np.any(base.n2 > 0) else ratio_mode
@@ -964,11 +960,10 @@ class BlockFitter:
         ok = np.full(len(base.y if counts is None else counts), self._models is not None)
         if not ok.any():
             return ok, None
-        kept, grams, propensities = self._twins if counts is None else ({}, {}, {})
-        table = RowTable(base, counts, self._table._designs, propensities)
+        shared = self._shared if counts is None else {}
+        table = RowTable(base, counts, self._table._designs, shared)
         models = {}
 
-        @lru_cache(maxsize=1)  # a row set's fits come one after another
         def weigh(row_set: str) -> np.ndarray:
             # each fit's weight on the rows of ``row_set`` (``_rows_of``): a resample's
             # counts, or 1 on each dataset's own rows of a DatasetBlock
@@ -977,41 +972,37 @@ class BlockFitter:
                     else counts if rows.all() else counts[:, rows])
 
         def guarded(spec: ModelSpec, row_set: str, design, weights) -> tuple:
-            key = (spec.terms, spec.include_intercept, row_set)
-            if key not in grams:
-                grams[key] = _guarded_gram(design, weights)
-            return grams[key]
+            return table.cached(("gram", spec.terms, spec.include_intercept, row_set),
+                                lambda: _guarded_gram(design, weights), shared)
+
+        def fit(row_set, design, response, spec, names) -> tuple[FittedGLM, np.ndarray]:
+            weights = weigh(row_set)
+            wsum = weights.sum(axis=1)
+            gram = guarded(spec, row_set, design, weights)
+            if spec.family == IDENTITY:
+                coef, good = _stacked_wls(design, weights, response, gram)
+                rss = (weights * (response - _eta(design, coef)) ** 2).sum(axis=1)
+                iterations, loglik = 1, _gaussian_loglik(rss, wsum)
+            else:
+                # a fit past the Gram guards
+                coef, iterations, loglik, status = _stacked_logit(
+                    design, weights, response, gram[1], gram[0])
+                good = status == _CONVERGED
+            return FittedGLM(spec.family, coef, True, iterations, loglik, wsum.astype(int),
+                             spec, names), good
 
         # a fit cleared from ``ok`` may divide by a zero count or overflow;
         # its values are never read
         with np.errstate(all="ignore"):
             for name, row_set, design, response, spec, names in self._models:
-                if name in kept:
-                    models[name], good = kept[name]
-                    ok &= good
-                    continue
-                reads_y = _BUNDLE_MODELS[name].response == "y"
-                if reads_y and base is not self.base:
-                    response = base.y  # a twin's own y; a block's weights pick its rows
-                weights = weigh(row_set)
-                wsum = weights.sum(axis=1)
-                gram = guarded(spec, row_set, design, weights)
-                if spec.family == IDENTITY:
-                    coef, good = _stacked_wls(design, weights, response, gram)
-                    rss = (weights * (resid := response - _eta(design, coef)) ** 2).sum(axis=1)
-                    iterations, loglik = 1, _gaussian_loglik(rss, wsum)
+                if _BUNDLE_MODELS[name].response != "y":  # a fit a twin shares
+                    models[name], good = table.cached(("fit", name), lambda: fit(
+                        row_set, design, response, spec, names), shared)
                 else:
-                    # a fit past the Gram guards
-                    coef, iterations, loglik, status = _stacked_logit(
-                        design, weights, response, gram[1], gram[0])
-                    good = status == _CONVERGED
+                    # a twin's own y; a block's weights pick its rows
+                    y = response if base is self.base else base.y
+                    models[name], good = fit(row_set, design, y, spec, names)
                 ok &= good
-                models[name] = model = FittedGLM(spec.family, coef, True, iterations, loglik,
-                                                 wsum.astype(int), spec, names)
-                if spec.family == IDENTITY and counts is None:  # on all rows: the table's
-                    table.cached(("residual", model), lambda: resid)
-                if not reads_y:
-                    kept[name] = models[name], good
             r = self._solve_ratio(table, models["m0_pooled"], ok, weigh, guarded)
         return ok, (_bundle_sets(models, r), table)
 
@@ -1019,9 +1010,10 @@ class BlockFitter:
         """The stacked variance ratio from ``weigh`` and ``guarded``; clears ``ok`` where it fails.
 
         On a DatasetBlock both source groups read one squared residual of the
-        table's m0, the estimators' too, and one log-variance response. A resample
-        reads m0 on its group's rows alone: an all-row product on the shared
-        design rounds those rows' last bits differently."""
+        table's m0 on every row (the table's y, a twin's own), and one
+        log-variance response. A resample reads m0 on its group's rows alone:
+        an all-row product on the shared design rounds those rows' last bits
+        differently."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
         spec, v, coefs, scales = self._variance, [], [], []

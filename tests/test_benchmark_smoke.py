@@ -174,7 +174,10 @@ def test_time_inprocess_reads_an_aa_pair_by_the_gain_rule(capsys):
     golden = str(ROOT / "tests" / "data" / "golden_input.csv")
     assert module.main([str(ROOT), str(ROOT), "--rounds", "2", "--ops", "1", "--",
                         "estimate", "--input", golden, "--estimand", "tau"]) == 0
-    header, line = capsys.readouterr().out.strip().splitlines()
+    header, *lines = capsys.readouterr().out.strip().splitlines()
     assert header.endswith("output bytes: same")
-    assert line.startswith("op_p50_s     parent ")
-    assert "better in" in line and "/2  " in line
+    assert [line.split()[0] for line in lines] == ["op_p50_s", "peak_rss_mb"]
+    for line in lines:
+        assert "better in" in line and "/2  " in line
+        medians = [float(line.split(side, 1)[1].split()[0]) for side in (" parent ", " change ")]
+        assert min(medians) > 0
