@@ -17,7 +17,9 @@ path, and each of its outputs is compared byte for byte:
   replicates are left out of their block and fit alone, so the Monte Carlo's
   scoring of one replicate (K = 1) is gated too;
 - ``estimate --variance bootstrap`` on the bootstrap_estimate benchmark input
-  (scenario ii, n = 1000, stream [seed, 2]) at seeds 1, 2, 5 and 10;
+  (scenario ii, n = 1000, stream [seed, 2]) at seeds 1, 2, 5 and 10 under
+  ``--jobs 1``, and at seed 1 under ``--jobs 2`` too, whose workers take whole
+  blocks of resamples;
 - ``estimate`` on the cold_estimate benchmark input (scenario i, n = 400,
   stream [1, 1]);
 - ``estimate --variance bootstrap --B 100 --seed 4`` on three golden inputs,
@@ -116,9 +118,10 @@ def cli_gates(checkout: Path, work: Path) -> dict[str, list[str]]:
                                      "--seed", "1"]
     for seed in BOOTSTRAP_SEEDS:
         path = draw(checkout, "ii", 1000, seed, 2, work)
-        gates[f"bootstrap_estimate seed {seed}"] = [
-            "estimate", "--input", str(path), "--variance", "bootstrap", "--seed", str(seed),
-            "--jobs", "1"]
+        argv = ["estimate", "--input", str(path), "--variance", "bootstrap", "--seed", str(seed)]
+        gates[f"bootstrap_estimate seed {seed}"] = [*argv, "--jobs", "1"]
+        if seed == BOOTSTRAP_SEEDS[0]:
+            gates[f"bootstrap_estimate seed {seed} jobs 2"] = [*argv, "--jobs", "2"]
     path = draw(checkout, "i", 400, 1, 1, work)
     gates["cold_estimate seed 1"] = ["estimate", "--input", str(path), "--jobs", "1"]
     for label, args in BOOTSTRAP_PATHS.items():

@@ -12,8 +12,8 @@ it cannot stand in for is fit alone on its own rows. The same block path
 ``_block_points``), sized by the same rule (``block_ranges``), serves the
 Monte Carlo replicates of ``simlab``, whose blocks stack the replicates' own
 rows instead of counts. A bootstrap block's (resamples, rows) arrays stay
-under 256 KiB and a Monte Carlo block's under 128 KiB, in blocks of a
-multiple of 4 units. Also here: the specification test for equal
+under 256 KiB and a Monte Carlo block's under 128 KiB; a unit's values do
+not depend on its block. Also here: the specification test for equal
 control-outcome means across data sources, overlap diagnostics, and the
 bias bound under a source-specific control-mean shift.
 """
@@ -169,21 +169,19 @@ def _canonical_order(ds: CompositeDataset) -> np.ndarray:
 # budget; a block fit keeps some twenty of them alive at once (predictions
 # and estimator rows). A Monte Carlo replicate stacks its own design and
 # covariates too, so the Monte Carlo keeps BLOCK_BYTES (16 replicates at
-# n = 1000); bootstrap resamples share one design, and take twice the bytes
-# (32 resamples at n = 1000).
+# n = 1000; 32 raise its peak RSS by 7%); bootstrap resamples share one
+# design, and take twice the bytes (32 resamples at n = 1000). Both choose
+# speed and memory only: no block size moves a bit.
 BLOCK_BYTES = 1 << 17
 BOOTSTRAP_BLOCK_BYTES = 2 * BLOCK_BYTES
 
 
 def block_ranges(units: int, rows: int, array_bytes: int) -> list[range]:
-    """Consecutive ranges of ``units`` resamples or replicates, sized from the
-    row count alone so that each block's (units, rows) arrays stay under
-    ``array_bytes``. A size of 4 or more is rounded down to a multiple of 4,
-    the rows a BLAS matrix-vector kernel takes at a time. A point's last bits
-    can still depend on the size of its block, since the matrix products
-    tile a block's fits by it, so the size never depends on ``jobs``."""
-    size = array_bytes // (8 * rows)
-    size = size - size % 4 if size >= 4 else max(1, size)
+    """Consecutive ranges of ``units`` resamples or replicates, of the largest
+    size whose (units, rows) arrays stay under ``array_bytes``, and at least
+    one. The size is a speed and memory choice: a unit's values are the
+    same in a block of any size."""
+    size = max(1, array_bytes // (8 * rows))
     return [range(start, min(start + size, units)) for start in range(0, units, size)]
 
 

@@ -201,7 +201,7 @@ def _eta(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
     design (n, p) or on each fit's own (K, n, p)."""
     if np.ndim(coef) == 1:
         return design @ coef
-    return coef @ design.T if design.ndim == 2 else (design @ coef[..., None])[..., 0]
+    return (design @ coef[..., None])[..., 0]
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
@@ -649,6 +649,12 @@ def _rows_of(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return values if rows.ndim == 2 or rows.all() else values[rows]
 
 
+def _columns(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each fit's ``values`` (K, n) on the rows ``_rows_of`` keeps: a C-ordered copy of
+    the row set's columns, whose rows then reduce as a fit's alone would."""
+    return values if rows.ndim == 2 or rows.all() else np.ascontiguousarray(values[:, rows])
+
+
 def _bundle_models(ds: CompositeDataset | DatasetBlock, table: RowTable, specs: dict,
                    treated_only: bool):
     """Each working model of the bundle in fit order, once its checks pass:
@@ -717,7 +723,8 @@ def fit_bundle(
 # A block stacks K fits of one working model. Its design is shared by the
 # fits, (n, p) for the resamples of one dataset, or each fit's own, (K, n, p)
 # for a DatasetBlock; the fits' responses are then (n,) or (K, n), and their
-# weights are always (K, n).
+# weights are always (K, n). Each product is a batched matmul, one per fit, so
+# a fit's row has the bits of a block of one on either design (row-stable).
 
 
 def _at(index: np.ndarray, *arrays: np.ndarray) -> tuple:
@@ -735,7 +742,7 @@ def _fits(index: np.ndarray, design: np.ndarray, *arrays: np.ndarray) -> tuple:
 
 def _xt(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     """X'v for each fit's row of ``values`` (K, n): (K, p)."""
-    return values @ design if design.ndim == 2 else (values[:, None, :] @ design)[:, 0]
+    return (values[:, None, :] @ design)[:, 0]
 
 
 def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -748,7 +755,8 @@ def _gram(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
             gram[:, a] = _xt(design, weights * design[..., a])
             continue
         for b in range(a, p):
-            gram[:, a, b] = gram[:, b, a] = weights @ (design[:, a] * design[:, b])
+            pair = design[:, a] * design[:, b]
+            gram[:, a, b] = gram[:, b, a] = _xt(pair[:, None], weights)[:, 0]
     return gram
 
 
@@ -787,9 +795,9 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
                    run: np.ndarray, gram: np.ndarray | None = None):
     """Logit IRLS for each fit (row of ``weights``) that ``run`` marks: coef,
     iterations, loglik and a status per fit. ``gram`` may pass each fit's
-    ``_gram(design, weights)``: on per-fit (K, n, p) designs, whose products are
-    row-stable, the first information matrix is then 0.25 times its rows
-    (w m (1 - m) at m = 1/2 is w/4, exactly), not a second Gram.
+    ``_gram(design, weights)``: the first information matrix is then 0.25
+    times its rows (w m (1 - m) at m = 1/2 is w/4, exactly), not a second
+    Gram, with the same bits, since every product here is row-stable.
 
     A fit whose response holds one class under its weights has no maximum and
     is not run (_ONE_CLASS). Every other fit starts at zero and stops once its
@@ -843,7 +851,7 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         if rows.size == 0:
             break
         try:
-            if iteration == 1 and gram is not None and design.ndim == 3:
+            if iteration == 1 and gram is not None:
                 info = 0.25 * gram[rows]
             else:
                 info = w * m
@@ -899,6 +907,8 @@ class BlockFitter:
     dataset. The fitter derives once what its solves read of ``base``: one
     design per spec, each row set, and the rows (``_rows_of``) of these and of
     the modelled column that each fit and each ratio source group reads.
+    Every stacked product gives a fit's row as a block of one gives it, so a
+    resample's or dataset's values do not depend on the block it is in.
 
     A resample or dataset with ``ok`` False is left to ``fit_bundle`` on its
     own rows, so each failure keeps its type, message and count: a weighted
@@ -935,15 +945,10 @@ class BlockFitter:
                               if self._ratio == RATIO_LOGLINEAR else None)
         except (ConfigError, EmptyCell):
             return  # every resample is fit alone, and fails as fit_bundle does
-        m0_design = self._table.design(specs["m0"])
-        design, self._groups = self._table.design(self._variance or specs["m0"]), []
-        # each ratio source group's rows of the variance and m0 designs (one array
-        # when they are one design, as without a variance spec) and of y
-        for name in _RATIO_GROUPS if self._ratio != RATIO_KNOWN_ONE else ():
-            rows = self._table.rows(name)
-            m0_rows = _rows_of(m0_design, rows)
-            self._groups.append((name, m0_rows if design is m0_design else _rows_of(design, rows),
-                                 m0_rows, _rows_of(base.y, rows)))
+        # each ratio source group's rows of the variance design, if it has one
+        design = self._table.design(self._variance)
+        self._groups = [(name, None if design is None else _rows_of(design, self._table.rows(name)))
+                        for name in (_RATIO_GROUPS if self._ratio != RATIO_KNOWN_ONE else ())]
         # a non-finite design (each distinct one checked once) leaves every resample
         # to its own fit, as does a ratio mode fit_bundle raises on
         if self._ratio in RATIO_MODES and all(
@@ -968,8 +973,7 @@ class BlockFitter:
             # each fit's weight on the rows of ``row_set`` (``_rows_of``): a resample's
             # counts, or 1 on each dataset's own rows of a DatasetBlock
             rows = self._table.rows(row_set)
-            return (rows.astype(float) if counts is None
-                    else counts if rows.all() else counts[:, rows])
+            return rows.astype(float) if counts is None else _columns(counts, rows)
 
         def guarded(spec: ModelSpec, row_set: str, design, weights) -> tuple:
             return table.cached(("gram", spec.terms, spec.include_intercept, row_set),
@@ -1009,25 +1013,22 @@ class BlockFitter:
     def _solve_ratio(self, table, m0: FittedGLM, ok, weigh, guarded) -> VarianceRatioModel:
         """The stacked variance ratio from ``weigh`` and ``guarded``; clears ``ok`` where it fails.
 
-        On a DatasetBlock both source groups read one squared residual of the
-        table's m0 on every row (the table's y, a twin's own), and one
-        log-variance response. A resample reads m0 on its group's rows alone:
-        an all-row product on the shared design rounds those rows' last bits
-        differently."""
+        Both source groups read one squared residual of the table's m0 on every
+        row (the table's y, a twin's own) and one log-variance response, each
+        group its columns (``_columns``) of them."""
         if self._ratio == RATIO_KNOWN_ONE:
             return VarianceRatioModel(RATIO_KNOWN_ONE)
         spec, v, coefs, scales = self._variance, [], [], []
-        def responses(r2):  # squared residuals of m0 and the log-variance response
-            return r2, None if spec is None else np.log(r2 + VAR_FLOOR)
-        block = responses(table.residual(m0) ** 2) if table.counts is None else None
-        for name, design, m0_design, y in self._groups:
-            weights = weigh(name)
-            r2, log_r2 = block or responses((y - m0.predict(None, m0_design)) ** 2)
+        squares = table.residual(m0) ** 2
+        logs = None if spec is None else np.log(squares + VAR_FLOOR)
+        for name, design in self._groups:
+            weights, rows = weigh(name), self._table.rows(name)
+            r2 = _columns(squares, rows)
             count = weights.sum(axis=1)
             ok &= (count >= 2) & ~np.all((r2 < VAR_FLOOR) | (weights == 0), axis=1)
             v.append((weights * r2).sum(axis=1) / count)
             if spec is not None:
-                coef, good = _stacked_wls(design, weights, log_r2,
+                coef, good = _stacked_wls(design, weights, _columns(logs, rows),
                                           guarded(spec, name, design, weights))
                 ok &= good
                 smoothed = (weights * np.exp(_eta(design, coef))).sum(axis=1) / count

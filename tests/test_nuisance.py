@@ -231,15 +231,15 @@ def test_first_irls_step_from_the_guard_gram_moves_no_byte(monkeypatch):
                                    nuisance._CONVERGED]
     assert [a.tobytes() for a in without] == [a.tobytes() for a in with_gram]
     assert fewer == made - 1
-    # the bootstrap's shared 2-D design takes every information matrix afresh
+    # the bootstrap's shared 2-D design, whose products are row-stable too
     design = RowTable(ds).design(spec)
     weights = (_counts(_resample_indices(ds.n, 3, seed=2), ds.n) * (ds.d == 1)).astype(float)
     gram, ok = nuisance._guarded_gram(design, weights)
-    without, with_gram, made, again = _counted_logits(
+    without, with_gram, made, fewer = _counted_logits(
         monkeypatch, design, weights, ds.t.astype(float), ok, gram)
     assert (without[3] == nuisance._CONVERGED).all()
     assert [a.tobytes() for a in without] == [a.tobytes() for a in with_gram]
-    assert again == made > 0
+    assert fewer == made - 1
 
 
 def test_rank_deficient_names_columns():
