@@ -9,6 +9,9 @@ path, and each of its outputs is compared byte for byte:
 - ``scripts/make_golden.py --check``: one output per golden file, its line of
   the check (whether the regenerated bytes match the checkout's tests/data,
   and the largest relative change of a number);
+- each golden file committed under the checkout's tests/data, as its bytes
+  (``golden file <name>``): a change that regenerates a golden file on
+  purpose matches its own tests/data in the check above, and differs here;
 - ``simulate --scenario all --reps 250 --n 1000`` at seeds 1 and 2, each under
   ``--jobs 1`` and ``--jobs 2``; the ``--jobs 1`` runs also write
   ``--boxplot-csv``, whose bytes hold each replicate's points to 17 digits
@@ -96,6 +99,12 @@ def golden_outputs(checkout: Path) -> dict[str, bytes]:
     return {f"golden {line.split(b':')[0].decode()}": line for line in lines}
 
 
+def golden_files(checkout: Path) -> dict[str, bytes]:
+    """The committed bytes of each golden file under ``checkout``'s tests/data, by name."""
+    return {f"golden file {path.name}": path.read_bytes()
+            for path in sorted((checkout / "tests" / "data").glob("golden_*"))}
+
+
 def draw(checkout: Path, scenario: str, n: int, seed: int, stream: int, out: Path) -> Path:
     path = out / f"scenario_{scenario}_n{n}_seed{seed}.csv"
     done = _run(checkout, ["-c", DRAW, scenario, str(n), str(seed), str(stream), str(path)])
@@ -157,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         gates = cli_gates(sides[0], Path(tmp))
         for checkout, found in zip(sides, outputs):
             found.update(golden_outputs(checkout))
+            found.update(golden_files(checkout))
             found.update((label, cli_output(checkout, gate)) for label, gate in gates.items())
     lines, differ = compare(*outputs)
     print("\n".join(lines))

@@ -540,7 +540,9 @@ def efficiency_gain_analytic(
     DatasetBlock with its ``RowTable`` it is one gain per dataset.
     """
     p, pi, r, v1 = _gap_pieces(ds, nuis, table)
-    gap, borrowed = 1.0 - p, (1.0 - pi) / pi * r  # 1/(1-p) - 1/(1-p + (1-pi)/pi*r), in place
+    gap, borrowed = 1.0 - p, 1.0 - pi  # 1/(1-p) - 1/(1-p + (1-pi)/pi*r), in place
+    borrowed /= pi
+    borrowed *= r
     borrowed += gap
     np.subtract(np.divide(1.0, gap, out=gap), np.divide(1.0, borrowed, out=borrowed), out=gap)
     gap *= v1

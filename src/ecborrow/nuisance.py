@@ -168,7 +168,7 @@ class ModelSpec:
 
 @dataclass(eq=False)
 class FittedGLM:
-    """One fitted GLM.
+    """One fitted GLM, of a fit that converged (a block's fits: where its ``ok`` holds).
 
     A stacked fit (``BlockFitter``) holds K fits: ``coef`` is (K, p),
     ``iterations``, ``loglik`` and ``n_obs`` hold one entry per fit, and
@@ -178,7 +178,6 @@ class FittedGLM:
 
     family: str
     coef: np.ndarray
-    converged: bool
     iterations: int
     loglik: float
     n_obs: int
@@ -197,10 +196,8 @@ class FittedGLM:
 
 
 def _eta(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Linear predictor; (K, n) when ``coef`` stacks K fits as (K, p), on one
-    design (n, p) or on each fit's own (K, n, p)."""
-    if np.ndim(coef) == 1:
-        return design @ coef
+    """Linear predictor by one batched matmul per fit: (n,) for one fit's (p,), and (K, n)
+    for K fits' (K, p), on one design (n, p) or on each fit's own (K, n, p)."""
     return (design @ coef[..., None])[..., 0]
 
 
@@ -275,8 +272,8 @@ def fit_glm(
     bit for bit, since x * 1.0 == x and n ones sum to n exactly. Identity
     family solves the weighted least-squares problem with one SVD
     (``np.linalg.lstsq``), whose rank is also the rank check. Logit family is
-    one fit of the stacked IRLS (``_stacked_logit``), each way it fails a
-    typed error.
+    one fit of the stacked IRLS (``_stacked_logit``) from the Gram of its
+    weights, as a block's fit of one: each way it fails is a typed error.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     response = np.asarray(response, dtype=float)
@@ -300,14 +297,14 @@ def fit_glm(
         _check_rank(scaled, column_names, rank)
         rss = float(np.sum(w * (response - design @ coef) ** 2))
         loglik = _gaussian_loglik(rss, w.sum())
-        return FittedGLM(IDENTITY, coef, True, 1, loglik, n, spec, column_names or [])
+        return FittedGLM(IDENTITY, coef, 1, loglik, n, spec, column_names or [])
 
     _check_rank(scaled, column_names)
     if family != LOGIT:
         raise ConfigError(f"unknown family {family!r}")
 
     coef, iterations, loglik, status = _stacked_logit(
-        design, w[None], response, np.ones(1, dtype=bool))
+        design, w[None], response, np.ones(1, dtype=bool), _gram(design, w[None]))
     if status[0] == _ONE_CLASS:
         raise SeparationDetected("response holds one class; the logit likelihood has no maximum")
     if status[0] == _SINGULAR:
@@ -319,7 +316,7 @@ def fit_glm(
         )
     if status[0] == _UNCONVERGED:
         raise NonConvergence(f"IRLS did not converge in {MAX_ITER} iterations")
-    return FittedGLM(LOGIT, coef[0], True, int(iterations[0]), float(loglik[0]), n, spec,
+    return FittedGLM(LOGIT, coef[0], int(iterations[0]), float(loglik[0]), n, spec,
                      column_names or [])
 
 
@@ -792,12 +789,11 @@ _CONVERGED, _SINGULAR, _DIVERGED, _UNCONVERGED, _ONE_CLASS = range(5)
 
 
 def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray,
-                   run: np.ndarray, gram: np.ndarray | None = None):
+                   run: np.ndarray, gram: np.ndarray):
     """Logit IRLS for each fit (row of ``weights``) that ``run`` marks: coef,
-    iterations, loglik and a status per fit. ``gram`` may pass each fit's
-    ``_gram(design, weights)``: the first information matrix is then 0.25
-    times its rows (w m (1 - m) at m = 1/2 is w/4, exactly), not a second
-    Gram, with the same bits, since every product here is row-stable.
+    iterations, loglik and a status per fit. ``gram`` is ``_gram(design, weights)``,
+    and the first information matrix is 0.25 times its rows: w m (1 - m) at m = 1/2
+    is w/4, and a power of two scales a Gram's every product and sum exactly.
 
     A fit whose response holds one class under its weights has no maximum and
     is not run (_ONE_CLASS). Every other fit starts at zero and stops once its
@@ -851,7 +847,7 @@ def _stacked_logit(design: np.ndarray, weights: np.ndarray, response: np.ndarray
         if rows.size == 0:
             break
         try:
-            if iteration == 1 and gram is not None:
+            if iteration == 1:
                 info = 0.25 * gram[rows]
             else:
                 info = w * m
@@ -992,8 +988,8 @@ class BlockFitter:
                 coef, iterations, loglik, status = _stacked_logit(
                     design, weights, response, gram[1], gram[0])
                 good = status == _CONVERGED
-            return FittedGLM(spec.family, coef, True, iterations, loglik, wsum.astype(int),
-                             spec, names), good
+            return FittedGLM(spec.family, coef, iterations, loglik, wsum.astype(int), spec,
+                             names), good
 
         # a fit cleared from ``ok`` may divide by a zero count or overflow;
         # its values are never read

@@ -246,7 +246,7 @@ def _arm(cfg: ScenarioConfig, x, z_ps, u_select, u_treat, noise) -> tuple:
 def generate(cfg: ScenarioConfig, seed, draws: tuple | None = None, memo: dict | None = None
              ) -> tuple[CompositeDataset | DatasetBlock, TruthFrame]:
     """Draw one synthetic composite dataset from the RNG stream ``seed``, plus its
-    hidden truth.
+    hidden truth: dataset 0 of the block of that one stream.
 
     Given the ``draws`` of K streams (``draw_streams``), ``seed`` is not read:
     it builds the K datasets at once, by the same arithmetic over the leading
@@ -264,13 +264,10 @@ def generate(cfg: ScenarioConfig, seed, draws: tuple | None = None, memo: dict |
     y1 = y0 + _linear(cfg.effect_coefs, z_out)
     y = np.where(t == 1, y1, y0)
 
+    block = DatasetBlock(y, x, t, d, ("x1", "x2"), OUTCOME_CONTINUOUS)
     if draws is not None:
-        return (DatasetBlock(y, x, t, d, ("x1", "x2"), OUTCOME_CONTINUOUS),
-                TruthFrame(y0=y0, y1=y1))
-    ds = CompositeDataset(
-        y[0], x[0], t[0], d[0], covariate_names=("x1", "x2"), outcome_kind=OUTCOME_CONTINUOUS
-    )
-    return ds, TruthFrame(y0=y0[0], y1=y1[0])
+        return block, TruthFrame(y0=y0, y1=y1)
+    return block.dataset(0), TruthFrame(y0=y0[0], y1=y1[0])
 
 
 # ------------------------------ true effects ----------------------------

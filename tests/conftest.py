@@ -121,7 +121,7 @@ def constant_propensity_model(value: float, k: int = 2):
     logit = float(np.log(value / (1.0 - value)))
     from ecborrow.nuisance import FittedGLM
 
-    return FittedGLM(LOGIT, np.array([logit]), True, 1, 0.0, 1, spec, ["intercept"])
+    return FittedGLM(LOGIT, np.array([logit]), 1, 0.0, 1, spec, ["intercept"])
 
 
 @pytest.fixture

@@ -154,7 +154,7 @@ def test_bench_pairs_reports_whether_the_outputs_hash_alike(tmp_path):
     assert module.output_bytes(outputs["parent"], outputs["change"]) == "output bytes: same"
 
 
-def test_same_bytes_reads_a_moved_or_missing_output_as_differing():
+def test_same_bytes_reads_a_moved_or_missing_output_as_differing(tmp_path):
     module = _script("same_bytes")
     parent = {"golden a.json": b"a.json: bytes match", "simulate seed 1": b"{}\n"}
     lines, differ = module.compare(parent, dict(parent))
@@ -167,6 +167,34 @@ def test_same_bytes_reads_a_moved_or_missing_output_as_differing():
         "golden a.json: DIFFER", "simulate seed 1: DIFFER", "cold: DIFFER"]
     assert lines[0].endswith("change missing)")
     assert lines[2].startswith("cold: DIFFER (parent missing")
+    # a golden file regenerated or dropped by a change differs by its committed bytes
+    files = {}
+    for side, goldens in (("parent", {"golden_a.json": "1.0", "golden_b.csv": "x\n"}),
+                          ("change", {"golden_a.json": "1.0000000000000002"})):
+        data = tmp_path / side / "tests" / "data"
+        data.mkdir(parents=True)
+        for name, text in {**goldens, "other.txt": side}.items():
+            (data / name).write_text(text, encoding="utf-8")
+        files[side] = module.golden_files(tmp_path / side)
+    assert module.compare(files["parent"], dict(files["parent"]))[1] is False
+    lines, differ = module.compare(files["parent"], files["change"])
+    assert differ
+    assert [line.split(" (")[0] for line in lines] == [
+        "golden file golden_a.json: DIFFER", "golden file golden_b.csv: DIFFER"]
+    assert lines[1].endswith("change missing)")
+
+
+def test_yardstick_bounds_each_golden_estimate_point_against_a_reference_refit(capsys):
+    # the worst error of golden_estimate.json's points was 5.976e-14 (xi
+    # baseline) when the yardstick was added; a bound of 10 times that
+    module = _script("yardstick")
+    assert module.main(["golden_estimate.json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(line.split()[1:3]) for line in lines] == [
+        ("tau", "full_data"), ("tau", "trial_based"), ("psi", "full_data"),
+        ("psi", "baseline"), ("xi", "full_data"), ("xi", "baseline")]
+    errors = [float(line.split()[3]) for line in lines]
+    assert max(errors) <= 6e-13, lines
 
 
 def test_time_inprocess_reads_an_aa_pair_by_the_gain_rule(capsys):

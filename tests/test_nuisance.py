@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecborrow.nuisance as nuisance
-from ecborrow.dataset import CompositeDataset, DatasetBlock
+from ecborrow.dataset import CompositeDataset, DatasetBlock, load_csv
 from ecborrow.errors import (
     ConfigError,
     DegenerateVariance,
@@ -93,7 +94,6 @@ def test_logit_balanced_intercept_is_zero():
     response = np.array([1, 0] * 5, dtype=float)
     fit = fit_glm(design, response, LOGIT)
     assert fit.coef[0] == pytest.approx(0.0, abs=1e-10)
-    assert fit.converged
 
 
 def test_logit_matches_newton_oracle_on_fixtures():
@@ -191,32 +191,19 @@ def test_stacked_logit_on_a_singular_information_matrix_fails_every_fit_it_runs(
     response = (rng.random(50) < 0.5).astype(float)
     weights = rng.integers(0, 3, size=(4, 50)).astype(float)
     run = np.array([True, False, True, True])
-    coef, iterations, _, status = nuisance._stacked_logit(design, weights, response, run)
+    coef, iterations, _, status = nuisance._stacked_logit(
+        design, weights, response, run, nuisance._gram(design, weights))
     assert status.tolist() == [nuisance._SINGULAR, nuisance._UNCONVERGED, nuisance._SINGULAR,
                                nuisance._SINGULAR]
     assert not coef.any() and not iterations.any()
 
 
-def _counted_logits(monkeypatch, design, weights, response, run, gram):
-    """``_stacked_logit`` without and with ``gram``: both results, and the
-    ``_gram`` calls each made."""
-    calls, counted = [], nuisance._gram
-
-    def counting(*args):
-        calls.append(args[0].ndim)
-        return counted(*args)
-
-    monkeypatch.setattr(nuisance, "_gram", counting)
-    without = nuisance._stacked_logit(design, weights, response, run)
-    made = len(calls)
-    with_gram = nuisance._stacked_logit(design, weights, response, run, gram)
-    return without, with_gram, made, len(calls) - made
-
-
-def test_first_irls_step_from_the_guard_gram_moves_no_byte(monkeypatch):
-    # the treatment propensity of a DatasetBlock whose second dataset has no
-    # trial controls: its response is one class, so the IRLS batch starts
-    # narrowed, and the first step reads the other two rows of the guard's Gram
+def test_first_irls_step_from_the_guard_gram_moves_no_byte():
+    # every logit fit takes its first information matrix as 0.25 times the Gram
+    # of its weights, which must equal the Gram of w m (1 - m) = w/4 at m = 1/2
+    # byte for byte. The treatment propensity of a DatasetBlock whose second
+    # dataset has no trial controls: its response is one class, so the IRLS
+    # batch starts narrowed, and the first step reads the other two rows
     ds, _ = generate(ScenarioConfig(scenario="i", n=40), 11)
     other, _ = generate(ScenarioConfig(scenario="i", n=40), 12)
     no_controls = CompositeDataset(ds.y, ds.x, np.maximum(ds.t, ds.d), ds.d)
@@ -225,21 +212,16 @@ def test_first_irls_step_from_the_guard_gram_moves_no_byte(monkeypatch):
     design, weights = table.design(spec), table.rows("trial").astype(float)
     gram, ok = nuisance._guarded_gram(design, weights)
     assert ok.all()
-    without, with_gram, made, fewer = _counted_logits(
-        monkeypatch, design, weights, block.t, ok, gram)
-    assert without[3].tolist() == [nuisance._CONVERGED, nuisance._ONE_CLASS,
-                                   nuisance._CONVERGED]
-    assert [a.tobytes() for a in without] == [a.tobytes() for a in with_gram]
-    assert fewer == made - 1
+    assert (0.25 * gram).tobytes() == nuisance._gram(design, 0.25 * weights).tobytes()
+    status = nuisance._stacked_logit(design, weights, block.t, ok, gram)[3]
+    assert status.tolist() == [nuisance._CONVERGED, nuisance._ONE_CLASS, nuisance._CONVERGED]
     # the bootstrap's shared 2-D design, whose products are row-stable too
     design = RowTable(ds).design(spec)
     weights = (_counts(_resample_indices(ds.n, 3, seed=2), ds.n) * (ds.d == 1)).astype(float)
     gram, ok = nuisance._guarded_gram(design, weights)
-    without, with_gram, made, fewer = _counted_logits(
-        monkeypatch, design, weights, ds.t.astype(float), ok, gram)
-    assert (without[3] == nuisance._CONVERGED).all()
-    assert [a.tobytes() for a in without] == [a.tobytes() for a in with_gram]
-    assert fewer == made - 1
+    assert (0.25 * gram).tobytes() == nuisance._gram(design, 0.25 * weights).tobytes()
+    status = nuisance._stacked_logit(design, weights, ds.t.astype(float), ok, gram)[3]
+    assert (status == nuisance._CONVERGED).all()
 
 
 def test_rank_deficient_names_columns():
@@ -759,17 +741,16 @@ def test_loglinear_smoothed_variance_calibrated():
 
 
 def test_predict_through_link():
-    lin = FittedGLM(IDENTITY, np.array([1.0, 2.0]), True, 1, 0.0, 2,
-                    ModelSpec.linear_in(1, IDENTITY))
+    lin = FittedGLM(IDENTITY, np.array([1.0, 2.0]), 1, 0.0, 2, ModelSpec.linear_in(1, IDENTITY))
     assert lin.predict(np.array([[1.0]]))[0] == pytest.approx(3.0)
-    logit0 = FittedGLM(LOGIT, np.array([0.0]), True, 1, 0.0, 2, ModelSpec(LOGIT, ()))
+    logit0 = FittedGLM(LOGIT, np.array([0.0]), 1, 0.0, 2, ModelSpec(LOGIT, ()))
     assert logit0.predict(np.array([[0.5]]))[0] == pytest.approx(0.5)
 
 
 def test_trimming_counts_and_clips():
     raw = 0.9999
     model = FittedGLM(
-        LOGIT, np.array([np.log(raw / (1 - raw))]), True, 1, 0.0, 1, ModelSpec(LOGIT, ())
+        LOGIT, np.array([np.log(raw / (1 - raw))]), 1, 0.0, 1, ModelSpec(LOGIT, ())
     )
     ds = CompositeDataset(np.zeros(3), np.zeros((3, 1)), [0, 0, 0], [1, 1, 1])
     values, trimmed = RowTable(ds).propensity(model)
@@ -1156,6 +1137,21 @@ def test_block_fitter_stands_in_for_fit_bundle_on_the_degenerate_grid():
                     fitted += 1
     # 96 of the 1,152 cases fit, each both ways
     assert fitted == 192
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the block's normal equations on raw columns square the condition "
+    "number, so its Gram guard refuses designs lstsq fits until designs carry one scale"))
+def test_block_fitter_stands_in_under_an_affine_rescaling_of_a_covariate():
+    # x1 as a covariate in dollars: fit_bundle fits every resample, and the
+    # block should stand in for each as it does on the raw golden input
+    ds = load_csv(Path(__file__).parent / "data" / "golden_input.csv")
+    x = ds.x.copy()
+    x[:, 0] = 2e4 * x[:, 0] + 5e4
+    dollars = CompositeDataset(ds.y, x, ds.t, ds.d, ds.covariate_names)
+    counts = _counts(_resample_indices(ds.n, 32, seed=1), ds.n)
+    ok, _ = BlockFitter(dollars, linear_specs(ds.k), RATIO_LOGLINEAR).solve(counts)
+    assert ok.all(), f"{int(ok.sum())} of 32 resamples stand in"
 
 
 def test_trial_only_bundle_skips_the_ratio():
