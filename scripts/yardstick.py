@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """The error of each golden estimate point against a reference refit of its input.
 
-    PYTHONPATH=src python scripts/yardstick.py [GOLDEN ...]
+    PYTHONPATH=src python scripts/yardstick.py
 
-Every IF ``estimate`` golden of ``make_golden.GOLDENS`` (or only the golden
-files named) is read with its input, and each working model of that input is
-refit without ``ecborrow.nuisance``'s solvers:
+Every IF ``estimate`` golden of ``make_golden.GOLDENS`` is read with its
+input, and each working model of that input is refit without
+``ecborrow.nuisance``'s solvers:
 
 - identity fits (m1, the pooled and trial-only m0, and the two log-variance
   fits of the loglinear ratio) by ``tests/oracles.exact_wls``, in rational
@@ -29,7 +29,6 @@ bits on purpose quotes them before and after.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -150,11 +149,8 @@ def errors(name: str) -> dict[tuple[str, str], float]:
     return found
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("goldens", nargs="*", default=ESTIMATE_GOLDENS,
-                        help="golden file names under tests/data (default: every IF estimate)")
-    for name in parser.parse_args(argv).goldens:
+def main() -> int:
+    for name in ESTIMATE_GOLDENS:
         for (estimand, method), error in errors(name).items():
             print(f"{name} {estimand} {method} {error:.3e}")
     return 0

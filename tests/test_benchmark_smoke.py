@@ -184,17 +184,14 @@ def test_same_bytes_reads_a_moved_or_missing_output_as_differing(tmp_path):
     assert lines[1].endswith("change missing)")
 
 
-def test_yardstick_bounds_each_golden_estimate_point_against_a_reference_refit(capsys):
+def test_yardstick_bounds_each_golden_estimate_point_against_a_reference_refit():
     # the worst error of golden_estimate.json's points was 5.976e-14 (xi
     # baseline) when the yardstick was added; a bound of 10 times that
-    module = _script("yardstick")
-    assert module.main(["golden_estimate.json"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [tuple(line.split()[1:3]) for line in lines] == [
+    errors = _script("yardstick").errors("golden_estimate.json")
+    assert list(errors) == [
         ("tau", "full_data"), ("tau", "trial_based"), ("psi", "full_data"),
         ("psi", "baseline"), ("xi", "full_data"), ("xi", "baseline")]
-    errors = [float(line.split()[3]) for line in lines]
-    assert max(errors) <= 6e-13, lines
+    assert max(errors.values()) <= 6e-13, errors
 
 
 def test_time_inprocess_reads_an_aa_pair_by_the_gain_rule(capsys):
