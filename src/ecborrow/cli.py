@@ -547,15 +547,20 @@ def _steady_heap() -> None:
 def run() -> NoReturn:
     """The process entry point: ``main()``, then exit without interpreter teardown.
 
-    It pins the process's malloc thresholds first (``_steady_heap``); ``main``
-    leaves a host's allocator alone, and forked ``--jobs`` workers inherit
-    them. Freeing numpy's and ecborrow's module objects at exit costs more than
+    It pins the process's malloc thresholds first (``_steady_heap``), and
+    blocks OpenSSL's ``_hashlib`` unless something loaded it already, so that
+    ``hashlib`` and ``hmac`` (imported by numpy.random through ``secrets``, and
+    by the nuisance fingerprint) take CPython's builtin digests, with the same
+    SHA-256, and libcrypto's 3.3 MB is never mapped. ``main`` leaves a host's
+    allocator and modules alone; forked ``--jobs`` workers inherit both.
+    Freeing numpy's and ecborrow's module objects at exit costs more than
     the rest of a small ``estimate``. Nothing is left to do by then: the
     streams are flushed below, ``--out`` is closed and any process pool is
     joined before ``main`` returns. A closed stdout ends the run with
     status 1 and no traceback.
     """
     _steady_heap()
+    sys.modules.setdefault("_hashlib", None)
     try:
         code = main()
         sys.stdout.flush()

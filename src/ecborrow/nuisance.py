@@ -487,7 +487,7 @@ class NuisanceSet:
 
     def fingerprint(self) -> str:
         """Short SHA-256 of every model."""
-        import hashlib  # noqa: PLC0415 - keeps OpenSSL off the import path of the CLI
+        import hashlib  # noqa: PLC0415 - under cli.run, CPython's builtin SHA-256, not OpenSSL's
 
         h = hashlib.sha256()
         for model in (self.m1, self.m0, self.p, self.pi):

@@ -878,7 +878,10 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     estimate imports numpy.ma (the bootstrap interval takes no np.quantile). Only
     simulate runs ecborrow.simlab: until then the module may be entered in
     sys.modules, but its code has not run. The import alone leaves OpenSSL's
-    _hashlib unloaded: only a nuisance fingerprint imports hashlib.
+    _hashlib unloaded: hashlib comes in only with numpy.random (through
+    secrets) and a nuisance fingerprint, both after the import; under the
+    entry point it then takes the builtin SHA-256
+    (test_entry_point.py::test_no_command_loads_openssl).
     """
     import os
     import subprocess

@@ -1,8 +1,8 @@
 """The process entry point ``cli.run``, the package's lazy names and the installed scripts.
 
-``run`` pins the process's malloc thresholds and ends the process with
-``os._exit``, so its tests start ``python -m ecborrow.cli`` as a child
-process; in-process ``main`` never takes that path.
+``run`` pins the process's malloc thresholds, keeps OpenSSL's ``_hashlib``
+out and ends the process with ``os._exit``, so its tests start ``python -m
+ecborrow.cli`` as a child process; in-process ``main`` never takes that path.
 """
 
 import ctypes
@@ -151,6 +151,25 @@ def test_two_jobs_exit_zero_with_the_one_job_bytes(argv):
     assert runs[0][1] == runs[1][1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GOLDEN_ARGV,
+        [*GOLDEN_ARGV, "--variance", "bootstrap", "--B", "100"],
+        ["simulate", "--scenario", "all", "--reps", "4", "--n", "100", "--seed", "1"],
+    ],
+    ids=["estimate", "bootstrap", "simulate"],
+)
+def test_no_command_loads_openssl(argv):
+    """numpy.random (through ``secrets``) and the nuisance fingerprint import
+    hashlib, which takes CPython's builtin SHA-256 under the entry point.
+    ``PYTHONVERBOSE`` logs each module loaded; ``-X importtime`` would also
+    log the blocked attempt."""
+    code, _, err = run_child(argv, {"PYTHONVERBOSE": "1"})
+    assert code == 0, err[-2000:]
+    assert b"_hashlib" not in err
+
+
 def test_closed_stdout_is_status_one_without_a_traceback():
     child = spawn(GOLDEN_ARGV)
     child.stdout.close()  # closed before the report is written
@@ -202,6 +221,26 @@ def test_in_process_main_leaves_the_allocator_alone(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main([*GOLDEN_ARGV, "--variance", "bootstrap", "--B", "100"]) == 0
     assert calls == []
+
+
+def test_only_the_entry_point_blocks_openssl_and_never_once_loaded(capsys, monkeypatch):
+    _fake_mallopt(monkeypatch)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setitem(sys.modules, "_hashlib", None)  # restored after the test, loaded or not
+    del sys.modules["_hashlib"]
+    assert main(GOLDEN_ARGV) == 0
+    assert sys.modules.pop("_hashlib", "absent") is not None
+
+    exits = []
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.run()
+    assert sys.modules.get("_hashlib", "absent") is None
+    loaded = SimpleNamespace()
+    sys.modules["_hashlib"] = loaded
+    cli.run()
+    assert sys.modules["_hashlib"] is loaded
+    assert exits == [0, 0]
 
 
 @pytest.mark.parametrize(
